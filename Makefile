@@ -2,6 +2,10 @@
 # it, local runs without it just print a notice), full test suite (property
 # harness and examples included), and the concurrency-bearing packages plus
 # the CCM core and property suites under the race detector (see ROADMAP.md).
+# The repo benchmark (ccmbench/) is its own module, so `./...` skips it: it
+# is vetted and tested separately, and a change that breaks its build fails
+# here. Metric exposition text (# HELP / # TYPE) may only be written by the
+# one metric registry, internal/obs/registry.go.
 # Set FUZZ=1 to also smoke the native fuzz targets (see fuzz-smoke).
 verify:
 	go build ./...
@@ -13,6 +17,10 @@ verify:
 	fi
 	go test ./...
 	go test -race ./internal/core/... ./internal/obs/... ./internal/simtest/... ./internal/experiment/... ./internal/serve/... ./internal/cluster/...
+	cd ccmbench && go vet ./... && go test ./...
+	@if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e '# HELP' -e '# TYPE' . | grep -vx './internal/obs/registry.go'; then \
+		echo "verify: metric exposition text outside internal/obs/registry.go (register the metric instead)"; exit 1; \
+	fi
 ifeq ($(FUZZ),1)
 	$(MAKE) fuzz-smoke
 endif

@@ -7,6 +7,7 @@
 package netags_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -265,7 +266,7 @@ func benchSweep(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Run(cfg, nil); err != nil {
+		if _, err := experiment.RunContext(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,11 @@
 //
 //	ccmload -addr 127.0.0.1:8080 -rps 2 -duration 20s \
 //	    -max-p99 10s -fail-on-alerts \
-//	    -check-series serve_queue_len,sim_sessions_total,runtime_goroutines
+//	    -check-series serve_queue_len,sessions_total,runtime_goroutines
+//
+// Series names follow the registry's naming rule: a /metrics family minus
+// its netags_ prefix (netags_sessions_total → sessions_total; see
+// obs.Registry).
 //
 // Exit codes: 0 success, 1 operational error (server unreachable, bad
 // flags), 2 at least one SLO violation (-max-p99 exceeded, unfinished jobs

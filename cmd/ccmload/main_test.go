@@ -48,19 +48,16 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		MaxJobs:    256,
 		Tracer:     collector,
 	})
-	db := timeseries.New(50*time.Millisecond, time.Minute)
-	eval := timeseries.NewEvaluator(db, serve.DefaultSLORules(), nil)
-	sampler := timeseries.NewSampler(db,
-		m.TimeseriesSource(),
-		timeseries.CollectorSource(collector),
-		timeseries.RuntimeSource(),
-	)
-	sampler.OnTick(eval.Evaluate)
-	sampler.Start()
-	defer sampler.Stop()
+	collector.Register(m.Registry())
+	tel, err := timeseries.StartTelemetry(m.Registry(), serve.DefaultSLORules(),
+		50*time.Millisecond, time.Minute, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tel.Stop()
 
 	srv, err := serve.StartServer("127.0.0.1:0", m,
-		httpserve.Options{Collector: collector, Timeseries: db, Alerts: eval}, time.Second)
+		httpserve.Options{Collector: collector, Timeseries: tel.DB, Alerts: tel.Alerts}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		"-large-ratio", "0",
 		"-max-p99", "30s",
 		"-fail-on-alerts",
-		"-check-series", "serve_queue_len,serve_jobs_executed_total,sim_sessions_total,runtime_goroutines",
+		"-check-series", "serve_queue_len,serve_jobs_executed_total,sessions_total,runtime_goroutines",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())

@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -38,6 +37,7 @@ import (
 	"netags/internal/obs"
 	"netags/internal/obs/httpserve"
 	"netags/internal/obs/timeseries"
+	"netags/internal/serve"
 )
 
 func main() {
@@ -45,54 +45,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ccmrouter:", err)
 		os.Exit(1)
 	}
-}
-
-// newLogger builds the daemon logger from the -log-level/-log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
-	}
-}
-
-// loadRules resolves the -slo-rules flag: "off" disables alerting, empty
-// installs the router's built-in defaults, a leading '[' is inline JSON,
-// anything else is read as a file path.
-func loadRules(arg string) ([]timeseries.Rule, error) {
-	arg = strings.TrimSpace(arg)
-	switch arg {
-	case "off", "none":
-		return nil, nil
-	case "":
-		return cluster.DefaultSLORules(), nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(arg, "[") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, fmt.Errorf("-slo-rules: %w", err)
-		}
-		data = b
-	}
-	return timeseries.ParseRules(data)
 }
 
 // run serves until ctx is canceled or a SIGINT/SIGTERM arrives. If ready
@@ -103,7 +55,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		addr     = fs.String("addr", ":9080", "listen address")
 		backends = fs.String("backends", "", "comma-separated ccmserve worker addresses (host:port, required)")
 		replicas = fs.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
-		loadB    = fs.Float64("load-bound", 1.25, "bounded-load factor c (skip a backend over c×mean in-flight; 0 disables)")
 		maxTries = fs.Int("max-attempts", 0, "distinct backends tried per request (0 = all)")
 
 		rate       = fs.Float64("rate", 0, "per-client sustained submissions/second (0 disables rate limiting)")
@@ -130,7 +81,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -151,7 +102,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:    workerAddrs,
 		Replicas:    *replicas,
-		LoadBound:   *loadB,
 		MaxAttempts: *maxTries,
 		Admit: cluster.AdmitConfig{
 			Rate: *rate, Burst: *burst, MaxClients: *maxClients,
@@ -169,49 +119,27 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
-	// Time-series engine + SLO evaluator over the router's own counters —
-	// the same machinery ccmserve runs, fed by the cluster source.
-	obsOpts := httpserve.Options{Ring: ring}
-	var stopSampler func()
+	// Time-series engine + SLO evaluator over the router's registry — the
+	// same machinery ccmserve runs.
+	obsOpts := httpserve.Options{Registry: rt.Registry()}
+	var tracer obs.Tracer
+	if ring != nil {
+		obsOpts.Ring, tracer = ring, ring
+		ring.Register(rt.Registry())
+	}
 	if *tsRes > 0 {
-		rules, err := loadRules(*sloRules)
+		rules, err := timeseries.LoadRules(*sloRules, cluster.DefaultSLORules())
 		if err != nil {
 			return err
 		}
-		db := timeseries.New(*tsRes, *tsRet)
-		var eval *timeseries.Evaluator
-		if len(rules) > 0 {
-			eval = timeseries.NewEvaluator(db, rules, func(r timeseries.Rule, firing bool, measured float64) {
-				state := "resolved"
-				level := slog.LevelInfo
-				if firing {
-					state = "firing"
-					level = slog.LevelWarn
-				}
-				logger.LogAttrs(context.Background(), level, "slo alert "+state,
-					slog.String("rule", r.Name), slog.Float64("measured", measured),
-					slog.Float64("window_s", r.WindowS))
-				if ring != nil {
-					ring.Trace(obs.Event{
-						Kind: obs.KindAlert, Protocol: obs.ProtoSLO,
-						Phase: r.Name + ":" + state, Value: measured,
-					})
-				}
-			})
+		tel, err := timeseries.StartTelemetry(rt.Registry(), rules, *tsRes, *tsRet, logger, tracer)
+		if err != nil {
+			return err
 		}
-		sampler := timeseries.NewSampler(db, rt.TimeseriesSource(), timeseries.RuntimeSource())
-		if eval != nil {
-			sampler.OnTick(eval.Evaluate)
-		}
-		sampler.Start()
-		stopSampler = sampler.Stop
-		obsOpts.Timeseries = db
-		obsOpts.Alerts = eval
+		defer tel.Stop()
+		obsOpts.Timeseries, obsOpts.Alerts = tel.DB, tel.Alerts
 		logger.Info("timeseries sampler started",
 			"resolution", tsRes.String(), "retention", tsRet.String(), "rules", len(rules))
-	}
-	if stopSampler != nil {
-		defer stopSampler()
 	}
 
 	srv, err := httpStart(*addr, rt.Handler(obsOpts))
@@ -220,11 +148,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 	// The plain banner stays greppable for scripts (cluster_e2e.sh parses
 	// the address out of it); everything after startup is structured.
-	fmt.Fprintf(os.Stderr, "ccmrouter: listening on %s (backends=%d replicas=%d load-bound=%g)\n",
-		srv.addr, len(workerAddrs), *replicas, *loadB)
+	fmt.Fprintf(os.Stderr, "ccmrouter: listening on %s (backends=%d replicas=%d)\n",
+		srv.addr, len(workerAddrs), *replicas)
 	logger.Info("ccmrouter started",
 		"addr", srv.addr, "backends", strings.Join(workerAddrs, ","),
-		"replicas", *replicas, "load_bound", *loadB,
+		"replicas", *replicas,
 		"rate", *rate, "max_inflight", *maxInfl,
 		"breaker_consec", *brkConsec, "breaker_cooldown", brkCooldown.String())
 	if ready != nil {
@@ -256,7 +184,7 @@ func httpStart(addr string, h http.Handler) (*httpSrv, error) {
 		return nil, fmt.Errorf("listen %s: %w", addr, err)
 	}
 	s := &httpSrv{
-		srv:  &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second},
+		srv:  &http.Server{Handler: h, ReadHeaderTimeout: serve.ReadHeaderTimeout},
 		addr: ln.Addr().String(),
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Shutdown

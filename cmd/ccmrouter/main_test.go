@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,5 +135,16 @@ func TestRouterBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-backends", "x:1", "-slo-rules", "{not json"}, nil); err == nil {
 		t.Fatal("bad slo rules accepted")
+	}
+	// Rules naming a series the router never records, or burning a series
+	// against itself, fail startup and name the rule.
+	for rule, rules := range map[string]string{
+		"typo": `[{"name":"typo","window_s":10,"series":"cluster_breaker_opn"}]`,
+		"self": `[{"name":"self","window_s":10,"good":"cluster_forwarded_total","total":"cluster_forwarded_total","objective":0.99}]`,
+	} {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-backends", "x:1", "-slo-rules", rules}, nil)
+		if err == nil || !strings.Contains(err.Error(), rule) {
+			t.Errorf("rule %s: err = %v, want a startup error naming it", rule, err)
+		}
 	}
 }

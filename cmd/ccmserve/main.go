@@ -1,7 +1,7 @@
 // Command ccmserve runs the simulation-as-a-service daemon: a
 // priority-aware job queue, worker pool, per-point checkpoint store, and
 // content-addressed result cache over the experiment sweeps, exposed as a
-// versioned HTTP API (/api/v1, with unversioned aliases) beside the live
+// versioned HTTP API (/api/v1) beside the live
 // introspection endpoints (see internal/serve).
 //
 // Example:
@@ -27,10 +27,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,58 +38,10 @@ import (
 	"netags/internal/serve"
 )
 
-// loadRules resolves the -slo-rules flag: "off" disables alerting, empty
-// installs the built-in defaults, a leading '[' is inline JSON, anything
-// else is read as a file path.
-func loadRules(arg string) ([]timeseries.Rule, error) {
-	arg = strings.TrimSpace(arg)
-	switch arg {
-	case "off", "none":
-		return nil, nil
-	case "":
-		return serve.DefaultSLORules(), nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(arg, "[") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, fmt.Errorf("-slo-rules: %w", err)
-		}
-		data = b
-	}
-	return timeseries.ParseRules(data)
-}
-
 func main() {
 	if err := run(context.Background(), os.Args[1:], nil); err != nil {
 		fmt.Fprintln(os.Stderr, "ccmserve:", err)
 		os.Exit(1)
-	}
-}
-
-// newLogger builds the daemon logger from the -log-level/-log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch strings.ToLower(format) {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
 	}
 }
 
@@ -120,7 +70,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := newLogger(*logLevel, *logFormat)
+	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -147,52 +97,33 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Logger:            logger,
 		TraceEventsPerJob: *traceEvents,
 	})
-	// Time-series engine + SLO evaluator: a background sampler snapshots the
-	// manager, the sim collector, and the Go runtime once per resolution;
-	// the evaluator judges the rules on every tick. All observe-only — with
-	// -ts-resolution 0 none of it exists and no goroutine runs.
-	obsOpts := httpserve.Options{Collector: collector, Ring: ring}
+	// One registry holds every family /metrics serves: the manager's, the
+	// sim collector's, and the event ring's. The time-series engine samples
+	// it (plus the Go runtime) once per resolution and judges the SLO rules
+	// on every tick. All observe-only — with -ts-resolution 0 none of the
+	// engine exists and no goroutine runs.
+	reg := m.Registry()
+	collector.Register(reg)
+	obsOpts := httpserve.Options{Collector: collector, Registry: reg}
+	var tracer obs.Tracer
+	if ring != nil {
+		ring.Register(reg)
+		obsOpts.Ring, tracer = ring, ring
+	}
 	if *tsRes > 0 {
-		rules, err := loadRules(*sloRules)
+		rules, err := timeseries.LoadRules(*sloRules, serve.DefaultSLORules())
 		if err != nil {
 			return err
 		}
-		db := timeseries.New(*tsRes, *tsRet)
-		var eval *timeseries.Evaluator
-		if len(rules) > 0 {
-			eval = timeseries.NewEvaluator(db, rules, func(r timeseries.Rule, firing bool, measured float64) {
-				state := "resolved"
-				level := slog.LevelInfo
-				if firing {
-					state = "firing"
-					level = slog.LevelWarn
-				}
-				logger.LogAttrs(context.Background(), level, "slo alert "+state,
-					slog.String("rule", r.Name), slog.Float64("measured", measured),
-					slog.Float64("window_s", r.WindowS))
-				if ring != nil {
-					ring.Trace(obs.Event{
-						Kind: obs.KindAlert, Protocol: obs.ProtoSLO,
-						Phase: r.Name + ":" + state, Value: measured,
-					})
-				}
-			})
+		tel, err := timeseries.StartTelemetry(reg, rules, *tsRes, *tsRet, logger, tracer)
+		if err != nil {
+			return err
 		}
-		sampler := timeseries.NewSampler(db,
-			m.TimeseriesSource(),
-			timeseries.CollectorSource(collector),
-			timeseries.RuntimeSource(),
-		)
-		if eval != nil {
-			sampler.OnTick(eval.Evaluate)
-		}
-		sampler.Start()
-		defer sampler.Stop()
-		obsOpts.Timeseries = db
-		obsOpts.Alerts = eval
+		defer tel.Stop()
+		obsOpts.Timeseries, obsOpts.Alerts = tel.DB, tel.Alerts
 		logger.Info("timeseries sampler started",
 			"resolution", tsRes.String(), "retention", tsRet.String(),
-			"series_cap", db.SeriesCap(), "rules", len(rules))
+			"series_cap", tel.DB.SeriesCap(), "rules", len(rules))
 	}
 
 	srv, err := serve.StartServer(*addr, m, obsOpts, *drain)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,5 +101,12 @@ func TestServeBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-log-format", "xml"}, nil); err == nil {
 		t.Fatal("bad log format accepted")
+	}
+	// A rule naming a series no source records fails startup and names
+	// the rule.
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-slo-rules",
+		`[{"name":"typo","window_s":10,"good":"serve_e2e_ms_le_4095","total":"slo_e2e_total","objective":0.9}]`}, nil)
+	if err == nil || !strings.Contains(err.Error(), "typo") {
+		t.Errorf("err = %v, want a startup error naming rule typo", err)
 	}
 }

@@ -31,9 +31,8 @@ func BenchmarkClusterRouteAdmit(b *testing.B) {
 func newBenchRouter(tb testing.TB) *Router {
 	tb.Helper()
 	rt, err := NewRouter(RouterConfig{
-		Backends:  []string{"10.0.0.1:9080", "10.0.0.2:9080", "10.0.0.3:9080"},
-		LoadBound: 1.25,
-		Admit:     AdmitConfig{Rate: 1e9, Burst: 1e9, MaxInflight: 1 << 30},
+		Backends: []string{"10.0.0.1:9080", "10.0.0.2:9080", "10.0.0.3:9080"},
+		Admit:    AdmitConfig{Rate: 1e9, Burst: 1e9, MaxInflight: 1 << 30},
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -45,18 +44,15 @@ func newBenchRouter(tb testing.TB) *Router {
 
 // routeAdmitOnce is the hot-path decision sequence the HTTP handler runs
 // per submit, minus the proxied request: admit, walk the owner sequence,
-// take the first backend whose breaker and load bound allow, account the
-// attempt, record the outcome.
+// take the first backend whose breaker allows, account the attempt, record
+// the outcome.
 func routeAdmitOnce(rt *Router, key string, now time.Time, sc *routeScratch) int {
 	dec := rt.admit.Admit("bench-client", false, rt.total.Load(), now)
 	if !dec.OK {
 		return -1
 	}
 	sc.seq = rt.ring.OwnerSeq(key, sc.seq)
-	for pos, bi := range sc.seq {
-		if pos < len(sc.seq)-1 && rt.overloaded(bi) {
-			continue
-		}
+	for _, bi := range sc.seq {
 		ok, probe, gen := rt.breakers[bi].Allow(now)
 		if !ok {
 			continue

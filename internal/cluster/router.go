@@ -8,10 +8,9 @@
 //	  → key = SHA-256 content address of the canonicalized spec
 //	  → ring.OwnerSeq(key): the owning shard, then each successive ring
 //	    owner as the failover sequence
-//	  → first backend whose breaker admits and whose in-flight count is
-//	    under the bounded-load cap gets the proxied request; transport
-//	    errors and 502/503/504 replies count against its breaker and fall
-//	    through to the next owner
+//	  → first backend whose breaker admits gets the proxied request;
+//	    transport errors and 502/503/504 replies count against its breaker
+//	    and fall through to the next owner
 //
 // Reads (/jobs/{id}, /result, /stream, /trace, DELETE) route by the id in
 // the path — the id IS the shard key — so a job's whole lifecycle lands
@@ -34,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netags/internal/obs"
@@ -63,11 +61,6 @@ type RouterConfig struct {
 	Backends []string
 	// Replicas is the virtual-node count per backend (default 128).
 	Replicas int
-	// LoadBound is the bounded-load factor c: a backend is skipped (for
-	// the next ring owner) while its in-flight count exceeds
-	// c·(total+1)/healthy. <= 0 disables the bound; values <= 1 are
-	// clamped to 1.25.
-	LoadBound float64
 	// MaxAttempts caps distinct backends tried per request (default: all).
 	MaxAttempts int
 	// Admit tunes the admission stage.
@@ -89,28 +82,29 @@ type RouterConfig struct {
 // Router is the cluster front-end. Create with NewRouter, mount with
 // Handler.
 type Router struct {
-	ring      *Ring
-	breakers  []*Breaker
-	inflight  []atomic.Int64 // per-backend in-flight proxied requests
-	total     atomic.Int64   // cluster-wide in-flight proxied requests
-	loadBound float64
-	maxTries  int
+	ring     *Ring
+	breakers []*Breaker
+	maxTries int
 
 	admit     *Admitter
 	transport http.RoundTripper
 	log       *slog.Logger
 	tracer    obs.Tracer
 
-	// Counters (atomics; exposed on /metrics and the timeseries source).
-	requests     atomic.Int64 // proxied requests received (post-admission)
-	submits      atomic.Int64 // submissions received (pre-admission)
-	submitsOK    atomic.Int64 // submissions admitted
-	forwarded    atomic.Int64 // requests answered by some backend
-	forwardErrs  atomic.Int64 // attempts that failed (transport or 5xx gateway)
-	failovers    atomic.Int64 // requests answered by a non-primary owner
-	noBackend    atomic.Int64 // requests no backend could take
-	perBackendOK []atomic.Int64
-	perBackendKO []atomic.Int64
+	// Metric handles, resolved once in register; reg renders them on
+	// /metrics and feeds the timeseries sampler.
+	reg          *obs.Registry
+	inflight     []*obs.Gauge // per-backend in-flight proxied requests
+	total        *obs.Gauge   // cluster-wide in-flight proxied requests
+	requests     *obs.Counter // proxied requests received (post-admission)
+	submits      *obs.Counter // submissions received (pre-admission)
+	submitsOK    *obs.Counter // submissions admitted
+	forwarded    *obs.Counter // requests answered by some backend
+	forwardErrs  *obs.Counter // attempts that failed (transport or 5xx gateway)
+	failovers    *obs.Counter // requests answered by a non-primary owner
+	noBackend    *obs.Counter // requests no backend could take
+	perBackendOK []*obs.Counter
+	perBackendKO []*obs.Counter
 
 	scratch sync.Pool
 }
@@ -126,10 +120,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	if ring.Len() > maskBackends {
 		return nil, fmt.Errorf("cluster: %d backends exceed the supported %d", ring.Len(), maskBackends)
-	}
-	lb := cfg.LoadBound
-	if lb > 0 && lb <= 1 {
-		lb = 1.25
 	}
 	tries := cfg.MaxAttempts
 	if tries <= 0 || tries > ring.Len() {
@@ -148,17 +138,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 	}
 	rt := &Router{
-		ring:         ring,
-		breakers:     make([]*Breaker, ring.Len()),
-		inflight:     make([]atomic.Int64, ring.Len()),
-		loadBound:    lb,
-		maxTries:     tries,
-		admit:        NewAdmitter(cfg.Admit),
-		transport:    transport,
-		log:          log,
-		tracer:       cfg.Tracer,
-		perBackendOK: make([]atomic.Int64, ring.Len()),
-		perBackendKO: make([]atomic.Int64, ring.Len()),
+		ring:      ring,
+		breakers:  make([]*Breaker, ring.Len()),
+		maxTries:  tries,
+		admit:     NewAdmitter(cfg.Admit),
+		transport: transport,
+		log:       log,
+		tracer:    cfg.Tracer,
 	}
 	rt.scratch.New = func() any { return &routeScratch{seq: make([]int, 0, maskBackends)} }
 	for i, addr := range ring.Backends() {
@@ -182,6 +168,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rt.breakers[i] = NewBreaker(bcfg)
 	}
+	rt.register()
 	return rt, nil
 }
 
@@ -196,67 +183,30 @@ func (rt *Router) Admitter() *Admitter { return rt.admit }
 
 type routeScratch struct{ seq []int }
 
-// overloaded reports whether backend bi is past the bounded-load cap
-// c·(total+1)/healthy. With the bound disabled it always returns false.
-func (rt *Router) overloaded(bi int) bool {
-	if rt.loadBound <= 0 {
-		return false
-	}
-	healthy := 0
-	for i := range rt.breakers {
-		if rt.breakers[i].State() != BreakerOpen {
-			healthy++
-		}
-	}
-	if healthy == 0 {
-		return false
-	}
-	cap64 := rt.loadBound * float64(rt.total.Load()+1) / float64(healthy)
-	limit := int64(cap64)
-	if float64(limit) < cap64 {
-		limit++ // ceil
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return rt.inflight[bi].Load() >= limit
-}
-
 // Handler builds the router's combined mux: the proxied jobs API under
-// /api/v1 (with the same unversioned aliases the workers serve) plus the
-// introspection endpoints from httpserve (/metrics, /api/v1/timeseries,
-// /api/v1/alerts, /api/v1/cluster, /events, /healthz, /readyz, pprof).
-// Unset obsOpts fields are wired to the router: ExtraMetrics to WriteProm
-// (chained after any caller-provided hook) and Cluster to StatusJSON.
+// /api/v1 plus the introspection endpoints from httpserve (/metrics,
+// /api/v1/timeseries, /api/v1/alerts, /api/v1/cluster, /events, /healthz,
+// /readyz, pprof). Unset obsOpts fields are wired to the router: Registry
+// to the router's registry and Cluster to StatusJSON.
 func (rt *Router) Handler(obsOpts httpserve.Options) http.Handler {
-	if prev := obsOpts.ExtraMetrics; prev != nil {
-		obsOpts.ExtraMetrics = func(w io.Writer) { prev(w); rt.WriteProm(w) }
-	} else {
-		obsOpts.ExtraMetrics = rt.WriteProm
+	if obsOpts.Registry == nil {
+		obsOpts.Registry = rt.reg
 	}
 	if obsOpts.Cluster == nil {
 		obsOpts.Cluster = rt.StatusJSON
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", httpserve.NewHandler(obsOpts))
-	for _, prefix := range []string{serve.APIPrefix, ""} {
-		prefix := prefix
-		mux.HandleFunc("POST "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-			rt.handleSubmit(w, r)
-		})
-		mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-			rt.handleList(w, r)
-		})
-		mux.HandleFunc(prefix+"/jobs/{rest...}", func(w http.ResponseWriter, r *http.Request) {
-			rest := r.PathValue("rest")
-			id, _, _ := strings.Cut(rest, "/")
-			if id == "" {
-				writeError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
-				return
-			}
-			rt.forward(w, r, id, nil)
-		})
-	}
+	mux.HandleFunc("POST "+serve.APIPrefix+"/jobs", rt.handleSubmit)
+	mux.HandleFunc("GET "+serve.APIPrefix+"/jobs", rt.handleList)
+	mux.HandleFunc(serve.APIPrefix+"/jobs/{rest...}", func(w http.ResponseWriter, r *http.Request) {
+		id, _, _ := strings.Cut(r.PathValue("rest"), "/")
+		if id == "" {
+			serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
+			return
+		}
+		rt.forward(w, r, id, nil)
+	})
 	return mux
 }
 
@@ -266,12 +216,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.submits.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	var req serve.SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	client := req.Client
@@ -296,14 +246,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		rt.log.Debug("submission shed",
 			"client", client, "reason", dec.Reason, "retry_after_s", secs)
-		writeError(w, http.StatusTooManyRequests, code,
+		serve.WriteError(w, http.StatusTooManyRequests, code,
 			"cluster admission: "+dec.Reason+" — honor Retry-After")
 		return
 	}
 	rt.submitsOK.Add(1)
 	key, err := req.Spec.Key()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
+		serve.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
 		return
 	}
 	rt.forward(w, r, key, body)
@@ -316,6 +266,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
 	var jobs []serve.JobStatus
+	answered := false
 	for i, addr := range rt.ring.Backends() {
 		if rt.breakers[i].State() == BreakerOpen {
 			continue
@@ -337,12 +288,16 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		resp.Body.Close()
 		if err == nil && resp.StatusCode == http.StatusOK {
 			jobs = append(jobs, out.Jobs...)
+			answered = true
 		}
+	}
+	if answered {
+		rt.forwarded.Add(1)
 	}
 	if jobs == nil {
 		jobs = []serve.JobStatus{}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	serve.WriteJSON(w, http.StatusOK, struct {
 		Jobs []serve.JobStatus `json:"jobs"`
 	}{Jobs: jobs})
 }
@@ -359,8 +314,10 @@ func (b *Breaker) recordPlain(success bool) {
 
 // forward proxies one request along key's owner sequence: the owning
 // shard first, then each successive ring owner while earlier ones are
-// tripped, over the bounded-load cap, or fail the attempt. A non-nil body
-// replaces the (already consumed) request body on every attempt.
+// tripped or fail the attempt. Every key therefore lives on its first
+// healthy owner, so a job's reads reach the worker that holds it. A
+// non-nil body replaces the (already consumed) request body on every
+// attempt.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	rt.requests.Add(1)
 	sc := rt.scratch.Get().(*routeScratch)
@@ -372,11 +329,6 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	for pos, bi := range sc.seq {
 		if tried >= rt.maxTries {
 			break
-		}
-		// Bounded load: while this owner is disproportionately busy, spill
-		// to the next one — unless it is the last candidate standing.
-		if pos < len(sc.seq)-1 && rt.overloaded(bi) {
-			continue
 		}
 		ok, probe, gen := rt.breakers[bi].Allow(time.Now())
 		if !ok {
@@ -416,7 +368,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	}
 	rt.noBackend.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, CodeNoBackend,
+	serve.WriteError(w, http.StatusServiceUnavailable, CodeNoBackend,
 		"no healthy backend for this key — all ring owners tripped or unreachable")
 }
 
@@ -477,6 +429,72 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backend stri
 }
 
 // --- status, metrics ----------------------------------------------------
+
+// register resolves the router's metric handles and adds its
+// state-derived families to a fresh registry.
+func (rt *Router) register() {
+	reg := obs.NewRegistry()
+	rt.reg = reg
+	backends := rt.ring.Backends()
+	reg.GaugeFunc("netags_cluster_backends", "Configured backend count.",
+		func() float64 { return float64(rt.ring.Len()) })
+	reg.GaugeFunc("netags_cluster_ring_vnodes", "Virtual nodes on the hash ring.",
+		func() float64 { return float64(rt.ring.VNodes()) })
+	rt.total = reg.Gauge("netags_cluster_inflight", "Proxied requests currently in flight.")
+	reg.GaugeFunc("netags_cluster_breakers_open", "Backends whose breaker is not closed.",
+		func() float64 { return float64(rt.OpenBreakers()) })
+	rt.requests = reg.Counter("netags_cluster_requests_total", "Proxied requests received.")
+	rt.submits = reg.Counter("netags_cluster_submits_total", "Submissions received (pre-admission).")
+	rt.submitsOK = reg.Counter("netags_cluster_submits_admitted_total", "Submissions past admission control.")
+	rt.forwarded = reg.Counter("netags_cluster_forwarded_total", "Requests answered by a backend.")
+	rt.forwardErrs = reg.Counter("netags_cluster_forward_errors_total", "Proxy attempts that failed (transport error or 502/503/504).")
+	rt.failovers = reg.Counter("netags_cluster_failovers_total", "Requests served by a non-primary ring owner.")
+	rt.noBackend = reg.Counter("netags_cluster_no_backend_total", "Requests no backend could take.")
+	reg.VecFunc("netags_cluster_shed_total", "Submissions rejected by admission control, by reason.", "counter",
+		[]string{"reason"}, func(emit func(float64, ...string)) {
+			st := rt.admit.Stats()
+			emit(float64(st.ShedRateLimit), ShedRateLimit)
+			emit(float64(st.ShedOverload), ShedOverload)
+		})
+	reg.GaugeFunc("netags_cluster_admit_clients", "Client token buckets tracked.",
+		func() float64 { return float64(rt.admit.Stats().Clients) })
+	reg.VecFunc("netags_cluster_breaker_state", "Breaker position per backend: 0 closed, 1 half-open, 2 open.", "gauge",
+		[]string{"backend"}, func(emit func(float64, ...string)) {
+			for i, addr := range backends {
+				v := 0.0
+				switch rt.breakers[i].State() {
+				case BreakerHalfOpen:
+					v = 1
+				case BreakerOpen:
+					v = 2
+				}
+				emit(v, addr)
+			}
+		})
+	rt.inflight = perBackend(reg.GaugeVec("netags_cluster_backend_inflight", "In-flight proxied requests per backend.", "backend"), backends)
+	rt.perBackendOK = perBackend(reg.CounterVec("netags_cluster_backend_requests_total", "Successful proxied requests per backend.", "backend"), backends)
+	rt.perBackendKO = perBackend(reg.CounterVec("netags_cluster_backend_failures_total", "Failed proxy attempts per backend.", "backend"), backends)
+	reg.VecFunc("netags_cluster_breaker_trips_total", "Breaker trips per backend.", "counter",
+		[]string{"backend"}, func(emit func(float64, ...string)) {
+			for i, addr := range backends {
+				emit(float64(rt.breakers[i].Stats().Trips), addr)
+			}
+		})
+}
+
+// perBackend resolves one child of a backend-labeled family per backend,
+// indexed like the ring's backend list.
+func perBackend[T any](vec *obs.Vec[T], backends []string) []*T {
+	out := make([]*T, len(backends))
+	for i, addr := range backends {
+		out[i] = vec.With(addr)
+	}
+	return out
+}
+
+// Registry returns the router's metric registry — every cluster family,
+// and the source the time-series sampler reads.
+func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // BackendStatus is one worker's row in the cluster status document.
 type BackendStatus struct {
@@ -562,97 +580,4 @@ func (rt *Router) OpenBreakers() int {
 		}
 	}
 	return n
-}
-
-// WriteProm writes the router's metric families in Prometheus text
-// exposition — mounted as httpserve's ExtraMetrics hook.
-func (rt *Router) WriteProm(w io.Writer) {
-	st := rt.Status()
-	promGauge(w, "netags_cluster_backends", "Configured backend count.", float64(st.Ring.Backends))
-	promGauge(w, "netags_cluster_ring_vnodes", "Virtual nodes on the hash ring.", float64(st.Ring.VNodes))
-	promGauge(w, "netags_cluster_inflight", "Proxied requests currently in flight.", float64(st.Inflight))
-	open := 0
-	for _, b := range st.Backends {
-		if b.State != "closed" {
-			open++
-		}
-	}
-	promGauge(w, "netags_cluster_breakers_open", "Backends whose breaker is not closed.", float64(open))
-	promCounter(w, "netags_cluster_requests_total", "Proxied requests received.", st.Counters.Requests)
-	promCounter(w, "netags_cluster_submits_total", "Submissions received (pre-admission).", st.Counters.Submits)
-	promCounter(w, "netags_cluster_submits_admitted_total", "Submissions past admission control.", st.Counters.SubmitsAdmitted)
-	promCounter(w, "netags_cluster_forwarded_total", "Requests answered by a backend.", st.Counters.Forwarded)
-	promCounter(w, "netags_cluster_forward_errors_total", "Proxy attempts that failed (transport error or 502/503/504).", st.Counters.ForwardErrors)
-	promCounter(w, "netags_cluster_failovers_total", "Requests served by a non-primary ring owner.", st.Counters.Failovers)
-	promCounter(w, "netags_cluster_no_backend_total", "Requests no backend could take.", st.Counters.NoBackend)
-	fmt.Fprint(w, "# HELP netags_cluster_shed_total Submissions rejected by admission control, by reason.\n# TYPE netags_cluster_shed_total counter\n")
-	fmt.Fprintf(w, "netags_cluster_shed_total{reason=%q} %d\n", ShedRateLimit, st.Admission.ShedRateLimit)
-	fmt.Fprintf(w, "netags_cluster_shed_total{reason=%q} %d\n", ShedOverload, st.Admission.ShedOverload)
-	promGauge(w, "netags_cluster_admit_clients", "Client token buckets tracked.", float64(st.Admission.Clients))
-
-	fmt.Fprint(w, "# HELP netags_cluster_breaker_state Breaker position per backend: 0 closed, 1 half-open, 2 open.\n# TYPE netags_cluster_breaker_state gauge\n")
-	for _, b := range st.Backends {
-		v := 0
-		switch b.State {
-		case "half-open":
-			v = 1
-		case "open":
-			v = 2
-		}
-		fmt.Fprintf(w, "netags_cluster_breaker_state{backend=%q} %d\n", b.Addr, v)
-	}
-	fmt.Fprint(w, "# HELP netags_cluster_backend_inflight In-flight proxied requests per backend.\n# TYPE netags_cluster_backend_inflight gauge\n")
-	for _, b := range st.Backends {
-		fmt.Fprintf(w, "netags_cluster_backend_inflight{backend=%q} %d\n", b.Addr, b.Inflight)
-	}
-	fmt.Fprint(w, "# HELP netags_cluster_backend_requests_total Successful proxied requests per backend.\n# TYPE netags_cluster_backend_requests_total counter\n")
-	for _, b := range st.Backends {
-		fmt.Fprintf(w, "netags_cluster_backend_requests_total{backend=%q} %d\n", b.Addr, b.Requests)
-	}
-	fmt.Fprint(w, "# HELP netags_cluster_backend_failures_total Failed proxy attempts per backend.\n# TYPE netags_cluster_backend_failures_total counter\n")
-	for _, b := range st.Backends {
-		fmt.Fprintf(w, "netags_cluster_backend_failures_total{backend=%q} %d\n", b.Addr, b.Failures)
-	}
-	fmt.Fprint(w, "# HELP netags_cluster_breaker_trips_total Breaker trips per backend.\n# TYPE netags_cluster_breaker_trips_total counter\n")
-	for _, b := range st.Backends {
-		fmt.Fprintf(w, "netags_cluster_breaker_trips_total{backend=%q} %d\n", b.Addr, b.Trips)
-	}
-}
-
-// --- small local JSON/prom helpers (the serve layer's are unexported) ---
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
-}
-
-// writeError speaks the serve layer's one error envelope so cluster and
-// worker rejections are indistinguishable to clients.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	b, _ := json.Marshal(struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}{Error: struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	}{Code: code, Message: msg}})
-	w.Write(append(b, '\n'))
-}
-
-func promCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func promGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }

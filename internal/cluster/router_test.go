@@ -545,3 +545,69 @@ func TestRouterEndToEndRealWorkers(t *testing.T) {
 		t.Fatalf("routed result differs from single-node reference:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestRouterReadsFollowTheirJob: a job's reads reach the worker that ran
+// its submission even while that worker is busier than its peers. One
+// request is held in flight on key K's owner; K is then submitted, the
+// held request released, and K read back. A router that spilled busy
+// owners' traffic to the next ring owner placed the job on one worker and
+// sent the read to another, which answered 404. The test guards against
+// such spilling coming back: with no load bound in the config it also
+// passes on a router that spilled only when one was set.
+func TestRouterReadsFollowTheirJob(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	var workers []string
+	for i := 0; i < 3; i++ {
+		m := serve.NewManager(serve.Config{Workers: 1})
+		h := serve.NewHandler(m, httpserve.Options{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("X-Test-Hold") != "" {
+				arrived <- struct{}{}
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			m.Shutdown(context.Background())
+		})
+		workers = append(workers, srv.Listener.Addr().String())
+	}
+	rt, err := NewRouter(RouterConfig{Backends: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler(httpserve.Options{}))
+	defer front.Close()
+	body, key := submitBody(t, 42)
+
+	held := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodGet, front.URL+"/api/v1/jobs/"+key, nil)
+		req.Header.Set("X-Test-Hold", "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		held <- err
+	}()
+	<-arrived // K's owner now has one request in flight
+
+	resp := postJobs(t, front.URL, body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	get, err := http.Get(front.URL + "/api/v1/jobs/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get.Body.Close()
+	if get.StatusCode != http.StatusOK {
+		t.Fatalf("read of the submitted job = %d, want 200", get.StatusCode)
+	}
+}

@@ -68,10 +68,6 @@ type Config struct {
 	// LossSeed seeds the loss process (only used when LossProb > 0).
 	LossSeed uint64
 
-	// Trace, if non-nil, receives one RoundTrace after each round's
-	// checking frame — the live view of the tier-by-tier convergence.
-	Trace func(RoundTrace)
-
 	// Tracer, if non-nil, receives the session's structured event stream
 	// (session_start, frame, indicator, check, round, session_end). Tracers
 	// are observe-only: attaching one never changes the simulation, and a
@@ -82,26 +78,6 @@ type Config struct {
 	// multi-reader runs and concurrent sweeps sharing one tracer. It does
 	// not affect the simulation.
 	Reader int
-}
-
-// RoundTrace describes one completed CCM round for observers.
-type RoundTrace struct {
-	// Round is 1-based.
-	Round int
-	// Transmitters is the number of tags that transmitted in the frame.
-	Transmitters int
-	// BitsSent is the number of frame bits transmitted this round.
-	BitsSent int
-	// NewBusy is the number of slots the reader first saw busy this round
-	// (the information wave arriving from one more tier out).
-	NewBusy int
-	// KnownBusy is the reader's cumulative busy count.
-	KnownBusy int
-	// CheckSlots is the number of checking-frame slots executed.
-	CheckSlots int
-	// MorePending reports whether the checking frame found in-flight data
-	// (i.e. another round follows).
-	MorePending bool
 }
 
 func (c Config) validate(nw *topology.Network) error {

@@ -319,17 +319,6 @@ func (s *session) run() *Result {
 		txTags, txBits := s.runRound(round)
 		res.Rounds = round
 		more := s.runCheckingFrame(round)
-		if s.cfg.Trace != nil {
-			s.cfg.Trace(RoundTrace{
-				Round:        round,
-				Transmitters: txTags,
-				BitsSent:     txBits,
-				NewBusy:      s.newBusyPerRound[round-1],
-				KnownBusy:    s.known.Count(),
-				CheckSlots:   s.checkSlotsPerRound[round-1],
-				MorePending:  more,
-			})
-		}
 		if t := s.cfg.Tracer; t != nil {
 			t.Trace(obs.Event{
 				Kind:         obs.KindRound,

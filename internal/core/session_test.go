@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"netags/internal/geom"
+	"netags/internal/obs"
 	"netags/internal/topology"
 )
 
@@ -491,38 +492,46 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestRoundTrace: the session emits one KindRound event per round whose
+// fields narrate the tier-by-tier convergence and agree with the result.
 func TestRoundTrace(t *testing.T) {
 	nw := lineNetwork(t)
-	var traces []RoundTrace
+	mem := obs.NewMemory()
 	cfg := Config{
 		FrameSize: 16,
 		Picker:    fixedPicker(map[int][]int{0: {1}, 1: {5}, 2: {9}}),
-		Trace:     func(tr RoundTrace) { traces = append(traces, tr) },
+		Tracer:    mem,
 	}
 	res, err := RunSession(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != res.Rounds {
-		t.Fatalf("%d traces for %d rounds", len(traces), res.Rounds)
+	var rounds []obs.Event
+	for _, ev := range mem.Events() {
+		if ev.Kind == obs.KindRound {
+			rounds = append(rounds, ev)
+		}
+	}
+	if len(rounds) != res.Rounds {
+		t.Fatalf("%d round events for %d rounds", len(rounds), res.Rounds)
 	}
 	// Round 1: all three tags transmit their own picks; the reader learns
 	// one bit; more data is pending.
-	if traces[0].Round != 1 || traces[0].Transmitters != 3 || traces[0].BitsSent != 3 {
-		t.Fatalf("round 1 trace = %+v", traces[0])
+	if rounds[0].Round != 1 || rounds[0].Transmitters != 3 || rounds[0].Bits != 3 {
+		t.Fatalf("round 1 event = %+v", rounds[0])
 	}
-	if traces[0].NewBusy != 1 || !traces[0].MorePending {
-		t.Fatalf("round 1 trace = %+v", traces[0])
+	if rounds[0].NewBusy != 1 || !rounds[0].Pending {
+		t.Fatalf("round 1 event = %+v", rounds[0])
 	}
 	// Last round: everything delivered, nothing pending.
-	last := traces[len(traces)-1]
-	if last.MorePending || last.KnownBusy != 3 {
-		t.Fatalf("final trace = %+v", last)
+	last := rounds[len(rounds)-1]
+	if last.Pending || last.KnownBusy != 3 {
+		t.Fatalf("final event = %+v", last)
 	}
-	// Trace data must agree with the result diagnostics.
-	for i, tr := range traces {
-		if tr.NewBusy != res.NewBusyPerRound[i] || tr.CheckSlots != res.CheckSlotsPerRound[i] {
-			t.Fatalf("trace %d disagrees with result diagnostics", i)
+	// Event data must agree with the result diagnostics.
+	for i, ev := range rounds {
+		if ev.NewBusy != res.NewBusyPerRound[i] || ev.CheckSlots != res.CheckSlotsPerRound[i] {
+			t.Fatalf("round event %d disagrees with result diagnostics", i)
 		}
 	}
 }

@@ -59,16 +59,8 @@ type densityTrial struct {
 	gmle, trp, sicp int64
 }
 
-// RunDensitySweep measures how each protocol's air time scales with the
-// population.
-//
-// Deprecated: shim over RunDensitySweepContext; results are identical.
-func RunDensitySweep(cfg DensityConfig) (*DensityResults, error) {
-	return RunDensitySweepContext(context.Background(), cfg, nil)
-}
-
-// RunDensitySweepContext runs the population sweep over cfg.Workers
-// goroutines. Frame sizes are re-derived per n, exactly as the paper sizes
+// RunDensitySweepContext measures how each protocol's air time scales
+// with the population, over cfg.Workers goroutines. Frame sizes are re-derived per n, exactly as the paper sizes
 // its frames for n = 10,000.
 func RunDensitySweepContext(ctx context.Context, cfg DensityConfig, observe func(Progress)) (*DensityResults, error) {
 	return RunDensitySweepPartial(ctx, cfg, nil, nil, observe)

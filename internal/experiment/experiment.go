@@ -111,20 +111,6 @@ type Results struct {
 	Rows   []Row
 }
 
-// Run executes the sweep. progress, if non-nil, receives one rendered line
-// per completed (r, trial) pair.
-//
-// Deprecated: Run is a compatibility shim over RunContext. New callers
-// should use RunContext, which supports cancellation and structured
-// Progress events. Results are identical either way.
-func Run(cfg Config, progress func(string)) (*Results, error) {
-	var observe func(Progress)
-	if progress != nil {
-		observe = func(p Progress) { progress(p.String()) }
-	}
-	return RunContext(context.Background(), cfg, observe)
-}
-
 // rangeTrial is one deployment's measurements, carried out of the worker
 // pool and reduced into Row accumulators in grid order afterwards.
 type rangeTrial struct {

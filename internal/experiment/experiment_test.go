@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func tinyConfig() Config {
 }
 
 func TestRunProducesAllMetrics(t *testing.T) {
-	res, err := Run(tinyConfig(), nil)
+	res, err := RunContext(context.Background(), tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(cfg, nil)
+	res, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestPaperShapeHolds(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := tinyConfig()
-	a, err := Run(cfg, nil)
+	a, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, nil)
+	b, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRunValidation(t *testing.T) {
 		{BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1, Workers: -1}, RValues: []float64{6}, GMLEFrame: 8, TRPFrame: 8}, // negative workers
 	}
 	for i, cfg := range bad {
-		if _, err := Run(cfg, nil); err == nil {
+		if _, err := RunContext(context.Background(), cfg, nil); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -144,7 +145,7 @@ func TestProgressCallback(t *testing.T) {
 	cfg.RValues = []float64{6}
 	cfg.Trials = 2
 	var lines []string
-	if _, err := Run(cfg, func(s string) { lines = append(lines, s) }); err != nil {
+	if _, err := RunContext(context.Background(), cfg, func(p Progress) { lines = append(lines, p.String()) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 2 {
@@ -153,7 +154,7 @@ func TestProgressCallback(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	res, err := Run(tinyConfig(), nil)
+	res, err := RunContext(context.Background(), tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,12 @@ func TestAblationConfigRuns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocols = []Protocol{GMLECCM}
 	cfg.RValues = []float64{6}
-	base, err := Run(cfg, nil)
+	base, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisableIndicatorVector = true
-	flood, err := Run(cfg, nil)
+	flood, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,15 +60,8 @@ type lossTrial struct {
 	rounds      float64
 }
 
-// RunLossSweep measures CCM delivery and TRP false accusations as the
-// channel degrades, with nothing actually missing.
-//
-// Deprecated: shim over RunLossSweepContext; results are identical.
-func RunLossSweep(cfg LossConfig) (*LossResults, error) {
-	return RunLossSweepContext(context.Background(), cfg, nil)
-}
-
-// RunLossSweepContext runs the unreliable-channel sweep over cfg.Workers
+// RunLossSweepContext measures CCM delivery and TRP false accusations as
+// the channel degrades, with nothing actually missing, over cfg.Workers
 // goroutines. The channel's coin flips draw from the trial's Aux seed
 // stream, so every worker count observes the same losses.
 func RunLossSweepContext(ctx context.Context, cfg LossConfig, observe func(Progress)) (*LossResults, error) {

@@ -1,16 +1,17 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRunLossSweep(t *testing.T) {
-	res, err := RunLossSweep(LossConfig{
+	res, err := RunLossSweepContext(context.Background(), LossConfig{
 		BaseConfig: BaseConfig{N: 800, Radius: 30, Trials: 3, Seed: 1},
 		R:          6,
 		LossValues: []float64{0, 0.3, 0.8},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,23 +41,23 @@ func TestRunLossSweep(t *testing.T) {
 }
 
 func TestRunLossSweepValidation(t *testing.T) {
-	if _, err := RunLossSweep(LossConfig{}); err == nil {
+	if _, err := RunLossSweepContext(context.Background(), LossConfig{}, nil); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := RunLossSweep(LossConfig{
+	if _, err := RunLossSweepContext(context.Background(), LossConfig{
 		BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1},
 		R:          6, LossValues: []float64{1.5},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("loss >= 1 accepted")
 	}
 }
 
 func TestRunDensitySweep(t *testing.T) {
-	res, err := RunDensitySweep(DensityConfig{
+	res, err := RunDensitySweepContext(context.Background(), DensityConfig{
 		BaseConfig: BaseConfig{Radius: 30, Trials: 2, Seed: 3},
 		NValues:    []int{500, 2000},
 		R:          6,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +82,13 @@ func TestRunDensitySweep(t *testing.T) {
 }
 
 func TestRunDensitySweepValidation(t *testing.T) {
-	if _, err := RunDensitySweep(DensityConfig{}); err == nil {
+	if _, err := RunDensitySweepContext(context.Background(), DensityConfig{}, nil); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := RunDensitySweep(DensityConfig{
+	if _, err := RunDensitySweepContext(context.Background(), DensityConfig{
 		BaseConfig: BaseConfig{Radius: 30, Trials: 1},
 		NValues:    []int{0}, R: 6,
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("zero population accepted")
 	}
 }

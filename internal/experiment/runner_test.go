@@ -54,12 +54,12 @@ func TestSeedDerivationPinned(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 1
-	seq, err := Run(cfg, nil)
+	seq, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := Run(cfg, nil)
+	par, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	// Workers: 0 (all cores) joins the same equivalence class.
 	cfg.Workers = 0
-	auto, err := Run(cfg, nil)
+	auto, err := RunContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestDensitySweepParallelMatchesSequential(t *testing.T) {
 		NValues:    []int{400, 900},
 		R:          6,
 	}
-	seq, err := RunDensitySweep(cfg)
+	seq, err := RunDensitySweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := RunDensitySweep(cfg)
+	par, err := RunDensitySweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +111,12 @@ func TestLossSweepParallelMatchesSequential(t *testing.T) {
 		R:          6,
 		LossValues: []float64{0, 0.5},
 	}
-	seq, err := RunLossSweep(cfg)
+	seq, err := RunLossSweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := RunLossSweep(cfg)
+	par, err := RunLossSweepContext(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,26 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
+	"strings"
 )
+
+// NewLogger builds a daemon logger writing to w from the -log-level
+// (debug|info|warn|error) and -log-format (text|json) flag values.
+func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil || strings.ContainsAny(level, "+-") {
+		return nil, fmt.Errorf("unknown -log-level %q (want debug|info|warn|error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch strings.ToLower(format) {
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	}
+	return nil, fmt.Errorf("unknown -log-format %q (want text|json)", format)
+}
 
 // Instrumentation bundles the observability plumbing the CLIs share: an
 // optional JSONL trace file, an optional metrics collector, and optional

@@ -37,6 +37,20 @@ func checkExposition(t *testing.T, body string) map[string]float64 {
 	return samples
 }
 
+// collectorText renders a collector's registered families.
+func collectorText(t *testing.T, c *obs.Collector) string {
+	t.Helper()
+	reg := obs.NewRegistry()
+	c.Register(reg)
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// TestWriteMetricsExposition: the collector's families render through the
+// registry as counters, cumulative histograms and summary gauges.
 func TestWriteMetricsExposition(t *testing.T) {
 	c := obs.NewCollector()
 	// Two sessions: rounds with waves 0, 3, and 5, one truncated end.
@@ -48,9 +62,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 		KnownBusy: 5, AvgSentBits: 2.5, MaxSentBits: 7})
 	c.Trace(obs.Event{Kind: obs.KindSessionEnd, Rounds: 1, Truncated: true})
 
-	var sb strings.Builder
-	WriteMetrics(&sb, c.Snapshot())
-	samples := checkExposition(t, sb.String())
+	samples := checkExposition(t, collectorText(t, c))
 
 	if samples["netags_sessions_total"] != 2 {
 		t.Errorf("sessions_total = %g", samples["netags_sessions_total"])
@@ -88,9 +100,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 }
 
 func TestWriteMetricsEmptySnapshot(t *testing.T) {
-	var sb strings.Builder
-	WriteMetrics(&sb, obs.Metrics{})
-	samples := checkExposition(t, sb.String())
+	samples := checkExposition(t, collectorText(t, obs.NewCollector()))
 	if samples["netags_sessions_total"] != 0 {
 		t.Errorf("empty snapshot sessions = %g", samples["netags_sessions_total"])
 	}

@@ -3,8 +3,9 @@
 // long-running sweep observable while it runs instead of only after it
 // exits. It serves:
 //
-//	/metrics             Prometheus text exposition of the live obs.Collector
-//	                     snapshot, histogram buckets included
+//	/metrics             Prometheus text exposition of the obs.Registry: the
+//	                     live obs.Collector snapshot, histogram buckets
+//	                     included, plus every co-mounted subsystem's families
 //	/progress            JSON of the running sweep (completed/total work
 //	                     items, per-point timing, throughput, ETA) from an
 //	                     experiment.Tracker-style source
@@ -51,10 +52,11 @@ type Options struct {
 	// graceful drain). Nil means always ready. /healthz is independent of
 	// Ready: it answers 200 whenever the process can serve HTTP at all.
 	Ready func() bool
-	// ExtraMetrics, if non-nil, is invoked after the collector snapshot in
-	// /metrics so co-mounted subsystems (the serve layer's cache and queue
-	// counters) can append their own exposition families.
-	ExtraMetrics func(w io.Writer)
+	// Registry backs /metrics. NewHandler registers the Collector, Ring,
+	// Timeseries and Alerts families into it (a fresh registry when nil);
+	// co-mounted subsystems (the serve layer, the router) pass their own so
+	// their families render beside them.
+	Registry *obs.Registry
 	// Timeseries backs /api/v1/timeseries and /debug/dash: the in-process
 	// metric history recorded by a timeseries.Sampler.
 	Timeseries *timeseries.DB
@@ -70,6 +72,22 @@ type Options struct {
 // NewHandler builds the introspection mux for the options. It is exported
 // separately from Start so tests can drive it with net/http/httptest.
 func NewHandler(o Options) http.Handler {
+	reg := o.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	if o.Collector != nil {
+		o.Collector.Register(reg)
+	}
+	if o.Ring != nil {
+		o.Ring.Register(reg)
+	}
+	if o.Timeseries != nil {
+		o.Timeseries.Register(reg)
+	}
+	if o.Alerts != nil {
+		o.Alerts.Register(reg)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -80,27 +98,12 @@ func NewHandler(o Options) http.Handler {
 		fmt.Fprint(w, "netags introspection\n\n/metrics\n/progress\n/events?n=K\n/api/v1/timeseries\n/api/v1/alerts\n/api/v1/cluster\n/healthz\n/readyz\n/debug/dash\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if o.Collector == nil && o.ExtraMetrics == nil && o.Ring == nil &&
-			o.Timeseries == nil && o.Alerts == nil {
+		if reg.Len() == 0 {
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if o.Collector != nil {
-			WriteMetrics(w, o.Collector.Snapshot())
-		}
-		if o.ExtraMetrics != nil {
-			o.ExtraMetrics(w)
-		}
-		if o.Ring != nil {
-			writeRingMetrics(w, o.Ring)
-		}
-		if o.Timeseries != nil {
-			writeTimeseriesMetrics(w, o.Timeseries)
-		}
-		if o.Alerts != nil {
-			o.Alerts.WriteProm(w)
-		}
+		reg.WriteText(w) //nolint:errcheck // the client hung up
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

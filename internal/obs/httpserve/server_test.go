@@ -232,15 +232,14 @@ func TestHealthReadyDefaults(t *testing.T) {
 	}
 }
 
-// TestExtraMetrics: the hook appends exposition families after the
-// collector snapshot, and enables /metrics even without a collector.
-func TestExtraMetrics(t *testing.T) {
-	extra := func(w io.Writer) {
-		io.WriteString(w, "# HELP extra_total test.\n# TYPE extra_total counter\nextra_total 7\n")
-	}
+// TestRegistryMetrics: a caller's registry renders beside the collector
+// families, and a registry alone is enough to enable the endpoint.
+func TestRegistryMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("netags_extra_total", "test.").Add(7)
 	ts := httptest.NewServer(NewHandler(Options{
-		Collector:    obs.NewCollector(),
-		ExtraMetrics: extra,
+		Collector: obs.NewCollector(),
+		Registry:  reg,
 	}))
 	defer ts.Close()
 	code, body := get(t, ts.URL+"/metrics")
@@ -248,22 +247,23 @@ func TestExtraMetrics(t *testing.T) {
 		t.Fatalf("/metrics status %d", code)
 	}
 	samples := checkExposition(t, string(body))
-	if samples["extra_total"] != 7 {
-		t.Errorf("extra family missing: %g", samples["extra_total"])
+	if samples["netags_extra_total"] != 7 {
+		t.Errorf("registry family missing: %g", samples["netags_extra_total"])
 	}
 	if _, ok := samples["netags_sessions_total"]; !ok {
-		t.Errorf("collector families missing alongside extra")
+		t.Errorf("collector families missing alongside the registry's")
 	}
 
-	// Extra metrics alone are enough to enable the endpoint.
-	ts2 := httptest.NewServer(NewHandler(Options{ExtraMetrics: extra}))
+	only := obs.NewRegistry()
+	only.Counter("netags_extra_total", "test.").Add(7)
+	ts2 := httptest.NewServer(NewHandler(Options{Registry: only}))
 	defer ts2.Close()
 	code, body = get(t, ts2.URL+"/metrics")
 	if code != http.StatusOK {
-		t.Fatalf("/metrics with only extras: status %d", code)
+		t.Fatalf("/metrics with only a registry: status %d", code)
 	}
-	if samples := checkExposition(t, string(body)); samples["extra_total"] != 7 {
-		t.Errorf("extra-only metrics body wrong: %s", body)
+	if samples := checkExposition(t, string(body)); samples["netags_extra_total"] != 7 {
+		t.Errorf("registry-only metrics body wrong: %s", body)
 	}
 }
 

@@ -2,13 +2,10 @@ package httpserve
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
-	"netags/internal/obs"
 	"netags/internal/obs/timeseries"
 )
 
@@ -81,31 +78,4 @@ func handleTimeseries(w http.ResponseWriter, r *http.Request, db *timeseries.DB)
 		"step_ms":       effStep.Milliseconds(),
 		"series":        out,
 	})
-}
-
-// writeRingMetrics appends the event-ring occupancy families to /metrics —
-// the total offered and the monotonic overwrite loss (satellite of the
-// "capacity but not drop rate" gap).
-func writeRingMetrics(w io.Writer, r *obs.Ring) {
-	fmt.Fprintf(w, "# HELP netags_events_total Events ever offered to the in-memory event ring.\n")
-	fmt.Fprintf(w, "# TYPE netags_events_total counter\n")
-	fmt.Fprintf(w, "netags_events_total %d\n", r.Total())
-	fmt.Fprintf(w, "# HELP netags_events_dropped_total Events evicted from the ring by overwrite.\n")
-	fmt.Fprintf(w, "# TYPE netags_events_dropped_total counter\n")
-	fmt.Fprintf(w, "netags_events_dropped_total %d\n", r.Dropped())
-}
-
-// writeTimeseriesMetrics appends the history engine's own occupancy, so the
-// observer is itself observable.
-func writeTimeseriesMetrics(w io.Writer, db *timeseries.DB) {
-	st := db.Stats()
-	fmt.Fprintf(w, "# HELP netags_timeseries_series Live time-series count.\n")
-	fmt.Fprintf(w, "# TYPE netags_timeseries_series gauge\n")
-	fmt.Fprintf(w, "netags_timeseries_series %d\n", st.Series)
-	fmt.Fprintf(w, "# HELP netags_timeseries_samples Samples currently retained across series.\n")
-	fmt.Fprintf(w, "# TYPE netags_timeseries_samples gauge\n")
-	fmt.Fprintf(w, "netags_timeseries_samples %d\n", st.Samples)
-	fmt.Fprintf(w, "# HELP netags_timeseries_dropped_total Samples evicted by ring rotation.\n")
-	fmt.Fprintf(w, "# TYPE netags_timeseries_dropped_total counter\n")
-	fmt.Fprintf(w, "netags_timeseries_dropped_total %d\n", st.Dropped)
 }

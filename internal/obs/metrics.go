@@ -269,3 +269,54 @@ func (c *Collector) Snapshot() Metrics {
 	defer c.mu.Unlock()
 	return c.m
 }
+
+// Register adds the collector's families to reg: counters for the
+// session/round/slot totals, histograms for the power-of-two
+// distributions, and gauge expansions of the stats.Sample summaries (one
+// family per statistic).
+func (c *Collector) Register(reg *Registry) {
+	read := func(fn func(m *Metrics) int64) func() int64 { return locked(c, fn) }
+	hist := func(fn func(m *Metrics) Hist) func() Hist { return locked(c, fn) }
+	reg.CounterFunc("netags_sessions_total", "Completed protocol sessions.", read(func(m *Metrics) int64 { return m.Sessions }))
+	reg.CounterFunc("netags_truncated_sessions_total", "Sessions that ended with data still in flight.", read(func(m *Metrics) int64 { return m.TruncatedSessions }))
+	reg.CounterFunc("netags_rounds_total", "Protocol rounds executed.", read(func(m *Metrics) int64 { return m.Rounds }))
+	reg.CounterFunc("netags_short_slots_total", "Air time spent in short (1-bit) slots.", read(func(m *Metrics) int64 { return m.ShortSlots }))
+	reg.CounterFunc("netags_long_slots_total", "Air time spent in long (96-bit) slots.", read(func(m *Metrics) int64 { return m.LongSlots }))
+	reg.CounterFunc("netags_busy_slots_total", "Busy slots collected into final bitmaps.", read(func(m *Metrics) int64 { return m.BusySlots }))
+	reg.HistogramFunc("netags_round_new_busy_slots", "Per-round new-busy counts (the information waves of the paper's Section III).", hist(func(m *Metrics) Hist { return m.Waves }))
+	reg.HistogramFunc("netags_check_frame_slots", "Checking-frame lengths executed per round.", hist(func(m *Metrics) Hist { return m.CheckSlots }))
+	reg.HistogramFunc("netags_tag_sent_bits", "Per-tag or per-session-max bits sent.", hist(func(m *Metrics) Hist { return m.SentHist }))
+	reg.HistogramFunc("netags_tag_recv_bits", "Per-tag or per-session-max bits received.", hist(func(m *Metrics) Hist { return m.RecvHist }))
+	for _, s := range []struct {
+		name, help string
+		get        func(m *Metrics) *stats.Sample
+	}{
+		{"netags_sent_bits", "Bits-sent distribution summary.", func(m *Metrics) *stats.Sample { return &m.SentBits }},
+		{"netags_recv_bits", "Bits-received distribution summary.", func(m *Metrics) *stats.Sample { return &m.RecvBits }},
+	} {
+		for _, stat := range []struct {
+			suffix string
+			fn     func(*stats.Sample) float64
+		}{
+			{"count", func(x *stats.Sample) float64 { return float64(x.N()) }},
+			{"mean", (*stats.Sample).Mean}, {"min", (*stats.Sample).Min},
+			{"max", (*stats.Sample).Max}, {"stddev", (*stats.Sample).StdDev},
+		} {
+			help := s.help
+			if stat.suffix != "count" {
+				help += " (" + stat.suffix + ")"
+			}
+			get, fn := s.get, stat.fn
+			reg.GaugeFunc(s.name+"_"+stat.suffix, help, locked(c, func(m *Metrics) float64 { return fn(get(m)) }))
+		}
+	}
+}
+
+// locked returns a reader of the collector's metrics under its lock.
+func locked[T any](c *Collector, fn func(m *Metrics) T) func() T {
+	return func() T {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return fn(&c.m)
+	}
+}

@@ -12,9 +12,8 @@ const DefaultRingSize = 1024
 // (the httpserve /events endpoint tails it) at constant memory. Safe for
 // concurrent use; like every tracer it is observe-only.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	total uint64
+	mu  sync.Mutex
+	buf RingBuffer[Event]
 }
 
 // NewRing returns a ring holding the last n events (DefaultRingSize when
@@ -23,26 +22,25 @@ func NewRing(n int) *Ring {
 	if n <= 0 {
 		n = DefaultRingSize
 	}
-	return &Ring{buf: make([]Event, n)}
+	return &Ring{buf: NewRingBuffer[Event](n)}
 }
 
 // Trace records the event, evicting the oldest one once the ring is full.
 func (r *Ring) Trace(ev Event) {
 	r.mu.Lock()
-	r.buf[int(r.total%uint64(len(r.buf)))] = ev
-	r.total++
+	r.buf.Push(ev)
 	r.mu.Unlock()
 }
 
 // Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.buf.Cap() }
 
 // Total returns how many events the ring has ever seen (retained or
 // evicted).
 func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.buf.Total()
 }
 
 // Dropped returns how many events have been evicted by overwrite — the
@@ -51,24 +49,14 @@ func (r *Ring) Total() uint64 {
 func (r *Ring) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if n := uint64(len(r.buf)); r.total > n {
-		return r.total - n
-	}
-	return 0
+	return r.buf.Dropped()
 }
 
 // Events returns the retained events, oldest first. The slice is a copy.
 func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.total <= n {
-		return append([]Event(nil), r.buf[:r.total]...)
-	}
-	start := int(r.total % n)
-	out := make([]Event, 0, n)
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:start]...)
+	return r.buf.AppendTo(make([]Event, 0, r.buf.Len()))
 }
 
 // Last returns the most recent k retained events, oldest first. k larger
@@ -82,4 +70,12 @@ func (r *Ring) Last(k int) []Event {
 		evs = evs[len(evs)-k:]
 	}
 	return evs
+}
+
+// Register adds the ring's occupancy families to reg.
+func (r *Ring) Register(reg *Registry) {
+	reg.CounterFunc("netags_events_total", "Events ever offered to the in-memory event ring.",
+		func() int64 { return int64(r.Total()) })
+	reg.CounterFunc("netags_events_dropped_total", "Events evicted from the ring by overwrite.",
+		func() int64 { return int64(r.Dropped()) })
 }

@@ -3,10 +3,11 @@ package timeseries
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"netags/internal/obs"
 )
 
 // Rule is one SLO alert rule, evaluated against the DB every sampler tick.
@@ -320,16 +321,47 @@ func (e *Evaluator) FiringCount() int {
 	return n
 }
 
-// WriteProm writes the alert gauge family in Prometheus text exposition:
+// Register adds the alert gauge family to reg:
 // netags_alert_active{rule="..."} is 1 while firing, 0 otherwise.
-func (e *Evaluator) WriteProm(w io.Writer) {
-	fmt.Fprintf(w, "# HELP netags_alert_active Whether the SLO alert rule is currently firing.\n")
-	fmt.Fprintf(w, "# TYPE netags_alert_active gauge\n")
-	for _, st := range e.States() {
-		v := 0
-		if st.Firing {
-			v = 1
+func (e *Evaluator) Register(reg *obs.Registry) {
+	reg.VecFunc("netags_alert_active", "Whether the SLO alert rule is currently firing.", "gauge",
+		[]string{"rule"}, func(emit func(v float64, values ...string)) {
+			for _, st := range e.States() {
+				v := 0.0
+				if st.Firing {
+					v = 1
+				}
+				emit(v, st.Rule)
+			}
+		})
+}
+
+// Series returns every series the rules read, in rule order.
+func Series(rules []Rule) []string {
+	var out []string
+	for _, r := range rules {
+		for _, s := range []string{r.Good, r.Total, r.Series} {
+			if s != "" {
+				out = append(out, s)
+			}
 		}
-		fmt.Fprintf(w, "netags_alert_active{rule=%q} %d\n", st.Rule, v)
 	}
+	return out
+}
+
+// CheckRules rejects rules that could never see data: a series no source
+// records (known reports the names that exist), or a burn rule whose good
+// and total are the same series, which can never burn.
+func CheckRules(rules []Rule, known func(name string) bool) error {
+	for _, r := range rules {
+		if r.IsBurn() && r.Good == r.Total {
+			return fmt.Errorf("rule %q: good and total are both %q", r.Name, r.Good)
+		}
+		for _, s := range []string{r.Good, r.Total, r.Series} {
+			if s != "" && !known(s) {
+				return fmt.Errorf("rule %q: unknown series %q", r.Name, s)
+			}
+		}
+	}
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netags/internal/obs"
 )
 
 func burnRule() Rule {
@@ -126,6 +128,8 @@ func TestThresholdRule(t *testing.T) {
 	}
 }
 
+// TestEvaluatorWriteProm: the evaluator's netags_alert_active family
+// renders one gauge per rule through the registry.
 func TestEvaluatorWriteProm(t *testing.T) {
 	db := New(time.Second, time.Minute)
 	rules := []Rule{
@@ -135,8 +139,12 @@ func TestEvaluatorWriteProm(t *testing.T) {
 	ev := NewEvaluator(db, rules, nil)
 	db.Record("g", ms(1000), 5)
 	ev.Evaluate(ms(1000))
+	reg := obs.NewRegistry()
+	ev.Register(reg)
 	var sb strings.Builder
-	ev.WriteProm(&sb)
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	if !strings.Contains(out, `netags_alert_active{rule="hot"} 1`) {
 		t.Errorf("missing firing gauge:\n%s", out)
@@ -176,8 +184,25 @@ func TestParseRules(t *testing.T) {
 	}
 }
 
-func TestCollectorSourceNil(t *testing.T) {
-	if CollectorSource(nil) != nil {
-		t.Error("CollectorSource(nil) should be nil so NewSampler drops it")
+// TestCheckRules: a rule naming a series no source records, or a burn
+// rule whose good and total are one series, is rejected with its name.
+func TestCheckRules(t *testing.T) {
+	known := func(name string) bool { return name == "good" || name == "total" || name == "fill" }
+	ok := []Rule{
+		{Name: "burn", WindowS: 1, Good: "good", Total: "total", Objective: 0.9},
+		{Name: "sat", WindowS: 1, Series: "fill"},
+	}
+	if err := CheckRules(ok, known); err != nil {
+		t.Fatalf("valid rules rejected: %v", err)
+	}
+	for _, r := range []Rule{
+		{Name: "typo", WindowS: 1, Good: "good", Total: "totl", Objective: 0.9},
+		{Name: "same", WindowS: 1, Good: "total", Total: "total", Objective: 0.9},
+		{Name: "ghost", WindowS: 1, Series: "nope"},
+	} {
+		err := CheckRules([]Rule{r}, known)
+		if err == nil || !strings.Contains(err.Error(), r.Name) {
+			t.Errorf("rule %s: err = %v, want a rejection naming it", r.Name, err)
+		}
 	}
 }

@@ -3,20 +3,32 @@ package timeseries
 import (
 	"math"
 	"runtime/metrics"
+	"slices"
 )
 
-// The runtime/metrics names sampled by RuntimeSource, and the series each
-// one feeds. Pause and latency distributions are cumulative histograms in
-// the runtime; the source keeps the previous tick's counts and reports
+// runtimeSeries maps each runtime/metrics name RuntimeSource samples to
+// its series: one for a gauge or counter, a p50/p99 pair for a latency
+// distribution. The distributions are cumulative histograms in the
+// runtime; the source keeps the previous tick's counts and reports
 // quantiles of the per-tick delta, so the series reflect what happened
 // since the last sample rather than since process start.
-const (
-	rmHeapLive   = "/gc/heap/live:bytes"
-	rmGoroutines = "/sched/goroutines:goroutines"
-	rmGCCycles   = "/gc/cycles/total:gc-cycles"
-	rmGCPauses   = "/sched/pauses/total/gc:seconds"
-	rmSchedLat   = "/sched/latencies:seconds"
-)
+var runtimeSeries = map[string][]string{
+	"/gc/heap/live:bytes":            {"runtime_heap_live_bytes"},
+	"/sched/goroutines:goroutines":   {"runtime_goroutines"},
+	"/gc/cycles/total:gc-cycles":     {"runtime_gc_cycles_total"},
+	"/sched/pauses/total/gc:seconds": {"runtime_gc_pause_p50_ms", "runtime_gc_pause_p99_ms"},
+	"/sched/latencies:seconds":       {"runtime_sched_latency_p50_ms", "runtime_sched_latency_p99_ms"},
+}
+
+// IsRuntimeSeries reports whether RuntimeSource may record name.
+func IsRuntimeSeries(name string) bool {
+	for _, names := range runtimeSeries {
+		if slices.Contains(names, name) {
+			return true
+		}
+	}
+	return false
+}
 
 // RuntimeSource returns a Source sampling Go runtime health:
 //
@@ -30,42 +42,25 @@ const (
 //
 // Metrics missing from the running toolchain are skipped, not errors.
 func RuntimeSource() Source {
-	wanted := []string{rmHeapLive, rmGoroutines, rmGCCycles, rmGCPauses, rmSchedLat}
-	samples := make([]metrics.Sample, len(wanted))
-	for i, name := range wanted {
-		samples[i].Name = name
+	samples := make([]metrics.Sample, 0, len(runtimeSeries))
+	for name := range runtimeSeries {
+		samples = append(samples, metrics.Sample{Name: name})
 	}
 	// One probe read to drop unsupported names so steady-state ticks never
 	// touch KindBad branches.
 	metrics.Read(samples)
-	live := samples[:0]
-	for _, s := range samples {
-		if s.Value.Kind() != metrics.KindBad {
-			live = append(live, s)
-		}
-	}
-	samples = live
+	samples = slices.DeleteFunc(samples, func(s metrics.Sample) bool { return s.Value.Kind() == metrics.KindBad })
 	prev := make(map[string][]uint64, 2)
 
 	return func(rec func(name string, v float64)) {
 		metrics.Read(samples)
 		for i := range samples {
 			s := &samples[i]
-			switch s.Name {
-			case rmHeapLive:
-				rec("runtime_heap_live_bytes", float64(s.Value.Uint64()))
-			case rmGoroutines:
-				rec("runtime_goroutines", float64(s.Value.Uint64()))
-			case rmGCCycles:
-				rec("runtime_gc_cycles_total", float64(s.Value.Uint64()))
-			case rmGCPauses:
-				h := s.Value.Float64Histogram()
-				emitDeltaQuantiles(rec, h, prev, s.Name,
-					"runtime_gc_pause_p50_ms", "runtime_gc_pause_p99_ms")
-			case rmSchedLat:
-				h := s.Value.Float64Histogram()
-				emitDeltaQuantiles(rec, h, prev, s.Name,
-					"runtime_sched_latency_p50_ms", "runtime_sched_latency_p99_ms")
+			names := runtimeSeries[s.Name]
+			if s.Value.Kind() == metrics.KindFloat64Histogram {
+				emitDeltaQuantiles(rec, s.Value.Float64Histogram(), prev, s.Name, names[0], names[1])
+			} else {
+				rec(names[0], float64(s.Value.Uint64()))
 			}
 		}
 	}

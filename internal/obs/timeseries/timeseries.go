@@ -16,6 +16,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"netags/internal/obs"
 )
 
 // Defaults used by New when given non-positive values.
@@ -49,15 +51,13 @@ type Point struct {
 
 // series is one fixed-capacity overwrite ring, oldest evicted first.
 type series struct {
-	mu    sync.Mutex
-	buf   []Sample
-	total uint64
+	mu  sync.Mutex
+	buf obs.RingBuffer[Sample]
 }
 
 func (s *series) append(sm Sample) {
 	s.mu.Lock()
-	s.buf[int(s.total%uint64(len(s.buf)))] = sm
-	s.total++
+	s.buf.Push(sm)
 	s.mu.Unlock()
 }
 
@@ -65,37 +65,19 @@ func (s *series) append(sm Sample) {
 func (s *series) snapshot() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := uint64(len(s.buf))
-	if s.total <= n {
-		return append([]Sample(nil), s.buf[:s.total]...)
-	}
-	start := int(s.total % n)
-	out := make([]Sample, 0, n)
-	out = append(out, s.buf[start:]...)
-	return append(out, s.buf[:start]...)
+	return s.buf.AppendTo(make([]Sample, 0, s.buf.Len()))
 }
 
 func (s *series) latest() (Sample, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.total == 0 {
-		return Sample{}, false
-	}
-	return s.buf[int((s.total-1)%uint64(len(s.buf)))], true
-}
-
-func (s *series) dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := uint64(len(s.buf)); s.total > n {
-		return s.total - n
-	}
-	return 0
+	return s.buf.Latest()
 }
 
 // DB holds every series. Series are created on first Record and never
-// removed; the sampler records a fixed catalog of names, so the map reaches
-// steady state after the first tick.
+// removed; the sampler records a bounded catalog of names (families labeled
+// from outside the program are obs.Registry.ExposeOnly), so the map stops
+// growing once every label value the program can produce has been seen.
 type DB struct {
 	resolution time.Duration
 	retention  time.Duration
@@ -148,7 +130,7 @@ func (db *DB) Record(name string, t time.Time, v float64) {
 		db.mu.Lock()
 		s = db.series[name]
 		if s == nil {
-			s = &series{buf: make([]Sample, db.capPer)}
+			s = &series{buf: obs.NewRingBuffer[Sample](db.capPer)}
 			db.series[name] = s
 		}
 		db.mu.Unlock()
@@ -210,6 +192,17 @@ func (db *DB) Query(name string, since time.Time, step time.Duration) ([]Point, 
 	return Downsample(samples, sinceMS, step.Milliseconds()), true
 }
 
+// Register adds the engine's own occupancy families to reg, so the
+// observer is itself observable.
+func (db *DB) Register(reg *obs.Registry) {
+	reg.GaugeFunc("netags_timeseries_series", "Live time-series count.",
+		func() float64 { return float64(db.Stats().Series) })
+	reg.GaugeFunc("netags_timeseries_samples", "Samples currently retained across series.",
+		func() float64 { return float64(db.Stats().Samples) })
+	reg.CounterFunc("netags_timeseries_dropped_total", "Samples evicted by ring rotation.",
+		func() int64 { return int64(db.Stats().Dropped) })
+}
+
 // Stats summarizes the DB for /metrics-style exposition.
 type Stats struct {
 	// Series is the number of live series.
@@ -231,12 +224,8 @@ func (db *DB) Stats() Stats {
 	st := Stats{Series: len(all)}
 	for _, s := range all {
 		s.mu.Lock()
-		if n := uint64(len(s.buf)); s.total > n {
-			st.Samples += len(s.buf)
-			st.Dropped += s.total - n
-		} else {
-			st.Samples += int(s.total)
-		}
+		st.Samples += s.buf.Len()
+		st.Dropped += s.buf.Dropped()
 		s.mu.Unlock()
 	}
 	return st

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
-	"io"
 	"sync"
+
+	"netags/internal/obs"
 )
 
 // Cache is the content-addressed result store: spec key (hex SHA-256 of the
@@ -115,21 +115,19 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// WriteProm appends the cache counters in Prometheus text exposition
-// format (the serve layer's contribution to /metrics).
-func (c *Cache) WriteProm(w io.Writer) {
-	s := c.Stats()
-	promCounter(w, "netags_serve_cache_hits_total", "Result cache hits (submission deduplicated without execution).", s.Hits)
-	promCounter(w, "netags_serve_cache_misses_total", "Result cache misses (submission needed queueing or execution).", s.Misses)
-	promCounter(w, "netags_serve_cache_evictions_total", "Result cache LRU evictions.", s.Evictions)
-	promGauge(w, "netags_serve_cache_entries", "Result cache resident entries.", float64(s.Entries))
-	promGauge(w, "netags_serve_cache_bytes", "Result cache resident payload bytes.", float64(s.Bytes))
-}
-
-func promCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func promGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+// register adds the cache families to reg.
+func (c *Cache) register(reg *obs.Registry) {
+	stat := func(fn func(s CacheStats) int64) func() int64 {
+		return func() int64 { return fn(c.Stats()) }
+	}
+	reg.CounterFunc("netags_serve_cache_hits_total", "Result cache hits (submission deduplicated without execution).",
+		stat(func(s CacheStats) int64 { return s.Hits }))
+	reg.CounterFunc("netags_serve_cache_misses_total", "Result cache misses (submission needed queueing or execution).",
+		stat(func(s CacheStats) int64 { return s.Misses }))
+	reg.CounterFunc("netags_serve_cache_evictions_total", "Result cache LRU evictions.",
+		stat(func(s CacheStats) int64 { return s.Evictions }))
+	reg.GaugeFunc("netags_serve_cache_entries", "Result cache resident entries.",
+		func() float64 { return float64(c.Stats().Entries) })
+	reg.GaugeFunc("netags_serve_cache_bytes", "Result cache resident payload bytes.",
+		func() float64 { return float64(c.Stats().Bytes) })
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"netags/internal/obs"
 )
 
 func TestCacheBasic(t *testing.T) {
@@ -113,9 +115,9 @@ func TestCacheWriteProm(t *testing.T) {
 	c.Get("a")
 	c.Get("b")
 	c.Put("b", []byte("B")) // evicts a
-	var sb strings.Builder
-	c.WriteProm(&sb)
-	out := sb.String()
+	reg := obs.NewRegistry()
+	c.register(reg)
+	out := promText(t, reg)
 	for _, want := range []string{
 		"netags_serve_cache_hits_total 1",
 		"netags_serve_cache_misses_total 1",

@@ -100,14 +100,6 @@ func apiError(statusCode int, header http.Header, raw []byte) error {
 	code := ""
 	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
 		msg, code = env.Error.Message, env.Error.Code
-	} else {
-		// Pre-envelope servers sent {"error":"msg"}.
-		var legacy struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &legacy) == nil && legacy.Error != "" {
-			msg = legacy.Error
-		}
 	}
 	retryAfter := header.Get("Retry-After")
 	if statusCode == http.StatusTooManyRequests {

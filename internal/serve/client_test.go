@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestSubmitRetryReportsAttempts: when the context expires while waiting
-// out backpressure, the error says how many submissions were attempted.
+// out backpressure, the error says how many submissions were attempted —
+// exactly as many as the server answered. The jittered backoff may fall
+// under the context's 100 ms, so the count is read from the server rather
+// than assumed to be 1.
 func TestSubmitRetryReportsAttempts(t *testing.T) {
+	var served atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
 	}))
 	defer srv.Close()
 
@@ -29,7 +36,7 @@ func TestSubmitRetryReportsAttempts(t *testing.T) {
 	if err == nil {
 		t.Fatal("SubmitRetry succeeded against an always-busy server")
 	}
-	if !strings.Contains(err.Error(), "after 1 attempt") {
+	if want := fmt.Sprintf("after %d attempt", served.Load()); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error does not carry the attempt count: %v", err)
 	}
 	if !strings.Contains(logBuf.String(), "submit backpressure") {
@@ -77,7 +84,7 @@ func TestJitterBackoffBounds(t *testing.T) {
 func TestAPIErrorCarriesBackend(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(BackendHeader, "10.0.0.7:9081")
-		writeError(w, http.StatusNotFound, CodeNotFound, "no such job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
 	}))
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}
@@ -98,7 +105,7 @@ func TestAPIErrorCarriesBackend(t *testing.T) {
 func TestClientNilLoggerDiscards(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "queue full")
 	}))
 	defer srv.Close()
 	cl := &Client{BaseURL: srv.URL}

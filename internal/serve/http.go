@@ -13,14 +13,14 @@
 //	                                 same events to SSE framing
 //	DELETE /api/v1/jobs/{id}         cancel a queued or running job
 //
-// The unversioned /jobs... paths from earlier revisions stay mounted as
-// thin aliases of the same handlers. Every error is the one envelope
+// Every error is the one envelope
 // {"error":{"code":"...","message":"..."}}. Backpressure: a full queue
 // answers 429 (code "queue_full") with a Retry-After header; a draining
 // server answers 503 (code "draining").
 //
-// The mux also serves /metrics (collector snapshot + serve cache, queue,
-// checkpoint, SLO-histogram, and HTTP-latency families), /progress (live
+// The mux also serves /metrics (the manager's registry: serve cache, queue,
+// checkpoint, SLO-histogram, and HTTP-latency families, plus the collector
+// snapshot when one is configured), /progress (live
 // per-job tracker view), /events, /healthz, /readyz, and /debug/pprof/ from
 // internal/obs/httpserve.
 //
@@ -106,11 +106,10 @@ const (
 // maxSpecBody bounds the POST body (a spec with full axes fits easily).
 const maxSpecBody = 1 << 20
 
-// NewHandler builds the combined mux: the jobs API under /api/v1 (with
-// unversioned aliases) plus the introspection endpoints. Unset obsOpts
-// fields are wired to the manager: Progress to the live job view, Ready to
-// Accepting, ExtraMetrics to the cache/queue/checkpoint counters (chained
-// after any caller-provided hook).
+// NewHandler builds the combined mux: the jobs API under /api/v1 plus the
+// introspection endpoints. Unset obsOpts fields are wired to the manager:
+// Progress to the live job view, Ready to Accepting, Registry to the
+// manager's registry.
 func NewHandler(m *Manager, obsOpts httpserve.Options) http.Handler {
 	if obsOpts.Progress == nil {
 		obsOpts.Progress = m.ProgressJSON
@@ -118,37 +117,33 @@ func NewHandler(m *Manager, obsOpts httpserve.Options) http.Handler {
 	if obsOpts.Ready == nil {
 		obsOpts.Ready = m.Accepting
 	}
-	if prev := obsOpts.ExtraMetrics; prev != nil {
-		obsOpts.ExtraMetrics = func(w io.Writer) { prev(w); m.WriteProm(w) }
-	} else {
-		obsOpts.ExtraMetrics = m.WriteProm
+	if obsOpts.Registry == nil {
+		obsOpts.Registry = m.reg
 	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/", httpserve.NewHandler(obsOpts))
-	// One registration per route, mounted twice: the versioned surface and
-	// the legacy unversioned aliases.
-	registerJobs(mux, m, APIPrefix)
-	registerJobs(mux, m, "")
+	registerJobs(mux, m)
 	return withMiddleware(mux, m.log, m.http)
 }
 
-func registerJobs(mux *http.ServeMux, m *Manager, prefix string) {
+func registerJobs(mux *http.ServeMux, m *Manager) {
+	const prefix = APIPrefix
 	mux.HandleFunc("POST "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
 		handleSubmit(m, w, r)
 	})
 	mux.HandleFunc("GET "+prefix+"/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Jobs []JobStatus `json:"jobs"`
 		}{Jobs: m.Jobs()})
 	})
 	mux.HandleFunc("GET "+prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := m.Job(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
+			WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET "+prefix+"/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		handleTrace(m, w, r)
@@ -162,10 +157,10 @@ func registerJobs(mux *http.ServeMux, m *Manager, prefix string) {
 	mux.HandleFunc("DELETE "+prefix+"/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := m.Cancel(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
+			WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 }
 
@@ -173,7 +168,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBody))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	client := req.Client
@@ -193,20 +188,20 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(m)))
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, err.Error())
 		return
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	code := http.StatusAccepted
 	if outcome == OutcomeCached {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, SubmitResponse{ID: st.ID, Status: outcome, Job: st})
+	WriteJSON(w, code, SubmitResponse{ID: st.ID, Status: outcome, Job: st})
 }
 
 // handleTrace serves a job's lifecycle timeline. 404 covers three cases
@@ -214,28 +209,28 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 func handleTrace(m *Manager, w http.ResponseWriter, r *http.Request) {
 	tl, ok := m.JobTrace(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no trace for job (unknown, evicted, or tracing disabled)")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no trace for job (unknown, evicted, or tracing disabled)")
 		return
 	}
-	writeJSON(w, http.StatusOK, tl)
+	WriteJSON(w, http.StatusOK, tl)
 }
 
 func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 	payload, st, ok := m.Result(r.PathValue("id"))
 	switch {
 	case !ok:
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 	case st.State == StateFailed:
-		writeError(w, http.StatusInternalServerError, CodeInternal, "job failed: "+st.Error)
+		WriteError(w, http.StatusInternalServerError, CodeInternal, "job failed: "+st.Error)
 	case st.State == StateCanceled:
-		writeError(w, http.StatusConflict, CodeConflict, "job canceled; resubmit the spec to resume it")
+		WriteError(w, http.StatusConflict, CodeConflict, "job canceled; resubmit the spec to resume it")
 	case st.State != StateDone:
 		// Still queued or running: point the client back at the status.
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	case payload == nil:
 		// Done but the payload was evicted from the cache: the content
 		// address still names it — resubmitting recomputes the same bytes.
-		writeError(w, http.StatusGone, CodeGone, "result evicted from cache; resubmit the spec")
+		WriteError(w, http.StatusGone, CodeGone, "result evicted from cache; resubmit the spec")
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(payload)
@@ -252,7 +247,7 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, known := m.Job(id)
 	if !known {
-		writeError(w, http.StatusNotFound, CodeNotFound, "unknown job")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 		return
 	}
 	after := 0
@@ -263,7 +258,7 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if cursor != "" {
 		n, err := strconv.Atoi(cursor)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, "after/Last-Event-ID must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, "after/Last-Event-ID must be a non-negative integer")
 			return
 		}
 		after = n
@@ -402,10 +397,11 @@ func retryAfterSeconds(m *Manager) int {
 	return 1
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON reply with the status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -424,7 +420,9 @@ type errorDetail struct {
 	Message string `json:"message"`
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+// WriteError writes the error envelope; the router speaks it too, so
+// cluster and worker rejections look the same to clients.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	b, _ := json.Marshal(errorEnvelope{Error: errorDetail{Code: code, Message: msg}})

@@ -105,11 +105,11 @@ func TestE2EExactlyOnce(t *testing.T) {
 	<-started // A is executing and blocked at the gate
 
 	// Submission B: same job, different field order, defaults explicit,
-	// axis reversed, protocols reordered with a duplicate — posted to the
-	// legacy unversioned alias, which must land on the same handler.
+	// axis reversed, protocols reordered with a duplicate — must land on the
+	// same job.
 	bodyB := `{"spec":{"seed":3,"r_values":[6,4],"radius":30,"sweep":"range",
 		"protocols":["TRP-CCM","SICP","GMLE-CCM","SICP"],"trials":1,"n":150}}`
-	respB, rawB := postJSON(t, ts.URL+"/jobs", bodyB)
+	respB, rawB := postJSON(t, ts.URL+"/api/v1/jobs", bodyB)
 	if respB.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST B = %d: %s", respB.StatusCode, rawB)
 	}
@@ -159,7 +159,7 @@ func TestE2EExactlyOnce(t *testing.T) {
 
 	// Third submission: settled now, so a pure cache hit (HTTP 200, no
 	// third execution).
-	respC, rawC := postJSON(t, ts.URL+"/jobs", bodyA)
+	respC, rawC := postJSON(t, ts.URL+"/api/v1/jobs", bodyA)
 	if respC.StatusCode != http.StatusOK {
 		t.Fatalf("POST C = %d: %s", respC.StatusCode, rawC)
 	}
@@ -238,11 +238,11 @@ func TestHTTPJobLifecycle(t *testing.T) {
 func TestHTTPBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 1, run: stubRun(nil, nil)})
 
-	resp, _ := postJSON(t, ts.URL+"/jobs", `{not json`)
+	resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", `{not json`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
 	}
-	resp, raw := postJSON(t, ts.URL+"/jobs", `{"spec":{"n":300}}`)
+	resp, raw := postJSON(t, ts.URL+"/api/v1/jobs", `{"spec":{"n":300}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid spec = %d, want 400", resp.StatusCode)
 	}
@@ -258,17 +258,15 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Errorf("bad priority = %d %s, want 400 mentioning priority", resp.StatusCode, raw)
 	}
 
-	for _, base := range []string{"", "/api/v1"} {
-		if code, raw := getBody(t, ts.URL+base+"/jobs/"+strings.Repeat("0", 64)); code != http.StatusNotFound ||
-			!strings.Contains(string(raw), CodeNotFound) {
-			t.Errorf("unknown job on %q = %d %s, want 404 envelope", base, code, raw)
-		}
-		if code, _ := getBody(t, ts.URL+base+"/jobs/"+strings.Repeat("0", 64)+"/result"); code != http.StatusNotFound {
-			t.Errorf("unknown result on %q = %d, want 404", base, code)
-		}
-		if code, _ := getBody(t, ts.URL+base+"/jobs/"+strings.Repeat("0", 64)+"/stream"); code != http.StatusNotFound {
-			t.Errorf("unknown stream on %q = %d, want 404", base, code)
-		}
+	unknown := ts.URL + "/api/v1/jobs/" + strings.Repeat("0", 64)
+	if code, raw := getBody(t, unknown); code != http.StatusNotFound || !strings.Contains(string(raw), CodeNotFound) {
+		t.Errorf("unknown job = %d %s, want 404 envelope", code, raw)
+	}
+	if code, _ := getBody(t, unknown+"/result"); code != http.StatusNotFound {
+		t.Errorf("unknown result = %d, want 404", code)
+	}
+	if code, _ := getBody(t, unknown+"/stream"); code != http.StatusNotFound {
+		t.Errorf("unknown stream = %d, want 404", code)
 	}
 }
 
@@ -361,7 +359,7 @@ func TestHTTPReadinessDuringDrain(t *testing.T) {
 	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Errorf("/healthz during drain = %d, want 200", code)
 	}
-	resp, _ := postJSON(t, ts.URL+"/jobs", `{"spec":{"n":150,"trials":1,"r_values":[6]}}`)
+	resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", `{"spec":{"n":150,"trials":1,"r_values":[6]}}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit during drain = %d, want 503", resp.StatusCode)
 	}

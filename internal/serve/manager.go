@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -282,6 +281,7 @@ type Manager struct {
 	sched *schedQueue
 	log   *slog.Logger
 	trace *TraceStore // nil when lifecycle tracing is disabled
+	reg   *obs.Registry
 	slo   *sloHists
 	http  *httpHists
 	gcOff chan struct{} // closes to stop the checkpoint GC loop
@@ -297,25 +297,25 @@ type Manager struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	executed atomic.Int64 // sweeps actually run to completion or failure
-	deduped  atomic.Int64 // submissions joined onto an in-flight job
-	rejected atomic.Int64 // queue-full rejections
-	resumed  atomic.Int64 // points restored from checkpoints
-	running  atomic.Int64 // jobs currently executing
+	executed *obs.Counter // sweeps actually run to completion or failure
+	deduped  *obs.Counter // submissions joined onto an in-flight job
+	rejected *obs.Counter // queue-full rejections
+	resumed  *obs.Counter // points restored from checkpoints
+	running  *obs.Gauge   // jobs currently executing
 }
 
 // NewManager starts cfg.Workers pool goroutines (plus, when configured, a
 // checkpoint-GC loop) and returns the manager.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
+	reg := obs.NewRegistry()
 	m := &Manager{
 		cfg:      cfg,
 		cache:    NewCache(cfg.CacheCapacity),
 		ckpt:     NewCheckpoints(cfg.CheckpointDir),
 		sched:    newSchedQueue(cfg.QueueDepth),
 		log:      cfg.Logger,
-		slo:      newSLOHists(),
-		http:     newHTTPHists(),
+		reg:      reg,
 		gcOff:    make(chan struct{}),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
@@ -323,6 +323,7 @@ func NewManager(cfg Config) *Manager {
 	if cfg.TraceEventsPerJob >= 0 {
 		m.trace = NewTraceStore(cfg.TraceEventsPerJob, cfg.TraceJobs)
 	}
+	m.register()
 	if cfg.CheckpointTTL > 0 && cfg.CheckpointDir != "" {
 		if n := m.ckpt.GC(cfg.CheckpointTTL); n > 0 {
 			m.log.Info("checkpoint gc: purged stale files on startup",
@@ -624,7 +625,7 @@ func (m *Manager) pointCompleted(j *Job, rec PointRecord) {
 	if !stored {
 		return
 	}
-	m.slo.observePoint(rec.ElapsedMS)
+	m.slo.point.Observe(int64(rec.ElapsedMS))
 	if m.trace != nil {
 		m.trace.Append(j.ID, TraceEvent{Stage: StagePointCompleted, K: seq, N: j.points})
 	}
@@ -652,11 +653,11 @@ func (m *Manager) finishJobObs(j *Job, state JobState, detail string) {
 		finished = time.Now()
 	}
 	e2e := finished.Sub(submitted)
-	m.slo.observeEndToEnd(e2e)
+	m.slo.e2e.Observe(ms(e2e))
 	var exec time.Duration
 	if !started.IsZero() {
 		exec = finished.Sub(started)
-		m.slo.observeExec(exec)
+		m.slo.exec.Observe(ms(exec))
 	}
 	stage := StageCompleted
 	switch state {
@@ -880,53 +881,69 @@ func (m *Manager) Stats() ManagerStats {
 	}
 }
 
-// WriteProm appends the cache, queue, and checkpoint counters in Prometheus
-// text exposition format — wired into /metrics via httpserve's
-// ExtraMetrics.
-func (m *Manager) WriteProm(w io.Writer) {
-	m.cache.WriteProm(w)
-	s := m.Stats()
-	promCounter(w, "netags_serve_jobs_executed_total", "Sweeps actually executed (cache misses that ran).", s.Executed)
-	promCounter(w, "netags_serve_jobs_deduplicated_total", "Submissions collapsed onto an in-flight duplicate (singleflight).", s.Deduplicated)
-	promCounter(w, "netags_serve_jobs_rejected_total", "Submissions rejected by queue backpressure.", s.Rejected)
-	promCounter(w, "netags_serve_points_resumed_total", "Sweep points restored from checkpoints instead of recomputed.", s.ResumedPoints)
-	promGauge(w, "netags_serve_jobs_running", "Jobs currently executing.", float64(s.Running))
-	promGauge(w, "netags_serve_queue_len", "Jobs waiting for a worker.", float64(s.QueueLen))
-	promGauge(w, "netags_serve_jobs_retained", "Job records retained.", float64(s.Jobs))
-	cs := m.ckpt.Stats()
-	promGauge(w, "netags_serve_checkpoint_jobs", "Jobs with checkpoint state retained.", float64(cs.Jobs))
-	promGauge(w, "netags_serve_checkpoint_points", "Sweep points currently checkpointed.", float64(cs.Points))
-	promCounter(w, "netags_serve_checkpoint_disk_errors_total", "Checkpoint disk writes that failed (degraded to memory-only).", cs.DiskErrors)
-	promCounter(w, "netags_serve_checkpoint_purged_total", "Stale checkpoint files removed by the TTL garbage collector.", cs.PurgedFiles)
+// Registry returns the manager's metric registry — every serve-layer
+// family, and the source the time-series sampler reads.
+func (m *Manager) Registry() *obs.Registry { return m.reg }
 
+// register resolves the manager's metric handles and adds its
+// state-derived families.
+func (m *Manager) register() {
+	reg := m.reg
+	m.cache.register(reg)
+	m.executed = reg.Counter("netags_serve_jobs_executed_total", "Sweeps actually executed (cache misses that ran).")
+	m.deduped = reg.Counter("netags_serve_jobs_deduplicated_total", "Submissions collapsed onto an in-flight duplicate (singleflight).")
+	m.rejected = reg.Counter("netags_serve_jobs_rejected_total", "Submissions rejected by queue backpressure.")
+	m.resumed = reg.Counter("netags_serve_points_resumed_total", "Sweep points restored from checkpoints instead of recomputed.")
+	m.running = reg.Gauge("netags_serve_jobs_running", "Jobs currently executing.")
+	reg.GaugeFunc("netags_serve_queue_len", "Jobs waiting for a worker.",
+		func() float64 { return float64(m.sched.Len()) })
+	reg.GaugeFunc("netags_serve_queue_fill", "Fraction of the job queue's capacity in use.",
+		func() float64 { return float64(m.sched.Len()) / float64(m.cfg.QueueDepth) })
+	reg.GaugeFunc("netags_serve_jobs_retained", "Job records retained.",
+		func() float64 { return float64(m.Stats().Jobs) })
+	reg.GaugeFunc("netags_serve_checkpoint_jobs", "Jobs with checkpoint state retained.",
+		func() float64 { return float64(m.ckpt.Stats().Jobs) })
+	reg.GaugeFunc("netags_serve_checkpoint_points", "Sweep points currently checkpointed.",
+		func() float64 { return float64(m.ckpt.Stats().Points) })
+	reg.CounterFunc("netags_serve_checkpoint_disk_errors_total", "Checkpoint disk writes that failed (degraded to memory-only).",
+		func() int64 { return m.ckpt.Stats().DiskErrors })
+	reg.CounterFunc("netags_serve_checkpoint_purged_total", "Stale checkpoint files removed by the TTL garbage collector.",
+		func() int64 { return m.ckpt.Stats().PurgedFiles })
 	// Per-class queue depth: both classes always present so dashboards can
 	// plot a flat zero instead of a gap.
-	classLens := m.sched.ClassLens()
-	fmt.Fprintf(w, "# HELP netags_serve_queue_class_len Jobs waiting for a worker, per priority class.\n# TYPE netags_serve_queue_class_len gauge\n")
-	for _, p := range []Priority{PriorityInteractive, PriorityBulk} {
-		fmt.Fprintf(w, "netags_serve_queue_class_len{class=%q} %d\n", string(p), classLens[p])
-	}
-	// Per-client in-queue counts (fairness visibility). Series exist only
-	// while the client has queued work, so cardinality is bounded by the
-	// queue capacity.
-	if clients := m.sched.ClientLens(); len(clients) > 0 {
-		fmt.Fprintf(w, "# HELP netags_serve_queue_client_len Jobs waiting for a worker, per priority class and client.\n# TYPE netags_serve_queue_client_len gauge\n")
-		for _, c := range clients {
-			client := c.Client
-			if client == "" {
-				client = "anonymous"
+	reg.VecFunc("netags_serve_queue_class_len", "Jobs waiting for a worker, per priority class.", "gauge",
+		[]string{"class"}, func(emit func(float64, ...string)) {
+			lens := m.sched.ClassLens()
+			for _, p := range []Priority{PriorityInteractive, PriorityBulk} {
+				emit(float64(lens[p]), string(p))
 			}
-			fmt.Fprintf(w, "netags_serve_queue_client_len{class=%q,client=%q} %d\n", string(c.Class), client, c.N)
-		}
-	}
+		})
+	// Per-client in-queue counts (fairness visibility). Children exist
+	// only while the client has queued work, so a scrape is bounded by the
+	// queue capacity; client names come from requests, so the family is
+	// not sampled into history.
+	const clientLen = "netags_serve_queue_client_len"
+	reg.VecFunc(clientLen, "Jobs waiting for a worker, per priority class and client.", "gauge",
+		[]string{"class", "client"}, func(emit func(float64, ...string)) {
+			for _, c := range m.sched.ClientLens() {
+				client := c.Client
+				if client == "" {
+					client = "anonymous"
+				}
+				emit(float64(c.N), string(c.Class), client)
+			}
+		})
+	reg.ExposeOnly(clientLen)
 	if m.trace != nil {
-		traceJobs, traceEvents := m.trace.Stats()
-		promGauge(w, "netags_serve_trace_jobs", "Job lifecycle timelines retained in the trace store.", float64(traceJobs))
-		promGauge(w, "netags_serve_trace_events", "Lifecycle trace events retained across all timelines.", float64(traceEvents))
-		promCounter(w, "netags_serve_trace_dropped_total", "Lifecycle trace events lost to per-job tail overwrite or timeline eviction.", m.trace.Dropped())
+		reg.GaugeFunc("netags_serve_trace_jobs", "Job lifecycle timelines retained in the trace store.",
+			func() float64 { jobs, _ := m.trace.Stats(); return float64(jobs) })
+		reg.GaugeFunc("netags_serve_trace_events", "Lifecycle trace events retained across all timelines.",
+			func() float64 { _, events := m.trace.Stats(); return float64(events) })
+		reg.CounterFunc("netags_serve_trace_dropped_total", "Lifecycle trace events lost to per-job tail overwrite or timeline eviction.",
+			m.trace.Dropped)
 	}
-	m.slo.WriteProm(w)
-	m.http.WriteProm(w)
+	m.slo = newSLOHists(reg)
+	m.http = newHTTPHists(reg)
 }
 
 // ProgressJSON renders the live view of every non-terminal job — the

@@ -491,9 +491,7 @@ func TestManagerStatsAndProm(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, st.ID)
-	var sb strings.Builder
-	m.WriteProm(&sb)
-	out := sb.String()
+	out := promText(t, m.Registry())
 	for _, want := range []string{
 		"netags_serve_cache_hits_total",
 		"netags_serve_jobs_executed_total 1",

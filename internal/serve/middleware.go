@@ -91,7 +91,7 @@ func withMiddleware(next http.Handler, log *slog.Logger, hists *httpHists) http.
 					"panic", rec, "stack", string(debug.Stack()))
 				if !sw.wrote {
 					sw.status = http.StatusInternalServerError
-					writeError(sw, http.StatusInternalServerError, CodeInternal, "internal server error")
+					WriteError(sw, http.StatusInternalServerError, CodeInternal, "internal server error")
 				}
 			}
 			elapsed := time.Since(start)

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netags/internal/obs"
 )
 
 func TestMiddlewareRequestID(t *testing.T) {
@@ -56,8 +58,19 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 	}
 }
 
+// promText renders a registry's exposition.
+func promText(t *testing.T, reg *obs.Registry) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := reg.WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 func TestMiddlewareRecordsRouteLatency(t *testing.T) {
-	hists := newHTTPHists()
+	reg := obs.NewRegistry()
+	hists := newHTTPHists(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
@@ -67,14 +80,15 @@ func TestMiddlewareRecordsRouteLatency(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/api/v1/jobs/abc", nil))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/nowhere-registered", nil))
 
-	var out bytes.Buffer
-	hists.WriteProm(&out)
-	s := out.String()
+	s := promText(t, reg)
 	if !strings.Contains(s, `netags_http_request_ms_count{route="GET /api/v1/jobs/{id}",status="404"} 1`) {
 		t.Fatalf("missing route series:\n%s", s)
 	}
 	if !strings.Contains(s, `route="other"`) {
 		t.Fatalf("unmatched request not recorded as route other:\n%s", s)
+	}
+	if !strings.Contains(s, "netags_http_requests_total 2") || !strings.Contains(s, "netags_http_requests_good_total 2") {
+		t.Fatalf("request totals not counted:\n%s", s)
 	}
 }
 
@@ -124,16 +138,15 @@ func TestMiddlewarePreservesFlush(t *testing.T) {
 }
 
 func TestSLOHistsWriteProm(t *testing.T) {
-	s := newSLOHists()
+	reg := obs.NewRegistry()
+	s := newSLOHists(reg)
 	s.observeQueueWait(PriorityInteractive, 3*time.Millisecond)
 	s.observeQueueWait(PriorityBulk, 900*time.Millisecond)
-	s.observeExec(10 * time.Millisecond)
-	s.observeEndToEnd(12 * time.Millisecond)
-	s.observePoint(2.5)
+	s.exec.Observe(10)
+	s.e2e.Observe(12)
+	s.point.Observe(2)
 
-	var out bytes.Buffer
-	s.WriteProm(&out)
-	text := out.String()
+	text := promText(t, reg)
 	for _, want := range []string{
 		`netags_serve_queue_wait_ms_count{class="bulk"} 1`,
 		`netags_serve_queue_wait_ms_count{class="interactive"} 1`,
@@ -146,7 +159,7 @@ func TestSLOHistsWriteProm(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, text)
 		}
 	}
-	// 2.5 ms lands in bucket [2,4) → first cumulative bucket crossing it is
+	// 2 ms lands in bucket [2,4) → first cumulative bucket crossing it is
 	// le="3" (2^2-1).
 	if !strings.Contains(text, `netags_serve_point_ms_bucket{le="3"} 1`) {
 		t.Fatalf("point observation missing from le=3 bucket:\n%s", text)

@@ -25,6 +25,12 @@ type Server struct {
 	closeErr  error
 }
 
+// ReadHeaderTimeout bounds how long a connection may take to send its
+// request headers. It also bounds a drain: http.Server.Shutdown waits up to
+// 5 s for a connection that has sent nothing yet (a client transport's
+// unused spare), and this timeout closes such a connection after 1 s.
+const ReadHeaderTimeout = time.Second
+
 // StartServer listens on addr (":0" picks a free port) and serves the jobs
 // API plus introspection endpoints until Close. shutdownTimeout bounds the
 // graceful drain (0 means 10s).
@@ -42,7 +48,7 @@ func StartServer(addr string, m *Manager, obsOpts httpserve.Options, shutdownTim
 		timeout: shutdownTimeout,
 		srv: &http.Server{
 			Handler:           NewHandler(m, obsOpts),
-			ReadHeaderTimeout: 5 * time.Second,
+			ReadHeaderTimeout: ReadHeaderTimeout,
 		},
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close

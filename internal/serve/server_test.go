@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"context"
+	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -37,6 +39,74 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if srv.Manager() != m {
 		t.Error("Manager() accessor broken")
+	}
+}
+
+// TestServerCloseFreshConns: a drain answers a request written on a
+// connection accepted just before it began, closes a connection that never
+// sends one after ReadHeaderTimeout, and so finishes well before
+// http.Server's own 5 s wait for such connections.
+func TestServerCloseFreshConns(t *testing.T) {
+	m := NewManager(Config{Workers: 1, run: stubRun(nil, nil)})
+	srv, err := StartServer("127.0.0.1:0", m, httpserve.Options{}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		return c
+	}
+	get := func(c net.Conn) (*http.Response, error) {
+		if _, err := c.Write([]byte("GET /api/v1/jobs HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+			return nil, err
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+		if err == nil {
+			resp.Body.Close()
+		}
+		return resp, err
+	}
+	late, idle := dial(), dial()
+	// The listener accepts in dial order: once a later connection has been
+	// served, both earlier ones are accepted and fresh.
+	if _, err := get(dial()); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	// Shutdown has begun once the listener refuses connections.
+	for {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			break
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	resp, err := get(late)
+	if err != nil {
+		t.Fatalf("request written during the drain got no response: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status = %d, want 200", resp.StatusCode)
+	}
+	if _, err := idle.Read(make([]byte, 1)); err == nil {
+		t.Error("idle fresh connection read data, want it closed")
+	}
+	if err := <-closed; err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("drain took %v, want about ReadHeaderTimeout", d)
 	}
 }
 

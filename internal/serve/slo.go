@@ -1,8 +1,8 @@
 // SLO histograms for the serving layer. Every latency an operator would
 // page on is recorded into internal/obs's power-of-two Hist (bucket b
 // counts values in [2^(b−1), 2^b) — observations here are milliseconds, so
-// the buckets run 0, 1 ms, 2 ms, 4 ms, … ~70 min) and exported on /metrics
-// as Prometheus histograms with cumulative le buckets:
+// the buckets run 0, 1 ms, 2 ms, 4 ms, … ~70 min) through registry
+// handles resolved once at construction:
 //
 //	netags_serve_queue_wait_ms{class=...}   submission → worker dequeue
 //	netags_serve_exec_ms                    worker dequeue → terminal state
@@ -11,187 +11,122 @@
 //	netags_http_request_ms{route=,status=}  HTTP handler latency (middleware)
 //
 // Observe is a mutex-guarded array increment — no allocation — so the
-// per-point hot path can record unconditionally.
+// per-point hot path can record unconditionally. Burn-rate rules window
+// the sampled _count and _le_<2^k−1> series of these histograms (see
+// obs.Registry for the naming rule).
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"strconv"
 	"time"
 
 	"netags/internal/obs"
+	"netags/internal/obs/timeseries"
 )
 
-// sloHists aggregates the serving-layer latency distributions.
+// sloHists holds the serving-layer latency histogram handles.
 type sloHists struct {
-	mu               sync.Mutex
-	queueWaitByClass map[Priority]*obs.Hist
-	exec             obs.Hist
-	e2e              obs.Hist
-	point            obs.Hist
+	queueWait map[Priority]*obs.Histogram
+	exec      *obs.Histogram
+	e2e       *obs.Histogram
+	point     *obs.Histogram
 }
 
-func newSLOHists() *sloHists {
-	return &sloHists{queueWaitByClass: map[Priority]*obs.Hist{
-		PriorityInteractive: {},
-		PriorityBulk:        {},
-	}}
+func newSLOHists(reg *obs.Registry) *sloHists {
+	qw := reg.HistogramVec("netags_serve_queue_wait_ms",
+		"Milliseconds a job waited between submission and worker dequeue, per priority class.", "class")
+	return &sloHists{
+		queueWait: map[Priority]*obs.Histogram{
+			PriorityInteractive: qw.With(string(PriorityInteractive)),
+			PriorityBulk:        qw.With(string(PriorityBulk)),
+		},
+		exec:  reg.Histogram("netags_serve_exec_ms", "Milliseconds a job spent executing (worker dequeue to terminal state)."),
+		e2e:   reg.Histogram("netags_serve_e2e_ms", "End-to-end milliseconds from submission to terminal state."),
+		point: reg.Histogram("netags_serve_point_ms", "Milliseconds of compute per completed sweep point."),
+	}
 }
 
 func ms(d time.Duration) int64 { return int64(d / time.Millisecond) }
 
 func (s *sloHists) observeQueueWait(class Priority, d time.Duration) {
-	s.mu.Lock()
-	if h, ok := s.queueWaitByClass[class.normalize()]; ok {
+	if h, ok := s.queueWait[class.normalize()]; ok {
 		h.Observe(ms(d))
 	}
-	s.mu.Unlock()
 }
 
-func (s *sloHists) observeExec(d time.Duration) {
-	s.mu.Lock()
-	s.exec.Observe(ms(d))
-	s.mu.Unlock()
-}
-
-func (s *sloHists) observeEndToEnd(d time.Duration) {
-	s.mu.Lock()
-	s.e2e.Observe(ms(d))
-	s.mu.Unlock()
-}
-
-func (s *sloHists) observePoint(elapsedMS float64) {
-	s.mu.Lock()
-	s.point.Observe(int64(elapsedMS))
-	s.mu.Unlock()
-}
-
-// WriteProm renders the SLO families in Prometheus text exposition format.
-func (s *sloHists) WriteProm(w io.Writer) {
-	s.mu.Lock()
-	queueWait := make(map[string]obs.Hist, len(s.queueWaitByClass))
-	for class, h := range s.queueWaitByClass {
-		queueWait[string(class)] = *h
-	}
-	exec, e2e, point := s.exec, s.e2e, s.point
-	s.mu.Unlock()
-
-	promLabeledHists(w, "netags_serve_queue_wait_ms",
-		"Milliseconds a job waited between submission and worker dequeue, per priority class.",
-		"class", queueWait)
-	promHist(w, "netags_serve_exec_ms", "Milliseconds a job spent executing (worker dequeue to terminal state).", exec)
-	promHist(w, "netags_serve_e2e_ms", "End-to-end milliseconds from submission to terminal state.", e2e)
-	promHist(w, "netags_serve_point_ms", "Milliseconds of compute per completed sweep point.", point)
-}
-
-// routeStatus keys one HTTP latency series. Struct-keyed so recording a
-// request allocates nothing after the first hit of a (route, status) pair.
-type routeStatus struct {
-	route  string
-	status int
-}
-
-// httpHists aggregates per-route/per-status handler latency, fed by the
-// middleware in middleware.go. Route label cardinality is bounded by the
+// httpHists records per-route/per-status handler latency, fed by the
+// middleware in middleware.go, plus the request and non-5xx totals the
+// HTTP burn-rate rule windows. Route label cardinality is bounded by the
 // mux's registered patterns; unmatched requests record as route "other".
 type httpHists struct {
-	mu sync.Mutex
-	m  map[routeStatus]*obs.Hist
+	latency  *obs.Vec[obs.Histogram]
+	requests *obs.Counter
+	good     *obs.Counter
 }
 
-func newHTTPHists() *httpHists { return &httpHists{m: make(map[routeStatus]*obs.Hist)} }
+func newHTTPHists(reg *obs.Registry) *httpHists {
+	return &httpHists{
+		latency: reg.HistogramVec("netags_http_request_ms",
+			"HTTP handler latency in milliseconds, by mux route and status code.", "route", "status"),
+		requests: reg.Counter("netags_http_requests_total", "HTTP requests served."),
+		good:     reg.Counter("netags_http_requests_good_total", "HTTP requests answered without a 5xx status."),
+	}
+}
+
+// statusLabels holds the status label of every valid HTTP code, so
+// recording a request never formats one.
+var statusLabels = func() (out [600]string) {
+	for i := range out {
+		out[i] = strconv.Itoa(i)
+	}
+	return
+}()
 
 func (h *httpHists) observe(route string, status int, d time.Duration) {
 	if route == "" {
 		route = "other"
 	}
-	key := routeStatus{route: route, status: status}
-	h.mu.Lock()
-	hist, ok := h.m[key]
-	if !ok {
-		hist = &obs.Hist{}
-		h.m[key] = hist
+	label := "other"
+	if status >= 0 && status < len(statusLabels) {
+		label = statusLabels[status]
 	}
-	hist.Observe(ms(d))
-	h.mu.Unlock()
-}
-
-// WriteProm renders the HTTP latency family with route/status labels.
-func (h *httpHists) WriteProm(w io.Writer) {
-	h.mu.Lock()
-	series := make(map[string]obs.Hist, len(h.m))
-	for key, hist := range h.m {
-		series[fmt.Sprintf("route=%q,status=\"%d\"", key.route, key.status)] = *hist
-	}
-	h.mu.Unlock()
-	if len(series) == 0 {
-		return
-	}
-	promLabeledHistsRaw(w, "netags_http_request_ms",
-		"HTTP handler latency in milliseconds, by mux route and status code.", series)
-}
-
-// promHist renders one unlabeled obs.Hist as a Prometheus histogram with
-// cumulative buckets (same bucket contract as httpserve's exposition:
-// bucket b holds integer values ≤ 2^b − 1, bucket 0 exact zeros).
-func promHist(w io.Writer, name, help string, h obs.Hist) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	promHistSeries(w, name, "", h)
-}
-
-// promLabeledHists renders one histogram family with a single label across
-// several series, HELP/TYPE emitted exactly once.
-func promLabeledHists(w io.Writer, name, help, label string, byValue map[string]obs.Hist) {
-	series := make(map[string]obs.Hist, len(byValue))
-	for v, h := range byValue {
-		series[fmt.Sprintf("%s=%q", label, v)] = h
-	}
-	promLabeledHistsRaw(w, name, help, series)
-}
-
-// promLabeledHistsRaw is promLabeledHists with pre-rendered label sets
-// (`k1="v1",k2="v2"`). Series render in sorted label order so the
-// exposition is deterministic.
-func promLabeledHistsRaw(w io.Writer, name, help string, series map[string]obs.Hist) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	keys := make([]string, 0, len(series))
-	for k := range series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		promHistSeries(w, name, k, series[k])
+	h.latency.With(route, label).Observe(ms(d))
+	h.requests.Add(1)
+	if status < 500 {
+		h.good.Add(1)
 	}
 }
 
-// promHistSeries writes one series' cumulative buckets, sum, and count.
-// labels is either empty or a pre-rendered `k="v"` list without braces.
-func promHistSeries(w io.Writer, name, labels string, h obs.Hist) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	top := 0
-	for b, c := range h.Counts {
-		if c > 0 {
-			top = b
-		}
-	}
-	var cum int64
-	for b := 0; b <= top; b++ {
-		cum += h.Counts[b]
-		le := int64(0)
-		if b > 0 {
-			le = int64(1)<<b - 1
-		}
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, le, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.N)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, h.N)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %d\n%s_count{%s} %d\n", name, labels, h.Sum, name, labels, h.N)
+// DefaultSLORules is the rule set ccmserve installs when -slo-rules is not
+// given: burn-rate rules over the latency and error SLOs above plus a
+// queue saturation threshold. Windows are short enough to flip within a
+// load test yet long enough to ignore a single slow sweep; see DESIGN.md
+// "SLO burn-rate alerting" for how the numbers were picked.
+func DefaultSLORules() []timeseries.Rule {
+	return []timeseries.Rule{
+		{
+			// 90% of jobs end-to-end under ~4s; fire at 2x budget burn.
+			Name: "job_e2e_burn", WindowS: 120,
+			Good: "serve_e2e_ms_le_4095", Total: "serve_e2e_ms_count",
+			Objective: 0.90, Burn: 2, MinTotal: 5,
+		},
+		{
+			// 95% of sweep points compute under ~1s.
+			Name: "point_latency_burn", WindowS: 120,
+			Good: "serve_point_ms_le_1023", Total: "serve_point_ms_count",
+			Objective: 0.95, Burn: 2, MinTotal: 20,
+		},
+		{
+			// 99% of HTTP requests do not 5xx.
+			Name: "http_error_burn", WindowS: 120,
+			Good: "http_requests_good_total", Total: "http_requests_total",
+			Objective: 0.99, Burn: 2, MinTotal: 10,
+		},
+		{
+			// Sustained queue occupancy >= 90% of capacity means backpressure
+			// rejections are imminent.
+			Name: "queue_saturation", WindowS: 60,
+			Series: "serve_queue_fill", Op: ">=", Value: 0.9,
+		},
 	}
 }

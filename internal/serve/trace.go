@@ -23,6 +23,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"netags/internal/obs"
 )
 
 // Lifecycle stages recorded in a job trace (TraceEvent.Stage). These are
@@ -74,10 +76,13 @@ const (
 // jobTrace is one job's bounded timeline: the first len(head) events
 // verbatim plus a ring of the most recent tail events.
 type jobTrace struct {
-	head  []TraceEvent // first events, up to cap(head)
-	tail  []TraceEvent // ring buffer of later events
-	total int          // events ever appended (Seq of the last one)
+	head  []TraceEvent               // first events, up to cap(head)
+	tail  obs.RingBuffer[TraceEvent] // later events; allocated when head fills
+	total int                        // events ever appended (Seq of the last one)
 }
+
+// retained is how many of the job's events the store still holds.
+func (j *jobTrace) retained() int { return len(j.head) + j.tail.Len() }
 
 // TraceStore is the bounded lifecycle trace store, keyed by job key.
 // Construct with NewTraceStore; a nil *TraceStore is valid and disables
@@ -143,13 +148,12 @@ func (s *TraceStore) Append(id string, ev TraceEvent) {
 		j.head = append(j.head, ev)
 		return
 	}
-	if j.tail == nil {
-		j.tail = make([]TraceEvent, s.tailCap)
+	if j.tail.Cap() == 0 {
+		j.tail = obs.NewRingBuffer[TraceEvent](s.tailCap)
 	}
-	if j.total-cap(j.head) > len(j.tail) {
-		s.dropped++ // the slot below overwrites a still-retained event
+	if j.tail.Push(ev) {
+		s.dropped++
 	}
-	j.tail[(j.total-cap(j.head)-1)%len(j.tail)] = ev
 }
 
 // evictLocked drops the oldest job timelines beyond maxJobs, counting their
@@ -157,11 +161,7 @@ func (s *TraceStore) Append(id string, ev TraceEvent) {
 func (s *TraceStore) evictLocked() {
 	for len(s.jobs) > s.maxJobs && len(s.order) > 0 {
 		if j, ok := s.jobs[s.order[0]]; ok {
-			n := j.total
-			if max := cap(j.head) + s.tailCap; n > max {
-				n = max
-			}
-			s.dropped += int64(n)
+			s.dropped += int64(j.retained())
 		}
 		delete(s.jobs, s.order[0])
 		s.order = s.order[1:]
@@ -213,19 +213,8 @@ func (s *TraceStore) Events(id string) (evs []TraceEvent, dropped int, ok bool) 
 	if !found {
 		return nil, 0, false
 	}
-	evs = append(evs, j.head...)
-	if j.tail != nil {
-		ringed := j.total - cap(j.head)
-		keep := ringed
-		if keep > len(j.tail) {
-			keep = len(j.tail)
-		}
-		for i := ringed - keep; i < ringed; i++ {
-			evs = append(evs, j.tail[i%len(j.tail)])
-		}
-		dropped = ringed - keep
-	}
-	return evs, dropped, true
+	evs = j.tail.AppendTo(append(evs, j.head...))
+	return evs, int(j.tail.Dropped()), true
 }
 
 // TraceTimelineEvent is the JSON view of one lifecycle event in
@@ -314,11 +303,7 @@ func (s *TraceStore) Stats() (jobs, events int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, j := range s.jobs {
-		n := j.total
-		if max := cap(j.head) + s.tailCap; n > max {
-			n = max
-		}
-		events += n
+		events += j.retained()
 	}
 	return len(s.jobs), events
 }

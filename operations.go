@@ -506,6 +506,20 @@ type RoundInfo struct {
 	MorePending bool
 }
 
+// roundTracer adapts OnRound to the session's KindRound events.
+type roundTracer func(RoundInfo)
+
+func (f roundTracer) Trace(ev obs.Event) {
+	if ev.Kind != obs.KindRound {
+		return
+	}
+	f(RoundInfo{
+		Round: ev.Round, Transmitters: ev.Transmitters, BitsSent: int(ev.Bits),
+		NewBusy: ev.NewBusy, KnownBusy: ev.KnownBusy,
+		CheckSlots: ev.CheckSlots, MorePending: ev.Pending,
+	})
+}
+
 // SessionResult reports a raw CCM session.
 type SessionResult struct {
 	// BusySlots lists the busy slot indices of the final bitmap B.
@@ -537,10 +551,7 @@ func (s *System) CollectBitmap(opts SessionOptions) (*SessionResult, error) {
 		LossSeed:               opts.Seed + 1,
 	}
 	if opts.OnRound != nil {
-		onRound := opts.OnRound
-		cfg.Trace = func(tr core.RoundTrace) {
-			onRound(RoundInfo(tr))
-		}
+		cfg.Tracer = obs.Multi(s.tracer, roundTracer(opts.OnRound))
 	}
 	if opts.DisableIndicatorVector && len(s.networks) > 0 {
 		cfg.MaxRounds = 4 * s.ranges.CheckingFrameLen()

@@ -34,7 +34,7 @@ go build -o "$WORK/ccmload" ./cmd/ccmload
 # a saturated 1-worker pool blows through it within seconds.
 RULES="$WORK/rules.json"
 cat >"$RULES" <<'EOF'
-[{"name":"e2e_burn","good":"slo_e2e_good_1s","total":"slo_e2e_total",
+[{"name":"e2e_burn","good":"serve_e2e_ms_le_1023","total":"serve_e2e_ms_count",
   "objective":0.9,"burn":2,"min_total":3,"window_s":8}]
 EOF
 
@@ -53,7 +53,7 @@ echo "load_smoke: daemon on $ADDR"
 # --- Phase A: gentle load, ccmload's own gates must all pass -------------
 "$WORK/ccmload" -addr "$ADDR" -rps 1.5 -duration 8s -drain 30s \
     -large-ratio 0 -max-p99 20s -fail-on-alerts \
-    -check-series serve_queue_len,serve_jobs_executed_total,sim_sessions_total,runtime_goroutines \
+    -check-series serve_queue_len,serve_jobs_executed_total,sessions_total,runtime_goroutines \
     || die "gentle load violated an SLO gate (exit $?)"
 echo "load_smoke: phase A passed (p99 bound, no alerts, series non-empty)"
 

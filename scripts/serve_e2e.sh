@@ -164,6 +164,6 @@ echo "serve_e2e: resumed result byte-identical ($RESUMED points skipped)"
 # /api/v1/timeseries.
 "$WORK/ccmload" -addr "$ADDR" -rps 2 -duration 5s -drain 30s \
     -large-ratio 0 -max-p99 30s -fail-on-alerts \
-    -check-series serve_queue_len,serve_jobs_executed_total,sim_sessions_total,runtime_goroutines \
+    -check-series serve_queue_len,serve_jobs_executed_total,sessions_total,runtime_goroutines \
     || die "ccmload telemetry gates failed (exit $?)"
 echo "serve_e2e: PASS (telemetry live under load, no SLO violations)"

@@ -2,7 +2,10 @@ package netags
 
 import (
 	"math"
+	"reflect"
 	"testing"
+
+	"netags/internal/obs"
 )
 
 func testSystem(t *testing.T, n int, r float64, seed uint64) *System {
@@ -488,5 +491,45 @@ func TestDetectMissingRepeatedExecutions(t *testing.T) {
 	}
 	if _, err := depleted.DetectMissing(inventory, DetectOptions{Executions: -1}); err == nil {
 		t.Fatal("negative executions accepted")
+	}
+}
+
+// TestOnRoundMatchesRoundEvents: CollectBitmap's OnRound receives one
+// RoundInfo per round, equal to that round's KindRound event, while a
+// tracer set with WithTracer still sees every event — for a single-reader
+// and a multi-reader system (one callback per reader's round).
+func TestOnRoundMatchesRoundEvents(t *testing.T) {
+	for _, readers := range [][]Position{{{}}, {{X: -30}, {X: 30}}} {
+		sys, err := NewSystem(SystemOptions{
+			Tags: 800, Radius: 60, InterTagRange: 5, Readers: readers, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := obs.NewMemory()
+		var got []RoundInfo
+		res, err := sys.WithTracer(mem).CollectBitmap(SessionOptions{
+			FrameSize: 128, Seed: 9,
+			OnRound: func(ri RoundInfo) { got = append(got, ri) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []RoundInfo
+		for _, ev := range mem.Events() {
+			if ev.Kind == obs.KindRound {
+				want = append(want, RoundInfo{
+					Round: ev.Round, Transmitters: ev.Transmitters, BitsSent: int(ev.Bits),
+					NewBusy: ev.NewBusy, KnownBusy: ev.KnownBusy,
+					CheckSlots: ev.CheckSlots, MorePending: ev.Pending,
+				})
+			}
+		}
+		if len(readers) == 1 && len(want) != res.Rounds || len(want) < res.Rounds {
+			t.Fatalf("%d readers: %d round events for %d rounds", len(readers), len(want), res.Rounds)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d readers: OnRound saw %+v, events say %+v", len(readers), got, want)
+		}
 	}
 }
