@@ -25,18 +25,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"netags/internal/cluster"
-	"netags/internal/obs"
 	"netags/internal/obs/httpserve"
-	"netags/internal/obs/timeseries"
 	"netags/internal/serve"
 )
 
@@ -70,21 +64,12 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "open-state cooldown before half-open probes")
 		probes      = fs.Int("probes", 1, "concurrent half-open probes per backend")
 		probeOK     = fs.Int("probe-successes", 2, "probe successes that close a half-open breaker")
-
-		events    = fs.Int("events", 512, "event ring capacity backing /events (0 disables)")
-		logLevel  = fs.String("log-level", "info", "log verbosity: debug|info|warn|error")
-		logFormat = fs.String("log-format", "text", "log encoding on stderr: text|json")
-		tsRes     = fs.Duration("ts-resolution", time.Second, "timeseries sampling interval (0 disables the history engine, dashboard, and alerts)")
-		tsRet     = fs.Duration("ts-retention", 15*time.Minute, "timeseries history window per series")
-		sloRules  = fs.String("slo-rules", "", "SLO alert rules: a JSON file path, inline JSON ('[...]'), or 'off' (empty = built-in cluster defaults)")
 	)
-	if err := fs.Parse(args); err != nil {
+	d := serve.NewDaemon("ccmrouter", fs, "cluster defaults")
+	if err := d.Parse(args); err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
+	defer d.Stop()
 	var workerAddrs []string
 	for _, b := range strings.Split(*backends, ",") {
 		if b = strings.TrimSpace(b); b != "" {
@@ -95,10 +80,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return fmt.Errorf("-backends is required (comma-separated worker addresses)")
 	}
 
-	var ring *obs.Ring
-	if *events > 0 {
-		ring = obs.NewRing(*events)
-	}
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
 		Backends:    workerAddrs,
 		Replicas:    *replicas,
@@ -112,8 +93,8 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			MinSamples: *brkMin, Window: *brkWindow, Cooldown: *brkCooldown,
 			HalfOpenProbes: *probes, ProbeSuccesses: *probeOK,
 		},
-		Logger: logger,
-		Tracer: ring,
+		Logger: d.Logger,
+		Tracer: d.Ring,
 	})
 	if err != nil {
 		return err
@@ -121,72 +102,27 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 
 	// Time-series engine + SLO evaluator over the router's registry — the
 	// same machinery ccmserve runs.
-	obsOpts := httpserve.Options{Registry: rt.Registry()}
-	var tracer obs.Tracer
-	if ring != nil {
-		obsOpts.Ring, tracer = ring, ring
-		ring.Register(rt.Registry())
+	var obsOpts httpserve.Options
+	if err := d.StartTelemetry(rt.Registry(), cluster.DefaultSLORules(), &obsOpts); err != nil {
+		return err
 	}
-	if *tsRes > 0 {
-		rules, err := timeseries.LoadRules(*sloRules, cluster.DefaultSLORules())
-		if err != nil {
-			return err
-		}
-		tel, err := timeseries.StartTelemetry(rt.Registry(), rules, *tsRes, *tsRet, logger, tracer)
-		if err != nil {
-			return err
-		}
-		defer tel.Stop()
-		obsOpts.Timeseries, obsOpts.Alerts = tel.DB, tel.Alerts
-		logger.Info("timeseries sampler started",
-			"resolution", tsRes.String(), "retention", tsRet.String(), "rules", len(rules))
-	}
-
-	srv, err := httpStart(*addr, rt.Handler(obsOpts))
+	// Unlike ccmserve there is no job manager to drain: the fixed 10 s
+	// budget covers in-flight proxied requests only.
+	srv, err := serve.Listen(*addr, rt.Handler(obsOpts), nil, 10*time.Second)
 	if err != nil {
 		return err
 	}
 	// The plain banner stays greppable for scripts (cluster_e2e.sh parses
 	// the address out of it); everything after startup is structured.
 	fmt.Fprintf(os.Stderr, "ccmrouter: listening on %s (backends=%d replicas=%d)\n",
-		srv.addr, len(workerAddrs), *replicas)
-	logger.Info("ccmrouter started",
-		"addr", srv.addr, "backends", strings.Join(workerAddrs, ","),
+		srv.Addr(), len(workerAddrs), *replicas)
+	d.Logger.Info("ccmrouter started",
+		"addr", srv.Addr(), "backends", strings.Join(workerAddrs, ","),
 		"replicas", *replicas,
 		"rate", *rate, "max_inflight", *maxInfl,
 		"breaker_consec", *brkConsec, "breaker_cooldown", brkCooldown.String())
 	if ready != nil {
-		ready <- srv.addr
+		ready <- srv.Addr()
 	}
-
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	logger.Info("ccmrouter draining")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	logger.Info("ccmrouter drained cleanly")
-	return nil
-}
-
-// httpSrv pairs a server with its bound address (":0" support for tests).
-type httpSrv struct {
-	srv  *http.Server
-	addr string
-}
-
-func httpStart(addr string, h http.Handler) (*httpSrv, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("listen %s: %w", addr, err)
-	}
-	s := &httpSrv{
-		srv:  &http.Server{Handler: h, ReadHeaderTimeout: serve.ReadHeaderTimeout},
-		addr: ln.Addr().String(),
-	}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve always returns on Shutdown
-	return s, nil
+	return d.Run(ctx, srv.Close)
 }

@@ -28,13 +28,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"netags/internal/obs"
 	"netags/internal/obs/httpserve"
-	"netags/internal/obs/timeseries"
 	"netags/internal/serve"
 )
 
@@ -54,35 +51,25 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		queueDepth  = fs.Int("queue", 64, "bounded job queue depth (full queue answers 429)")
 		pool        = fs.Int("pool", 2, "concurrent sweep jobs (worker pool size)")
 		jobWorkers  = fs.Int("job-workers", 0, "per-job experiment worker cap (0 = cores/pool)")
-		cacheCap    = fs.Int("cache", 256, "result cache capacity in entries (LRU; negative = unbounded)")
-		maxJobs     = fs.Int("max-jobs", 1024, "terminal job records to retain for GET /jobs")
+		cacheCap    = fs.Int("cache", 256, "done jobs that keep their result payload (LRU; negative = all); results stay served for at most min(-cache, -max-jobs) jobs")
+		maxJobs     = fs.Int("max-jobs", 1024, "job records to retain; the oldest terminal ones are pruned with their checkpoint rows, result and trace")
 		ckptDir     = fs.String("checkpoint-dir", "", "persist per-point checkpoints here for crash-resumable sweeps (empty = memory only)")
 		ckptTTL     = fs.Duration("checkpoint-ttl", 0, "purge checkpoint files unreferenced for this long (0 = never)")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight jobs")
-		events      = fs.Int("events", 512, "event ring capacity backing /events (0 disables)")
 		traceEvents = fs.Int("trace-events", 0, "lifecycle trace events retained per job (0 = default 256, negative disables /trace)")
-		logLevel    = fs.String("log-level", "info", "log verbosity: debug|info|warn|error")
-		logFormat   = fs.String("log-format", "text", "log encoding on stderr: text|json")
-		tsRes       = fs.Duration("ts-resolution", time.Second, "timeseries sampling interval (0 disables the history engine, dashboard, and alerts)")
-		tsRet       = fs.Duration("ts-retention", 15*time.Minute, "timeseries history window per series")
-		sloRules    = fs.String("slo-rules", "", "SLO alert rules: a JSON file path, inline JSON ('[...]'), or 'off' (empty = built-in defaults)")
 	)
-	if err := fs.Parse(args); err != nil {
+	d := serve.NewDaemon("ccmserve", fs, "defaults")
+	if err := d.Parse(args); err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
+	defer d.Stop()
 
 	// The collector aggregates protocol metrics for /metrics; the ring holds
 	// the most recent events for /events — serve lifecycle events included.
 	collector := obs.NewCollector()
-	var ring *obs.Ring
 	sinks := []obs.Tracer{collector}
-	if *events > 0 {
-		ring = obs.NewRing(*events)
-		sinks = append(sinks, ring)
+	if d.Ring != nil {
+		sinks = append(sinks, d.Ring)
 	}
 
 	m := serve.NewManager(serve.Config{
@@ -94,7 +81,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		CheckpointDir:     *ckptDir,
 		CheckpointTTL:     *ckptTTL,
 		Tracer:            obs.Multi(sinks...),
-		Logger:            logger,
+		Logger:            d.Logger,
 		TraceEventsPerJob: *traceEvents,
 	})
 	// One registry holds every family /metrics serves: the manager's, the
@@ -104,26 +91,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	// engine exists and no goroutine runs.
 	reg := m.Registry()
 	collector.Register(reg)
-	obsOpts := httpserve.Options{Collector: collector, Registry: reg}
-	var tracer obs.Tracer
-	if ring != nil {
-		ring.Register(reg)
-		obsOpts.Ring, tracer = ring, ring
-	}
-	if *tsRes > 0 {
-		rules, err := timeseries.LoadRules(*sloRules, serve.DefaultSLORules())
-		if err != nil {
-			return err
-		}
-		tel, err := timeseries.StartTelemetry(reg, rules, *tsRes, *tsRet, logger, tracer)
-		if err != nil {
-			return err
-		}
-		defer tel.Stop()
-		obsOpts.Timeseries, obsOpts.Alerts = tel.DB, tel.Alerts
-		logger.Info("timeseries sampler started",
-			"resolution", tsRes.String(), "retention", tsRet.String(),
-			"series_cap", tel.DB.SeriesCap(), "rules", len(rules))
+	obsOpts := httpserve.Options{Collector: collector}
+	if err := d.StartTelemetry(reg, serve.DefaultSLORules(), &obsOpts); err != nil {
+		return err
 	}
 
 	srv, err := serve.StartServer(*addr, m, obsOpts, *drain)
@@ -134,21 +104,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	// address out of it); everything after startup is structured.
 	fmt.Fprintf(os.Stderr, "ccmserve: listening on %s (pool=%d queue=%d cache=%d)\n",
 		srv.Addr(), *pool, *queueDepth, *cacheCap)
-	logger.Info("ccmserve started",
+	d.Logger.Info("ccmserve started",
 		"addr", srv.Addr(), "pool", *pool, "queue", *queueDepth, "cache", *cacheCap,
-		"checkpoint_dir", *ckptDir, "checkpoint_ttl", ckptTTL.String(),
-		"ts_resolution", tsRes.String(), "log_level", *logLevel, "log_format", *logFormat)
+		"checkpoint_dir", *ckptDir, "checkpoint_ttl", ckptTTL.String())
 	if ready != nil {
 		ready <- srv.Addr()
 	}
-
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	<-ctx.Done()
-	logger.Info("ccmserve draining")
-	if err := srv.Close(); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	logger.Info("ccmserve drained cleanly")
-	return nil
+	return d.Run(ctx, srv.Close)
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"testing"
@@ -25,25 +24,9 @@ func BenchmarkServeSpecKey(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCacheGet: a hot-path cache hit under the manager's lock
-// discipline (LRU refresh included).
-func BenchmarkServeCacheGet(b *testing.B) {
-	c := NewCache(256)
-	payload := make([]byte, 4096)
-	for i := 0; i < 256; i++ {
-		c.Put(fmt.Sprintf("key-%03d", i), payload)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(fmt.Sprintf("key-%03d", i%256)); !ok {
-			b.Fatal("miss")
-		}
-	}
-}
-
 // BenchmarkServeSubmitHit: the full Submit fast path on a warm cache —
-// key derivation plus the cached-result return. This is the latency a
+// key derivation, the job-table lookup, the LRU refresh, and the
+// cached-result return. This is the latency a
 // duplicate submission pays instead of a sweep.
 func BenchmarkServeSubmitHit(b *testing.B) {
 	m := NewManager(Config{Workers: 1, run: func(ctx context.Context, s JobSpec, w int, h runHooks) error {
@@ -91,7 +74,7 @@ func BenchmarkServePointDoneDisabled(b *testing.B) {
 }
 
 // BenchmarkServePointDoneEnabled is the same path with everything on:
-// trace store, ring mirroring, and a debug-level JSON logger. Tracked so
+// the job's timeline, ring mirroring, and a debug-level JSON logger. Tracked so
 // the cost of full observability stays visible and bounded, but not pinned
 // to zero — this path is opt-in.
 func BenchmarkServePointDoneEnabled(b *testing.B) {
@@ -100,7 +83,7 @@ func BenchmarkServePointDoneEnabled(b *testing.B) {
 		Logger: slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})),
 		run:    func(ctx context.Context, s JobSpec, w int, h runHooks) error { return nil }})
 	defer m.Shutdown(context.Background())
-	j := &Job{ID: "bench-point-enabled", points: 1 << 30}
+	j := &Job{ID: "bench-point-enabled", points: 1 << 30, trace: newJobTrace(m.traceHead, m.traceTail)}
 	row := json.RawMessage(`{"r":2,"mean_sent":42.5}`)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,27 +1,31 @@
 // Per-point checkpointing. As a sweep runs, every completed grid point is
-// appended to its job's checkpoint — in memory always, and as one NDJSON
-// line per point under CheckpointDir when configured. The checkpoint is
+// appended to its job's checkpoint rows — in memory always, and as one
+// NDJSON line per point under CheckpointDir when configured. A row is
 // keyed by (job key, point index): the job key is the spec's content
 // address and a point's Row is a pure function of (normalized spec, point
 // index), so a checkpointed row can be trusted across process restarts —
 // resuming a half-finished sweep recomputes nothing and still produces the
 // byte-identical final payload.
 //
-// Lifecycle: entries accumulate while a job runs and are the replay source
+// Ownership: the rows live on their *Job (pointLog, guarded by the job's
+// mutex) and leave the manager's table with it. They are the replay source
 // for /api/v1/jobs/{id}/stream (seq numbers are per-job completion order).
-// When a job completes its disk file is deleted (the full result now lives
-// in the content-addressed cache); a killed or canceled job keeps its file,
-// and the next submission of the same spec restores it and skips the
-// completed points. Forget drops everything (job-record pruning).
+// This file holds the row log and the NDJSON file code: load, append,
+// remove, and the TTL GC. When a job completes its file is deleted (the
+// assembled payload now lives on the job); a killed, canceled or failed
+// job keeps its file, and the next submission of the same spec restores it
+// and skips the completed points.
 package serve
 
 import (
 	"bufio"
 	"encoding/json"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,93 +48,59 @@ type PointRecord struct {
 	Row json.RawMessage `json:"row"`
 }
 
-// jobCheckpoint is one job's in-memory checkpoint plus its stream fan-out.
-type jobCheckpoint struct {
+// pointLog is one job's checkpoint rows plus its stream fan-out. The
+// owning Job's mutex guards it.
+type pointLog struct {
 	records []PointRecord // completion order; records[i].Seq == i+1
 	have    map[int]bool  // point indices present
-	file    *os.File      // open append handle (nil when memory-only)
+	file    *os.File      // open append handle (nil when memory-only or closed)
 	subs    map[int]chan PointRecord
 	nextSub int
 }
 
-// Checkpoints is the store: one jobCheckpoint per job key, optionally
-// mirrored to dir as <key>.ndjson. The zero value is not usable; construct
-// with NewCheckpoints. Disk writes are best-effort: a failing filesystem
-// degrades to memory-only checkpointing (counted in DiskErrors), it never
-// fails the sweep.
-type Checkpoints struct {
-	dir string
-
-	mu   sync.Mutex
-	jobs map[string]*jobCheckpoint
-
-	diskErrors atomic.Int64
-	purged     atomic.Int64
+// inherit copies another log's rows (not its file or subscribers): a
+// resubmission picks up where the previous terminal run of its spec
+// stopped.
+func (l *pointLog) inherit(from *pointLog) {
+	l.records = slices.Clone(from.records)
+	l.have = maps.Clone(from.have)
 }
 
-// NewCheckpoints returns a store persisting under dir ("" = memory only).
-func NewCheckpoints(dir string) *Checkpoints {
-	return &Checkpoints{dir: dir, jobs: make(map[string]*jobCheckpoint)}
-}
-
-func (c *Checkpoints) path(key string) string {
-	return filepath.Join(c.dir, key+".ndjson")
-}
-
-// get returns the job's checkpoint, creating it (and, with a dir, loading
-// any surviving file from a previous process) on first touch. Caller holds
-// c.mu.
-func (c *Checkpoints) getLocked(key string) *jobCheckpoint {
-	if j, ok := c.jobs[key]; ok {
-		return j
+// add records one completed point: first write per index wins — the
+// exactly-once-per-point contract — later duplicates are dropped (stored
+// false). The stored record, stamped with its completion seq, goes to
+// every live subscriber.
+func (l *pointLog) add(rec PointRecord) (PointRecord, bool) {
+	if l.have[rec.Index] {
+		return rec, false
 	}
-	j := &jobCheckpoint{have: make(map[int]bool), subs: make(map[int]chan PointRecord)}
-	c.jobs[key] = j
-	if c.dir != "" {
-		c.loadLocked(key, j)
+	if l.have == nil {
+		l.have = make(map[int]bool)
 	}
-	return j
-}
-
-// loadLocked replays a surviving checkpoint file into memory: one JSON
-// record per line, duplicates and malformed lines dropped (a torn final
-// line from a kill -9 costs exactly that one point), seqs renumbered to
-// completion order.
-func (c *Checkpoints) loadLocked(key string, j *jobCheckpoint) {
-	f, err := os.Open(c.path(key))
-	if err != nil {
-		return // no file = nothing checkpointed
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		var rec PointRecord
-		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Index < 0 ||
-			len(rec.Row) == 0 || j.have[rec.Index] {
-			continue
+	rec.Seq = len(l.records) + 1
+	l.records = append(l.records, rec)
+	l.have[rec.Index] = true
+	for id, ch := range l.subs {
+		select {
+		case ch <- rec:
+		default:
+			// Lagging subscriber: drop it. The stream handler notices the
+			// closed channel and re-replays from its last seen seq.
+			close(ch)
+			delete(l.subs, id)
 		}
-		rec.Seq = len(j.records) + 1
-		j.records = append(j.records, rec)
-		j.have[rec.Index] = true
 	}
+	return rec, true
 }
 
-// Restore loads the checkpoint for key and returns the skip vector for a
-// points-long sweep plus the number of restorable points. Out-of-range
-// indices (a spec collision would be an SHA-256 break; far likelier a
-// truncated axis from a changed cap) are ignored. (nil, 0) means a cold
-// start.
-func (c *Checkpoints) Restore(key string, points int) ([]bool, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.getLocked(key)
-	if len(j.records) == 0 {
-		return nil, 0
-	}
+// restore returns the skip vector for a points-long sweep plus the number
+// of restorable points. Out-of-range indices (a spec collision would be an
+// SHA-256 break; far likelier a truncated axis from a changed cap) are
+// ignored. (nil, 0) means a cold start.
+func (l *pointLog) restore(points int) ([]bool, int) {
 	skip := make([]bool, points)
 	n := 0
-	for _, rec := range j.records {
+	for _, rec := range l.records {
 		if rec.Index < points && !skip[rec.Index] {
 			skip[rec.Index] = true
 			n++
@@ -142,72 +112,15 @@ func (c *Checkpoints) Restore(key string, points int) ([]bool, int) {
 	return skip, n
 }
 
-// Append records one completed point: first write per (key, index) wins —
-// the exactly-once-per-point contract — later duplicates are dropped
-// (stored false). The record lands in memory, on disk (best-effort), and in
-// every live subscriber's channel; seq is the stamped completion number.
-func (c *Checkpoints) Append(key string, rec PointRecord) (seq int, stored bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.getLocked(key)
-	if j.have[rec.Index] {
-		return len(j.records), false
-	}
-	rec.Seq = len(j.records) + 1
-	j.records = append(j.records, rec)
-	j.have[rec.Index] = true
-
-	if c.dir != "" {
-		c.appendDiskLocked(key, j, rec)
-	}
-	for id, ch := range j.subs {
-		select {
-		case ch <- rec:
-		default:
-			// Lagging subscriber: drop it. The stream handler notices the
-			// closed channel and re-replays from its last seen seq.
-			close(ch)
-			delete(j.subs, id)
-		}
-	}
-	return rec.Seq, true
-}
-
-func (c *Checkpoints) appendDiskLocked(key string, j *jobCheckpoint, rec PointRecord) {
-	if j.file == nil {
-		if err := os.MkdirAll(c.dir, 0o755); err != nil {
-			c.diskErrors.Add(1)
-			return
-		}
-		f, err := os.OpenFile(c.path(key), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			c.diskErrors.Add(1)
-			return
-		}
-		j.file = f
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		c.diskErrors.Add(1)
-		return
-	}
-	if _, err := j.file.Write(append(line, '\n')); err != nil {
-		c.diskErrors.Add(1)
-	}
-}
-
-// Rows returns the checkpointed rows ordered by point index. ok is false
-// unless every one of the points indices is present — the gate before
-// assembling a final payload.
-func (c *Checkpoints) Rows(key string, points int) ([]json.RawMessage, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[key]
-	if !ok || len(j.records) < points {
+// rows returns the rows ordered by point index. ok is false unless every
+// one of the points indices is present — the gate before assembling a
+// final payload.
+func (l *pointLog) rows(points int) ([]json.RawMessage, bool) {
+	if len(l.records) < points {
 		return nil, false
 	}
 	rows := make([]json.RawMessage, points)
-	for _, rec := range j.records {
+	for _, rec := range l.records {
 		if rec.Index < points {
 			rows[rec.Index] = rec.Row
 		}
@@ -220,123 +133,108 @@ func (c *Checkpoints) Rows(key string, points int) ([]json.RawMessage, bool) {
 	return rows, true
 }
 
-// Count returns how many points are checkpointed for key.
-func (c *Checkpoints) Count(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[key]; ok {
-		return len(j.records)
-	}
-	return 0
-}
-
-// Since returns the records with Seq > after, in completion order — the
-// stream replay source.
-func (c *Checkpoints) Since(key string, after int) []PointRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[key]
-	if !ok || after >= len(j.records) {
+// since returns a copy of the records with Seq > after, in completion
+// order — the stream replay source.
+func (l *pointLog) since(after int) []PointRecord {
+	after = max(after, 0)
+	if after >= len(l.records) {
 		return nil
 	}
-	if after < 0 {
-		after = 0
-	}
-	out := make([]PointRecord, len(j.records)-after)
-	copy(out, j.records[after:])
-	return out
+	return slices.Clone(l.records[after:])
 }
 
-// Watch returns the replay of records with Seq > after plus a live channel
-// of subsequent appends. cancel unsubscribes (idempotent). A subscriber
-// that falls more than the channel buffer behind is dropped — its channel
-// closes, and it should re-Watch from the last seq it saw.
-func (c *Checkpoints) Watch(key string, after int) (replay []PointRecord, ch <-chan PointRecord, cancel func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j := c.getLocked(key)
-	if after < 0 {
-		after = 0
+// closeFile closes the append handle without touching the file: on an
+// incomplete job the file IS the resume state for the next submission.
+func (l *pointLog) closeFile() {
+	if l.file != nil {
+		l.file.Close()
+		l.file = nil
 	}
-	if after < len(j.records) {
-		replay = make([]PointRecord, len(j.records)-after)
-		copy(replay, j.records[after:])
+}
+
+// checkpointDir is the NDJSON side of checkpointing: one <key>.ndjson file
+// per job under dir ("" = memory only). Disk writes are best-effort: a
+// failing filesystem degrades to memory-only checkpointing (counted in
+// diskErrors), it never fails the sweep.
+type checkpointDir struct {
+	dir        string
+	diskErrors atomic.Int64
+	purged     atomic.Int64
+}
+
+func (c *checkpointDir) path(key string) string {
+	return filepath.Join(c.dir, key+".ndjson")
+}
+
+// load replays key's surviving checkpoint file, if any, into l.
+func (c *checkpointDir) load(key string, l *pointLog) {
+	if c.dir == "" {
+		return
 	}
-	sub := make(chan PointRecord, 256)
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = sub
-	return replay, sub, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if cur, ok := j.subs[id]; ok && cur == sub {
-			delete(j.subs, id)
+	f, err := os.Open(c.path(key))
+	if err != nil {
+		return // no file = nothing checkpointed
+	}
+	defer f.Close()
+	readCheckpoint(f, l)
+}
+
+// readCheckpoint replays checkpoint NDJSON into l: one JSON record per
+// line, malformed lines and duplicate indices dropped (a torn final line
+// from a kill -9 costs exactly that one point), seqs renumbered to
+// completion order.
+func readCheckpoint(r io.Reader, l *pointLog) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	for sc.Scan() {
+		var rec PointRecord
+		if json.Unmarshal(sc.Bytes(), &rec) == nil && rec.Index >= 0 && len(rec.Row) > 0 {
+			l.add(rec)
 		}
 	}
 }
 
-// Finish marks the job complete: the disk file is closed and removed (the
-// result now lives in the content-addressed cache), while the in-memory
-// records stay for stream replay until the job record is pruned.
-func (c *Checkpoints) Finish(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[key]
-	if !ok {
+// append writes rec as one line of key's file, opening *f on first use.
+func (c *checkpointDir) append(key string, f **os.File, rec PointRecord) {
+	if c.dir == "" {
 		return
 	}
-	c.closeFileLocked(j)
+	if *f == nil {
+		if err := os.MkdirAll(c.dir, 0o755); err != nil {
+			c.diskErrors.Add(1)
+			return
+		}
+		file, err := os.OpenFile(c.path(key), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			c.diskErrors.Add(1)
+			return
+		}
+		*f = file
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		c.diskErrors.Add(1)
+		return
+	}
+	if _, err := (*f).Write(append(line, '\n')); err != nil {
+		c.diskErrors.Add(1)
+	}
+}
+
+// remove deletes key's file (a completed or pruned job).
+func (c *checkpointDir) remove(key string) {
 	if c.dir != "" {
 		os.Remove(c.path(key))
 	}
 }
 
-// Release closes the job's append handle without touching the file — the
-// incomplete-job path (cancel, drain, failure), where the file IS the
-// resume state for the next submission.
-func (c *Checkpoints) Release(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j, ok := c.jobs[key]; ok {
-		c.closeFileLocked(j)
-	}
-}
-
-// Forget drops the job's checkpoint entirely: memory, disk file, and
-// subscribers (their channels close).
-func (c *Checkpoints) Forget(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[key]
-	if !ok {
-		return
-	}
-	c.closeFileLocked(j)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	if c.dir != "" {
-		os.Remove(c.path(key))
-	}
-	delete(c.jobs, key)
-}
-
-func (c *Checkpoints) closeFileLocked(j *jobCheckpoint) {
-	if j.file != nil {
-		j.file.Close()
-		j.file = nil
-	}
-}
-
-// GC purges stale checkpoint files: NDJSON files under the store's dir
-// whose key has no in-memory state in this process (i.e. leftovers from
-// earlier process lifetimes whose spec was never resubmitted) and whose
-// last modification is older than ttl. Files belonging to jobs this
-// process knows about — running, canceled-but-resumable, or finished —
-// are never touched; their lifecycle (Finish/Forget) owns them. It
-// returns the number of files removed and counts them in PurgedFiles.
-// A non-positive ttl or a memory-only store is a no-op.
-func (c *Checkpoints) GC(ttl time.Duration) int {
+// gc purges stale checkpoint files: NDJSON files under dir whose key is
+// not live (i.e. leftovers from earlier process lifetimes whose spec was
+// never resubmitted) and whose last modification is older than ttl. Files
+// of live jobs are never touched; their lifecycle owns them. The caller
+// keeps the live set stable for the duration. It returns the number of
+// files removed. A non-positive ttl or a memory-only store is a no-op.
+func (c *checkpointDir) gc(ttl time.Duration, live func(key string) bool) int {
 	if c.dir == "" || ttl <= 0 {
 		return 0
 	}
@@ -347,47 +245,18 @@ func (c *Checkpoints) GC(ttl time.Duration) int {
 	cutoff := time.Now().Add(-ttl)
 	purged := 0
 	for _, e := range entries {
-		name := e.Name()
-		key, ok := strings.CutSuffix(name, ".ndjson")
-		if !ok || e.IsDir() {
+		key, ok := strings.CutSuffix(e.Name(), ".ndjson")
+		if !ok || e.IsDir() || live(key) {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil || info.ModTime().After(cutoff) {
 			continue
 		}
-		c.mu.Lock()
-		_, live := c.jobs[key]
-		if !live {
-			if os.Remove(filepath.Join(c.dir, name)) == nil {
-				purged++
-			}
+		if os.Remove(filepath.Join(c.dir, e.Name())) == nil {
+			purged++
 		}
-		c.mu.Unlock()
 	}
 	c.purged.Add(int64(purged))
 	return purged
-}
-
-// CheckpointStats is a point-in-time view of the store.
-type CheckpointStats struct {
-	Jobs        int   `json:"jobs"`
-	Points      int   `json:"points"`
-	DiskErrors  int64 `json:"disk_errors"`
-	PurgedFiles int64 `json:"purged_files"`
-}
-
-// Stats snapshots the store counters.
-func (c *Checkpoints) Stats() CheckpointStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := CheckpointStats{
-		Jobs:        len(c.jobs),
-		DiskErrors:  c.diskErrors.Load(),
-		PurgedFiles: c.purged.Load(),
-	}
-	for _, j := range c.jobs {
-		s.Points += len(j.records)
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,50 +18,64 @@ func rec(index int) PointRecord {
 	}
 }
 
-// TestCheckpointExactlyOnce: the first write per (key, index) wins;
-// duplicates change nothing and seqs stay dense completion order.
-func TestCheckpointExactlyOnce(t *testing.T) {
-	c := NewCheckpoints("")
-	c.Append("k", rec(2))
-	c.Append("k", rec(0))
-	c.Append("k", rec(2)) // duplicate index: dropped
-	c.Append("k", rec(1))
-
-	if n := c.Count("k"); n != 3 {
-		t.Fatalf("Count = %d, want 3", n)
+// writeRecs appends recs to key's file under c, the way a running job
+// does, and closes the handle.
+func writeRecs(c *checkpointDir, key string, recs ...PointRecord) {
+	var l pointLog
+	for _, r := range recs {
+		if r, ok := l.add(r); ok {
+			c.append(key, &l.file, r)
+		}
 	}
-	got := c.Since("k", 0)
+	l.closeFile()
+}
+
+// TestCheckpointExactlyOnce: the first write per index wins; duplicates
+// change nothing and seqs stay dense completion order.
+func TestCheckpointExactlyOnce(t *testing.T) {
+	var l pointLog
+	l.add(rec(2))
+	l.add(rec(0))
+	if _, stored := l.add(rec(2)); stored { // duplicate index: dropped
+		t.Fatal("duplicate index stored")
+	}
+	l.add(rec(1))
+
+	if n := len(l.records); n != 3 {
+		t.Fatalf("records = %d, want 3", n)
+	}
+	got := l.since(0)
 	wantIdx := []int{2, 0, 1}
 	for i, r := range got {
 		if r.Seq != i+1 || r.Index != wantIdx[i] {
 			t.Errorf("record %d = seq %d index %d, want seq %d index %d", i, r.Seq, r.Index, i+1, wantIdx[i])
 		}
 	}
-	if more := c.Since("k", 2); len(more) != 1 || more[0].Index != 1 {
-		t.Errorf("Since(2) = %+v, want the third record only", more)
+	if more := l.since(2); len(more) != 1 || more[0].Index != 1 {
+		t.Errorf("since(2) = %+v, want the third record only", more)
 	}
 }
 
-// TestCheckpointRestoreRows: Restore reports the skip vector and Rows
+// TestCheckpointRestoreRows: restore reports the skip vector and rows
 // orders by index, refusing while points are missing.
 func TestCheckpointRestoreRows(t *testing.T) {
-	c := NewCheckpoints("")
-	if skip, n := c.Restore("k", 3); skip != nil || n != 0 {
-		t.Fatalf("cold Restore = %v, %d", skip, n)
+	var l pointLog
+	if skip, n := l.restore(3); skip != nil || n != 0 {
+		t.Fatalf("cold restore = %v, %d", skip, n)
 	}
-	c.Append("k", rec(2))
-	c.Append("k", rec(0))
-	skip, n := c.Restore("k", 3)
+	l.add(rec(2))
+	l.add(rec(0))
+	skip, n := l.restore(3)
 	if n != 2 || !skip[0] || skip[1] || !skip[2] {
-		t.Fatalf("Restore = %v, %d, want [true false true], 2", skip, n)
+		t.Fatalf("restore = %v, %d, want [true false true], 2", skip, n)
 	}
-	if _, ok := c.Rows("k", 3); ok {
-		t.Fatal("Rows succeeded with a missing point")
+	if _, ok := l.rows(3); ok {
+		t.Fatal("rows succeeded with a missing point")
 	}
-	c.Append("k", rec(1))
-	rows, ok := c.Rows("k", 3)
+	l.add(rec(1))
+	rows, ok := l.rows(3)
 	if !ok {
-		t.Fatal("Rows failed with all points present")
+		t.Fatal("rows failed with all points present")
 	}
 	for i, r := range rows {
 		if string(r) != fmt.Sprintf(`{"r":%d}`, i) {
@@ -69,51 +84,46 @@ func TestCheckpointRestoreRows(t *testing.T) {
 	}
 }
 
-// TestCheckpointDiskRoundTrip: records written through one store are
-// restored by a fresh store on the same dir — the process-restart path —
-// and Finish removes the file while Release keeps it.
+// TestCheckpointDiskRoundTrip: records appended to a file are restored by
+// a fresh load on the same dir — the process-restart path — and the
+// restored log continues where the file left off.
 func TestCheckpointDiskRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c1 := NewCheckpoints(dir)
-	c1.Append("job", rec(1))
-	c1.Append("job", rec(0))
-	c1.Release("job")
+	c := &checkpointDir{dir: t.TempDir()}
+	writeRecs(c, "job", rec(1), rec(0))
 
-	c2 := NewCheckpoints(dir)
-	skip, n := c2.Restore("job", 3)
+	var l pointLog
+	c.load("job", &l)
+	skip, n := l.restore(3)
 	if n != 2 || !skip[0] || !skip[1] || skip[2] {
 		t.Fatalf("restored skip = %v, %d", skip, n)
 	}
 	// The reloaded records keep their payloads and renumbered seqs.
-	recs := c2.Since("job", 0)
+	recs := l.since(0)
 	if len(recs) != 2 || recs[0].Index != 1 || recs[1].Index != 0 {
 		t.Fatalf("reloaded records = %+v", recs)
 	}
 	// Appending continues where the file left off.
-	c2.Append("job", rec(2))
-	if got := c2.Count("job"); got != 3 {
+	r, _ := l.add(rec(2))
+	c.append("job", &l.file, r)
+	l.closeFile()
+	var again pointLog
+	c.load("job", &again)
+	if got := len(again.records); got != 3 {
 		t.Fatalf("count after continue = %d", got)
 	}
-	c2.Finish("job")
-	if _, err := os.Stat(filepath.Join(dir, "job.ndjson")); !os.IsNotExist(err) {
-		t.Errorf("Finish left the checkpoint file behind: %v", err)
-	}
-	// Memory survives Finish for stream replay.
-	if got := c2.Count("job"); got != 3 {
-		t.Errorf("memory dropped at Finish: count = %d", got)
+	c.remove("job")
+	if _, err := os.Stat(filepath.Join(c.dir, "job.ndjson")); !os.IsNotExist(err) {
+		t.Errorf("remove left the checkpoint file behind: %v", err)
 	}
 }
 
 // TestCheckpointTornLine: a truncated final line (kill -9 mid-write) costs
 // exactly that record; intact lines load.
 func TestCheckpointTornLine(t *testing.T) {
-	dir := t.TempDir()
-	c1 := NewCheckpoints(dir)
-	c1.Append("job", rec(0))
-	c1.Append("job", rec(1))
-	c1.Release("job")
+	c := &checkpointDir{dir: t.TempDir()}
+	writeRecs(c, "job", rec(0), rec(1))
 
-	path := filepath.Join(dir, "job.ndjson")
+	path := filepath.Join(c.dir, "job.ndjson")
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +132,9 @@ func TestCheckpointTornLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := NewCheckpoints(dir)
-	skip, n := c2.Restore("job", 2)
+	var l pointLog
+	c.load("job", &l)
+	skip, n := l.restore(2)
 	if n != 1 || !skip[0] || skip[1] {
 		t.Fatalf("after torn line: skip = %v, n = %d, want only point 0", skip, n)
 	}
@@ -132,63 +143,93 @@ func TestCheckpointTornLine(t *testing.T) {
 // TestCheckpointWatch: replay covers history, the live channel delivers
 // appends, and cancel unsubscribes.
 func TestCheckpointWatch(t *testing.T) {
-	c := NewCheckpoints("")
-	c.Append("k", rec(0))
-	replay, ch, cancel := c.Watch("k", 0)
+	j := &Job{ID: "k"}
+	j.rows.add(rec(0))
+	replay, ch, cancel := j.watch(0)
 	defer cancel()
 	if len(replay) != 1 || replay[0].Index != 0 {
 		t.Fatalf("replay = %+v", replay)
 	}
-	c.Append("k", rec(1))
+	j.rows.add(rec(1))
 	live := <-ch
 	if live.Index != 1 || live.Seq != 2 {
 		t.Fatalf("live = %+v", live)
 	}
 	// A cursor past history replays nothing.
-	replay2, _, cancel2 := c.Watch("k", 2)
+	replay2, _, cancel2 := j.watch(2)
 	cancel2()
 	if len(replay2) != 0 {
 		t.Fatalf("replay past end = %+v", replay2)
 	}
+	if len(j.rows.subs) != 1 {
+		t.Fatalf("subscribers after cancel = %d, want 1", len(j.rows.subs))
+	}
 }
 
-// TestCheckpointForget drops memory, disk, and closes subscribers.
+// TestCheckpointForget: pruning a canceled job drops its checkpoint with
+// it — the rows leave the table and the resume file is deleted — so a
+// later submission of the spec starts cold.
 func TestCheckpointForget(t *testing.T) {
 	dir := t.TempDir()
-	c := NewCheckpoints(dir)
-	c.Append("k", rec(0))
-	_, ch, _ := c.Watch("k", 0)
-	c.Forget("k")
-	if _, open := <-ch; open {
-		t.Error("subscriber channel not closed by Forget")
+	gate := make(chan struct{})
+	m := NewManager(Config{Workers: 1, MaxJobs: 1, CheckpointDir: dir,
+		run: func(ctx context.Context, s JobSpec, w int, h runHooks) error {
+			emitStubPoints(s, h)
+			select {
+			case <-gate:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}})
+	defer func() { close(gate); m.Shutdown(context.Background()) }()
+
+	st, _, err := m.Submit(testSpec(0), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := c.Count("k"); n != 0 {
-		t.Errorf("count after Forget = %d", n)
+	waitRunning(t, m, st.ID)
+	m.Cancel(st.ID)
+	waitTerminal(t, m, st.ID)
+	file := filepath.Join(dir, st.ID+".ndjson")
+	if _, err := os.Stat(file); err != nil {
+		t.Fatalf("canceled job lost its resume file: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "k.ndjson")); !os.IsNotExist(err) {
-		t.Errorf("Forget left the file: %v", err)
+	if got := m.tableStats().rowJobs; got != 1 {
+		t.Fatalf("jobs holding rows = %d, want 1", got)
 	}
-	if s := c.Stats(); s.Jobs != 0 || s.DiskErrors != 0 {
-		t.Errorf("stats after Forget = %+v", s)
+
+	// A second job pushes the canceled one out of the table.
+	if _, _, err := m.Submit(testSpec(1), SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Job(st.ID); ok {
+		t.Fatal("canceled job survived pruning")
+	}
+	if _, err := os.Stat(file); !os.IsNotExist(err) {
+		t.Errorf("prune left the checkpoint file: %v", err)
+	}
+	if s := m.tableStats(); s.rowJobs > 1 {
+		t.Errorf("pruned job's rows still held: %+v", s)
 	}
 }
 
-// TestCheckpointGC: only stale files whose key has no in-memory state are
-// purged — a crash leftover nobody resubmitted goes, a live job's file and
-// a fresh leftover stay.
+// TestCheckpointGC: only stale files whose key is not live are purged — a
+// crash leftover nobody resubmitted goes, a live job's file and a fresh
+// leftover stay.
 func TestCheckpointGC(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCheckpoints(dir)
+	c := &checkpointDir{dir: t.TempDir()}
 	old := time.Now().Add(-2 * time.Hour)
+	live := func(key string) bool { return key == "live" }
 
-	// Live job with an old file: retained because the key is in memory.
-	c.Append("live", rec(0))
-	livePath := filepath.Join(dir, "live.ndjson")
+	// Live job with an old file: retained because the key is live.
+	writeRecs(c, "live", rec(0))
+	livePath := filepath.Join(c.dir, "live.ndjson")
 	if err := os.Chtimes(livePath, old, old); err != nil {
 		t.Fatal(err)
 	}
 	// Stale leftover from a dead process: purged.
-	stalePath := filepath.Join(dir, "stale.ndjson")
+	stalePath := filepath.Join(c.dir, "stale.ndjson")
 	if err := os.WriteFile(stalePath, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +237,12 @@ func TestCheckpointGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fresh leftover inside the TTL: retained.
-	freshPath := filepath.Join(dir, "fresh.ndjson")
+	freshPath := filepath.Join(c.dir, "fresh.ndjson")
 	if err := os.WriteFile(freshPath, []byte("{}\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A non-checkpoint file is never touched.
-	otherPath := filepath.Join(dir, "README.txt")
+	otherPath := filepath.Join(c.dir, "README.txt")
 	if err := os.WriteFile(otherPath, []byte("keep"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +250,7 @@ func TestCheckpointGC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n := c.GC(time.Hour); n != 1 {
+	if n := c.gc(time.Hour, live); n != 1 {
 		t.Fatalf("GC purged %d files, want 1", n)
 	}
 	for _, p := range []string{livePath, freshPath, otherPath} {
@@ -220,15 +261,15 @@ func TestCheckpointGC(t *testing.T) {
 	if _, err := os.Stat(stalePath); !os.IsNotExist(err) {
 		t.Errorf("stale file survived GC: %v", err)
 	}
-	if s := c.Stats(); s.PurgedFiles != 1 {
-		t.Errorf("PurgedFiles = %d, want 1", s.PurgedFiles)
+	if got := c.purged.Load(); got != 1 {
+		t.Errorf("purged = %d, want 1", got)
 	}
 
 	// Disabled paths: no dir, or no TTL.
-	if n := NewCheckpoints("").GC(time.Hour); n != 0 {
+	if n := (&checkpointDir{}).gc(time.Hour, live); n != 0 {
 		t.Errorf("dirless GC purged %d", n)
 	}
-	if n := c.GC(0); n != 0 {
+	if n := c.gc(0, live); n != 0 {
 		t.Errorf("ttl-0 GC purged %d", n)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,53 @@ func FuzzJobSpecKey(f *testing.F) {
 		}
 		if norm.TotalItems() != spec.Normalized().TotalItems() {
 			t.Fatal("TotalItems unstable across normalization")
+		}
+	})
+}
+
+// FuzzCheckpointReplay: checkpoint files are input from outside the
+// program (an earlier process, a damaged disk). Loading any bytes must not
+// panic and must keep the row contract — at most one record per index,
+// every kept record with an index >= 0 and a non-empty row, seqs dense
+// 1..k — and whatever it keeps, the append path writes back to a file that
+// reloads to the same records.
+func FuzzCheckpointReplay(f *testing.F) {
+	f.Add([]byte(`{"seq":1,"index":0,"label":"r=2","elapsed_ms":1.5,"row":{"r":2}}` + "\n" +
+		`{"seq":2,"index":1,"label":"r=4","elapsed_ms":2,"row":{"r":4}}` + "\n"))
+	f.Add([]byte(`{"seq":1,"index":3,"label":"n=500","elapsed_ms":0,"row":[1, 2 ,3]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c := &checkpointDir{dir: t.TempDir()}
+		if err := os.WriteFile(c.path("in"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var l pointLog
+		c.load("in", &l)
+		seen := make(map[int]bool)
+		for i, r := range l.records {
+			if r.Seq != i+1 {
+				t.Fatalf("record %d has seq %d", i, r.Seq)
+			}
+			if r.Index < 0 || len(r.Row) == 0 {
+				t.Fatalf("kept invalid record %+v", r)
+			}
+			if seen[r.Index] {
+				t.Fatalf("index %d kept twice", r.Index)
+			}
+			seen[r.Index] = true
+		}
+
+		writeRecs(c, "out", l.records...)
+		var back pointLog
+		c.load("out", &back)
+		if len(back.records) != len(l.records) {
+			t.Fatalf("rewrite kept %d of %d records", len(back.records), len(l.records))
+		}
+		for i := range l.records {
+			want, _ := json.Marshal(l.records[i])
+			got, _ := json.Marshal(back.records[i])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("record %d reloads as %s, want %s", i, got, want)
+			}
 		}
 	})
 }

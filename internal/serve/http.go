@@ -204,12 +204,13 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, code, SubmitResponse{ID: st.ID, Status: outcome, Job: st})
 }
 
-// handleTrace serves a job's lifecycle timeline. 404 covers three cases
-// with one answer: unknown job, trace evicted, tracing disabled.
+// handleTrace serves a job's lifecycle timeline. 404 covers the cases
+// with no timeline under one answer: unknown or pruned job, a submission
+// that was never admitted, tracing disabled.
 func handleTrace(m *Manager, w http.ResponseWriter, r *http.Request) {
 	tl, ok := m.JobTrace(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no trace for job (unknown, evicted, or tracing disabled)")
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no trace for job (unknown, pruned, never admitted, or tracing disabled)")
 		return
 	}
 	WriteJSON(w, http.StatusOK, tl)
@@ -228,8 +229,8 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 		// Still queued or running: point the client back at the status.
 		WriteJSON(w, http.StatusAccepted, st)
 	case payload == nil:
-		// Done but the payload was evicted from the cache: the content
-		// address still names it — resubmitting recomputes the same bytes.
+		// Done but the payload LRU dropped the payload: the content address
+		// still names it — resubmitting recomputes the same bytes.
 		WriteError(w, http.StatusGone, CodeGone, "result evicted from cache; resubmit the spec")
 	default:
 		w.Header().Set("Content-Type", "application/json")
@@ -245,8 +246,8 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 // a done job simply replays and finishes immediately.
 func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, known := m.Job(id)
-	if !known {
+	j := m.jobRecord(id)
+	if j == nil {
 		WriteError(w, http.StatusNotFound, CodeNotFound, "unknown job")
 		return
 	}
@@ -266,19 +267,9 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	if after > 0 {
 		// A cursor means the client is resuming a broken stream — worth a
 		// mark on the job's timeline.
-		m.emitJob(id, StageStreamReconnect, "", after, 0, "")
+		m.emitJob(j, id, StageStreamReconnect, "", after, 0, "")
 		m.log.Debug("stream reconnect",
 			"job", id, "after", after, "request_id", RequestID(r.Context()))
-	}
-
-	j := m.jobRecord(id)
-	var done <-chan struct{}
-	if j != nil && !st.State.Terminal() {
-		done = j.Done()
-	} else {
-		closed := make(chan struct{})
-		close(closed)
-		done = closed
 	}
 
 	// SSE framing is opt-in via Accept; NDJSON stays the default. Both carry
@@ -336,7 +327,7 @@ stream:
 		// Subscribe, replay what the cursor missed, then go live. A dropped
 		// (lagging) subscription closes its channel; we just resubscribe
 		// from the last seq we delivered — the replay fills the gap.
-		replay, ch, cancel := m.ckpt.Watch(id, last)
+		replay, ch, cancel := j.watch(last)
 		for _, rec := range replay {
 			rec := rec
 			if !emit(StreamEvent{Seq: rec.Seq, Event: "point", Point: &rec}) {
@@ -366,11 +357,11 @@ stream:
 					return
 				}
 				rc.Flush()
-			case <-done:
+			case <-j.Done():
 				cancel()
 				// Final sweep: points that completed between our last event
 				// and the job settling.
-				for _, rec := range m.ckpt.Since(id, last) {
+				for _, rec := range j.since(last) {
 					rec := rec
 					if !emit(StreamEvent{Seq: rec.Seq, Event: "point", Point: &rec}) {
 						return
@@ -384,7 +375,7 @@ stream:
 			}
 		}
 	}
-	final, _ := m.Job(id)
+	final := j.Status()
 	emit(StreamEvent{Seq: last, Event: "state", State: &final})
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,12 +56,15 @@ type Config struct {
 	// minimum 1). Bounding it per job keeps one big sweep from starving
 	// the pool; results are bit-identical at any budget.
 	JobWorkers int
-	// CacheCapacity bounds the result cache in entries (default 256;
-	// negative = unbounded).
+	// CacheCapacity bounds how many retained done jobs keep their result
+	// payload (default 256; negative = all of them). The least recently
+	// used payload is dropped first; its job then answers 410 on /result.
+	// Results therefore stay served for at most min(CacheCapacity, MaxJobs)
+	// jobs.
 	CacheCapacity int
-	// MaxJobs bounds retained job records; the oldest terminal records are
-	// pruned beyond it (default 1024). Pruned results remain served from
-	// the cache until evicted.
+	// MaxJobs bounds the job table; the oldest terminal jobs are pruned
+	// beyond it, together with their checkpoint rows, payload, and timeline
+	// (default 1024).
 	MaxJobs int
 	// CheckpointDir, when set, persists per-point checkpoints as NDJSON
 	// files under it, so a killed process resumes its half-finished sweeps
@@ -82,8 +86,6 @@ type Config struct {
 	// disables lifecycle tracing entirely — GET /jobs/{id}/trace answers
 	// 404 and the per-point path skips the store).
 	TraceEventsPerJob int
-	// TraceJobs bounds how many job timelines are retained (0 = 1024).
-	TraceJobs int
 	// CheckpointTTL, when positive and CheckpointDir is set, purges
 	// checkpoint NDJSON files left by earlier process lifetimes once they
 	// go unreferenced for this long — on startup and every
@@ -150,13 +152,16 @@ type SubmitOptions struct {
 	Client string
 }
 
-// Job is one submitted sweep: a spec, its content-addressed id, and the
-// execution state. All mutable fields are guarded by mu; done closes when
-// the job reaches a terminal state.
+// Job is one submitted sweep: a spec, its content-addressed id, the
+// execution state, and everything the manager keeps for it — checkpoint
+// rows and stream subscribers, the lifecycle timeline, and the assembled
+// payload. All of it lives in the manager's job table and leaves it
+// together. Mutable fields are guarded by mu unless noted; done closes
+// when the job reaches a terminal state.
 type Job struct {
-	// ID is the spec's content address — the cache key, the checkpoint key,
-	// and the stream identity. Identical specs share one job (the in-flight
-	// singleflight map).
+	// ID is the spec's content address — the job table key, the checkpoint
+	// file name, and the stream identity. Identical specs share one job
+	// while it is queued or running (singleflight).
 	ID   string
 	Spec JobSpec // normalized
 
@@ -178,6 +183,13 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+	rows      pointLog  // checkpoint rows, file handle, stream subscribers
+	trace     *jobTrace // lifecycle timeline; nil when tracing is disabled
+
+	// Guarded by the manager's mu: the result payload, held while the job
+	// is in the manager's payload LRU.
+	payload []byte
+	lru     *list.Element
 }
 
 // State returns the job's current lifecycle state.
@@ -203,7 +215,9 @@ func (j *Job) markRunning() bool {
 	return true
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once and closes its
+// checkpoint file handle (the file itself stays: on an incomplete job it
+// is the resume state for the next submission).
 func (j *Job) finish(state JobState, errMsg string) bool {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -213,10 +227,41 @@ func (j *Job) finish(state JobState, errMsg string) bool {
 	j.state = state
 	j.err = errMsg
 	j.finished = time.Now()
+	j.rows.closeFile()
 	j.mu.Unlock()
 	j.cancel() // release the context either way
 	close(j.done)
 	return true
+}
+
+// watch returns the replay of the job's records with Seq > after plus a
+// live channel of subsequent appends. cancel unsubscribes (idempotent). A
+// subscriber that falls more than the channel buffer behind is dropped —
+// its channel closes, and it should re-watch from the last seq it saw.
+func (j *Job) watch(after int) (replay []PointRecord, ch <-chan PointRecord, cancel func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.rows.subs == nil {
+		j.rows.subs = make(map[int]chan PointRecord)
+	}
+	sub := make(chan PointRecord, 256)
+	id := j.rows.nextSub
+	j.rows.nextSub++
+	j.rows.subs[id] = sub
+	return j.rows.since(after), sub, func() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.rows.subs[id] == sub {
+			delete(j.rows.subs, id)
+		}
+	}
+}
+
+// since returns the job's records with Seq > after, in completion order.
+func (j *Job) since(after int) []PointRecord {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.rows.since(after)
 }
 
 // JobStatus is the JSON view of a job served by GET /api/v1/jobs and
@@ -227,9 +272,6 @@ type JobStatus struct {
 	Sweep string   `json:"sweep"`
 	// Priority is the job's scheduling class.
 	Priority Priority `json:"priority,omitempty"`
-	// Cached marks a status synthesized for a cache hit with no live job
-	// record (the result predates this submission).
-	Cached bool `json:"cached,omitempty"`
 	// Deduplicated counts later submissions collapsed onto this execution.
 	Deduplicated int64  `json:"deduplicated,omitempty"`
 	Error        string `json:"error,omitempty"`
@@ -271,25 +313,26 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Manager owns the scheduler, the worker pool, the in-flight singleflight
-// map, the per-point checkpoint store, and the result cache. Construct with
-// NewManager, stop with Shutdown.
+// Manager owns the scheduler, the worker pool, and the job table: every
+// retained job by key, each holding its own checkpoint rows, timeline and
+// payload. Construct with NewManager, stop with Shutdown.
 type Manager struct {
-	cfg   Config
-	cache *Cache
-	ckpt  *Checkpoints
-	sched *schedQueue
-	log   *slog.Logger
-	trace *TraceStore // nil when lifecycle tracing is disabled
-	reg   *obs.Registry
-	slo   *sloHists
-	http  *httpHists
-	gcOff chan struct{} // closes to stop the checkpoint GC loop
+	cfg       Config
+	ckpt      *checkpointDir
+	sched     *schedQueue
+	log       *slog.Logger
+	traceHead int // per-job timeline head capacity; 0 = tracing disabled
+	traceTail int
+	reg       *obs.Registry
+	slo       *sloHists
+	http      *httpHists
+	gcOff     chan struct{} // closes to stop the checkpoint GC loop
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // every retained record, by id (= spec key)
-	inflight map[string]*Job // queued/running only — the singleflight map
-	order    []string        // submission order for GET /jobs
+	mu    sync.Mutex
+	jobs  map[string]*Job // the job table, by id (= spec key); a non-terminal entry is the singleflight entry
+	order []string        // submission order for GET /jobs
+	lru   list.List       // done jobs holding a payload, most recently used first
+	bytes int64           // payload bytes held
 
 	draining atomic.Bool
 
@@ -297,35 +340,36 @@ type Manager struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	executed *obs.Counter // sweeps actually run to completion or failure
-	deduped  *obs.Counter // submissions joined onto an in-flight job
-	rejected *obs.Counter // queue-full rejections
-	resumed  *obs.Counter // points restored from checkpoints
-	running  *obs.Gauge   // jobs currently executing
+	executed  *obs.Counter // sweeps actually run to completion or failure
+	deduped   *obs.Counter // submissions joined onto an in-flight job
+	rejected  *obs.Counter // queue-full rejections
+	resumed   *obs.Counter // points restored from checkpoints
+	running   *obs.Gauge   // jobs currently executing
+	hits      *obs.Counter // submissions answered from a held payload
+	misses    *obs.Counter // submissions that found no payload
+	evictions *obs.Counter // payloads dropped by the LRU bound
+	dropped   *obs.Counter // timeline events lost to tail overwrite (nil when tracing is disabled)
 }
 
 // NewManager starts cfg.Workers pool goroutines (plus, when configured, a
 // checkpoint-GC loop) and returns the manager.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	reg := obs.NewRegistry()
 	m := &Manager{
-		cfg:      cfg,
-		cache:    NewCache(cfg.CacheCapacity),
-		ckpt:     NewCheckpoints(cfg.CheckpointDir),
-		sched:    newSchedQueue(cfg.QueueDepth),
-		log:      cfg.Logger,
-		reg:      reg,
-		gcOff:    make(chan struct{}),
-		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*Job),
+		cfg:   cfg,
+		ckpt:  &checkpointDir{dir: cfg.CheckpointDir},
+		sched: newSchedQueue(cfg.QueueDepth),
+		log:   cfg.Logger,
+		reg:   obs.NewRegistry(),
+		gcOff: make(chan struct{}),
+		jobs:  make(map[string]*Job),
 	}
 	if cfg.TraceEventsPerJob >= 0 {
-		m.trace = NewTraceStore(cfg.TraceEventsPerJob, cfg.TraceJobs)
+		m.traceHead, m.traceTail = traceCaps(cfg.TraceEventsPerJob)
 	}
 	m.register()
 	if cfg.CheckpointTTL > 0 && cfg.CheckpointDir != "" {
-		if n := m.ckpt.GC(cfg.CheckpointTTL); n > 0 {
+		if n := m.gcCheckpoints(); n > 0 {
 			m.log.Info("checkpoint gc: purged stale files on startup",
 				"purged", n, "ttl", cfg.CheckpointTTL.String())
 		}
@@ -348,7 +392,7 @@ func (m *Manager) checkpointGCLoop() {
 		case <-m.gcOff:
 			return
 		case <-t.C:
-			if n := m.ckpt.GC(m.cfg.CheckpointTTL); n > 0 {
+			if n := m.gcCheckpoints(); n > 0 {
 				m.log.Info("checkpoint gc: purged stale files",
 					"purged", n, "ttl", m.cfg.CheckpointTTL.String())
 			}
@@ -356,35 +400,51 @@ func (m *Manager) checkpointGCLoop() {
 	}
 }
 
-// Trace exposes the lifecycle trace store (nil when tracing is disabled).
-func (m *Manager) Trace() *TraceStore { return m.trace }
-
-// JobTrace renders job id's lifecycle timeline; ok is false when the job is
-// untraced (unknown, pruned, or tracing disabled).
-func (m *Manager) JobTrace(id string) (TraceTimeline, bool) {
-	return m.trace.Timeline(id)
+// gcCheckpoints purges stale checkpoint files whose key has no job in the
+// table. It holds the table lock throughout, so a submission cannot load a
+// file the GC is about to remove.
+func (m *Manager) gcCheckpoints() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ckpt.gc(m.cfg.CheckpointTTL, func(key string) bool {
+		_, ok := m.jobs[key]
+		return ok
+	})
 }
 
-// emitJob records one lifecycle transition: into the bounded trace store,
-// mirrored to the configured Tracer as an obs.KindJob event (so /events
-// interleaves serve activity with sim activity), both skipped when
-// disabled. Count carries k, Rounds carries n.
-func (m *Manager) emitJob(id, stage string, class Priority, k, n int, detail string) {
-	m.trace.Append(id, TraceEvent{Stage: stage, Class: class, K: k, N: n, Detail: detail})
+// JobTrace renders job id's lifecycle timeline; ok is false when the job is
+// untraced (unknown, pruned, never admitted, or tracing disabled).
+func (m *Manager) JobTrace(id string) (TraceTimeline, bool) {
+	j := m.jobRecord(id)
+	if j == nil || j.trace == nil {
+		return TraceTimeline{}, false
+	}
+	j.mu.Lock()
+	evs, dropped := j.trace.events()
+	j.mu.Unlock()
+	return renderTimeline(id, evs, dropped), true
+}
+
+// emitJob records one lifecycle transition of job key: onto j's timeline
+// (skipped when j is nil — a submission that was never admitted — or
+// tracing is disabled) and mirrored to the configured Tracer as an
+// obs.KindJob event, so /events interleaves serve activity with sim
+// activity. Count carries k, Rounds carries n.
+func (m *Manager) emitJob(j *Job, key, stage string, class Priority, k, n int, detail string) {
+	if j != nil && j.trace != nil {
+		j.mu.Lock()
+		if j.trace.append(TraceEvent{Stage: stage, Class: class, K: k, N: n, Detail: detail}) {
+			m.dropped.Add(1)
+		}
+		j.mu.Unlock()
+	}
 	if t := m.cfg.Tracer; t != nil {
 		t.Trace(obs.Event{
 			Kind: obs.KindJob, Protocol: obs.ProtoServe, Phase: stage,
-			Job: id, Count: k, Rounds: n,
+			Job: key, Count: k, Rounds: n,
 		})
 	}
 }
-
-// Cache exposes the result cache (for /metrics wiring and tests).
-func (m *Manager) Cache() *Cache { return m.cache }
-
-// Checkpoints exposes the per-point checkpoint store (stream handler,
-// tests).
-func (m *Manager) Checkpoints() *Checkpoints { return m.ckpt }
 
 // Accepting reports whether new submissions are admitted — the /readyz
 // source; it flips false at the start of a graceful drain.
@@ -403,14 +463,15 @@ const (
 	OutcomeRunning SubmitOutcome = "running"
 )
 
-// Submit normalizes and validates the spec, then either serves it from the
-// cache (OutcomeCached), joins it onto an in-flight duplicate
-// (OutcomeQueued/OutcomeRunning, singleflight), or enqueues a new job under
-// opts' priority class and client. A job whose spec matches an interrupted
-// earlier run restores that run's checkpoint: the completed points are
-// skipped (exactly once per point) and the status reports them as
-// ResumedPoints. Errors: validation errors, ErrQueueFull (backpressure),
-// ErrDraining (shutdown).
+// Submit normalizes and validates the spec, then either serves it from a
+// done job's held payload (OutcomeCached), joins it onto an in-flight
+// duplicate (OutcomeQueued/OutcomeRunning, singleflight), or enqueues a
+// new job under opts' priority class and client. A job whose spec matches
+// an interrupted earlier run restores that run's checkpoint rows (from the
+// previous job record, else from the checkpoint file): the completed
+// points are skipped (exactly once per point) and the status reports them
+// as ResumedPoints. A rejected submission leaves no state behind. Errors:
+// validation errors, ErrQueueFull (backpressure), ErrDraining (shutdown).
 func (m *Manager) Submit(spec JobSpec, opts SubmitOptions) (JobStatus, SubmitOutcome, error) {
 	norm := spec.Normalized()
 	if err := norm.Validate(); err != nil {
@@ -430,122 +491,152 @@ func (m *Manager) Submit(spec JobSpec, opts SubmitOptions) (JobStatus, SubmitOut
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	prev := m.jobs[key]
 
 	// Content-addressed fast path: the result already exists, byte-exact.
 	// No lifecycle transition happens, so nothing lands in the trace.
-	if _, ok := m.cache.Get(key); ok {
+	if prev != nil && prev.payload != nil {
+		m.hits.Add(1)
+		m.lru.MoveToFront(prev.lru)
 		m.log.Debug("submit served from cache", "job", key, "sweep", norm.Sweep)
-		if j, ok := m.jobs[key]; ok {
-			return j.Status(), OutcomeCached, nil
-		}
-		return JobStatus{ID: key, State: StateDone, Sweep: norm.Sweep, Cached: true}, OutcomeCached, nil
+		return prev.Status(), OutcomeCached, nil
 	}
+	m.misses.Add(1)
 
-	// Singleflight: a queued or running duplicate absorbs this submission.
-	// A terminal job still lingering in the map (finish → settle is not
-	// atomic with our lock) must not absorb it — its run is already over.
-	if j, ok := m.inflight[key]; ok && !j.State().Terminal() {
+	// Singleflight: a queued or running job for the key absorbs this
+	// submission.
+	if prev != nil && !prev.State().Terminal() {
 		m.deduped.Add(1)
-		j.mu.Lock()
-		j.dedup++
-		dedup := j.dedup
-		state := j.state
-		j.mu.Unlock()
-		m.emitJob(key, StageReceived, "", 0, 0, "")
-		m.emitJob(key, StageDeduplicated, "", int(dedup), 0, "")
+		prev.mu.Lock()
+		prev.dedup++
+		dedup := prev.dedup
+		state := prev.state
+		prev.mu.Unlock()
+		m.emitJob(prev, key, StageReceived, "", 0, 0, "")
+		m.emitJob(prev, key, StageDeduplicated, "", int(dedup), 0, "")
 		m.log.Debug("submit deduplicated onto in-flight job",
 			"job", key, "duplicates", dedup, "state", string(state))
 		out := OutcomeQueued
 		if state == StateRunning {
 			out = OutcomeRunning
 		}
-		return j.Status(), out, nil
+		return prev.Status(), out, nil
 	}
 
 	if m.draining.Load() {
-		m.emitJob(key, StageReceived, "", 0, 0, "")
-		m.emitJob(key, StageRejected, "", 0, 0, CodeDraining)
+		m.emitJob(nil, key, StageReceived, "", 0, 0, "")
+		m.emitJob(nil, key, StageRejected, "", 0, 0, CodeDraining)
 		m.log.Warn("submit rejected: draining", "job", key)
 		return JobStatus{}, "", ErrDraining
 	}
 
 	points := norm.PointCount()
-	skip, resumed := m.ckpt.Restore(key, points)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
 		ID: key, Spec: norm, workers: workers,
-		priority: opts.Priority.normalize(),
-		client:   opts.Client,
-		points:   points,
-		skip:     skip, resumed: resumed,
-		tracker: experiment.NewTracker(),
-		ctx:     ctx, cancel: cancel,
+		priority:  opts.Priority.normalize(),
+		client:    opts.Client,
+		points:    points,
+		tracker:   experiment.NewTracker(),
+		ctx:       ctx,
+		cancel:    cancel,
 		done:      make(chan struct{}),
 		state:     StateQueued,
 		submitted: time.Now(),
 	}
+	if m.traceHead > 0 {
+		j.trace = newJobTrace(m.traceHead, m.traceTail)
+	}
+	if prev != nil {
+		prev.mu.Lock()
+		j.rows.inherit(&prev.rows)
+		prev.mu.Unlock()
+	} else {
+		m.ckpt.load(key, &j.rows)
+	}
+	j.skip, j.resumed = j.rows.restore(points)
 	// The tracker denominator counts only the work actually ahead: resumed
 	// points contribute no items.
 	total := norm.TotalItems()
 	if points > 0 {
-		total -= resumed * (total / points)
+		total -= j.resumed * (total / points)
 	}
 	j.tracker.SetTotal(total)
 
-	m.emitJob(key, StageReceived, j.priority, 0, points, "")
+	m.emitJob(j, key, StageReceived, j.priority, 0, points, "")
 	if err := m.sched.Push(j); err != nil {
 		cancel()
 		if errors.Is(err, ErrQueueFull) {
 			m.rejected.Add(1)
-			m.emitJob(key, StageRejected, j.priority, 0, 0, CodeQueueFull)
+			m.emitJob(nil, key, StageRejected, j.priority, 0, 0, CodeQueueFull)
 			m.log.Warn("submit rejected: queue full",
 				"job", key, "class", string(j.priority), "client", j.client,
 				"queue_depth", m.cfg.QueueDepth)
 		}
 		return JobStatus{}, "", err
 	}
-	if resumed > 0 {
-		m.emitJob(key, StageCheckpointRestored, j.priority, resumed, points, "")
+	if j.resumed > 0 {
+		m.emitJob(j, key, StageCheckpointRestored, j.priority, j.resumed, points, "")
 	}
-	m.emitJob(key, StageAdmitted, j.priority, 0, points, "")
+	m.emitJob(j, key, StageAdmitted, j.priority, 0, points, "")
 	m.log.Info("job admitted",
 		"job", key, "sweep", norm.Sweep, "class", string(j.priority),
-		"client", j.client, "points", points, "resumed_points", resumed)
-	m.resumed.Add(int64(resumed))
-	if _, known := m.jobs[key]; !known {
+		"client", j.client, "points", points, "resumed_points", j.resumed)
+	m.resumed.Add(int64(j.resumed))
+	if prev == nil {
 		m.order = append(m.order, key)
 	}
+	// A terminal predecessor is replaced in place: it holds no payload
+	// (else this was a hit) and no open file, and its rows now live on j.
 	m.jobs[key] = j
-	m.inflight[key] = j
 	m.pruneLocked()
 	return j.Status(), OutcomeQueued, nil
 }
 
-// pruneLocked drops the oldest terminal job records beyond MaxJobs, along
-// with their checkpoints. Their results stay available through the cache
-// until LRU eviction.
+// pruneLocked drops the oldest terminal jobs beyond MaxJobs. It is the one
+// place jobs leave the table, and a job leaves with everything it holds:
+// record, checkpoint rows and file, payload, and timeline. A pruned job
+// answers 404 on every endpoint.
 func (m *Manager) pruneLocked() {
-	if len(m.jobs) <= m.cfg.MaxJobs {
+	excess := len(m.jobs) - m.cfg.MaxJobs
+	if excess <= 0 {
 		return
 	}
 	kept := m.order[:0]
-	excess := len(m.jobs) - m.cfg.MaxJobs
 	for _, id := range m.order {
-		j, ok := m.jobs[id]
-		if !ok {
-			continue
-		}
-		if excess > 0 && j.State().Terminal() {
+		if j := m.jobs[id]; excess > 0 && j.State().Terminal() {
 			delete(m.jobs, id)
-			m.ckpt.Forget(id)
-			m.trace.Forget(id)
+			m.dropPayloadLocked(j)
+			m.ckpt.remove(id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
 	m.order = kept
+}
+
+// keepPayloadLocked stores a done job's payload at the front of the LRU,
+// dropping the least recently used payloads beyond CacheCapacity.
+func (m *Manager) keepPayloadLocked(j *Job, payload []byte) {
+	j.payload = payload
+	j.lru = m.lru.PushFront(j)
+	m.bytes += int64(len(payload))
+	for m.cfg.CacheCapacity > 0 && m.lru.Len() > m.cfg.CacheCapacity {
+		m.dropPayloadLocked(m.lru.Back().Value.(*Job))
+		m.evictions.Add(1)
+	}
+}
+
+// dropPayloadLocked releases j's payload; its job, if still retained,
+// answers 410 on /result.
+func (m *Manager) dropPayloadLocked(j *Job) {
+	if j.lru == nil {
+		return
+	}
+	m.lru.Remove(j.lru)
+	m.bytes -= int64(len(j.payload))
+	j.payload, j.lru = nil, nil
 }
 
 // worker is one pool goroutine: it pops jobs until the scheduler closes.
@@ -568,16 +659,12 @@ func (m *Manager) runJob(j *Job) {
 	queueWait := time.Since(j.submitted)
 	if j.ctx.Err() != nil || !j.markRunning() {
 		// Canceled while queued (DELETE or drain): settle and move on.
-		if j.finish(StateCanceled, "canceled before execution") {
-			m.finishJobObs(j, StateCanceled, "canceled before execution")
-		}
-		m.ckpt.Release(j.ID)
-		m.settle(j)
+		m.end(j, StateCanceled, "canceled before execution")
 		return
 	}
 	m.slo.observeQueueWait(j.priority, queueWait)
-	m.emitJob(j.ID, StageScheduled, j.priority, int(ms(queueWait)), 0, "")
-	m.emitJob(j.ID, StageRunning, j.priority, 0, 0, "")
+	m.emitJob(j, j.ID, StageScheduled, j.priority, int(ms(queueWait)), 0, "")
+	m.emitJob(j, j.ID, StageRunning, j.priority, 0, 0, "")
 	m.log.Info("job running",
 		"job", j.ID, "class", string(j.priority), "queue_wait_ms", ms(queueWait),
 		"workers", j.workers)
@@ -601,43 +688,48 @@ func (m *Manager) runJob(j *Job) {
 	case j.ctx.Err() != nil:
 		// The checkpoint keeps everything completed so far; the next
 		// submission of this spec resumes from it.
-		m.ckpt.Release(j.ID)
-		msg := fmt.Sprintf("canceled: %v", err)
-		if j.finish(StateCanceled, msg) {
-			m.finishJobObs(j, StateCanceled, msg)
-		}
+		m.end(j, StateCanceled, fmt.Sprintf("canceled: %v", err))
 	default:
-		m.ckpt.Release(j.ID)
-		if j.finish(StateFailed, err.Error()) {
-			m.finishJobObs(j, StateFailed, err.Error())
-		}
+		m.end(j, StateFailed, err.Error())
 	}
-	m.settle(j)
+}
+
+// end moves j to a terminal state and, if this call did it, records the
+// transition.
+func (m *Manager) end(j *Job, state JobState, detail string) {
+	if j.finish(state, detail) {
+		m.finishJobObs(j, state, detail)
+	}
 }
 
 // pointCompleted is the per-point hot path: checkpoint the record, observe
 // its compute time, and — only when the respective sink is enabled — trace
 // and log the completion. With tracing disabled and logging at the default
-// Info level this adds zero allocations over the checkpoint append itself
+// Info level this adds zero allocations over the row append itself
 // (pinned by BenchmarkServePointDoneDisabled).
 func (m *Manager) pointCompleted(j *Job, rec PointRecord) {
-	seq, stored := m.ckpt.Append(j.ID, rec)
+	j.mu.Lock()
+	rec, stored := j.rows.add(rec)
+	if stored {
+		m.ckpt.append(j.ID, &j.rows.file, rec)
+		if j.trace != nil && j.trace.append(TraceEvent{Stage: StagePointCompleted, K: rec.Seq, N: j.points}) {
+			m.dropped.Add(1)
+		}
+	}
+	j.mu.Unlock()
 	if !stored {
 		return
 	}
 	m.slo.point.Observe(int64(rec.ElapsedMS))
-	if m.trace != nil {
-		m.trace.Append(j.ID, TraceEvent{Stage: StagePointCompleted, K: seq, N: j.points})
-	}
 	if t := m.cfg.Tracer; t != nil {
 		t.Trace(obs.Event{
 			Kind: obs.KindJob, Protocol: obs.ProtoServe, Phase: StagePointCompleted,
-			Job: j.ID, Count: seq, Rounds: j.points,
+			Job: j.ID, Count: rec.Seq, Rounds: j.points,
 		})
 	}
 	if m.log.Enabled(context.Background(), slog.LevelDebug) {
 		m.log.LogAttrs(context.Background(), slog.LevelDebug, "point completed",
-			slog.String("job", j.ID), slog.Int("seq", seq), slog.Int("points", j.points),
+			slog.String("job", j.ID), slog.Int("seq", rec.Seq), slog.Int("points", j.points),
 			slog.String("label", rec.Label), slog.Float64("elapsed_ms", rec.ElapsedMS))
 	}
 }
@@ -669,7 +761,7 @@ func (m *Manager) finishJobObs(j *Job, state JobState, detail string) {
 			stage = StageDrained
 		}
 	}
-	m.emitJob(j.ID, stage, j.priority, int(ms(e2e)), 0, detail)
+	m.emitJob(j, j.ID, stage, j.priority, int(ms(e2e)), 0, detail)
 	level := slog.LevelInfo
 	if state == StateFailed {
 		level = slog.LevelError
@@ -680,58 +772,44 @@ func (m *Manager) finishJobObs(j *Job, state JobState, detail string) {
 		slog.String("detail", detail))
 }
 
-// completeJob assembles and caches the final payload from the job's
-// complete checkpoint row set, then retires the checkpoint file.
+// completeJob assembles the final payload from the job's complete
+// checkpoint row set, retires the checkpoint file, and stores the payload
+// on the job in the same step that marks it done.
 func (m *Manager) completeJob(j *Job) {
-	rows, ok := m.ckpt.Rows(j.ID, j.Spec.PointCount())
+	j.mu.Lock()
+	rows, ok := j.rows.rows(j.points)
+	j.rows.closeFile()
+	j.mu.Unlock()
 	if !ok {
-		m.ckpt.Release(j.ID)
-		const msg = "sweep finished with missing points in checkpoint"
-		if j.finish(StateFailed, msg) {
-			m.finishJobObs(j, StateFailed, msg)
-		}
+		m.end(j, StateFailed, "sweep finished with missing points in checkpoint")
 		return
 	}
 	payload, err := assemblePayload(j.ID, j.Spec, rows)
 	if err != nil {
-		m.ckpt.Release(j.ID)
-		if j.finish(StateFailed, err.Error()) {
-			m.finishJobObs(j, StateFailed, err.Error())
-		}
+		m.end(j, StateFailed, err.Error())
 		return
 	}
-	m.cache.Put(j.ID, payload)
-	m.ckpt.Finish(j.ID)
-	if j.finish(StateDone, "") {
+	m.ckpt.remove(j.ID)
+	m.mu.Lock()
+	m.keepPayloadLocked(j, payload)
+	done := j.finish(StateDone, "")
+	m.mu.Unlock()
+	if done {
 		m.finishJobObs(j, StateDone, "")
 	}
 }
 
-// settle removes a terminal job from the singleflight map.
-func (m *Manager) settle(j *Job) {
-	m.mu.Lock()
-	if m.inflight[j.ID] == j {
-		delete(m.inflight, j.ID)
-	}
-	m.mu.Unlock()
-}
-
-// Job returns the record for id. When the record was pruned but the result
-// is still cached, a synthetic done status is returned.
+// Job returns the status of job id; ok is false when it is unknown or was
+// pruned.
 func (m *Manager) Job(id string) (JobStatus, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if ok {
-		return j.Status(), true
+	j := m.jobRecord(id)
+	if j == nil {
+		return JobStatus{}, false
 	}
-	if _, ok := m.cache.Peek(id); ok {
-		return JobStatus{ID: id, State: StateDone, Cached: true}, true
-	}
-	return JobStatus{}, false
+	return j.Status(), true
 }
 
-// jobRecord returns the live record for id (nil when pruned or unknown).
+// jobRecord returns the table entry for id (nil when pruned or unknown).
 func (m *Manager) jobRecord(id string) *Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -741,12 +819,9 @@ func (m *Manager) jobRecord(id string) *Job {
 // Jobs lists every retained job record in submission order.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := m.jobs[id]; ok {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*Job, len(m.order))
+	for i, id := range m.order {
+		jobs[i] = m.jobs[id]
 	}
 	m.mu.Unlock()
 	out := make([]JobStatus, len(jobs))
@@ -757,17 +832,22 @@ func (m *Manager) Jobs() []JobStatus {
 }
 
 // Result returns the rendered payload for id. ok is false when the job is
-// unknown; a known-but-unfinished or evicted-result job returns ok true
-// with a nil payload and its current status.
+// unknown; an unfinished job, or a done job whose payload the LRU dropped,
+// returns ok true with a nil payload and its current status.
 func (m *Manager) Result(id string) ([]byte, JobStatus, bool) {
-	st, ok := m.Job(id)
-	if !ok {
+	j := m.jobRecord(id)
+	if j == nil {
 		return nil, JobStatus{}, false
 	}
+	// Status first: the payload is stored in the same step that marks the
+	// job done, so a done status read here sees it unless it was dropped.
+	st := j.Status()
 	if st.State != StateDone {
 		return nil, st, true
 	}
-	payload, _ := m.cache.Peek(id)
+	m.mu.Lock()
+	payload := j.payload
+	m.mu.Unlock()
 	return payload, st, true
 }
 
@@ -776,18 +856,12 @@ func (m *Manager) Result(id string) ([]byte, JobStatus, bool) {
 // sweep unwinds. Terminal jobs are left untouched. The job's checkpoint
 // survives — resubmitting the spec resumes from it.
 func (m *Manager) Cancel(id string) (JobStatus, bool) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
+	j := m.jobRecord(id)
+	if j == nil {
 		return JobStatus{}, false
 	}
 	if j.State() == StateQueued {
-		if j.finish(StateCanceled, "canceled by request") {
-			m.finishJobObs(j, StateCanceled, "canceled by request")
-			m.ckpt.Release(id)
-			m.settle(j)
-		}
+		m.end(j, StateCanceled, "canceled by request")
 		return j.Status(), true
 	}
 	m.log.Info("job cancel requested", "job", id, "state", string(j.State()))
@@ -811,11 +885,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		// Reject everything still waiting for a worker. The records stay
 		// (clients polling GET /jobs/{id} see "canceled"), the scheduler
 		// entries are skipped by the workers.
-		for _, j := range m.inflight {
+		for _, j := range m.jobs {
 			if j.State() == StateQueued {
-				if j.finish(StateCanceled, "rejected: server shutting down") {
-					m.finishJobObs(j, StateCanceled, "rejected: server shutting down")
-				}
+				m.end(j, StateCanceled, "rejected: server shutting down")
 			}
 		}
 		m.sched.Close()
@@ -831,22 +903,13 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		case <-ctx.Done():
 			// Timeout: cancel in-flight jobs and wait for the unwind.
 			m.mu.Lock()
-			for _, j := range m.inflight {
+			for _, j := range m.jobs {
 				j.cancel()
 			}
 			m.mu.Unlock()
 			<-drained
 			m.closeErr = ctx.Err()
 		}
-		// Settle singleflight bookkeeping for skipped queue entries.
-		m.mu.Lock()
-		for id, j := range m.inflight {
-			if j.State().Terminal() {
-				m.ckpt.Release(id)
-				delete(m.inflight, id)
-			}
-		}
-		m.mu.Unlock()
 		m.log.Info("drain finished", "forced", m.closeErr != nil)
 	})
 	return m.closeErr
@@ -881,6 +944,33 @@ func (m *Manager) Stats() ManagerStats {
 	}
 }
 
+// tableStats counts what the job table holds, for the gauges on /metrics.
+type tableStats struct {
+	rowJobs, rows  int // jobs holding checkpoint rows; rows held
+	traced, events int // jobs with a timeline; events retained
+	payloads       int // done jobs holding a payload
+	payloadBytes   int64
+}
+
+func (m *Manager) tableStats() tableStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := tableStats{payloads: m.lru.Len(), payloadBytes: m.bytes}
+	for _, j := range m.jobs {
+		j.mu.Lock()
+		if n := len(j.rows.records); n > 0 {
+			s.rowJobs++
+			s.rows += n
+		}
+		if j.trace != nil {
+			s.traced++
+			s.events += j.trace.retained()
+		}
+		j.mu.Unlock()
+	}
+	return s
+}
+
 // Registry returns the manager's metric registry — every serve-layer
 // family, and the source the time-series sampler reads.
 func (m *Manager) Registry() *obs.Registry { return m.reg }
@@ -889,7 +979,16 @@ func (m *Manager) Registry() *obs.Registry { return m.reg }
 // state-derived families.
 func (m *Manager) register() {
 	reg := m.reg
-	m.cache.register(reg)
+	stat := func(fn func(s tableStats) float64) func() float64 {
+		return func() float64 { return fn(m.tableStats()) }
+	}
+	m.hits = reg.Counter("netags_serve_cache_hits_total", "Result cache hits (submission deduplicated without execution).")
+	m.misses = reg.Counter("netags_serve_cache_misses_total", "Result cache misses (submission needed queueing or execution).")
+	m.evictions = reg.Counter("netags_serve_cache_evictions_total", "Result payloads dropped by the CacheCapacity LRU bound.")
+	reg.GaugeFunc("netags_serve_cache_entries", "Done jobs holding their result payload.",
+		stat(func(s tableStats) float64 { return float64(s.payloads) }))
+	reg.GaugeFunc("netags_serve_cache_bytes", "Result payload bytes held.",
+		stat(func(s tableStats) float64 { return float64(s.payloadBytes) }))
 	m.executed = reg.Counter("netags_serve_jobs_executed_total", "Sweeps actually executed (cache misses that ran).")
 	m.deduped = reg.Counter("netags_serve_jobs_deduplicated_total", "Submissions collapsed onto an in-flight duplicate (singleflight).")
 	m.rejected = reg.Counter("netags_serve_jobs_rejected_total", "Submissions rejected by queue backpressure.")
@@ -901,14 +1000,14 @@ func (m *Manager) register() {
 		func() float64 { return float64(m.sched.Len()) / float64(m.cfg.QueueDepth) })
 	reg.GaugeFunc("netags_serve_jobs_retained", "Job records retained.",
 		func() float64 { return float64(m.Stats().Jobs) })
-	reg.GaugeFunc("netags_serve_checkpoint_jobs", "Jobs with checkpoint state retained.",
-		func() float64 { return float64(m.ckpt.Stats().Jobs) })
+	reg.GaugeFunc("netags_serve_checkpoint_jobs", "Retained jobs holding checkpoint rows.",
+		stat(func(s tableStats) float64 { return float64(s.rowJobs) }))
 	reg.GaugeFunc("netags_serve_checkpoint_points", "Sweep points currently checkpointed.",
-		func() float64 { return float64(m.ckpt.Stats().Points) })
+		stat(func(s tableStats) float64 { return float64(s.rows) }))
 	reg.CounterFunc("netags_serve_checkpoint_disk_errors_total", "Checkpoint disk writes that failed (degraded to memory-only).",
-		func() int64 { return m.ckpt.Stats().DiskErrors })
+		m.ckpt.diskErrors.Load)
 	reg.CounterFunc("netags_serve_checkpoint_purged_total", "Stale checkpoint files removed by the TTL garbage collector.",
-		func() int64 { return m.ckpt.Stats().PurgedFiles })
+		m.ckpt.purged.Load)
 	// Per-class queue depth: both classes always present so dashboards can
 	// plot a flat zero instead of a gap.
 	reg.VecFunc("netags_serve_queue_class_len", "Jobs waiting for a worker, per priority class.", "gauge",
@@ -934,13 +1033,12 @@ func (m *Manager) register() {
 			}
 		})
 	reg.ExposeOnly(clientLen)
-	if m.trace != nil {
-		reg.GaugeFunc("netags_serve_trace_jobs", "Job lifecycle timelines retained in the trace store.",
-			func() float64 { jobs, _ := m.trace.Stats(); return float64(jobs) })
+	if m.traceHead > 0 {
+		reg.GaugeFunc("netags_serve_trace_jobs", "Retained jobs with a lifecycle timeline.",
+			stat(func(s tableStats) float64 { return float64(s.traced) }))
 		reg.GaugeFunc("netags_serve_trace_events", "Lifecycle trace events retained across all timelines.",
-			func() float64 { _, events := m.trace.Stats(); return float64(events) })
-		reg.CounterFunc("netags_serve_trace_dropped_total", "Lifecycle trace events lost to per-job tail overwrite or timeline eviction.",
-			m.trace.Dropped)
+			stat(func(s tableStats) float64 { return float64(s.events) }))
+		m.dropped = reg.Counter("netags_serve_trace_dropped_total", "Lifecycle trace events lost to per-job tail overwrite.")
 	}
 	m.slo = newSLOHists(reg)
 	m.http = newHTTPHists(reg)
@@ -950,9 +1048,9 @@ func (m *Manager) register() {
 // /progress source when the serve layer is mounted.
 func (m *Manager) ProgressJSON() ([]byte, error) {
 	m.mu.Lock()
-	live := make([]*Job, 0, len(m.inflight))
+	var live []*Job
 	for _, id := range m.order {
-		if j, ok := m.inflight[id]; ok {
+		if j := m.jobs[id]; !j.State().Terminal() {
 			live = append(live, j)
 		}
 	}

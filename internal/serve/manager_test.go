@@ -413,30 +413,26 @@ func TestManagerShutdownIdempotentConcurrent(t *testing.T) {
 	}
 }
 
-// TestManagerPrune: terminal records beyond MaxJobs are pruned; their
-// results stay served from the cache as synthetic statuses.
+// TestManagerPrune: terminal records beyond MaxJobs are pruned, and a
+// pruned job is gone everywhere — its status and its result alike.
 func TestManagerPrune(t *testing.T) {
 	m := NewManager(Config{Workers: 1, MaxJobs: 2, run: stubRun(nil, nil)})
 	defer m.Shutdown(context.Background())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		st, _, err := m.Submit(testSpec(i), SubmitOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitTerminal(t, m, st.ID)
-		ids = append(ids, st.ID)
+		ids = append(ids, runDone(t, m, i))
 	}
 	if got := len(m.Jobs()); got > 2 {
 		t.Errorf("retained %d records, want <= 2", got)
 	}
-	// The pruned job's result is still addressable.
-	st, ok := m.Job(ids[0])
-	if !ok || st.State != StateDone || !st.Cached {
-		t.Errorf("pruned job status = %+v, %v", st, ok)
+	if st, ok := m.Job(ids[0]); ok {
+		t.Errorf("pruned job status = %+v", st)
 	}
-	if payload, _, ok := m.Result(ids[0]); !ok || payload == nil {
-		t.Error("pruned job result gone")
+	if payload, _, ok := m.Result(ids[0]); ok || payload != nil {
+		t.Error("pruned job result still served")
+	}
+	if s := m.tableStats(); s.payloads != 2 {
+		t.Errorf("payloads held = %d, want 2 (only retained jobs)", s.payloads)
 	}
 }
 

@@ -1,27 +1,27 @@
-// Job lifecycle tracing. Every job carries a timestamped timeline of its
-// state transitions — received → admitted(class)/deduplicated/rejected →
+// Job lifecycle tracing. Every admitted job carries a timestamped timeline
+// of its state transitions — received → admitted(class)/deduplicated →
 // scheduled → running → point_completed k/N (with checkpoint_restored when
-// a resume skipped work) → completed/failed/canceled/drained — in a bounded
-// in-memory TraceStore keyed by job key. GET /api/v1/jobs/{id}/trace
-// renders the timeline with per-stage durations, which is what turns "this
-// job was slow" into "this job waited 40 s in the bulk queue behind three
-// other clients, then ran in 2 s".
+// a resume skipped work) → completed/failed/canceled/drained — on its own
+// *Job, so the timeline leaves the manager's table with the job.
+// GET /api/v1/jobs/{id}/trace renders it with per-stage durations, which
+// is what turns "this job was slow" into "this job waited 40 s in the bulk
+// queue behind three other clients, then ran in 2 s". A submission that is
+// never admitted (rejected) gets no timeline: its received/rejected events
+// reach only the Tracer (/events) and the log.
 //
-// Bounds: the store keeps at most maxJobs job timelines (oldest evicted
-// first) and at most headCap+tailCap events per job. A long sweep keeps its
+// Bounds: at most headCap+tailCap events per job. A long sweep keeps its
 // first headCap events (the lifecycle head: received, admitted, restored,
 // scheduled, running — the part that explains scheduling) verbatim and the
 // most recent tailCap events in a ring, with an explicit dropped count in
 // between, so memory stays constant no matter how many points a job has.
 //
-// The per-point append path is allocation-free once a job's trace exists:
-// events are flat values written into preallocated buffers, stage names are
-// package constants, and the k/N detail is stored as integers and only
-// formatted at render time.
+// The per-point append path is allocation-free once a job's tail ring
+// exists: events are flat values written into preallocated buffers, stage
+// names are package constants, and the k/N detail is stored as integers
+// and only formatted at render time.
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"netags/internal/obs"
@@ -66,155 +66,62 @@ type TraceEvent struct {
 	Detail string
 }
 
-// Default trace store bounds; see Config.TraceEventsPerJob / TraceJobs.
+// Default per-job timeline bounds; see Config.TraceEventsPerJob.
 const (
-	defaultTraceHead = 32   // verbatim head events per job
-	defaultTraceTail = 224  // ring of most recent events per job
-	defaultTraceJobs = 1024 // job timelines retained
+	defaultTraceHead = 32  // verbatim head events per job
+	defaultTraceTail = 224 // ring of most recent events per job
 )
 
-// jobTrace is one job's bounded timeline: the first len(head) events
-// verbatim plus a ring of the most recent tail events.
+// traceCaps splits a per-job event budget into head and tail capacities
+// (0 = the defaults).
+func traceCaps(eventsPerJob int) (head, tail int) {
+	if eventsPerJob <= 0 {
+		return defaultTraceHead, defaultTraceTail
+	}
+	head = max(eventsPerJob/8, 1)
+	return head, max(eventsPerJob-head, 1)
+}
+
+// jobTrace is one job's bounded timeline: the first cap(head) events
+// verbatim plus a ring of the most recent tailCap events. The owning Job's
+// mutex guards it.
 type jobTrace struct {
-	head  []TraceEvent               // first events, up to cap(head)
-	tail  obs.RingBuffer[TraceEvent] // later events; allocated when head fills
-	total int                        // events ever appended (Seq of the last one)
-}
-
-// retained is how many of the job's events the store still holds.
-func (j *jobTrace) retained() int { return len(j.head) + j.tail.Len() }
-
-// TraceStore is the bounded lifecycle trace store, keyed by job key.
-// Construct with NewTraceStore; a nil *TraceStore is valid and disables
-// tracing (every method no-ops), preserving the zero-cost path.
-type TraceStore struct {
-	headCap int
+	head    []TraceEvent               // first events, up to cap(head)
+	tail    obs.RingBuffer[TraceEvent] // later events; allocated when head fills
 	tailCap int
-	maxJobs int
-
-	mu      sync.Mutex
-	jobs    map[string]*jobTrace
-	order   []string // insertion order, for eviction
-	dropped int64    // monotonic: events lost to tail overwrite or timeline eviction
+	total   int // events ever appended (Seq of the last one)
 }
 
-// NewTraceStore returns a store keeping at most eventsPerJob events per job
-// (0 = default 256) across at most maxJobs jobs (0 = default 1024).
-func NewTraceStore(eventsPerJob, maxJobs int) *TraceStore {
-	head, tail := defaultTraceHead, defaultTraceTail
-	if eventsPerJob > 0 {
-		head = eventsPerJob / 8
-		if head < 1 {
-			head = 1
-		}
-		tail = eventsPerJob - head
-		if tail < 1 {
-			tail = 1
-		}
-	}
-	if maxJobs <= 0 {
-		maxJobs = defaultTraceJobs
-	}
-	return &TraceStore{
-		headCap: head,
-		tailCap: tail,
-		maxJobs: maxJobs,
-		jobs:    make(map[string]*jobTrace),
-	}
+func newJobTrace(head, tail int) *jobTrace {
+	return &jobTrace{head: make([]TraceEvent, 0, head), tailCap: tail}
 }
 
-// Append records one lifecycle event for job id, stamping Seq and (when
-// ev.T is zero) the time. Allocation-free once the job's trace buffers
-// exist; no-op on a nil store.
-func (s *TraceStore) Append(id string, ev TraceEvent) {
-	if s == nil {
-		return
-	}
+// retained is how many of the job's events the timeline still holds.
+func (t *jobTrace) retained() int { return len(t.head) + t.tail.Len() }
+
+// append records one lifecycle event, stamping Seq and (when ev.T is zero)
+// the time. It reports whether the tail overwrote an older event.
+// Allocation-free once the tail ring exists.
+func (t *jobTrace) append(ev TraceEvent) (dropped bool) {
 	if ev.T.IsZero() {
 		ev.T = time.Now()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		j = &jobTrace{head: make([]TraceEvent, 0, s.headCap)}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.evictLocked()
+	t.total++
+	ev.Seq = t.total
+	if len(t.head) < cap(t.head) {
+		t.head = append(t.head, ev)
+		return false
 	}
-	j.total++
-	ev.Seq = j.total
-	if len(j.head) < cap(j.head) {
-		j.head = append(j.head, ev)
-		return
+	if t.tail.Cap() == 0 {
+		t.tail = obs.NewRingBuffer[TraceEvent](t.tailCap)
 	}
-	if j.tail.Cap() == 0 {
-		j.tail = obs.NewRingBuffer[TraceEvent](s.tailCap)
-	}
-	if j.tail.Push(ev) {
-		s.dropped++
-	}
+	return t.tail.Push(ev)
 }
 
-// evictLocked drops the oldest job timelines beyond maxJobs, counting their
-// retained events as dropped.
-func (s *TraceStore) evictLocked() {
-	for len(s.jobs) > s.maxJobs && len(s.order) > 0 {
-		if j, ok := s.jobs[s.order[0]]; ok {
-			s.dropped += int64(j.retained())
-		}
-		delete(s.jobs, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
-// Dropped returns the monotonic count of trace events lost to per-job tail
-// overwrite or whole-timeline eviction — the drop-rate companion to the
-// capacity gauges on /metrics. Forget (deliberate job pruning) does not
-// count: it is bookkeeping, not loss under load.
-func (s *TraceStore) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Forget drops job id's timeline (job-record pruning).
-func (s *TraceStore) Forget(id string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[id]; !ok {
-		return
-	}
-	delete(s.jobs, id)
-	for i, k := range s.order {
-		if k == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Events returns job id's retained timeline in Seq order plus the number of
-// events dropped between the head and the tail. ok is false for an
-// untraced job (or a nil store).
-func (s *TraceStore) Events(id string) (evs []TraceEvent, dropped int, ok bool) {
-	if s == nil {
-		return nil, 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, found := s.jobs[id]
-	if !found {
-		return nil, 0, false
-	}
-	evs = j.tail.AppendTo(append(evs, j.head...))
-	return evs, int(j.tail.Dropped()), true
+// events returns the retained timeline in Seq order plus the number of
+// events dropped between the head and the tail.
+func (t *jobTrace) events() ([]TraceEvent, int) {
+	return t.tail.AppendTo(append([]TraceEvent(nil), t.head...)), int(t.tail.Dropped())
 }
 
 // TraceTimelineEvent is the JSON view of one lifecycle event in
@@ -252,13 +159,9 @@ type TraceTimeline struct {
 
 func msF(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Timeline renders job id's retained events with per-stage durations. ok is
-// false for an untraced job or a nil (disabled) store.
-func (s *TraceStore) Timeline(id string) (TraceTimeline, bool) {
-	evs, dropped, ok := s.Events(id)
-	if !ok {
-		return TraceTimeline{}, false
-	}
+// renderTimeline renders job id's retained events with per-stage
+// durations.
+func renderTimeline(id string, evs []TraceEvent, dropped int) TraceTimeline {
 	tl := TraceTimeline{Job: id, DroppedEvents: dropped, Events: make([]TraceTimelineEvent, len(evs))}
 	var received, scheduled, running, terminal time.Time
 	for i, ev := range evs {
@@ -292,18 +195,5 @@ func (s *TraceStore) Timeline(id string) (TraceTimeline, bool) {
 	if len(evs) > 1 {
 		tl.TotalMS = msF(evs[len(evs)-1].T.Sub(evs[0].T))
 	}
-	return tl, true
-}
-
-// Stats is a point-in-time view of the store, for /metrics.
-func (s *TraceStore) Stats() (jobs, events int) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		events += j.retained()
-	}
-	return len(s.jobs), events
+	return tl
 }

@@ -9,32 +9,34 @@ import (
 	"netags/internal/obs"
 )
 
+// TestTraceStoreNilIsDisabled: with tracing disabled jobs carry no
+// timeline, emitting is a no-op, and no trace families are registered.
 func TestTraceStoreNilIsDisabled(t *testing.T) {
-	var s *TraceStore
-	s.Append("x", TraceEvent{Stage: StageReceived}) // must not panic
-	s.Forget("x")
-	if _, _, ok := s.Events("x"); ok {
-		t.Fatal("nil store reported events")
+	m := NewManager(Config{Workers: 1, TraceEventsPerJob: -1, run: stubRun(nil, nil)})
+	defer m.Shutdown(context.Background())
+	j := &Job{ID: "x"}
+	m.emitJob(j, j.ID, StageReceived, "", 0, 0, "") // must not panic
+	if s := m.tableStats(); s.traced != 0 || s.events != 0 {
+		t.Fatalf("disabled tracing stats = %+v", s)
 	}
-	if _, ok := s.Timeline("x"); ok {
-		t.Fatal("nil store reported a timeline")
+	if strings.Contains(promText(t, m.Registry()), "netags_serve_trace_") {
+		t.Fatal("trace families registered with tracing disabled")
 	}
-	if jobs, events := s.Stats(); jobs != 0 || events != 0 {
-		t.Fatalf("nil store stats = %d/%d", jobs, events)
+}
+
+// traceOf appends n point events to a fresh timeline of eventsPerJob.
+func traceOf(eventsPerJob, n int) *jobTrace {
+	tr := newJobTrace(traceCaps(eventsPerJob))
+	for i := 0; i < n; i++ {
+		tr.append(TraceEvent{Stage: StagePointCompleted, K: i + 1})
 	}
+	return tr
 }
 
 func TestTraceStoreHeadTailBounds(t *testing.T) {
 	// 16 events per job → head 2, tail 14.
-	s := NewTraceStore(16, 0)
 	const total = 50
-	for i := 0; i < total; i++ {
-		s.Append("job", TraceEvent{Stage: StagePointCompleted, K: i + 1})
-	}
-	evs, dropped, ok := s.Events("job")
-	if !ok {
-		t.Fatal("job untraced")
-	}
+	evs, dropped := traceOf(16, total).events()
 	if len(evs) != 16 {
 		t.Fatalf("retained %d events, want 16", len(evs))
 	}
@@ -53,12 +55,12 @@ func TestTraceStoreHeadTailBounds(t *testing.T) {
 }
 
 func TestTraceStoreShortJobKeepsEverything(t *testing.T) {
-	s := NewTraceStore(0, 0) // defaults: 32 head + 224 tail
+	tr := newJobTrace(traceCaps(0)) // defaults: 32 head + 224 tail
 	stages := []string{StageReceived, StageAdmitted, StageScheduled, StageRunning, StageCompleted}
 	for _, st := range stages {
-		s.Append("job", TraceEvent{Stage: st})
+		tr.append(TraceEvent{Stage: st})
 	}
-	evs, dropped, _ := s.Events("job")
+	evs, dropped := tr.events()
 	if len(evs) != len(stages) || dropped != 0 {
 		t.Fatalf("got %d events (%d dropped), want %d/0", len(evs), dropped, len(stages))
 	}
@@ -69,41 +71,40 @@ func TestTraceStoreShortJobKeepsEverything(t *testing.T) {
 	}
 }
 
+// TestTraceStoreEvictionAndForget: other jobs never evict a retained job's
+// timeline, and the timeline leaves only when its job is pruned.
 func TestTraceStoreEvictionAndForget(t *testing.T) {
-	s := NewTraceStore(8, 2)
-	s.Append("a", TraceEvent{Stage: StageReceived})
-	s.Append("b", TraceEvent{Stage: StageReceived})
-	s.Append("c", TraceEvent{Stage: StageReceived}) // evicts a
-	if _, _, ok := s.Events("a"); ok {
-		t.Fatal("oldest job survived eviction")
+	m := NewManager(Config{Workers: 1, MaxJobs: 3, TraceEventsPerJob: 8, run: stubRun(nil, nil)})
+	defer m.Shutdown(context.Background())
+	first := runDone(t, m, 0)
+	for i := 1; i < 3; i++ {
+		runDone(t, m, i)
 	}
-	if _, _, ok := s.Events("b"); !ok {
-		t.Fatal("second job evicted too early")
+	if _, ok := m.JobTrace(first); !ok {
+		t.Fatal("retained job lost its timeline")
 	}
-	s.Forget("b")
-	if _, _, ok := s.Events("b"); ok {
-		t.Fatal("Forget left the timeline behind")
+	runDone(t, m, 3) // prunes the first job
+	if _, ok := m.JobTrace(first); ok {
+		t.Fatal("pruned job's timeline survived")
 	}
-	if jobs, _ := s.Stats(); jobs != 1 {
-		t.Fatalf("stats jobs = %d, want 1", jobs)
+	if s := m.tableStats(); s.traced != 3 {
+		t.Fatalf("timelines = %d, want 3", s.traced)
 	}
 }
 
 func TestTraceTimelineDurations(t *testing.T) {
-	s := NewTraceStore(0, 0)
+	tr := newJobTrace(traceCaps(0))
 	base := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
-	s.Append("job", TraceEvent{Stage: StageReceived, T: at(0)})
-	s.Append("job", TraceEvent{Stage: StageAdmitted, Class: PriorityBulk, T: at(1), N: 3})
-	s.Append("job", TraceEvent{Stage: StageScheduled, Class: PriorityBulk, T: at(40), K: 40})
-	s.Append("job", TraceEvent{Stage: StageRunning, T: at(41)})
-	s.Append("job", TraceEvent{Stage: StagePointCompleted, T: at(50), K: 1, N: 3})
-	s.Append("job", TraceEvent{Stage: StageCompleted, T: at(90)})
+	tr.append(TraceEvent{Stage: StageReceived, T: at(0)})
+	tr.append(TraceEvent{Stage: StageAdmitted, Class: PriorityBulk, T: at(1), N: 3})
+	tr.append(TraceEvent{Stage: StageScheduled, Class: PriorityBulk, T: at(40), K: 40})
+	tr.append(TraceEvent{Stage: StageRunning, T: at(41)})
+	tr.append(TraceEvent{Stage: StagePointCompleted, T: at(50), K: 1, N: 3})
+	tr.append(TraceEvent{Stage: StageCompleted, T: at(90)})
 
-	tl, ok := s.Timeline("job")
-	if !ok {
-		t.Fatal("no timeline")
-	}
+	evs, dropped := tr.events()
+	tl := renderTimeline("job", evs, dropped)
 	if tl.QueueWaitMS != 40 {
 		t.Fatalf("queue_wait_ms = %v, want 40", tl.QueueWaitMS)
 	}
@@ -180,45 +181,39 @@ func TestManagerTraceDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitTerminal(t, m, st.ID)
-	if m.Trace() != nil {
-		t.Fatal("trace store exists despite TraceEventsPerJob=-1")
+	if j := m.jobRecord(st.ID); j.trace != nil {
+		t.Fatal("job has a timeline despite TraceEventsPerJob=-1")
 	}
 	if _, ok := m.JobTrace(st.ID); ok {
 		t.Fatal("JobTrace answered with tracing disabled")
 	}
 }
 
-// TestTraceStoreDropped: the monotonic drop counter covers both loss modes
-// — per-job tail overwrite and whole-timeline eviction — while deliberate
-// Forget stays uncounted.
+// TestTraceStoreDropped: the monotonic drop counter counts per-job tail
+// overwrites, while pruning a job (bookkeeping, not loss) stays uncounted.
 func TestTraceStoreDropped(t *testing.T) {
 	// 16 events per job → head 2, tail 14; overwrite starts at event 17.
-	s := NewTraceStore(16, 2)
-	if s.Dropped() != 0 {
-		t.Fatalf("fresh store dropped = %d", s.Dropped())
+	m := NewManager(Config{Workers: 1, MaxJobs: 1, TraceEventsPerJob: 16, run: stubRun(nil, nil)})
+	defer m.Shutdown(context.Background())
+	if m.dropped.Load() != 0 {
+		t.Fatalf("fresh manager dropped = %d", m.dropped.Load())
 	}
+	j := &Job{ID: "a", points: 50, trace: newJobTrace(m.traceHead, m.traceTail)}
 	for i := 0; i < 50; i++ {
-		s.Append("a", TraceEvent{Stage: StagePointCompleted, K: i + 1})
+		m.pointCompleted(j, rec(i))
 	}
-	if got := s.Dropped(); got != 34 { // events 17..50 each overwrite one
+	if got := m.dropped.Load(); got != 34 { // events 17..50 each overwrite one
 		t.Fatalf("tail-overwrite dropped = %d, want 34", got)
 	}
-
-	// Third job evicts "a", whose 16 retained events count as dropped.
-	s.Append("b", TraceEvent{Stage: StageReceived})
-	s.Append("c", TraceEvent{Stage: StageReceived})
-	if got := s.Dropped(); got != 34+16 {
-		t.Fatalf("post-eviction dropped = %d, want 50", got)
+	if !strings.Contains(promText(t, m.Registry()), "netags_serve_trace_dropped_total 34") {
+		t.Fatal("exposition does not carry the drop count")
 	}
 
-	// Forget is bookkeeping, not loss.
-	s.Forget("b")
-	if got := s.Dropped(); got != 50 {
-		t.Fatalf("post-Forget dropped = %d, want 50", got)
-	}
-
-	var nilStore *TraceStore
-	if nilStore.Dropped() != 0 {
-		t.Fatal("nil store dropped != 0")
+	// Jobs leaving the table through pruning are not loss.
+	before := m.dropped.Load()
+	runDone(t, m, 0)
+	runDone(t, m, 1) // prunes the first
+	if got := m.dropped.Load(); got != before {
+		t.Fatalf("post-prune dropped = %d, want %d", got, before)
 	}
 }
