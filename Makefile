@@ -82,7 +82,7 @@ bench-sweep:
 # plus per-benchmark mean/min/max rollups land in BENCH_observability.json
 # (recover a benchstat input with `jq -r '.benchmarks[].raw'`).
 BENCH_PKGS    = ./internal/core/ ./internal/bitmap/ ./internal/experiment/ ./internal/serve/ ./internal/obs/timeseries/ ./internal/cluster/
-BENCH_PATTERN = 'SessionTracer|SessionN|RunnerReuse|Bitmap|SweepWorkers|TrackerObserve|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
+BENCH_PATTERN = 'SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|TrackerObserve|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
 bench:
 	go test -bench=$(BENCH_PATTERN) -benchmem -count=5 -run='^$$' $(BENCH_PKGS) \
 		| tee /dev/stderr | go run ./internal/tools/benchjson > BENCH_observability.json

@@ -41,6 +41,11 @@ func FromIndices(n int, idx []int) *Bitmap {
 // Len returns the number of bits.
 func (b *Bitmap) Len() int { return b.n }
 
+// Words returns the backing words: bit i lives at words[i/64] bit i%64. The
+// slice aliases the bitmap, for word-at-a-time kernels; callers must not set
+// bits at or beyond Len.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // Set sets bit i to 1.
 func (b *Bitmap) Set(i int) {
 	b.check(i)

@@ -6,8 +6,9 @@ import (
 )
 
 // Runner executes CCM sessions while retaining every piece of per-session
-// scratch — the slot-state matrix, the CSR transmit view, the checking-frame
-// wave buffers, the reader bitmaps — between runs. After the first session
+// scratch — the per-tag heard bitset (n·⌈f/64⌉ words: 32 MB at 10^6 tags
+// and f = 256), the CSR transmit view, the checking-frame wave buffers, the
+// reader bitmaps — between runs. After the first session
 // over a deployment of a given size, subsequent sessions of similar shape
 // allocate only their Result (bitmap clone, meter, diagnostic copies); the
 // per-round hot path allocates nothing at all (TestSessionRoundAllocs).

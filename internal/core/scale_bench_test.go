@@ -47,6 +47,12 @@ func scaleConfig(n int) Config {
 	return Config{FrameSize: 256, Seed: 9, Sampling: 200 / float64(n)}
 }
 
+// benchmarkSessionN times warm-Runner sessions over scaleNetwork(n). On a
+// 2-core Xeon @ 2.1 GHz a session takes ~26 ms, ~52 ms and ~0.2 s at 10^4,
+// 10^5 and 10^6 tags; the work grows with the tags the ~200 sources' bits
+// reach, not with a per-tag copy of the indicator vector, and the 10^6-tag
+// arena holds 32 MB of heard bits. Building the 10^6-tag network takes far
+// longer than a session, hence scaleNetworks.
 func benchmarkSessionN(b *testing.B, n int) {
 	nw := scaleNetwork(b, n)
 	cfg := scaleConfig(n)

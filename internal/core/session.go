@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"netags/internal/bitmap"
@@ -8,16 +9,6 @@ import (
 	"netags/internal/obs"
 	"netags/internal/prng"
 	"netags/internal/topology"
-)
-
-// Per-slot, per-tag state over the frame. A slot advances
-// unknown → scheduled → transmitted, or is forced to silenced by the
-// indicator vector at any point before transmission.
-const (
-	slotUnknown     uint8 = iota // tag listens here
-	slotScheduled                // tag will transmit here next frame
-	slotTransmitted              // tag already transmitted here; sleeps
-	slotSilenced                 // reader announced the slot busy; sleeps
 )
 
 // Result reports everything a CCM session produced. A Result is fully owned
@@ -46,24 +37,38 @@ type Result struct {
 
 // session carries the mutable state of one run. All of it is arena-style
 // scratch owned by a Runner: every slice is sized on first use, retained
-// across sessions, and re-initialized in O(n) (plus one O(n·f) state clear)
-// by init — the per-round hot paths allocate nothing once the arena is warm
-// (TestSessionRoundAllocs pins this at exactly zero).
+// across sessions, and re-initialized in O(n) (plus one clear of the
+// n·⌈f/64⌉-word heard bitset) by init — the per-round hot paths allocate
+// nothing once the arena is warm (TestSessionRoundAllocs pins this at
+// exactly zero).
+//
+// A tag's view of a slot is the pair (heard bit, reader's known bitmap):
+// with the heard bit clear and the slot not silenced the tag listens there;
+// a set bit means it picked or heard the slot, so it transmits it once (the
+// next round, while the pair is pending) and then sleeps; a silenced slot —
+// one in known while the indicator vector is on — is asleep for every tag
+// at once, because the indicator vector is a single broadcast (§III-D).
 type session struct {
 	nw  *topology.Network
 	cfg Config
 	f   int
 	n   int
 
-	// state is the n×f slot-state matrix, row-major.
-	state []uint8
+	// heard is the per-tag slot bitset, word-major: ⌈f/64⌉ strips of n
+	// words, where heard[w*n+i] holds slots 64w..64w+63 of tag i. A bit is
+	// set once the tag has picked the slot or heard it busy. Word-major
+	// keeps one transmitter's deliveries to a word inside a single n-word
+	// strip, which stays cache resident where a tag's whole row would not.
+	// Out-of-system tags' bits stay clear; delivery skips those tags.
+	heard []uint64
 
-	// Pending (tag, slot) transitions: slots that entered slotScheduled
-	// since the last frame, in discovery order. Each round consumes them
-	// into the CSR transmit view below and refills them during delivery.
-	// A (tag, slot) pair enters at most once per session (the state machine
-	// is monotone), so both buffers reach a session-wide high-water mark
-	// and stop growing.
+	// Pending (tag, slot) pairs: slots a tag picked or heard since the last
+	// frame, in discovery order. Each round consumes them into the CSR
+	// transmit view below and refills them during delivery. A pair enters
+	// at most once per session (its heard bit is set on entry), so both
+	// buffers reach a session-wide high-water mark and stop growing. A
+	// pending pair whose slot has since been silenced is dead: it is never
+	// transmitted and does not count as data still to deliver.
 	pendTag  []int32
 	pendSlot []int32
 
@@ -80,11 +85,15 @@ type session struct {
 	// dense scan (this pins the PRNG draw order of the lossy channel).
 	touched []int32
 
-	// schedCount[i] is the number of state==slotScheduled slots of tag i,
-	// i.e. whether the tag needs to transmit next round.
-	schedCount []int32
-	// unknownCount[i] is the number of state==slotUnknown slots of tag i,
-	// i.e. how many slots it monitors per frame.
+	// txMask is the current transmitter's slot set over the words in
+	// txWords, for word-at-a-time reliable delivery; it is all-zero between
+	// transmitters.
+	txMask  []uint64
+	txWords []int
+
+	// unknownCount[i] is the number of slots tag i still listens in — heard
+	// bit clear and not silenced — i.e. how many slots it monitors per
+	// frame. Zero for out-of-system tags.
 	unknownCount []int32
 	// tier1 marks tags the reader can hear directly; inSystem marks tags
 	// with Tier > 0 (§II: the rest are outside the system entirely).
@@ -98,9 +107,6 @@ type session struct {
 	known     *bitmap.Bitmap // V: all slots the reader knows are busy
 	roundBusy *bitmap.Bitmap // busy slots heard by the reader this round
 	newBusy   *bitmap.Bitmap // scratch: roundBusy &^ known, reused per round
-	// busyIdx is the expansion of newBusy into slot indices, reused per
-	// round for the indicator-vector silencing sweep.
-	busyIdx []int
 
 	// Checking-frame scratch: responded flags are cleared in O(marked) via
 	// respondedList after every frame; wave/waveNext double-buffer the
@@ -137,6 +143,25 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
+// sortMarked returns ids in ascending order, where ids lists without
+// repeats exactly the indices whose flag is non-zero. A dense set is rebuilt
+// by one scan of the flags instead of sorted, which is cheaper once it holds
+// more than about 1/32 of the indices.
+func sortMarked[T comparable](ids []int32, flags []T) []int32 {
+	if len(ids) <= len(flags)/32 {
+		slices.Sort(ids)
+		return ids
+	}
+	var zero T
+	ids = ids[:0]
+	for i, f := range flags {
+		if f != zero {
+			ids = append(ids, int32(i))
+		}
+	}
+	return ids
+}
+
 // init sizes and resets the arena for one session over nw. The config must
 // already be validated. meter is taken over as the session's (and the
 // eventual Result's) energy meter. Once the arena has seen a deployment of
@@ -163,13 +188,10 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	}
 	s.respondedList = s.respondedList[:0]
 
-	if cap(s.state) >= n*f {
-		s.state = s.state[:n*f]
-		clear(s.state)
-	} else {
-		s.state = make([]uint8, n*f)
-	}
-	s.schedCount = grow(s.schedCount, n)
+	words := (f + 63) / 64
+	s.heard = grow(s.heard, n*words)
+	clear(s.heard)
+	s.txMask = grow(s.txMask, words)
 	s.unknownCount = grow(s.unknownCount, n)
 	s.tier1 = grow(s.tier1, n)
 	s.inSystem = grow(s.inSystem, n)
@@ -182,7 +204,6 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	s.pendSlot = s.pendSlot[:0]
 	s.wave = s.wave[:0]
 	s.waveNext = s.waveNext[:0]
-	s.busyIdx = s.busyIdx[:0]
 	s.newBusyPerRound = s.newBusyPerRound[:0]
 	s.checkSlotsPerRound = s.checkSlotsPerRound[:0]
 
@@ -203,26 +224,25 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	}
 
 	for i := 0; i < n; i++ {
+		// Tags that cannot reach the reader are outside the system (§II) —
+		// out of the field of view they never hear the request, and either
+		// way their data can never arrive. They never listen or relay and
+		// consume no energy (the same boundary sicp draws with its asleep
+		// set).
 		tier := nw.Tier[i]
 		s.inSystem[i] = tier != 0
 		s.tier1[i] = tier == 1
-		s.schedCount[i] = 0
-		if tier == 0 {
-			// Tags that cannot reach the reader are outside the system
-			// (§II) — out of the field of view they never hear the request,
-			// and either way their data can never arrive. They hold no slot
-			// state, never listen or relay, and consume no energy (the same
-			// boundary sicp draws with its asleep set). Silencing their
-			// whole row keeps the delivery loop branch-free.
-			row := s.state[i*f : (i+1)*f]
-			for j := range row {
-				row[j] = slotSilenced
-			}
-			s.unknownCount[i] = 0
-			continue
+		s.unknownCount[i] = 0
+		if tier != 0 {
+			s.unknownCount[i] = int32(f)
 		}
-		s.unknownCount[i] = int32(f)
 	}
+}
+
+// silenced reports whether the indicator vector has put slot to sleep for
+// every tag: the reader announced it busy and the vector is enabled.
+func (s *session) silenced(slot int32) bool {
+	return !s.cfg.DisableIndicatorVector && s.known.Get(int(slot))
 }
 
 // dropped reports whether a reception event is lost on the unreliable
@@ -276,29 +296,19 @@ func (s *session) seedInitialPicks() {
 	}
 }
 
-// schedule marks (i, slot) scheduled if the slot is still unknown and
-// records the transition in the pending list.
+// schedule records that tag i picked slot, unless it already did: the heard
+// bit is set and the pair joins the pending list. Picks happen before the
+// first frame, so no slot is silenced yet.
 func (s *session) schedule(i, slot int) {
-	if s.mark(i, slot, slotScheduled) {
-		s.pendTag = append(s.pendTag, int32(i))
-		s.pendSlot = append(s.pendSlot, int32(slot))
+	w := &s.heard[slot>>6*s.n+i]
+	bit := uint64(1) << (uint(slot) & 63)
+	if *w&bit != 0 {
+		return
 	}
-}
-
-// mark transitions tag i's slot to the given state if the slot is currently
-// unknown, maintaining the counters. It reports whether the transition
-// happened.
-func (s *session) mark(i, slot int, st uint8) bool {
-	idx := i*s.f + slot
-	if s.state[idx] != slotUnknown {
-		return false
-	}
-	s.state[idx] = st
+	*w |= bit
 	s.unknownCount[i]--
-	if st == slotScheduled {
-		s.schedCount[i]++
-	}
-	return true
+	s.pendTag = append(s.pendTag, int32(i))
+	s.pendSlot = append(s.pendSlot, int32(slot))
 }
 
 func (s *session) run() *Result {
@@ -341,8 +351,8 @@ func (s *session) run() *Result {
 	res.Bitmap = s.known.Clone()
 	res.NewBusyPerRound = append([]int(nil), s.newBusyPerRound...)
 	res.CheckSlotsPerRound = append([]int(nil), s.checkSlotsPerRound...)
-	for i := 0; i < s.n; i++ {
-		if s.schedCount[i] > 0 {
+	for _, slot := range s.pendSlot {
+		if !s.silenced(slot) {
 			res.Truncated = true
 			break
 		}
@@ -376,7 +386,7 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// suit, but it does occupy air time.)
 	s.clock.LongSlots++
 
-	// Fold the pending transitions into the CSR transmit view. Pass 1
+	// Fold the pending pairs into the CSR transmit view. Pass 1
 	// counts entries per tag (silenced ones included for sizing; the
 	// scatter pass drops them) and collects the touched set.
 	for _, t := range s.pendTag {
@@ -385,7 +395,7 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 		}
 		s.txLen[t]++
 	}
-	slices.Sort(s.touched)
+	s.touched = sortMarked(s.touched, s.txLen)
 	s.txSlots = grow(s.txSlots, len(s.pendTag))
 	var off int32
 	for _, t := range s.touched {
@@ -393,34 +403,33 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 		off += s.txLen[t]
 		s.txLen[t] = 0 // becomes the kept-entry cursor for pass 2
 	}
-	// Pass 2 captures this round's transmissions: every still-scheduled
-	// slot becomes a transmitted slot. Slots silenced since they were
-	// scheduled are dropped without cost. Scatter order preserves each
+	// Pass 2 captures this round's transmissions: every live pending pair
+	// is transmitted now. Pairs whose slot was silenced since the tag picked
+	// or heard it are dropped without cost. Scatter order preserves each
 	// tag's discovery order.
 	for k, t := range s.pendTag {
 		slot := s.pendSlot[k]
-		idx := int(t)*s.f + int(slot)
-		if s.state[idx] != slotScheduled {
+		if s.silenced(slot) {
 			continue
 		}
-		s.state[idx] = slotTransmitted
-		s.schedCount[t]--
 		s.txSlots[s.txOff[t]+s.txLen[t]] = slot
 		s.txLen[t]++
 	}
 	s.pendTag = s.pendTag[:0]
 	s.pendSlot = s.pendSlot[:0]
 
-	// Monitoring charge: a tag stays awake for exactly its unknown slots
-	// (§III-D: it sleeps in transmitted and silenced slots, and is busy
-	// transmitting in scheduled ones).
+	// Monitoring charge: a tag stays awake for exactly the slots it still
+	// listens in (§III-D: it sleeps in silenced slots and in slots it
+	// already transmitted, and is busy transmitting in pending ones).
 	s.meter.AddReceivedCounts(s.unknownCount)
 
-	// Deliver transmissions. A listener senses a busy slot iff it is
-	// monitoring that slot (half duplex: a tag transmitting in the slot is
-	// not). Collisions are benign: the first delivery marks the slot, later
-	// deliveries find it already marked. Newly scheduled slots land back in
-	// the pending list for the next round.
+	// Deliver transmissions. A listener senses a busy slot iff it is in the
+	// system and monitoring that slot (half duplex: a tag transmitting in
+	// the slot has its heard bit set). No transmitted slot is silenced —
+	// pass 2 dropped those, and known only grows after the frame. Collisions
+	// are benign: the first delivery sets the heard bit, later deliveries
+	// find it set. Newly heard slots land back in the pending list for the
+	// next round.
 	s.roundBusy.Reset()
 	for _, ti := range s.touched {
 		cnt := s.txLen[ti]
@@ -432,22 +441,10 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 		txTags++
 		txBits += len(slots)
 		s.meter.AddSent(i, int64(len(slots)))
-		neighbors := s.nw.Neighbors(i)
-		for _, slot := range slots {
-			for _, v := range neighbors {
-				idx := int(v)*s.f + int(slot)
-				if s.state[idx] != slotUnknown || s.dropped() {
-					continue
-				}
-				s.state[idx] = slotScheduled
-				s.unknownCount[v]--
-				s.schedCount[v]++
-				s.pendTag = append(s.pendTag, v)
-				s.pendSlot = append(s.pendSlot, slot)
-			}
-			if s.tier1[i] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
-				s.roundBusy.Set(int(slot))
-			}
+		if s.loss == nil {
+			s.deliverReliable(i, slots)
+		} else {
+			s.deliverLossy(i, slots)
 		}
 	}
 	// Release the CSR view: txLen back to all-zero, O(touched).
@@ -489,22 +486,10 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	s.clock.LongSlots += segments
 	s.meter.AddReceivedWhere(segments*energy.IDBits, s.inSystem)
 	// Tags silence the newly announced slots: monitoring stops, and any
-	// still-scheduled relay of them is cancelled (repetitive replies would
-	// only re-produce a busy slot the reader already has).
-	s.busyIdx = s.newBusy.AppendIndices(s.busyIdx[:0])
-	for _, slot := range s.busyIdx {
-		for i := 0; i < s.n; i++ {
-			idx := i*s.f + slot
-			switch s.state[idx] {
-			case slotUnknown:
-				s.state[idx] = slotSilenced
-				s.unknownCount[i]--
-			case slotScheduled:
-				s.state[idx] = slotSilenced
-				s.schedCount[i]--
-			}
-		}
-	}
+	// pending relay of them is cancelled (repetitive replies would only
+	// re-produce a busy slot the reader already has). Silencing itself is
+	// the known bitmap; what changes per tag is its listening count.
+	s.settleSilenced(s.newBusyPerRound[len(s.newBusyPerRound)-1])
 	if t := s.cfg.Tracer; t != nil {
 		t.Trace(obs.Event{
 			Kind:     obs.KindIndicator,
@@ -517,6 +502,102 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 		})
 	}
 	return txTags, txBits
+}
+
+// deliverReliable delivers tag i's frame on the reliable channel a word at
+// a time: the transmitter's slots become a mask over the words they touch,
+// and each in-system neighbour takes mask &^ heard in one step per word.
+// No PRNG draws happen here, and heard bits, counts and the pending set do
+// not depend on delivery order, so pairs are appended word by word, and
+// within a word neighbour by neighbour.
+func (s *session) deliverReliable(i int, slots []int32) {
+	for _, slot := range slots {
+		wi := int(slot >> 6)
+		if s.txMask[wi] == 0 {
+			s.txWords = append(s.txWords, wi)
+		}
+		s.txMask[wi] |= 1 << (uint(slot) & 63)
+	}
+	neighbors := s.nw.Neighbors(i)
+	for _, wi := range s.txWords {
+		mask := s.txMask[wi]
+		strip := s.heard[wi*s.n : (wi+1)*s.n]
+		for _, v := range neighbors {
+			fresh := mask &^ strip[v]
+			if fresh == 0 || !s.inSystem[v] {
+				continue
+			}
+			strip[v] |= fresh
+			s.unknownCount[v] -= int32(bits.OnesCount64(fresh))
+			for ; fresh != 0; fresh &= fresh - 1 {
+				s.pendTag = append(s.pendTag, v)
+				s.pendSlot = append(s.pendSlot, int32(wi<<6+bits.TrailingZeros64(fresh)))
+			}
+		}
+	}
+	if s.tier1[i] {
+		busy := s.roundBusy.Words()
+		for _, wi := range s.txWords {
+			busy[wi] |= s.txMask[wi]
+		}
+	}
+	for _, wi := range s.txWords {
+		s.txMask[wi] = 0
+	}
+	s.txWords = s.txWords[:0]
+}
+
+// deliverLossy delivers tag i's frame on the lossy channel pair by pair,
+// slot outer and neighbour inner, with the reader sensing each slot after
+// its neighbours. This order is the channel's PRNG draw order, which the
+// golden lossy fingerprints pin.
+func (s *session) deliverLossy(i int, slots []int32) {
+	neighbors := s.nw.Neighbors(i)
+	for _, slot := range slots {
+		wi, bit := int(slot>>6), uint64(1)<<(uint(slot)&63)
+		for _, v := range neighbors {
+			if !s.inSystem[v] {
+				continue
+			}
+			w := &s.heard[wi*s.n+int(v)]
+			if *w&bit != 0 || s.dropped() {
+				continue
+			}
+			*w |= bit
+			s.unknownCount[v]--
+			s.pendTag = append(s.pendTag, v)
+			s.pendSlot = append(s.pendSlot, slot)
+		}
+		if s.tier1[i] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
+			s.roundBusy.Set(int(slot))
+		}
+	}
+}
+
+// settleSilenced charges the indicator broadcast's newBusy slots (count of
+// them) against every in-system tag's listening count: a tag stops
+// listening in each new busy slot it had not already picked or heard.
+// Sequential passes: one over the tags, one over each strip newBusy
+// touches.
+func (s *session) settleSilenced(count int) {
+	if count == 0 {
+		return
+	}
+	for v, in := range s.inSystem {
+		if in {
+			s.unknownCount[v] -= int32(count)
+		}
+	}
+	// Out-of-system tags have no heard bits, so the refund skips them.
+	for wi, busy := range s.newBusy.Words() {
+		if busy == 0 {
+			continue
+		}
+		strip := s.heard[wi*s.n : (wi+1)*s.n]
+		for v, w := range strip {
+			s.unknownCount[v] += int32(bits.OnesCount64(w & busy))
+		}
+	}
 }
 
 // runCheckingFrame executes §III-E's termination probe and reports whether
@@ -533,14 +614,18 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 func (s *session) runCheckingFrame(round int) bool {
 	lc := s.cfg.checkingFrameLen(s.nw)
 
+	// C[1]'s responders are the tags holding a live pending pair, in
+	// ascending tag order: the lossy channel draws in wave order.
 	s.wave = s.wave[:0]
-	for i := 0; i < s.n; i++ {
-		if s.schedCount[i] > 0 {
-			s.responded[i] = true
-			s.respondedList = append(s.respondedList, int32(i))
-			s.wave = append(s.wave, int32(i))
+	for k, t := range s.pendTag {
+		if s.responded[t] || s.silenced(s.pendSlot[k]) {
+			continue
 		}
+		s.responded[t] = true
+		s.respondedList = append(s.respondedList, t)
+		s.wave = append(s.wave, t)
 	}
+	s.wave = sortMarked(s.wave, s.responded)
 
 	heard := false
 	slotsUsed := 0

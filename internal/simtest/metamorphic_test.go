@@ -182,3 +182,40 @@ func TestMetamorphicMultiReaderOr(t *testing.T) {
 		}
 	})
 }
+
+// TestMetamorphicSilentLoss ties the session's two delivery loops together.
+// A reliable session delivers a frame a word at a time; any LossProb > 0
+// takes the per-pair loop that draws the channel PRNG in the pinned order.
+// At LossProb = math.SmallestNonzeroFloat64 the per-pair loop runs but a
+// draw drops a delivery only when it is exactly 0 (a 2^-53 event), so the
+// two loops must agree on every observable facet of the Result — the
+// reliable, no-indicator and round-truncated variants alike.
+func TestMetamorphicSilentLoss(t *testing.T) {
+	ForEach(t, 0x3e1d, func(t *testing.T, sc *Scenario) {
+		base := sc.NewConfig(sc.Source(23))
+		noIndicator, truncated := base, base
+		noIndicator.DisableIndicatorVector = true
+		noIndicator.MaxRounds = 4 * (sc.Network.K + 2)
+		truncated.MaxRounds = 1
+		for _, v := range []struct {
+			name string
+			cfg  core.Config
+		}{{"reliable", base}, {"no-indicator", noIndicator}, {"truncated", truncated}} {
+			name, cfg := v.name, v.cfg
+			res, err := core.RunSession(sc.Network, cfg)
+			if err != nil {
+				t.Fatalf("%v seed %#x %s: %v", sc.Shape, sc.Seed, name, err)
+			}
+			cfg.LossProb = math.SmallestNonzeroFloat64
+			cfg.LossSeed = sc.Seed
+			lres, err := core.RunSession(sc.Network, cfg)
+			if err != nil {
+				t.Fatalf("%v seed %#x %s silent loss: %v", sc.Shape, sc.Seed, name, err)
+			}
+			if got, want := fingerprint(lres), fingerprint(res); got != want {
+				t.Errorf("%v seed %#x %s: per-pair delivery fingerprint %s != word delivery %s",
+					sc.Shape, sc.Seed, name, got, want)
+			}
+		}
+	})
+}

@@ -24,7 +24,9 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // benchLine matches the fixed prefix of a benchmark result line; the metric
@@ -34,8 +36,9 @@ var (
 	metric    = regexp.MustCompile(`([\d.]+)\s+(\S+)`)
 	// cpuSuffix is the trailing -N that `go test` appends to benchmark names
 	// when GOMAXPROCS != 1; stripped when grouping runs into summaries so a
-	// baseline recorded on one machine compares against another.
-	cpuSuffix = regexp.MustCompile(`-\d+$`)
+	// baseline recorded on one machine compares against another, and
+	// recorded in the document's gomaxprocs.
+	cpuSuffix = regexp.MustCompile(`-(\d+)$`)
 )
 
 type result struct {
@@ -82,11 +85,18 @@ type summary struct {
 }
 
 type document struct {
-	// Goos/Goarch/Pkg/CPU echo the go test preamble when present.
-	Goos       string    `json:"goos,omitempty"`
-	Goarch     string    `json:"goarch,omitempty"`
-	Pkg        string    `json:"pkg,omitempty"`
-	CPU        string    `json:"cpu,omitempty"`
+	// Goos/Goarch/CPU echo the go test preamble when present; Pkgs lists
+	// every package a multi-package run printed a "pkg:" line for, in
+	// order.
+	Goos   string   `json:"goos,omitempty"`
+	Goarch string   `json:"goarch,omitempty"`
+	Pkgs   []string `json:"pkgs,omitempty"`
+	CPU    string   `json:"cpu,omitempty"`
+	// GOMAXPROCS lists, ascending, the distinct GOMAXPROCS values the runs
+	// used, read from each name's -N suffix (1 when a name carries none).
+	// More than one value means a -cpu list; the summaries still merge
+	// across them.
+	GOMAXPROCS []int     `json:"gomaxprocs,omitempty"`
 	Benchmarks []result  `json:"benchmarks"`
 	Summary    []summary `json:"summary,omitempty"`
 }
@@ -125,8 +135,7 @@ func run(in io.Reader, out io.Writer) error {
 func parse(in io.Reader) (document, error) {
 	var doc document
 	preamble := map[string]*string{
-		"goos: ": &doc.Goos, "goarch: ": &doc.Goarch,
-		"pkg: ": &doc.Pkg, "cpu: ": &doc.CPU,
+		"goos: ": &doc.Goos, "goarch: ": &doc.Goarch, "cpu: ": &doc.CPU,
 	}
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -135,6 +144,9 @@ func parse(in io.Reader) (document, error) {
 			if len(line) > len(prefix) && line[:len(prefix)] == prefix {
 				*dst = line[len(prefix):]
 			}
+		}
+		if pkg, ok := strings.CutPrefix(line, "pkg: "); ok && pkg != "" && !slices.Contains(doc.Pkgs, pkg) {
+			doc.Pkgs = append(doc.Pkgs, pkg)
 		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
@@ -160,7 +172,15 @@ func parse(in io.Reader) (document, error) {
 			}
 		}
 		doc.Benchmarks = append(doc.Benchmarks, r)
+		procs := 1
+		if m := cpuSuffix.FindStringSubmatch(r.Name); m != nil {
+			procs, _ = strconv.Atoi(m[1]) // the regexp admits only digits
+		}
+		if !slices.Contains(doc.GOMAXPROCS, procs) {
+			doc.GOMAXPROCS = append(doc.GOMAXPROCS, procs)
+		}
 	}
+	slices.Sort(doc.GOMAXPROCS)
 	if err := sc.Err(); err != nil {
 		return doc, err
 	}

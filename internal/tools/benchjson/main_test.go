@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,8 +30,8 @@ func TestRunGolden(t *testing.T) {
 	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if doc.Goos != "linux" || doc.Goarch != "amd64" ||
-		doc.Pkg != "netags/internal/core" || doc.CPU != "Intel(R) Xeon(R) CPU" {
+	if doc.Goos != "linux" || doc.Goarch != "amd64" || doc.CPU != "Intel(R) Xeon(R) CPU" ||
+		!slices.Equal(doc.Pkgs, []string{"netags/internal/core"}) || !slices.Equal(doc.GOMAXPROCS, []int{8}) {
 		t.Errorf("preamble mis-parsed: %+v", doc)
 	}
 	if len(doc.Benchmarks) != 3 {
@@ -51,6 +52,61 @@ func TestRunGolden(t *testing.T) {
 		if !strings.Contains(goldenInput, b.Raw) || !strings.HasPrefix(b.Raw, "Benchmark") {
 			t.Errorf("benchmark %d: raw line not preserved verbatim: %q", i, b.Raw)
 		}
+	}
+}
+
+// TestRunMultiPackageHeader: a multi-package `go test -bench` run prints a
+// preamble per package. The header keeps every package, not just the last
+// one, and records the GOMAXPROCS the -N name suffix carried (summaries
+// strip it).
+func TestRunMultiPackageHeader(t *testing.T) {
+	input := `goos: linux
+goarch: amd64
+pkg: netags/internal/core
+cpu: Intel(R) Xeon(R) CPU
+BenchmarkSessionN1e4-2	10	5000000 ns/op
+PASS
+ok  	netags/internal/core	2.0s
+goos: linux
+goarch: amd64
+pkg: netags/internal/bitmap
+cpu: Intel(R) Xeon(R) CPU
+BenchmarkBitmapOr-2	1000	90 ns/op
+PASS
+ok  	netags/internal/bitmap	1.0s
+pkg: netags/internal/core
+BenchmarkSessionN1e4-2	10	5100000 ns/op
+`
+	var out strings.Builder
+	if err := run(strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	var doc document
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"netags/internal/core", "netags/internal/bitmap"}; !slices.Equal(doc.Pkgs, want) {
+		t.Errorf("pkgs = %q, want %q (every package, first-seen order, no repeats)", doc.Pkgs, want)
+	}
+	if !slices.Equal(doc.GOMAXPROCS, []int{2}) {
+		t.Errorf("gomaxprocs = %v, want [2] from the -2 suffix", doc.GOMAXPROCS)
+	}
+	if !strings.Contains(out.String(), `"gomaxprocs": [`) || strings.Contains(out.String(), `"pkg":`) {
+		t.Errorf("header keys wrong:\n%s", out.String())
+	}
+
+	// No suffix means GOMAXPROCS=1; a -cpu list records each value.
+	mixed := "BenchmarkA\t10\t5 ns/op\nBenchmarkA-4\t10\t3 ns/op\n"
+	out.Reset()
+	if err := run(strings.NewReader(mixed), &out); err != nil {
+		t.Fatal(err)
+	}
+	doc = document{}
+	if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(doc.GOMAXPROCS, []int{1, 4}) {
+		t.Errorf("gomaxprocs = %v, want [1 4]", doc.GOMAXPROCS)
 	}
 }
 
