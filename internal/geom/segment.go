@@ -55,9 +55,15 @@ func (s Segment) Intersects(o Segment) bool {
 	return false
 }
 
-// Blocked reports whether the straight path from a to b crosses any of the
-// obstacle segments.
+// Blocked reports whether the straight path between a and b crosses any of
+// the obstacle segments. It is symmetric: Blocked(o, a, b) == Blocked(o, b, a)
+// exactly. Intersects takes its cross products from the path's first
+// endpoint, so rounding could otherwise block a link one way and clear it the
+// other; the path's endpoints are put in lexicographic (X, Y) order first.
 func Blocked(obstacles []Segment, a, b Point) bool {
+	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
+		a, b = b, a
+	}
 	path := Segment{A: a, B: b}
 	for _, o := range obstacles {
 		if path.Intersects(o) {

@@ -74,3 +74,40 @@ func TestBlocked(t *testing.T) {
 		t.Fatal("no obstacles but blocked")
 	}
 }
+
+// TestBlockedDirectionRegression pins a path that Intersects clears from one
+// end and blocks from the other: (b−a)×(c−a) rounds differently depending on
+// which endpoint is a. x is a variable so the products are rounded at run
+// time, as they are for real coordinates (Go folds constant expressions
+// exactly).
+func TestBlockedDirectionRegression(t *testing.T) {
+	x := 0.1
+	a, b := Point{19 * x, 12 * x}, Point{9 * x, 2 * x}
+	wall := Segment{Point{11 * x, 4 * x}, Point{16 * x, 29 * x}}
+	if (Segment{a, b}).Intersects(wall) == (Segment{b, a}).Intersects(wall) {
+		t.Fatal("fixture no longer exercises a direction-dependent Intersects")
+	}
+	ab, ba := Blocked([]Segment{wall}, a, b), Blocked([]Segment{wall}, b, a)
+	if ab != ba {
+		t.Fatalf("Blocked(a,b) = %v, Blocked(b,a) = %v", ab, ba)
+	}
+}
+
+// TestBlockedSymmetric checks Blocked(a,b) == Blocked(b,a) over random
+// grid-aligned points and walls. Grid-aligned coordinates (multiples of 0.1)
+// make collinear and near-collinear triples common, which is where the
+// cross products' rounding depends on the evaluation order.
+func TestBlockedSymmetric(t *testing.T) {
+	src := prng.New(37)
+	x := 0.1
+	grid := func() Point {
+		return Point{float64(src.Intn(31)) * x, float64(src.Intn(31)) * x}
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := grid(), grid()
+		walls := []Segment{{grid(), grid()}}
+		if Blocked(walls, a, b) != Blocked(walls, b, a) {
+			t.Fatalf("Blocked asymmetric: a=%+v b=%+v wall=%+v", a, b, walls[0])
+		}
+	}
+}

@@ -119,13 +119,7 @@ func build(seed uint64, shape Shape, src *prng.Source) *Scenario {
 	// Occasionally drop wall segments across the deployment: obstacles
 	// block the weak tag-originated links but not the reader's broadcast.
 	if src.Float64() < 0.2 {
-		walls := 1 + src.Intn(2)
-		for w := 0; w < walls; w++ {
-			sc.Obstacles = append(sc.Obstacles, geom.Segment{
-				A: geom.SampleDisk(src, sc.Ranges.ReaderToTag),
-				B: geom.SampleDisk(src, sc.Ranges.ReaderToTag),
-			})
-		}
+		sc.Obstacles = Walls(src, sc.Ranges.ReaderToTag)
 	}
 
 	nw, err := topology.BuildObstructed(sc.Deployment, 0, sc.Ranges, sc.Obstacles)
@@ -136,6 +130,16 @@ func build(seed uint64, shape Shape, src *prng.Source) *Scenario {
 	}
 	sc.Network = nw
 	return sc
+}
+
+// Walls draws the generator's obstacles: one or two wall segments with both
+// endpoints uniform in the disk of the given radius around the reader.
+func Walls(src *prng.Source, radius float64) []geom.Segment {
+	walls := make([]geom.Segment, 1+src.Intn(2))
+	for w := range walls {
+		walls[w] = geom.Segment{A: geom.SampleDisk(src, radius), B: geom.SampleDisk(src, radius)}
+	}
+	return walls
 }
 
 // chain lays count tags along one ray from the reader, spaced within the

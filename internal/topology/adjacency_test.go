@@ -1,0 +1,131 @@
+package topology_test
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"netags/internal/geom"
+	"netags/internal/prng"
+	"netags/internal/simtest"
+	"netags/internal/topology"
+)
+
+// checkSymmetric fails unless every link i→j has its j→i twin.
+func checkSymmetric(t *testing.T, nw *topology.Network) {
+	t.Helper()
+	for i := 0; i < nw.N(); i++ {
+		for _, j := range nw.Neighbors(i) {
+			if !slices.Contains(nw.Neighbors(int(j)), int32(i)) {
+				t.Fatalf("link %d->%d not symmetric (obstacles %+v)", i, j, nw.Obstacles)
+			}
+		}
+	}
+}
+
+// checkMatchesTwoPass fails unless every neighbour list, order included,
+// equals the two-pass builder's.
+func checkMatchesTwoPass(t *testing.T, nw *topology.Network) {
+	t.Helper()
+	ref := topology.TwoPassAdjacency(nw)
+	for i := 0; i < nw.N(); i++ {
+		if got, want := nw.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
+			t.Fatalf("tag %d at %+v: neighbours %v, two-pass builder says %v (ranges %+v, obstacles %+v)",
+				i, nw.Deployment.Tags[i], got, want, nw.Ranges, nw.Obstacles)
+		}
+	}
+}
+
+func TestAdjacencySymmetric(t *testing.T) {
+	d := geom.NewUniformDisk(2000, 30, 11)
+	nw, err := topology.Build(d, 0, topology.PaperRanges(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSymmetric(t, nw)
+	// Under walls a link exists only if the path is clear both ways, which
+	// geom.Blocked guarantees by being symmetric itself.
+	for seed := uint64(1); seed <= 8; seed++ {
+		walls := simtest.Walls(prng.New(seed), 30)
+		nw, err := topology.BuildObstructed(d, 0, topology.PaperRanges(4), walls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSymmetric(t, nw)
+	}
+	// geom's direction regression: with Blocked evaluated from each end,
+	// a→b was clear and b→a blocked, a one-way link.
+	x := 0.1
+	pair := &geom.Deployment{
+		Tags:    []geom.Point{{X: 19 * x, Y: 12 * x}, {X: 9 * x, Y: 2 * x}},
+		Readers: []geom.Point{{}},
+		Radius:  30,
+	}
+	wall := []geom.Segment{{A: geom.Point{X: 11 * x, Y: 4 * x}, B: geom.Point{X: 16 * x, Y: 29 * x}}}
+	nw, err = topology.BuildObstructed(pair, 0, topology.PaperRanges(4), wall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSymmetric(t, nw)
+}
+
+// TestAdjacencyMatchesTwoPass holds the half-stencil builder to the two-pass
+// one over uniform disks at ranges from far below to far above the paper's,
+// clustered layouts, and the simtest generator's scenarios (walls included).
+func TestAdjacencyMatchesTwoPass(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, r := range []float64{0.7, 2, 4, 6, 10, 25} {
+			t.Run(fmt.Sprintf("seed=%d/r=%g", seed, r), func(t *testing.T) {
+				d := geom.NewUniformDisk(1500, 30, seed)
+				if seed%2 == 0 {
+					d = geom.NewClusteredDisk(1500, 30, int(seed), 2*r, seed)
+				}
+				var walls []geom.Segment
+				if seed%3 == 0 {
+					walls = simtest.Walls(prng.New(seed), 30)
+				}
+				nw, err := topology.BuildObstructed(d, 0, topology.PaperRanges(r), walls)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMatchesTwoPass(t, nw)
+			})
+		}
+	}
+	for seed := uint64(0); seed < 300; seed++ {
+		checkMatchesTwoPass(t, simtest.NewScenario(seed).Network)
+	}
+}
+
+// BenchmarkBuildPaper times the topology build a paper trial performs:
+// 10^4 tags in a 30 m disk at PaperRanges(r).
+func BenchmarkBuildPaper(b *testing.B) {
+	d := geom.NewUniformDisk(10000, 30, 1)
+	for _, r := range []float64{2, 6, 10} {
+		b.Run(fmt.Sprintf("r=%g", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := topology.Build(d, 0, topology.PaperRanges(r)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildN1e5 times the build of a scale-1e5 survey: 10^5 tags at the
+// core scale benchmarks' density (radius 300·√0.1 m, R = radius,
+// r′ = radius − 20, r = 2).
+func BenchmarkBuildN1e5(b *testing.B) {
+	radius := 300 * math.Sqrt(0.1)
+	d := geom.NewUniformDisk(100000, radius, 1)
+	rg := topology.Ranges{ReaderToTag: radius, TagToReader: radius - 20, TagToTag: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := topology.Build(d, 0, rg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"testing"
 
 	"netags/internal/geom"
@@ -63,6 +64,69 @@ func FuzzTopologyTiers(f *testing.F) {
 		}
 		if nw.K != maxTier || nw.Reachable != reach {
 			t.Fatalf("summary K=%d Reachable=%d, brute force says %d/%d", nw.K, nw.Reachable, maxTier, reach)
+		}
+	})
+}
+
+// FuzzTopologyAdjacency checks every tag's neighbour list, order included,
+// against the two-pass builder (topology.TwoPassAdjacency) over
+// byte-derived deployments with zero to two walls. Neighbour order sets the
+// lossy channel's per-pair draw order and SICP's parent adoption, so a
+// builder that finds the right neighbours in another order still changes
+// results.
+func FuzzTopologyAdjacency(f *testing.F) {
+	// raw[0]%3 walls of four bytes each, then one (x, y) byte pair per tag;
+	// bits 16–21 of rangeBits pick r = 0.25 … 16 m.
+	f.Add([]byte{0, 128, 128, 148, 128, 108, 128, 128, 148}, uint64(0x80000))
+	// The geom.Blocked direction regression: a = (19, 12)·0.1 and
+	// b = (9, 2)·0.1 under the wall (11, 4)·0.1–(16, 29)·0.1.
+	f.Add([]byte{1, 139, 132, 144, 157, 147, 140, 137, 130}, uint64(0x80000))
+	// 40 tags packed into a 2 m square over 3×3 cells of r = 0.75 m, with
+	// a wall across it: long lists that mix own-row and next-row windows.
+	blob := []byte{1, 118, 120, 138, 136}
+	for v := byte(1); len(blob) < 85; {
+		v = v*73 + 41 // full-period LCG mod 256
+		blob = append(blob, 118+v%21)
+	}
+	f.Add(blob, uint64(0x20000))
+	f.Fuzz(func(t *testing.T, raw []byte, rangeBits uint64) {
+		if len(raw) < 1 {
+			return
+		}
+		if len(raw) > 137 {
+			raw = raw[:137] // ≤ 64 tags keeps the oracle cheap
+		}
+		// Coordinates step by 0.1 m over [-12.8, 12.7]: 0.1 is inexact in
+		// binary, so cross products round and near-collinear walls can
+		// expose a direction-dependent Blocked; ties in distance stay
+		// common.
+		step := 0.1
+		coord := func(b byte) float64 { return float64(int(b)-128) * step }
+		var walls []geom.Segment
+		nwalls := int(raw[0] % 3)
+		raw = raw[1:]
+		for ; nwalls > 0 && len(raw) >= 4; nwalls-- {
+			walls = append(walls, geom.Segment{
+				A: geom.Point{X: coord(raw[0]), Y: coord(raw[1])},
+				B: geom.Point{X: coord(raw[2]), Y: coord(raw[3])},
+			})
+			raw = raw[4:]
+		}
+		d := &geom.Deployment{Readers: []geom.Point{{}}, Radius: 64}
+		for i := 0; i+1 < len(raw); i += 2 {
+			d.Tags = append(d.Tags, geom.Point{X: coord(raw[i]), Y: coord(raw[i+1])})
+		}
+		rg := topology.PaperRanges(0.25 + float64((rangeBits>>16)%64)/4)
+		nw, err := topology.BuildObstructed(d, 0, rg, walls)
+		if err != nil {
+			t.Fatalf("build rejected a valid input: %v", err)
+		}
+		ref := topology.TwoPassAdjacency(nw)
+		for i := range d.Tags {
+			if got, want := nw.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
+				t.Fatalf("tag %d at %+v: neighbours %v, two-pass builder says %v (r=%v, walls %+v)",
+					i, d.Tags[i], got, want, rg.TagToTag, walls)
+			}
 		}
 	})
 }

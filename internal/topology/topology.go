@@ -11,6 +11,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"netags/internal/geom"
 )
@@ -135,102 +136,195 @@ func (nw *Network) TierCounts() []int {
 	return counts
 }
 
-// buildAdjacency fills the CSR adjacency using a uniform grid with cell size
-// equal to the tag-to-tag range, so each tag only tests the 3×3 surrounding
-// cells. Links are symmetric by construction (same range both ways).
+// buildAdjacency fills the CSR adjacency in one half-stencil pass over a
+// uniform grid whose cells are TagToTag wide, testing each candidate pair
+// exactly once.
+//
+// Tags are counting-sorted into cells, row-major by cell id and by tag index
+// within a cell; position k in that order (members[k], with its coordinates
+// at pts[k]) is the order every neighbour list comes out in: tag i's list is
+// its neighbours sorted by k. The session's lossy draw order and SICP's
+// parent adoption depend on it, so the order is part of the contract.
+//
+// The tag at k is tested against the rest of its own cell and the four
+// forward cells c+1, c+cols−1, c+cols and c+cols+1, i.e. against later
+// positions only; the backward half of the 3×3 stencil is covered when the
+// earlier tag is visited. Because cells c and c+1 are adjacent in k, as are
+// the three cells of the next row, those candidates form just two contiguous
+// k windows, whose hits are recorded one bit per candidate (the forward
+// list, sized exactly from the cell occupancy before any test). A
+// link needs Dist2 ≤ r² and an unblocked path, both symmetric in their
+// endpoints, so one test per pair decides the link both ways.
+//
+// The scatter then walks the forward lists in ascending k: a hit (a, b)
+// appends a to b's list and b to a's. Every earlier neighbour of a has
+// already appended itself by the time a writes its forward hits, so each
+// list is its backward neighbours in ascending k followed by its forward
+// ones: sorted by k.
 func (nw *Network) buildAdjacency() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
+	nw.offsets = make([]int32, n+1)
+	if n == 0 {
+		return
+	}
 	r := nw.Ranges.TagToTag
 	r2 := r * r
+	obstacles := nw.Obstacles
+	walled := len(obstacles) > 0
 
-	// Grid index: map each tag to a cell.
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for _, p := range tags {
 		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
 		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 	}
-	if n == 0 {
-		nw.offsets = make([]int32, 1)
-		return
-	}
 	cols := int((maxX-minX)/r) + 1
 	rows := int((maxY-minY)/r) + 1
-	cell := func(p geom.Point) (int, int) {
-		cx := int((p.X - minX) / r)
-		cy := int((p.Y - minY) / r)
-		// Guard the topmost boundary points.
-		if cx >= cols {
-			cx = cols - 1
-		}
-		if cy >= rows {
-			cy = rows - 1
-		}
-		return cx, cy
-	}
 
-	// Bucket tags per cell (counting sort into a flat slice).
+	// Counting sort: cellStart[c] is first the occupancy of cell c, then its
+	// end, and after the descending placement its start (cellStart[c+1] is
+	// its end). Placing tags from the highest index down keeps each cell's
+	// members in ascending tag index.
 	cellOf := make([]int32, n)
-	cellCount := make([]int32, cols*rows+1)
+	cellStart := make([]int32, cols*rows+1)
 	for i, p := range tags {
-		cx, cy := cell(p)
+		cx := min(int((p.X-minX)/r), cols-1) // min guards the topmost
+		cy := min(int((p.Y-minY)/r), rows-1) // boundary points
 		c := int32(cy*cols + cx)
 		cellOf[i] = c
-		cellCount[c+1]++
+		cellStart[c]++
 	}
-	for c := 1; c < len(cellCount); c++ {
-		cellCount[c] += cellCount[c-1]
+	for c := 1; c < len(cellStart); c++ {
+		cellStart[c] += cellStart[c-1]
 	}
-	cellStart := cellCount // renamed view: cellStart[c] .. cellStart[c+1]
 	members := make([]int32, n)
-	fill := make([]int32, cols*rows)
-	for i := range tags {
+	pts := make([]geom.Point, n)
+	for i := n - 1; i >= 0; i-- {
 		c := cellOf[i]
-		members[cellStart[c]+fill[c]] = int32(i)
-		fill[c]++
+		cellStart[c]--
+		members[cellStart[c]] = int32(i)
+		pts[cellStart[c]] = tags[i]
 	}
 
-	// Pass 1: degree count; pass 2: fill.
-	deg := make([]int32, n)
-	forEachCandidate := func(i int, fn func(j int32)) {
-		p := tags[i]
-		cx, cy := cell(p)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if nx < 0 || nx >= cols || ny < 0 || ny >= rows {
-					continue
-				}
-				c := int32(ny*cols + nx)
-				for _, j := range members[cellStart[c]:cellStart[c+1]] {
-					if int(j) == i {
-						continue
+	// windows returns cell c's two candidate windows beyond its own members:
+	// the own row runs to the end of c+1 (when it exists), the next row
+	// spans c+cols−1 … c+cols+1, clipped at the grid's edges.
+	windows := func(cx, cy int) (rowEnd, nextLo, nextHi int32) {
+		c := cy*cols + cx
+		rowEnd = cellStart[c+1]
+		if cx+1 < cols {
+			rowEnd = cellStart[c+2]
+		}
+		if cy+1 < rows {
+			lo, hi := c+cols, c+cols+1
+			if cx > 0 {
+				lo--
+			}
+			if cx+1 < cols {
+				hi++
+			}
+			nextLo, nextHi = cellStart[lo], cellStart[hi]
+		}
+		return rowEnd, nextLo, nextHi
+	}
+	nbits := 0
+	for cy := 0; cy < rows; cy++ {
+		for cx := 0; cx < cols; cx++ {
+			c := cy*cols + cx
+			s, e := int(cellStart[c]), int(cellStart[c+1])
+			if s == e {
+				continue
+			}
+			rowEnd, nextLo, nextHi := windows(cx, cy)
+			m := e - s
+			// Σ over the cell's members k of (rowEnd−k−1) + (nextHi−nextLo).
+			nbits += m*(int(rowEnd)-s) - m*(m+1)/2 + m*int(nextHi-nextLo)
+		}
+	}
+	fwd := make([]uint64, (nbits+63)/64)
+
+	// Test pass. deg[k] is the degree of the tag at k: its forward hits
+	// plus one per earlier tag that hit it. cellOf is dead and reused.
+	deg := cellOf
+	clear(deg)
+	bit, word := 0, uint64(0)
+	for cy := 0; cy < rows; cy++ {
+		for cx := 0; cx < cols; cx++ {
+			c := cy*cols + cx
+			rowEnd, nextLo, nextHi := windows(cx, cy)
+			for k := cellStart[c]; k < cellStart[c+1]; k++ {
+				p := pts[k]
+				hits := int32(0)
+				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
+					for j := w[0]; j < w[1]; j++ {
+						// h is 0 or 1 and every counter takes it
+						// unconditionally: about a third of candidates
+						// hit, too irregular for a branch to predict.
+						var h int32
+						if p.Dist2(pts[j]) <= r2 {
+							h = 1
+						}
+						if walled && h == 1 && geom.Blocked(obstacles, p, pts[j]) {
+							h = 0
+						}
+						word |= uint64(h) << (bit & 63)
+						deg[j] += h
+						hits += h
+						if bit++; bit&63 == 0 {
+							fwd[bit>>6-1] = word
+							word = 0
+						}
 					}
-					if p.Dist2(tags[j]) <= r2 &&
-						!geom.Blocked(nw.Obstacles, p, tags[j]) {
-						fn(j)
+				}
+				deg[k] += hits
+			}
+		}
+	}
+	if bit&63 != 0 {
+		fwd[bit>>6] = word
+	}
+
+	offsets := nw.offsets
+	for k, i := range members {
+		offsets[i+1] = deg[k]
+	}
+	for i := 0; i < n; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	adj := make([]int32, offsets[n])
+	nw.adj = adj
+
+	// Scatter pass: cursor[k] is the next free slot of the tag at k's list.
+	cursor := deg
+	for k, i := range members {
+		cursor[k] = offsets[i]
+	}
+	bit = 0
+	for cy := 0; cy < rows; cy++ {
+		for cx := 0; cx < cols; cx++ {
+			c := cy*cols + cx
+			rowEnd, nextLo, nextHi := windows(cx, cy)
+			for k := cellStart[c]; k < cellStart[c+1]; k++ {
+				a := members[k]
+				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
+					// Walk the window's bits a word at a time.
+					for j := w[0]; j < w[1]; {
+						take := min(int32(64-bit&63), w[1]-j)
+						word := (fwd[bit>>6] >> (bit & 63)) & (1<<take - 1)
+						for ; word != 0; word &= word - 1 {
+							b := j + int32(bits.TrailingZeros64(word))
+							adj[cursor[b]] = a
+							cursor[b]++
+							adj[cursor[k]] = members[b]
+							cursor[k]++
+						}
+						j += take
+						bit += int(take)
 					}
 				}
 			}
 		}
-	}
-	for i := 0; i < n; i++ {
-		d := int32(0)
-		forEachCandidate(i, func(int32) { d++ })
-		deg[i] = d
-	}
-	nw.offsets = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		nw.offsets[i+1] = nw.offsets[i] + deg[i]
-	}
-	nw.adj = make([]int32, nw.offsets[n])
-	cursor := make([]int32, n)
-	for i := 0; i < n; i++ {
-		forEachCandidate(i, func(j int32) {
-			nw.adj[nw.offsets[i]+cursor[i]] = j
-			cursor[i]++
-		})
 	}
 }
 

@@ -90,28 +90,6 @@ func TestBuildDisconnectedTag(t *testing.T) {
 	}
 }
 
-func TestAdjacencySymmetric(t *testing.T) {
-	d := geom.NewUniformDisk(2000, 30, 11)
-	nw, err := Build(d, 0, PaperRanges(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nw.N(); i++ {
-		for _, j := range nw.Neighbors(i) {
-			found := false
-			for _, back := range nw.Neighbors(int(j)) {
-				if int(back) == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("link %d->%d not symmetric", i, j)
-			}
-		}
-	}
-}
-
 func TestAdjacencyMatchesBruteForce(t *testing.T) {
 	d := geom.NewUniformDisk(800, 30, 13)
 	rg := PaperRanges(5)
@@ -240,16 +218,6 @@ func TestEmptyDeployment(t *testing.T) {
 	}
 	if nw.N() != 0 || nw.K != 0 || nw.Reachable != 0 {
 		t.Fatal("empty deployment produced non-empty network")
-	}
-}
-
-func BenchmarkBuild10k(b *testing.B) {
-	d := geom.NewUniformDisk(10000, 30, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(d, 0, PaperRanges(6)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
