@@ -62,6 +62,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDeriveSeed$$' -fuzztime $(FUZZTIME) ./internal/prng/
 	go test -run '^$$' -fuzz '^FuzzTopologyTiers$$' -fuzztime $(FUZZTIME) ./internal/topology/
 	go test -run '^$$' -fuzz '^FuzzTopologyAdjacency$$' -fuzztime $(FUZZTIME) ./internal/topology/
+	go test -run '^$$' -fuzz '^FuzzSICP$$' -fuzztime $(FUZZTIME) ./internal/sicp/
 	go test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/simtest/
 	go test -run '^$$' -fuzz '^FuzzJobSpecKey$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime $(FUZZTIME) ./internal/serve/
@@ -72,19 +73,19 @@ fuzz-smoke:
 bench-sweep:
 	go test -bench=ExperimentQuick -benchtime=1x -run='^$$' .
 
-# The tracked benchmark suite: the topology build at the paper's ranges and
-# at scale-1e5's 10^5 tags, tracing overhead (core), the pooled session
-# kernel at 10^4–10^6 tags plus arena reuse (allocs/op pinned at the small
-# per-session constant — any per-round allocation regression multiplies it
-# and trips the alloc gate), the bitmap OR-merge
+# The tracked benchmark suite: the topology build and the SICP collection at
+# the paper's ranges and at scale-1e5's 10^5 tags, tracing overhead (core),
+# the pooled session kernel at 10^4–10^6 tags plus arena reuse (allocs/op
+# pinned at the small per-session constant — any per-round allocation
+# regression multiplies it and trips the alloc gate), the bitmap OR-merge
 # hot paths, sweep worker scaling, the -http Tracker bookkeeping, the serve
 # layer's submission fast paths (content-address hashing, cache hits,
 # warm-cache Submit), and the per-point execution path with observability
 # off (pinned at zero allocs) and fully on. The raw `go test -bench` lines
 # plus per-benchmark mean/min/max rollups land in BENCH_observability.json
 # (recover a benchstat input with `jq -r '.benchmarks[].raw'`).
-BENCH_PKGS    = ./internal/topology/ ./internal/core/ ./internal/bitmap/ ./internal/experiment/ ./internal/serve/ ./internal/obs/timeseries/ ./internal/cluster/
-BENCH_PATTERN = 'BuildPaper|BuildN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|TrackerObserve|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
+BENCH_PKGS    = ./internal/topology/ ./internal/sicp/ ./internal/core/ ./internal/bitmap/ ./internal/experiment/ ./internal/serve/ ./internal/obs/timeseries/ ./internal/cluster/
+BENCH_PATTERN = 'BuildPaper|BuildN1e5|CollectPaper|CollectN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|TrackerObserve|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
 bench:
 	go test -bench=$(BENCH_PATTERN) -benchmem -count=5 -run='^$$' $(BENCH_PKGS) \
 		| tee /dev/stderr | go run ./internal/tools/benchjson > BENCH_observability.json

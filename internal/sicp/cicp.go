@@ -40,7 +40,7 @@ func CollectCICP(nw *topology.Network, opts Options) (*Result, error) {
 		Collected: c.collected,
 		Clock:     c.clock,
 		Meter:     c.meter,
-		TreeDepth: c.depth,
+		TreeDepth: nw.K,
 	}, nil
 }
 
@@ -50,46 +50,32 @@ func CollectCICP(nw *topology.Network, opts Options) (*Result, error) {
 // child draws a slot in [0, W); the holders of the minimum draw transmit,
 // and unless the minimum is unique the messages collide and are retried.
 func (c *collector) collectContention() {
+	c.initLists()
 	n := c.nw.N()
-	buffered := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		if c.parent[i] != parentNone {
-			buffered[i] = append(buffered[i], c.id(i))
-		}
-	}
-
-	// Post-order over the whole forest.
-	var post []int32
-	stack := make([]int32, 0, n)
-	visited := make([]bool, n)
-	for _, root := range c.order {
+	start := c.clock
+	// Iterative post-order over the whole forest. A tag is entered as u and
+	// left as ^u: on entry its slot becomes ^u with its children pushed
+	// above, so every child's group races before the tag's own group.
+	var stack []int32
+	for _, root := range c.children(n) {
 		stack = append(stack, root)
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
-			if !visited[u] {
-				visited[u] = true
-				stack = append(stack, c.children[u]...)
+			if u >= 0 {
+				stack[len(stack)-1] = ^u
+				stack = append(stack, c.children(int(u))...)
 				continue
 			}
 			stack = stack[:len(stack)-1]
-			post = append(post, u)
+			// The children of ^u race for it; ^u itself uploads once its
+			// own group's turn comes, tier-1 tags forming the reader's
+			// group below.
+			if group := c.children(int(^u)); len(group) > 0 {
+				c.race(group)
+			}
 		}
 	}
-	// The stack-based traversal above visits children after re-examining
-	// the parent, producing a valid post-order (every child precedes its
-	// parent because children are pushed above it).
-
-	// Group the post-order by parent and run the contention race per
-	// sibling group, in the order groups complete.
-	start := c.clock
-	for _, u := range post {
-		if len(c.children[u]) > 0 {
-			c.race(c.children[u], buffered)
-		}
-		// u itself uploads once its own group's turn comes; tier-1 tags
-		// form the reader's group below.
-	}
-	c.race(c.order, buffered)
+	c.race(c.children(n))
 	c.batch("collect", 1, 0, len(c.collected), start)
 }
 
@@ -100,15 +86,16 @@ func (c *collector) collectContention() {
 // tier-1 children) would collide forever. It stays at its grown size for the
 // rest of the group: halving after each success would re-pay the collision
 // ladder for every single upload.
-func (c *collector) race(group []int32, buffered [][]uint64) {
-	remaining := append([]int32(nil), group...)
+func (c *collector) race(group []int32) {
+	remaining := append(c.remaining[:0], group...)
+	winners := c.winners[:0]
 	w := c.opts.ContentionWindow
 	const maxWindow = 1 << 16
 	for len(remaining) > 0 {
 		// Each round every remaining child draws a backoff slot; the
 		// minimal draw(s) transmit first.
 		minSlot := w
-		var winners []int32
+		winners = winners[:0]
 		for _, ch := range remaining {
 			d := c.src.Intn(w)
 			if d < minSlot {
@@ -131,7 +118,7 @@ func (c *collector) race(group []int32, buffered [][]uint64) {
 			continue
 		}
 		ch := winners[0]
-		c.uploadContended(ch, buffered)
+		c.uploadContended(ch)
 		for i, r := range remaining {
 			if r == ch {
 				remaining = append(remaining[:i], remaining[i+1:]...)
@@ -139,6 +126,7 @@ func (c *collector) race(group []int32, buffered [][]uint64) {
 			}
 		}
 	}
+	c.remaining, c.winners = remaining, winners
 }
 
 // uploadContended sends a child's buffer to its parent and puts it to sleep.
@@ -146,22 +134,20 @@ func (c *collector) race(group []int32, buffered [][]uint64) {
 // every message must be acknowledged: without an ack a contender cannot know
 // whether its transmission collided, which is precisely how collisions are
 // detected here.
-func (c *collector) uploadContended(u int32, buffered [][]uint64) {
+func (c *collector) uploadContended(u int32) {
 	p := c.parent[u]
-	for _, id := range buffered[u] {
+	for k := int32(0); k < c.size[u]; k++ {
 		c.backoff()
 		c.transmit(int(u))
 		if p == parentReader {
-			c.collected = append(c.collected, id)
 			// The reader's ack: one long slot, decoded by the uploader.
 			c.clock.LongSlots++
 			c.cumLong++
 			c.meter.AddReceived(int(u), energy.IDBits-1)
 		} else {
-			buffered[p] = append(buffered[p], id)
 			c.transmit(int(p))
 		}
 	}
-	buffered[u] = nil
+	c.deliver(u, p)
 	c.sleep(u)
 }

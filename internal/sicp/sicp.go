@@ -9,9 +9,10 @@
 //
 //  1. Tree phase. The reader's 96-bit collection request floods outward.
 //     Each tag rebroadcasts it exactly once after a CSMA backoff; a tag's
-//     parent is the upstream neighbor whose rebroadcast it heard first. The
-//     reader's own broadcast reaches only tier-1 tags (per §VI-A, SICP's
-//     reader↔tag range is r', unlike CCM's one-hop R coverage).
+//     parent is one of its upstream (one tier closer) neighbors, chosen
+//     uniformly: reception jitter decides which rebroadcast it locks onto.
+//     The reader's own broadcast reaches only tier-1 tags (per §VI-A,
+//     SICP's reader↔tag range is r', unlike CCM's one-hop R coverage).
 //  2. Collection phase. Strictly serialized post-order DFS over the tree:
 //     a parent hands a 96-bit token to each child in turn; the child uploads
 //     every ID buffered from its own subtree (96 bits each, preceded by a
@@ -26,6 +27,14 @@
 // fully receives every 96-bit message transmitted by a neighbor. Time
 // model: each message occupies one long (96-bit) slot; each backoff burns
 // its drawn number of short slots.
+//
+// Cost: because every in-system tag listens from the request until it
+// sleeps, its reception is charged once, when it sleeps, from its
+// neighbors' send counters; no message walks a neighbor list. Tags are
+// bucketed by tier with one counting sort, the tree is a CSR child array,
+// and IDs travel in intrusive linked lists spliced onto the parent's in
+// O(1). One collection is O(messages + edges) with a constant number of
+// allocations.
 package sicp
 
 import (
@@ -66,7 +75,8 @@ type Result struct {
 	Clock energy.Clock
 	// Meter is the per-tag energy.
 	Meter *energy.Meter
-	// TreeDepth is the depth of the spanning tree (≥ the tier count).
+	// TreeDepth is the depth of the spanning tree. Every parent is exactly
+	// one tier up, so it equals the network's tier count K.
 	TreeDepth int
 }
 
@@ -95,7 +105,7 @@ func Collect(nw *topology.Network, opts Options) (*Result, error) {
 		Collected: c.collected,
 		Clock:     c.clock,
 		Meter:     c.meter,
-		TreeDepth: c.depth,
+		TreeDepth: nw.K,
 	}, nil
 }
 
@@ -108,12 +118,30 @@ type collector struct {
 	meter *energy.Meter
 	clock energy.Clock
 
-	parent   []int32 // parent tag of each tag; -1 = reader, -2 = none
-	children [][]int32
-	order    []int32 // tier-1 tags in flood order (reader's children)
-	depth    int
+	// parent[i] is tag i's parent tag, parentReader at tier 1 and
+	// parentNone outside the system.
+	parent []int32
+	// The tree in CSR form over n+1 parents, the reader being parent n:
+	// the children of p are kids[kidStart[p]:kidStart[p+1]], ascending.
+	kidStart []int32
+	kids     []int32
 
-	asleep    []bool
+	// Intrusive ID lists. The IDs tag u still holds are those of tags u,
+	// next[u], next[next[u]], …: size[u] of them, the last being tail[u].
+	// A tag's own ID heads its list, and a finished child's list is
+	// spliced onto the parent's tail, so the order is the order of
+	// arrival.
+	next []int32
+	tail []int32
+	size []int32
+
+	// Scratch for race, reused across sibling groups.
+	remaining []int32
+	winners   []int32
+
+	// msgs[u] counts the messages tag u has sent.
+	msgs []int32
+
 	collected []uint64
 
 	// Cumulative air-time counters for the awake-sensing charge: cumShort
@@ -150,7 +178,7 @@ func (c *collector) sessionEnd() {
 		t.Trace(obs.Event{
 			Kind:        obs.KindSessionEnd,
 			Protocol:    c.proto,
-			Rounds:      c.depth,
+			Rounds:      c.nw.K,
 			Count:       len(c.collected),
 			ShortSlots:  c.clock.ShortSlots,
 			LongSlots:   c.clock.LongSlots,
@@ -194,54 +222,53 @@ func (c *collector) backoff() {
 }
 
 // transmit models one 96-bit message from tag u: one long slot on the air
-// and 96 bits of TX energy for u. Awake neighbors decode the message; their
-// 96-bit reception is charged as 95 bits here plus the 1-bit carrier-sense
-// charge every awake tag pays for the slot at sleep time.
+// and 96 bits of TX energy for u. The awake neighbors that decode it are
+// charged when they sleep.
 func (c *collector) transmit(u int) {
 	c.clock.LongSlots++
 	c.cumLong++
 	c.meter.AddSent(u, energy.IDBits)
-	for _, v := range c.nw.Neighbors(u) {
-		if !c.asleep[v] {
-			c.meter.AddReceived(int(v), energy.IDBits-1)
-		}
-	}
+	c.msgs[u]++
 }
 
-// sleep retires tag u: it stops sensing and is charged for every slot it
-// stayed awake (1 bit each), minus the long slots it spent transmitting
-// itself (half duplex: no reception during its own transmissions).
+// sleep retires tag u. Every in-system tag listens from the request until
+// it sleeps, so it has decoded every message its neighbors sent so far:
+// each is charged 95 bits here, the 96th being the 1-bit carrier-sense
+// charge for the slot. That charge covers every slot u stayed awake, minus
+// the long slots it spent transmitting itself (half duplex: no reception
+// during its own transmissions).
 func (c *collector) sleep(u int32) {
-	idle := c.cumShort + c.cumLong - c.meter.Sent(int(u))/energy.IDBits
+	var heard int64
+	msgs := c.msgs
+	for _, v := range c.nw.Neighbors(int(u)) {
+		heard += int64(msgs[v])
+	}
+	c.meter.AddReceived(int(u), (energy.IDBits-1)*heard)
+	idle := c.cumShort + c.cumLong - int64(msgs[u])
 	if idle > 0 {
 		c.meter.AddReceived(int(u), idle)
 	}
-	c.asleep[u] = true
 }
 
 // buildTree floods the collection request tier by tier and establishes
 // parent pointers. Within a tier, rebroadcast order is randomized by the
-// backoff draws (CSMA), and a tag adopts the first upstream transmitter it
-// heard.
+// backoff draws (CSMA), and each deeper tag then adopts one upstream
+// neighbor chosen uniformly.
 func (c *collector) buildTree() {
-	n := c.nw.N()
-	c.parent = make([]int32, n)
-	c.children = make([][]int32, n)
-	c.asleep = make([]bool, n)
-	for i := range c.parent {
-		c.parent[i] = parentNone
-		// Tags that cannot reach the reader never hear the request (their
-		// entire neighborhood is unreachable too) and stay asleep.
-		c.asleep[i] = c.nw.Tier[i] == 0
-	}
+	nw := c.nw
+	n := nw.N()
 
 	// The reader's request: one long slot, received by tier-1 tags (the
 	// 96th bit of their reception comes from the carrier-sense charge at
-	// sleep time, as for every decoded message).
+	// sleep time, as for every decoded message). Tags outside the system
+	// never hear it and stay asleep.
 	c.clock.LongSlots++
 	c.cumLong++
-	for i := 0; i < n; i++ {
-		if c.nw.Tier[i] == 1 {
+	c.parent = make([]int32, n)
+	c.msgs = make([]int32, n)
+	for i, k := range nw.Tier {
+		c.parent[i] = parentNone
+		if k == 1 {
 			c.parent[i] = parentReader
 			c.meter.AddReceived(i, energy.IDBits-1)
 		}
@@ -254,15 +281,12 @@ func (c *collector) buildTree() {
 	// listener locks onto first, and modeling it as a uniform choice keeps
 	// the tree's branching factor realistic instead of letting the
 	// globally-first transmitter of a tier claim its whole range.
-	maxTier := c.nw.K
-	for tier := 1; tier <= maxTier; tier++ {
+	// One counting sort buckets the tags by tier, ascending by index within
+	// a tier: the order each tier's shuffle starts from.
+	tierStart, byTier := countingSort(n, nw.K+1, func(i int) int { return int(nw.Tier[i]) })
+	for tier := 1; tier <= nw.K; tier++ {
 		start := c.clock
-		members := make([]int32, 0, 64)
-		for i := 0; i < n; i++ {
-			if int(c.nw.Tier[i]) == tier {
-				members = append(members, int32(i))
-			}
-		}
+		members := byTier[tierStart[tier]:tierStart[tier+1]]
 		// Fisher–Yates with the run's source.
 		for i := len(members) - 1; i > 0; i-- {
 			j := c.src.Intn(i + 1)
@@ -274,13 +298,14 @@ func (c *collector) buildTree() {
 		}
 		c.batch("flood", tier, len(members), len(members), start)
 	}
-	for i := 0; i < n; i++ {
-		if c.nw.Tier[i] < 2 {
+	var upstream []int32
+	for i, k := range nw.Tier {
+		if k < 2 {
 			continue
 		}
-		upstream := make([]int32, 0, 8)
-		for _, v := range c.nw.Neighbors(i) {
-			if c.nw.Tier[v] == c.nw.Tier[i]-1 {
+		upstream = upstream[:0]
+		for _, v := range nw.Neighbors(i) {
+			if nw.Tier[v] == k-1 {
 				upstream = append(upstream, v)
 			}
 		}
@@ -289,94 +314,126 @@ func (c *collector) buildTree() {
 		c.parent[i] = upstream[c.src.Intn(len(upstream))]
 	}
 
-	// Materialize children lists and the reader's child order; compute
-	// depth.
-	for i := 0; i < n; i++ {
-		switch c.parent[i] {
-		case parentReader:
-			c.order = append(c.order, int32(i))
+	// Child lists, ascending by index within each parent; the reader's
+	// children, the tier-1 tags, are bucket n.
+	c.kidStart, c.kids = countingSort(n, n+1, func(i int) int {
+		switch p := c.parent[i]; p {
 		case parentNone:
-			// Unreachable tag: outside the system.
+			return -1
+		case parentReader:
+			return n
 		default:
-			p := c.parent[i]
-			c.children[p] = append(c.children[p], int32(i))
+			return int(p)
 		}
-	}
+	})
+}
+
+// countingSort buckets the indices i in [0, n) by key(i) in [0, keys),
+// skipping those with a negative key: bucket k is
+// sorted[start[k]:start[k+1]], in ascending index order. It counts each
+// key's indices into start[k], turns the counts into running totals (the
+// end of each bucket), and fills from the last index down, decrementing
+// start[k] as it goes, which leaves start[k] at the bucket's beginning.
+func countingSort(n, keys int, key func(i int) int) (start, sorted []int32) {
+	start = make([]int32, keys+1)
 	for i := 0; i < n; i++ {
-		if c.parent[i] == parentNone {
-			continue
-		}
-		d := 1
-		for p := c.parent[i]; p != parentReader; p = c.parent[p] {
-			d++
-		}
-		if d > c.depth {
-			c.depth = d
+		if k := key(i); k >= 0 {
+			start[k]++
 		}
 	}
+	for k := 1; k < keys; k++ {
+		start[k] += start[k-1]
+	}
+	start[keys] = start[keys-1]
+	sorted = make([]int32, start[keys])
+	for i := n - 1; i >= 0; i-- {
+		if k := key(i); k >= 0 {
+			start[k]--
+			sorted[start[k]] = int32(i)
+		}
+	}
+	return start, sorted
+}
+
+// children returns the children of tag p, or the reader's (the tier-1
+// tags) for p = n.
+func (c *collector) children(p int) []int32 {
+	return c.kids[c.kidStart[p]:c.kidStart[p+1]]
+}
+
+// initLists starts every tag's ID list with its own ID alone.
+func (c *collector) initLists() {
+	n := c.nw.N()
+	c.next = make([]int32, n)
+	c.tail = make([]int32, n)
+	c.size = make([]int32, n)
+	for i := range c.tail {
+		c.tail[i] = int32(i)
+		c.size[i] = 1
+	}
+	if c.nw.Reachable > 0 {
+		c.collected = make([]uint64, 0, c.nw.Reachable)
+	}
+}
+
+// deliver hands tag u's ID list to its parent p once u has sent it: the
+// reader records the IDs in list order, and a tag splices the list onto
+// its own tail.
+func (c *collector) deliver(u, p int32) {
+	if p == parentReader {
+		for i, k := u, int32(0); k < c.size[u]; i, k = c.next[i], k+1 {
+			c.collected = append(c.collected, c.id(int(i)))
+		}
+		return
+	}
+	c.next[c.tail[p]] = u
+	c.tail[p] = c.tail[u]
+	c.size[p] += c.size[u]
 }
 
 // collect walks the tree in post-order. Each tag uploads its subtree's IDs
 // to its parent in one serialized exchange and then sleeps.
 func (c *collector) collect() {
-	// buffered[u] holds the IDs tag u must upload: its own plus everything
-	// its children delivered.
-	n := c.nw.N()
-	buffered := make([][]uint64, n)
-	for i := 0; i < n; i++ {
-		if c.parent[i] != parentNone {
-			buffered[i] = append(buffered[i], c.id(i))
-		}
-	}
-
-	// Iterative post-order DFS (the tree can be thousands deep at small r).
-	walk := func(u int32) {
-		type frame struct {
-			u     int32
-			child int
-		}
-		stack := []frame{{u: u}}
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if top.child < len(c.children[top.u]) {
-				ch := c.children[top.u][top.child]
-				top.child++
-				// Token from parent to child: backoff + one message.
-				c.backoff()
-				c.transmit(int(top.u))
-				stack = append(stack, frame{u: ch})
-				continue
-			}
-			// All children done: upload to parent, then sleep.
-			c.upload(top.u, buffered)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	for si, t1 := range c.order {
+	c.initLists()
+	// Iterative post-order DFS (the tree can be thousands deep at small r);
+	// a frame's next is the kids position of its next child.
+	type frame struct{ u, next int32 }
+	var stack []frame
+	for si, t1 := range c.children(c.nw.N()) {
 		// Reader children self-serialize by carrier sense: one contention
 		// backoff before each subtree starts.
 		start := c.clock
 		collectedBefore := len(c.collected)
 		c.backoff()
-		walk(t1)
+		stack = append(stack[:0], frame{t1, c.kidStart[t1]})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if top.next < c.kidStart[top.u+1] {
+				ch := c.kids[top.next]
+				top.next++
+				// Token from parent to child: backoff + one message.
+				c.backoff()
+				c.transmit(int(top.u))
+				stack = append(stack, frame{ch, c.kidStart[ch]})
+				continue
+			}
+			// All children done: upload to parent, then sleep.
+			c.upload(top.u)
+			stack = stack[:len(stack)-1]
+		}
 		c.batch("subtree", si+1, 0, len(c.collected)-collectedBefore, start)
 	}
 }
 
 // upload sends tag u's buffered IDs to its parent (or the reader) and puts
 // u to sleep after the closing ack.
-func (c *collector) upload(u int32, buffered [][]uint64) {
+func (c *collector) upload(u int32) {
 	p := c.parent[u]
-	for _, id := range buffered[u] {
+	for k := int32(0); k < c.size[u]; k++ {
 		c.backoff()
 		c.transmit(int(u))
-		if p == parentReader {
-			c.collected = append(c.collected, id)
-		} else {
-			buffered[p] = append(buffered[p], id)
-		}
 	}
-	buffered[u] = nil
+	c.deliver(u, p)
 	// Closing ack from the parent tells it the child's subtree is complete.
 	// The reader needs no ack — it is the sink and observes the data
 	// directly — so its children simply sleep after their last message.

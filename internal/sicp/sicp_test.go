@@ -1,6 +1,8 @@
 package sicp
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -121,8 +123,10 @@ func TestCollectAccounting(t *testing.T) {
 	if res.Clock.ShortSlots == 0 {
 		t.Fatal("no backoff slots recorded")
 	}
-	if res.TreeDepth < nw.K {
-		t.Fatalf("tree depth %d below tier count %d", res.TreeDepth, nw.K)
+	// Every parent is exactly one tier up, so the tree is as deep as the
+	// network has tiers.
+	if res.TreeDepth != nw.K {
+		t.Fatalf("tree depth %d, want the tier count %d", res.TreeDepth, nw.K)
 	}
 }
 
@@ -272,5 +276,44 @@ func TestCollectCompletenessProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkCollectPaper times the SICP collection a paper trial performs:
+// 10^4 tags in a 30 m disk at PaperRanges(r).
+func BenchmarkCollectPaper(b *testing.B) {
+	d := geom.NewUniformDisk(10000, 30, 1)
+	for _, r := range []float64{2, 6, 10} {
+		nw, err := topology.Build(d, 0, topology.PaperRanges(r))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("r=%g", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Collect(nw, Options{Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCollectN1e5 times the SICP collection of a scale-1e5 survey:
+// 10^5 tags at the core scale benchmarks' density (radius 300·√0.1 m,
+// R = radius, r′ = radius − 20, r = 2).
+func BenchmarkCollectN1e5(b *testing.B) {
+	radius := 300 * math.Sqrt(0.1)
+	d := geom.NewUniformDisk(100000, radius, 1)
+	nw, err := topology.Build(d, 0, topology.Ranges{ReaderToTag: radius, TagToReader: radius - 20, TagToTag: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Collect(nw, Options{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

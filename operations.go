@@ -443,6 +443,15 @@ func (s *System) CollectIDs(opts CollectOptions) (*CollectResult, error) {
 	if opts.Contention {
 		run = sicp.CollectCICP
 	}
+	if len(s.networks) == 1 {
+		// Tag IDs are unique and one network delivers each at most once,
+		// so a lone reader's result needs no dedupe and no meter merge.
+		res, err := run(s.networks[0], sopts)
+		if err != nil {
+			return nil, fmt.Errorf("netags: reader 0: %w", err)
+		}
+		return &CollectResult{IDs: res.Collected, TreeDepth: res.TreeDepth, Cost: s.cost(res.Clock, res.Meter)}, nil
+	}
 	out := &CollectResult{}
 	var clock energy.Clock
 	meter := energy.NewMeter(s.TagCount())

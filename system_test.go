@@ -1,11 +1,14 @@
 package netags
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"netags/internal/energy"
 	"netags/internal/obs"
+	"netags/internal/sicp"
 )
 
 func testSystem(t *testing.T, n int, r float64, seed uint64) *System {
@@ -249,6 +252,69 @@ func TestMultiReaderSystem(t *testing.T) {
 	}
 	if len(col.IDs) != sys.Reachable() {
 		t.Fatalf("multi-reader collected %d, want %d", len(col.IDs), sys.Reachable())
+	}
+}
+
+// collectIDsMerged is CollectIDs without the single-reader fast path: every
+// reader's run is deduplicated into the ID list in reader order and its
+// meter merged, for any number of readers.
+func collectIDsMerged(t *testing.T, s *System, opts CollectOptions) *CollectResult {
+	t.Helper()
+	run := sicp.Collect
+	if opts.Contention {
+		run = sicp.CollectCICP
+	}
+	out := &CollectResult{}
+	var clock energy.Clock
+	meter := energy.NewMeter(s.TagCount())
+	seen := make(map[uint64]bool)
+	for _, nw := range s.networks {
+		res, err := run(nw, sicp.Options{Seed: opts.Seed, ContentionWindow: opts.ContentionWindow, IDs: s.ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range res.Collected {
+			if !seen[id] {
+				seen[id] = true
+				out.IDs = append(out.IDs, id)
+			}
+		}
+		clock.Add(res.Clock)
+		if err := meter.Merge(res.Meter); err != nil {
+			t.Fatal(err)
+		}
+		out.TreeDepth = max(out.TreeDepth, res.TreeDepth)
+	}
+	out.Cost = s.cost(clock, meter)
+	return out
+}
+
+// TestCollectIDsSingleReaderFastPath checks that a one-reader system, which
+// returns its collector's IDs and meter as they are, and a two-reader
+// system, which deduplicates and merges, both give what the merging path
+// gives: the same IDs in the same order, depth and cost.
+func TestCollectIDsSingleReaderFastPath(t *testing.T) {
+	for _, readers := range [][]Position{{{}}, {{X: -15}, {X: 15}}} {
+		sys, err := NewSystem(SystemOptions{Tags: 1200, Radius: 40, InterTagRange: 5, Readers: readers, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, contention := range []bool{false, true} {
+			t.Run(fmt.Sprintf("readers=%d/contention=%v", len(readers), contention), func(t *testing.T) {
+				opts := CollectOptions{Seed: 4, Contention: contention}
+				got, err := sys.CollectIDs(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := collectIDsMerged(t, sys, opts); !reflect.DeepEqual(got, want) {
+					t.Fatalf("CollectIDs: %d IDs depth %d cost %+v; merging path: %d IDs depth %d cost %+v",
+						len(got.IDs), got.TreeDepth, got.Cost, len(want.IDs), want.TreeDepth, want.Cost)
+				}
+				if len(got.IDs) != sys.Reachable() || sys.Reachable() < 500 {
+					t.Fatalf("collected %d IDs of %d reachable tags", len(got.IDs), sys.Reachable())
+				}
+			})
+		}
 	}
 }
 
