@@ -84,16 +84,15 @@ func (c Config) validate(nw *topology.Network) error {
 	if c.FrameSize <= 0 {
 		return fmt.Errorf("core: frame size must be positive, got %d", c.FrameSize)
 	}
-	if c.Picker == nil && (c.Sampling < 0 || c.Sampling > 1) {
+	// The checks are written !(in range) so that NaN fails them.
+	if c.Picker == nil && !(c.Sampling >= 0 && c.Sampling <= 1) {
 		return fmt.Errorf("core: sampling probability %v outside [0,1]", c.Sampling)
 	}
 	if c.IDs != nil && len(c.IDs) != nw.N() {
 		return fmt.Errorf("core: %d IDs for %d tags", len(c.IDs), nw.N())
 	}
-	if c.LossProb < 0 || c.LossProb >= 1 {
-		if c.LossProb != 0 {
-			return fmt.Errorf("core: loss probability %v outside [0,1)", c.LossProb)
-		}
+	if !(c.LossProb >= 0 && c.LossProb < 1) {
+		return fmt.Errorf("core: loss probability %v outside [0,1)", c.LossProb)
 	}
 	if c.CheckingFrameLen < 0 || c.MaxRounds < 0 {
 		return fmt.Errorf("core: negative frame length or round bound")

@@ -34,22 +34,29 @@ func paperNetwork(tb testing.TB, r float64) *topology.Network {
 
 // BenchmarkSessionPaper measures the two §VI-B sessions a paper trial runs,
 // at the paper's settings: TRP with f = 3228 and p = 1, GMLE with f = 1671
-// and p = gmle.SamplingFor(1671, n), over r ∈ {2, 6, 10}. The Runner is
-// warm, as in a sweep worker.
+// and p = gmle.SamplingFor(1671, n), over r ∈ {2, 6, 10}. trp-loss is the
+// TRP session on the lossy channel (LossProb 0.1) at r = 6, which tracks the
+// cost of the lossy kernel's tag-ordered delivery. The Runner is warm, as in
+// a sweep worker.
 func BenchmarkSessionPaper(b *testing.B) {
+	trpCfg := core.Config{FrameSize: trp.PaperFrameSize, Seed: 7, Sampling: 1}
+	lossyCfg := trpCfg
+	lossyCfg.LossProb, lossyCfg.LossSeed = 0.1, 8
 	protocols := []struct {
-		name string
-		cfg  core.Config
+		name   string
+		cfg    core.Config
+		ranges []float64
 	}{
-		{"trp", core.Config{FrameSize: trp.PaperFrameSize, Seed: 7, Sampling: 1}},
+		{"trp", trpCfg, []float64{2, 6, 10}},
 		{"gmle", core.Config{
 			FrameSize: gmle.PaperFrameSize,
 			Seed:      7,
 			Sampling:  gmle.SamplingFor(gmle.PaperFrameSize, paperTags),
-		}},
+		}, []float64{2, 6, 10}},
+		{"trp-loss", lossyCfg, []float64{6}},
 	}
 	for _, p := range protocols {
-		for _, r := range []float64{2, 6, 10} {
+		for _, r := range p.ranges {
 			b.Run(fmt.Sprintf("%s/r=%g", p.name, r), func(b *testing.B) {
 				nw := paperNetwork(b, r)
 				run := core.NewRunner()

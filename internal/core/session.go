@@ -42,6 +42,12 @@ type Result struct {
 // nothing once the arena is warm (TestSessionRoundAllocs pins this at
 // exactly zero).
 //
+// Every per-tag array is indexed by position, the network's cell-sorted
+// numbering (topology.Network.Row), so one transmitter's neighbours sit in
+// nearby words. Tag indices appear only where they are observable: the
+// picker and IDs see them, the lossy channel draws in their order, and the
+// position-indexed meter is scattered back to them at session end.
+//
 // A tag's view of a slot is the pair (heard bit, reader's known bitmap):
 // with the heard bit clear and the slot not silenced the tag listens there;
 // a set bit means it picked or heard the slot, so it transmits it once (the
@@ -53,13 +59,18 @@ type session struct {
 	cfg Config
 	f   int
 	n   int
+	// order and rank are nw's position → tag and tag → position maps.
+	order []int32
+	rank  []int32
 
 	// heard is the per-tag slot bitset, word-major: ⌈f/64⌉ strips of n
-	// words, where heard[w*n+i] holds slots 64w..64w+63 of tag i. A bit is
-	// set once the tag has picked the slot or heard it busy. Word-major
-	// keeps one transmitter's deliveries to a word inside a single n-word
-	// strip, which stays cache resident where a tag's whole row would not.
-	// Out-of-system tags' bits stay clear; delivery skips those tags.
+	// words, where heard[w*n+k] holds slots 64w..64w+63 of the tag at
+	// position k. A bit is set once the tag has picked the slot or heard it
+	// busy. Word-major keeps one transmitter's deliveries to a word inside a
+	// single n-word strip, which stays cache resident where a tag's whole
+	// row would not, and position indexing keeps its neighbours' words
+	// close together within the strip. Out-of-system tags' bits stay clear;
+	// delivery skips those tags.
 	heard []uint64
 
 	// Pending (tag, slot) pairs: slots a tag picked or heard since the last
@@ -80,9 +91,10 @@ type session struct {
 	txSlots []int32
 	txOff   []int32
 	txLen   []int32
-	// touched lists the tags with pending entries this round, sorted
-	// ascending so delivery visits transmitters in the same tag order as a
-	// dense scan (this pins the PRNG draw order of the lossy channel).
+	// touched lists the tags with pending entries this round. Reliable
+	// delivery is order-free and visits them by position; lossy delivery
+	// visits them by tag index, the order that pins the channel's PRNG
+	// draws (see sortMarked).
 	touched []int32
 
 	// txMask is the current transmitter's slot set over the words in
@@ -100,8 +112,11 @@ type session struct {
 	tier1    []bool
 	inSystem []bool
 
-	meter *energy.Meter
-	clock energy.Clock
+	// meter is the Result's, indexed by tag; posMeter accumulates the
+	// session by position and is scattered into meter at session end.
+	meter    *energy.Meter
+	posMeter *energy.Meter
+	clock    energy.Clock
 
 	// reader-side bitmaps
 	known     *bitmap.Bitmap // V: all slots the reader knows are busy
@@ -143,34 +158,66 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// sortMarked returns ids in ascending order, where ids lists without
-// repeats exactly the indices whose flag is non-zero. A dense set is rebuilt
-// by one scan of the flags instead of sorted, which is cheaper once it holds
-// more than about 1/32 of the indices.
-func sortMarked[T comparable](ids []int32, flags []T) []int32 {
+// sortMarked orders ids, which lists without repeats exactly the positions
+// whose flag is non-zero. Reliable sessions (loss nil) are order-free and
+// take ascending positions: consecutive transmitters are then spatial
+// neighbours whose rows hit the same heard words, which makes the paper
+// sessions 10–32% faster than ascending tag index (DESIGN.md). Lossy
+// sessions take ascending tag index, the order their PRNG draws are pinned
+// to. A dense set is rebuilt
+// by one scan of the flags instead of sorted, which is cheaper once it
+// holds more than about 1/32 of the positions. The tag-order sort maps the
+// ids to tags and back rather than sorting with a comparator, so it needs
+// no closure over the arena.
+func sortMarked[T comparable](s *session, ids []int32, flags []T) []int32 {
+	byTag := s.loss != nil
 	if len(ids) <= len(flags)/32 {
+		if byTag {
+			for j, k := range ids {
+				ids[j] = s.order[k]
+			}
+		}
 		slices.Sort(ids)
+		if byTag {
+			for j, i := range ids {
+				ids[j] = s.rank[i]
+			}
+		}
 		return ids
 	}
 	var zero T
 	ids = ids[:0]
-	for i, f := range flags {
+	if byTag {
+		for _, k := range s.rank {
+			if flags[k] != zero {
+				ids = append(ids, k)
+			}
+		}
+		return ids
+	}
+	for k, f := range flags {
 		if f != zero {
-			ids = append(ids, int32(i))
+			ids = append(ids, int32(k))
 		}
 	}
 	return ids
 }
 
 // init sizes and resets the arena for one session over nw. The config must
-// already be validated. meter is taken over as the session's (and the
-// eventual Result's) energy meter. Once the arena has seen a deployment of
-// this size and frame, init performs no allocations.
+// already be validated. meter becomes the eventual Result's energy meter;
+// run overwrites all of it from the position meter at session end. Once the
+// arena has seen a deployment of this size and frame, init performs no
+// allocations.
 func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	n, f := nw.N(), cfg.FrameSize
 	s.nw, s.cfg, s.f, s.n = nw, cfg, f, n
+	s.order, s.rank = nw.Order(), nw.Rank()
 	s.meter = meter
-	s.meter.Reset()
+	if s.posMeter == nil || s.posMeter.N() != n {
+		s.posMeter = energy.NewMeter(n)
+	} else {
+		s.posMeter.Reset()
+	}
 	s.clock = energy.Clock{}
 
 	// txLen and responded must be all-zero/false between rounds. The round
@@ -223,18 +270,17 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 		s.loss = &s.lossState
 	}
 
-	for i := 0; i < n; i++ {
+	for k, tier := range nw.PosTier() {
 		// Tags that cannot reach the reader are outside the system (§II) —
 		// out of the field of view they never hear the request, and either
 		// way their data can never arrive. They never listen or relay and
 		// consume no energy (the same boundary sicp draws with its asleep
 		// set).
-		tier := nw.Tier[i]
-		s.inSystem[i] = tier != 0
-		s.tier1[i] = tier == 1
-		s.unknownCount[i] = 0
+		s.inSystem[k] = tier != 0
+		s.tier1[k] = tier == 1
+		s.unknownCount[k] = 0
 		if tier != 0 {
-			s.unknownCount[i] = int32(f)
+			s.unknownCount[k] = int32(f)
 		}
 	}
 }
@@ -264,14 +310,17 @@ func defaultPicker(cfg Config) SlotPicker {
 }
 
 // seedInitialPicks applies the slot picker: round 1 is the only round in
-// which tags originate information (§III-C line 7). The default picker is
-// inlined so full-participation million-tag sessions do not pay one slice
-// allocation per tag; custom pickers keep the slice-returning API.
+// which tags originate information (§III-C line 7). Tags pick in tag index
+// order, which is the pending order the lossy channel's draws rely on. The
+// default picker is inlined so full-participation million-tag sessions do
+// not pay one slice allocation per tag; custom pickers keep the
+// slice-returning API.
 func (s *session) seedInitialPicks() {
+	tiers := s.nw.Tier
 	if s.cfg.Picker == nil {
 		seed, p := s.cfg.Seed, s.cfg.Sampling
-		for i := 0; i < s.n; i++ {
-			if !s.inSystem[i] {
+		for i, tier := range tiers {
+			if tier == 0 {
 				// Out-of-system tags (§II) stay silent.
 				continue
 			}
@@ -279,35 +328,35 @@ func (s *session) seedInitialPicks() {
 			if !prng.Participates(id, seed, p) {
 				continue
 			}
-			s.schedule(i, prng.SlotOf(id, seed, s.f))
+			s.schedule(s.rank[i], prng.SlotOf(id, seed, s.f))
 		}
 		return
 	}
-	for i := 0; i < s.n; i++ {
-		if !s.inSystem[i] {
+	for i, tier := range tiers {
+		if tier == 0 {
 			continue
 		}
 		for _, slot := range s.cfg.Picker(i, s.cfg.id(i)) {
 			if slot < 0 || slot >= s.f {
 				continue
 			}
-			s.schedule(i, slot)
+			s.schedule(s.rank[i], slot)
 		}
 	}
 }
 
-// schedule records that tag i picked slot, unless it already did: the heard
-// bit is set and the pair joins the pending list. Picks happen before the
-// first frame, so no slot is silenced yet.
-func (s *session) schedule(i, slot int) {
-	w := &s.heard[slot>>6*s.n+i]
+// schedule records that the tag at position k picked slot, unless it
+// already did: the heard bit is set and the pair joins the pending list.
+// Picks happen before the first frame, so no slot is silenced yet.
+func (s *session) schedule(k int32, slot int) {
+	w := &s.heard[slot>>6*s.n+int(k)]
 	bit := uint64(1) << (uint(slot) & 63)
 	if *w&bit != 0 {
 		return
 	}
 	*w |= bit
-	s.unknownCount[i]--
-	s.pendTag = append(s.pendTag, int32(i))
+	s.unknownCount[k]--
+	s.pendTag = append(s.pendTag, k)
 	s.pendSlot = append(s.pendSlot, int32(slot))
 }
 
@@ -348,6 +397,7 @@ func (s *session) run() *Result {
 		}
 	}
 	res.Clock = s.clock
+	s.meter.ScatterFrom(s.posMeter, s.order)
 	res.Bitmap = s.known.Clone()
 	res.NewBusyPerRound = append([]int(nil), s.newBusyPerRound...)
 	res.CheckSlotsPerRound = append([]int(nil), s.checkSlotsPerRound...)
@@ -395,7 +445,7 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 		}
 		s.txLen[t]++
 	}
-	s.touched = sortMarked(s.touched, s.txLen)
+	s.touched = sortMarked(s, s.touched, s.txLen)
 	s.txSlots = grow(s.txSlots, len(s.pendTag))
 	var off int32
 	for _, t := range s.touched {
@@ -421,7 +471,7 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// Monitoring charge: a tag stays awake for exactly the slots it still
 	// listens in (§III-D: it sleeps in silenced slots and in slots it
 	// already transmitted, and is busy transmitting in pending ones).
-	s.meter.AddReceivedCounts(s.unknownCount)
+	s.posMeter.AddReceivedCounts(s.unknownCount)
 
 	// Deliver transmissions. A listener senses a busy slot iff it is in the
 	// system and monitoring that slot (half duplex: a tag transmitting in
@@ -431,20 +481,19 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// find it set. Newly heard slots land back in the pending list for the
 	// next round.
 	s.roundBusy.Reset()
-	for _, ti := range s.touched {
-		cnt := s.txLen[ti]
+	for _, k := range s.touched {
+		cnt := s.txLen[k]
 		if cnt == 0 {
 			continue
 		}
-		i := int(ti)
-		slots := s.txSlots[s.txOff[ti] : s.txOff[ti]+cnt]
+		slots := s.txSlots[s.txOff[k] : s.txOff[k]+cnt]
 		txTags++
 		txBits += len(slots)
-		s.meter.AddSent(i, int64(len(slots)))
+		s.posMeter.AddSent(int(k), int64(len(slots)))
 		if s.loss == nil {
-			s.deliverReliable(i, slots)
+			s.deliverReliable(int(k), slots)
 		} else {
-			s.deliverLossy(i, slots)
+			s.deliverLossy(int(k), slots)
 		}
 	}
 	// Release the CSR view: txLen back to all-zero, O(touched).
@@ -484,7 +533,7 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// K⌈f/96⌉ term).
 	segments := int64((s.f + energy.IDBits - 1) / energy.IDBits)
 	s.clock.LongSlots += segments
-	s.meter.AddReceivedWhere(segments*energy.IDBits, s.inSystem)
+	s.posMeter.AddReceivedWhere(segments*energy.IDBits, s.inSystem)
 	// Tags silence the newly announced slots: monitoring stops, and any
 	// pending relay of them is cancelled (repetitive replies would only
 	// re-produce a busy slot the reader already has). Silencing itself is
@@ -504,13 +553,14 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	return txTags, txBits
 }
 
-// deliverReliable delivers tag i's frame on the reliable channel a word at
-// a time: the transmitter's slots become a mask over the words they touch,
-// and each in-system neighbour takes mask &^ heard in one step per word.
-// No PRNG draws happen here, and heard bits, counts and the pending set do
-// not depend on delivery order, so pairs are appended word by word, and
-// within a word neighbour by neighbour.
-func (s *session) deliverReliable(i int, slots []int32) {
+// deliverReliable delivers the frame of the tag at position k on the
+// reliable channel a word at a time: the transmitter's slots become a mask
+// over the words they touch, and each in-system neighbour takes
+// mask &^ heard in one step per word. No PRNG draws happen here, and heard
+// bits, counts and the pending set do not depend on delivery order, so
+// pairs are appended word by word, and within a word neighbour by
+// neighbour.
+func (s *session) deliverReliable(k int, slots []int32) {
 	for _, slot := range slots {
 		wi := int(slot >> 6)
 		if s.txMask[wi] == 0 {
@@ -518,7 +568,7 @@ func (s *session) deliverReliable(i int, slots []int32) {
 		}
 		s.txMask[wi] |= 1 << (uint(slot) & 63)
 	}
-	neighbors := s.nw.Neighbors(i)
+	neighbors := s.nw.Row(k)
 	for _, wi := range s.txWords {
 		mask := s.txMask[wi]
 		strip := s.heard[wi*s.n : (wi+1)*s.n]
@@ -535,7 +585,7 @@ func (s *session) deliverReliable(i int, slots []int32) {
 			}
 		}
 	}
-	if s.tier1[i] {
+	if s.tier1[k] {
 		busy := s.roundBusy.Words()
 		for _, wi := range s.txWords {
 			busy[wi] |= s.txMask[wi]
@@ -547,12 +597,13 @@ func (s *session) deliverReliable(i int, slots []int32) {
 	s.txWords = s.txWords[:0]
 }
 
-// deliverLossy delivers tag i's frame on the lossy channel pair by pair,
-// slot outer and neighbour inner, with the reader sensing each slot after
-// its neighbours. This order is the channel's PRNG draw order, which the
-// golden lossy fingerprints pin.
-func (s *session) deliverLossy(i int, slots []int32) {
-	neighbors := s.nw.Neighbors(i)
+// deliverLossy delivers the frame of the tag at position k on the lossy
+// channel pair by pair, slot outer and neighbour inner, with the reader
+// sensing each slot after its neighbours. This order is the channel's PRNG
+// draw order, which the golden lossy fingerprints pin; a row lists its
+// neighbours in the same sequence as the tag's neighbour list.
+func (s *session) deliverLossy(k int, slots []int32) {
+	neighbors := s.nw.Row(k)
 	for _, slot := range slots {
 		wi, bit := int(slot>>6), uint64(1)<<(uint(slot)&63)
 		for _, v := range neighbors {
@@ -568,7 +619,7 @@ func (s *session) deliverLossy(i int, slots []int32) {
 			s.pendTag = append(s.pendTag, v)
 			s.pendSlot = append(s.pendSlot, slot)
 		}
-		if s.tier1[i] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
+		if s.tier1[k] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
 			s.roundBusy.Set(int(slot))
 		}
 	}
@@ -615,7 +666,8 @@ func (s *session) runCheckingFrame(round int) bool {
 	lc := s.cfg.checkingFrameLen(s.nw)
 
 	// C[1]'s responders are the tags holding a live pending pair, in
-	// ascending tag order: the lossy channel draws in wave order.
+	// ascending tag order when the channel is lossy: it draws in wave
+	// order.
 	s.wave = s.wave[:0]
 	for k, t := range s.pendTag {
 		if s.responded[t] || s.silenced(s.pendSlot[k]) {
@@ -625,7 +677,7 @@ func (s *session) runCheckingFrame(round int) bool {
 		s.respondedList = append(s.respondedList, t)
 		s.wave = append(s.wave, t)
 	}
-	s.wave = sortMarked(s.wave, s.responded)
+	s.wave = sortMarked(s, s.wave, s.responded)
 
 	heard := false
 	slotsUsed := 0
@@ -635,7 +687,7 @@ func (s *session) runCheckingFrame(round int) bool {
 		// (Current transmitters all carry responded=true, so the listener
 		// accounting below never double-charges them — half duplex.)
 		for _, u := range s.wave {
-			s.meter.AddSent(int(u), 1)
+			s.posMeter.AddSent(int(u), 1)
 		}
 		for _, u := range s.wave {
 			if s.tier1[u] && !s.dropped() {
@@ -650,13 +702,13 @@ func (s *session) runCheckingFrame(round int) bool {
 		// responding, so its whole listening bill lands here.
 		s.waveNext = s.waveNext[:0]
 		for _, u := range s.wave {
-			for _, v := range s.nw.Neighbors(int(u)) {
+			for _, v := range s.nw.Row(int(u)) {
 				if s.responded[v] || !s.inSystem[v] || s.dropped() {
 					continue
 				}
 				s.responded[v] = true
 				s.respondedList = append(s.respondedList, v)
-				s.meter.AddReceived(int(v), int64(j))
+				s.posMeter.AddReceived(int(v), int64(j))
 				s.waveNext = append(s.waveNext, v)
 			}
 		}
@@ -682,9 +734,9 @@ func (s *session) runCheckingFrame(round int) bool {
 
 	// Settle the listeners that never responded: they monitored every
 	// executed slot.
-	for i := 0; i < s.n; i++ {
-		if s.inSystem[i] && !s.responded[i] {
-			s.meter.AddReceived(i, int64(slotsUsed))
+	for k := 0; k < s.n; k++ {
+		if s.inSystem[k] && !s.responded[k] {
+			s.posMeter.AddReceived(k, int64(slotsUsed))
 		}
 	}
 	// Clear the frame marks in O(marked).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -401,6 +402,12 @@ func TestConfigValidation(t *testing.T) {
 		{FrameSize: 8, LossProb: -1},
 		{FrameSize: 8, LossProb: 1},
 		{FrameSize: 8, MaxRounds: -1},
+	}
+	// NaN passes every ordered comparison false: a NaN sampling
+	// probability once ran every tag silent (an all-zero bitmap) and a NaN
+	// loss probability the reliable channel.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad, Config{FrameSize: 8, Sampling: x}, Config{FrameSize: 8, Sampling: 1, LossProb: x})
 	}
 	for i, cfg := range bad {
 		if _, err := RunSession(nw, cfg); err == nil {

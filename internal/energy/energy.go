@@ -69,6 +69,21 @@ func (m *Meter) Reset() {
 	clear(m.recv)
 }
 
+// ScatterFrom overwrites m with src renumbered: tag order[k] of m takes
+// the counts of entry k of src. Kernels that meter by another numbering
+// (the network's positions) call it once, at the end of a run. order must be
+// a permutation of m's tags.
+func (m *Meter) ScatterFrom(src *Meter, order []int32) {
+	if len(order) != len(m.sent) || len(src.sent) != len(m.sent) {
+		panic(fmt.Sprintf("energy: scatter of %d entries through %d-long order into meter of %d tags",
+			len(src.sent), len(order), len(m.sent)))
+	}
+	for k, i := range order {
+		m.sent[i] = src.sent[k]
+		m.recv[i] = src.recv[k]
+	}
+}
+
 // Sent returns the bits sent by tag i.
 func (m *Meter) Sent(i int) int64 { return m.sent[i] }
 

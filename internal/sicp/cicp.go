@@ -5,7 +5,6 @@ import (
 
 	"netags/internal/energy"
 	"netags/internal/obs"
-	"netags/internal/prng"
 	"netags/internal/topology"
 )
 
@@ -25,23 +24,12 @@ func CollectCICP(nw *topology.Network, opts Options) (*Result, error) {
 	if opts.ContentionWindow < 2 {
 		return nil, fmt.Errorf("sicp: CICP needs a contention window >= 2, got %d", opts.ContentionWindow)
 	}
-	c := &collector{
-		nw:    nw,
-		opts:  opts,
-		proto: obs.ProtoCICP,
-		src:   prng.New(opts.Seed),
-		meter: energy.NewMeter(nw.N()),
-	}
+	c := newCollector(nw, opts, obs.ProtoCICP)
 	c.sessionStart()
 	c.buildTree()
 	c.collectContention()
 	c.sessionEnd()
-	return &Result{
-		Collected: c.collected,
-		Clock:     c.clock,
-		Meter:     c.meter,
-		TreeDepth: nw.K,
-	}, nil
+	return c.result(), nil
 }
 
 // collectContention drains the tree bottom-up. For each parent (processed in

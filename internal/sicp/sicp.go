@@ -30,11 +30,14 @@
 //
 // Cost: because every in-system tag listens from the request until it
 // sleeps, its reception is charged once, when it sleeps, from its
-// neighbors' send counters; no message walks a neighbor list. Tags are
-// bucketed by tier with one counting sort, the tree is a CSR child array,
-// and IDs travel in intrusive linked lists spliced onto the parent's in
-// O(1). One collection is O(messages + edges) with a constant number of
-// allocations.
+// neighbors' send counters; no message walks a neighbor list. The flood
+// is charged per tier, the tree is a CSR child array built by one counting
+// sort, and IDs travel in intrusive linked lists spliced onto the parent's
+// in O(1). One collection is O(messages + edges) with a constant number of
+// allocations. All per-tag state is indexed by the network's positions
+// (topology.Network.Row), so the neighbour walks read nearby memory; the
+// PRNG draws and the child lists keep tag index order, which is what pins
+// the results.
 package sicp
 
 import (
@@ -90,39 +93,61 @@ func Collect(nw *topology.Network, opts Options) (*Result, error) {
 	if opts.ContentionWindow < 1 {
 		return nil, fmt.Errorf("sicp: contention window %d must be >= 1", opts.ContentionWindow)
 	}
-	c := &collector{
-		nw:    nw,
-		opts:  opts,
-		proto: obs.ProtoSICP,
-		src:   prng.New(opts.Seed),
-		meter: energy.NewMeter(nw.N()),
-	}
+	c := newCollector(nw, opts, obs.ProtoSICP)
 	c.sessionStart()
 	c.buildTree()
 	c.collect()
 	c.sessionEnd()
+	return c.result(), nil
+}
+
+func newCollector(nw *topology.Network, opts Options, proto string) *collector {
+	return &collector{
+		nw:    nw,
+		order: nw.Order(),
+		rank:  nw.Rank(),
+		tier:  nw.PosTier(),
+		opts:  opts,
+		proto: proto,
+		src:   prng.New(opts.Seed),
+		meter: energy.NewMeter(nw.N()),
+	}
+}
+
+// result assembles the Result, renumbering the meter to tag indices.
+func (c *collector) result() *Result {
+	meter := energy.NewMeter(c.nw.N())
+	meter.ScatterFrom(c.meter, c.order)
 	return &Result{
 		Collected: c.collected,
 		Clock:     c.clock,
-		Meter:     c.meter,
-		TreeDepth: nw.K,
-	}, nil
+		Meter:     meter,
+		TreeDepth: c.nw.K,
+	}
 }
 
+// collector runs one collection. Every tag is named by its position in nw
+// (see topology.Network): the arrays below, the tree and the ID lists all
+// hold and are indexed by positions; order maps one back to its tag.
 type collector struct {
 	nw    *topology.Network
+	order []int32 // position → tag index
+	rank  []int32 // tag index → position
+	tier  []int16 // tier by position
 	opts  Options
 	proto string // obs.ProtoSICP or obs.ProtoCICP, for event labeling
 	src   *prng.Source
 
+	// meter is indexed by position; result renumbers it.
 	meter *energy.Meter
 	clock energy.Clock
 
-	// parent[i] is tag i's parent tag, parentReader at tier 1 and
+	// parent[k] is the parent of the tag at k, parentReader at tier 1 and
 	// parentNone outside the system.
 	parent []int32
 	// The tree in CSR form over n+1 parents, the reader being parent n:
-	// the children of p are kids[kidStart[p]:kidStart[p+1]], ascending.
+	// the children of p are kids[kidStart[p]:kidStart[p+1]], ascending by
+	// tag index.
 	kidStart []int32
 	kids     []int32
 
@@ -207,7 +232,9 @@ func (c *collector) batch(phase string, round, transmitters, count int, startClo
 	}
 }
 
-func (c *collector) id(i int) uint64 {
+// id returns the ID of the tag at position k.
+func (c *collector) id(k int32) uint64 {
+	i := int(c.order[k])
 	if c.opts.IDs != nil {
 		return c.opts.IDs[i]
 	}
@@ -240,7 +267,7 @@ func (c *collector) transmit(u int) {
 func (c *collector) sleep(u int32) {
 	var heard int64
 	msgs := c.msgs
-	for _, v := range c.nw.Neighbors(int(u)) {
+	for _, v := range c.nw.Row(int(u)) {
 		heard += int64(msgs[v])
 	}
 	c.meter.AddReceived(int(u), (energy.IDBits-1)*heard)
@@ -266,58 +293,94 @@ func (c *collector) buildTree() {
 	c.cumLong++
 	c.parent = make([]int32, n)
 	c.msgs = make([]int32, n)
-	for i, k := range nw.Tier {
-		c.parent[i] = parentNone
-		if k == 1 {
-			c.parent[i] = parentReader
-			c.meter.AddReceived(i, energy.IDBits-1)
+	tierSize := make([]int, nw.K+1)
+	for k, t := range c.tier {
+		c.parent[k] = parentNone
+		if t == 0 {
+			continue
+		}
+		tierSize[t]++
+		// The tag's flood message, below.
+		c.msgs[k] = 1
+		c.meter.AddSent(k, energy.IDBits)
+		if t == 1 {
+			c.parent[k] = parentReader
+			c.meter.AddReceived(k, energy.IDBits-1)
 		}
 	}
 
 	// Tier-by-tier rebroadcast: every tag forwards the request exactly once
-	// after a CSMA backoff. Intra-tier order is randomized (the backoff
-	// race). Each deeper tag adopts one uniformly chosen upstream neighbor
-	// as parent: reception jitter decides which rebroadcast a given
-	// listener locks onto first, and modeling it as a uniform choice keeps
-	// the tree's branching factor realistic instead of letting the
-	// globally-first transmitter of a tier claim its whole range.
-	// One counting sort buckets the tags by tier, ascending by index within
-	// a tier: the order each tier's shuffle starts from.
-	tierStart, byTier := countingSort(n, nw.K+1, func(i int) int { return int(nw.Tier[i]) })
+	// after a CSMA backoff, in an order the backoff race randomizes (a
+	// Fisher–Yates shuffle of the tier, ascending by tag index, with the
+	// run's source). Each member sends one message and draws its backoff
+	// whatever its place, so the order itself is unobservable: each tier
+	// replays the shuffle's draws, to keep the source in step, and charges
+	// its air time, while the messages were metered above.
 	for tier := 1; tier <= nw.K; tier++ {
 		start := c.clock
-		members := byTier[tierStart[tier]:tierStart[tier+1]]
-		// Fisher–Yates with the run's source.
-		for i := len(members) - 1; i > 0; i-- {
-			j := c.src.Intn(i + 1)
-			members[i], members[j] = members[j], members[i]
+		m := tierSize[tier]
+		for i := m - 1; i > 0; i-- {
+			c.src.Intn(i + 1)
 		}
-		for _, u := range members {
+		for range m {
 			c.backoff()
-			c.transmit(int(u))
 		}
-		c.batch("flood", tier, len(members), len(members), start)
-	}
-	var upstream []int32
-	for i, k := range nw.Tier {
-		if k < 2 {
-			continue
-		}
-		upstream = upstream[:0]
-		for _, v := range nw.Neighbors(i) {
-			if nw.Tier[v] == k-1 {
-				upstream = append(upstream, v)
-			}
-		}
-		// Reachable tags at tier ≥ 2 always have an upstream neighbor (BFS
-		// invariant).
-		c.parent[i] = upstream[c.src.Intn(len(upstream))]
+		c.clock.LongSlots += int64(m)
+		c.cumLong += int64(m)
+		c.batch("flood", tier, m, m, start)
 	}
 
-	// Child lists, ascending by index within each parent; the reader's
-	// children, the tier-1 tags, are bucket n.
-	c.kidStart, c.kids = countingSort(n, n+1, func(i int) int {
-		switch p := c.parent[i]; p {
+	// Each deeper tag adopts one uniformly chosen upstream neighbor as
+	// parent: reception jitter decides which rebroadcast a given listener
+	// locks onto first, and modeling it as a uniform choice keeps the
+	// tree's branching factor realistic instead of letting the
+	// globally-first transmitter of a tier claim its whole range.
+	// The draws go in tag index order, and the j-th candidate is the j-th
+	// upstream neighbour in the tag's neighbour list, which is its row's
+	// order. A draw depends only on the candidate count, so the rows are
+	// walked in position order: once to count into parent[k], then, after
+	// the draws have replaced the counts, once more to pick.
+	for k, t := range c.tier {
+		if t < 2 {
+			continue
+		}
+		cnt := int32(0)
+		for _, v := range nw.Row(k) {
+			if c.tier[v] == t-1 {
+				cnt++
+			}
+		}
+		c.parent[k] = cnt
+	}
+	for i, t := range nw.Tier {
+		if t >= 2 {
+			// Reachable tags at tier ≥ 2 always have an upstream neighbor
+			// (BFS invariant), so the count is positive.
+			k := c.rank[i]
+			c.parent[k] = int32(c.src.Intn(int(c.parent[k])))
+		}
+	}
+	for k, t := range c.tier {
+		if t < 2 {
+			continue
+		}
+		j := c.parent[k]
+		for _, v := range nw.Row(k) {
+			if c.tier[v] == t-1 {
+				if j == 0 {
+					c.parent[k] = v
+					break
+				}
+				j--
+			}
+		}
+	}
+
+	// Child lists, ascending by tag index within each parent (the order
+	// children upload in, and CICP's race order); the reader's children,
+	// the tier-1 tags, are bucket n.
+	c.kidStart, c.kids = countingSort(c.rank, n+1, func(i int) int {
+		switch p := c.parent[c.rank[i]]; p {
 		case parentNone:
 			return -1
 		case parentReader:
@@ -328,13 +391,15 @@ func (c *collector) buildTree() {
 	})
 }
 
-// countingSort buckets the indices i in [0, n) by key(i) in [0, keys),
-// skipping those with a negative key: bucket k is
-// sorted[start[k]:start[k+1]], in ascending index order. It counts each
-// key's indices into start[k], turns the counts into running totals (the
-// end of each bucket), and fills from the last index down, decrementing
-// start[k] as it goes, which leaves start[k] at the bucket's beginning.
-func countingSort(n, keys int, key func(i int) int) (start, sorted []int32) {
+// countingSort buckets the tag indices i in [0, len(rank)) by key(i) in
+// [0, keys), skipping those with a negative key, and stores each as its
+// position rank[i]: bucket k is sorted[start[k]:start[k+1]], in ascending
+// tag index order. It counts each key's indices into start[k], turns the
+// counts into running totals (the end of each bucket), and fills from the
+// last index down, decrementing start[k] as it goes, which leaves start[k]
+// at the bucket's beginning.
+func countingSort(rank []int32, keys int, key func(i int) int) (start, sorted []int32) {
+	n := len(rank)
 	start = make([]int32, keys+1)
 	for i := 0; i < n; i++ {
 		if k := key(i); k >= 0 {
@@ -349,14 +414,14 @@ func countingSort(n, keys int, key func(i int) int) (start, sorted []int32) {
 	for i := n - 1; i >= 0; i-- {
 		if k := key(i); k >= 0 {
 			start[k]--
-			sorted[start[k]] = int32(i)
+			sorted[start[k]] = rank[i]
 		}
 	}
 	return start, sorted
 }
 
-// children returns the children of tag p, or the reader's (the tier-1
-// tags) for p = n.
+// children returns the children of the tag at position p, or the reader's
+// (the tier-1 tags) for p = n.
 func (c *collector) children(p int) []int32 {
 	return c.kids[c.kidStart[p]:c.kidStart[p+1]]
 }
@@ -382,7 +447,7 @@ func (c *collector) initLists() {
 func (c *collector) deliver(u, p int32) {
 	if p == parentReader {
 		for i, k := u, int32(0); k < c.size[u]; i, k = c.next[i], k+1 {
-			c.collected = append(c.collected, c.id(int(i)))
+			c.collected = append(c.collected, c.id(i))
 		}
 		return
 	}

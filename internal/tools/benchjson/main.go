@@ -13,7 +13,10 @@
 // reads fresh benchmark output on stdin, aggregates it the same way, and
 // exits 1 when any benchmark's mean ns/op or allocs/op regressed beyond the
 // tolerance relative to the committed baseline (exit 2 on usage/parse
-// errors, so CI can tell "slower" from "broken").
+// errors, so CI can tell "slower" from "broken"). Next to each mean delta
+// it prints the two-sided Mann–Whitney U p-value of the ns/op samples
+// (mannWhitney), which reports whether the shift stands out from the runs'
+// spread; it does not enter the verdict.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"slices"
@@ -82,6 +86,9 @@ type summary struct {
 	NsPerOp     stat   `json:"ns_per_op"`
 	BytesPerOp  stat   `json:"bytes_per_op"`
 	AllocsPerOp stat   `json:"allocs_per_op"`
+	// nsRuns holds the ns/op of every run, for the rank test; it is
+	// rebuilt from the raw benchmarks, not stored.
+	nsRuns []float64
 }
 
 type document struct {
@@ -222,6 +229,7 @@ func summarize(bs []result) []summary {
 			NsPerOp:     newStat(a.ns),
 			BytesPerOp:  newStat(a.bytes),
 			AllocsPerOp: newStat(a.allocs),
+			nsRuns:      a.ns,
 		})
 	}
 	return out
@@ -257,7 +265,8 @@ func runCompare(args []string, in io.Reader, out io.Writer) (bool, error) {
 }
 
 // readBaseline loads a benchjson document and ensures it carries summaries
-// (documents written before the rollup existed only have raw benchmarks).
+// (documents written before the rollup existed only have raw benchmarks),
+// each with its runs' ns/op from the raw benchmarks.
 func readBaseline(path string) ([]summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -268,6 +277,13 @@ func readBaseline(path string) ([]summary, error) {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	if len(doc.Summary) > 0 {
+		runs := map[string][]float64{}
+		for _, s := range summarize(doc.Benchmarks) {
+			runs[s.Name] = s.nsRuns
+		}
+		for i := range doc.Summary {
+			doc.Summary[i].nsRuns = runs[doc.Summary[i].Name]
+		}
 		return doc.Summary, nil
 	}
 	if len(doc.Benchmarks) == 0 {
@@ -280,7 +296,8 @@ func readBaseline(path string) ([]summary, error) {
 // A benchmark regresses when its mean ns/op exceeds the baseline mean by
 // more than tol, or its mean allocs/op exceeds the baseline by more than
 // allocTol plus half an allocation (the absolute slack keeps a 0→0.33
-// flicker on a zero-alloc baseline from tripping the relative check).
+// flicker on a zero-alloc baseline from tripping the relative check). The
+// row's p is the rank test's, reported only.
 func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 	curBy := map[string]summary{}
 	for _, s := range cur {
@@ -302,9 +319,10 @@ func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 			verdict = "FAIL "
 			ok = false
 		}
-		fmt.Fprintf(out, "%s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%, limit %+.0f%%)  allocs %6.1f -> %6.1f\n",
+		_, p := mannWhitney(b.nsRuns, c.nsRuns)
+		fmt.Fprintf(out, "%s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%, p=%s, limit %+.0f%%)  allocs %6.1f -> %6.1f\n",
 			verdict, b.Name,
-			b.NsPerOp.Mean, c.NsPerOp.Mean, 100*delta(b.NsPerOp.Mean, c.NsPerOp.Mean), 100*tol,
+			b.NsPerOp.Mean, c.NsPerOp.Mean, 100*delta(b.NsPerOp.Mean, c.NsPerOp.Mean), formatP(p), 100*tol,
 			b.AllocsPerOp.Mean, c.AllocsPerOp.Mean)
 	}
 	for _, c := range cur {
@@ -320,6 +338,14 @@ func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 		fmt.Fprintln(out, "bench-compare: regression detected")
 	}
 	return ok
+}
+
+// formatP renders a p-value, or "-" when there were no samples to rank.
+func formatP(p float64) string {
+	if math.IsNaN(p) {
+		return "  -  "
+	}
+	return strconv.FormatFloat(p, 'f', 3, 64)
 }
 
 func delta(base, cur float64) float64 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -338,5 +339,67 @@ func TestCompareBaselineWithoutSummary(t *testing.T) {
 	}
 	if !ok {
 		t.Fatalf("legacy baseline comparison failed:\n%s", out.String())
+	}
+}
+
+// TestMannWhitney holds the rank test to U values and p-values worked out
+// by hand. Without ties the p-value is exact: for samples of 3 and 3 the
+// 20 rank arrangements give U = 0…9 with counts 1,1,2,3,3,3,3,2,1,1. With
+// ties, x = {1,2,2} and y = {2,3,4} rank as 1 | 3,3,3 | 5 | 6 (midranks),
+// so U = 1+3+3 − 6 = 1; the tie group of 3 cuts the variance to
+// 9/12·(7 − 24/30) = 4.65, and z = (|1 − 4.5| − 0.5)/√4.65.
+func TestMannWhitney(t *testing.T) {
+	tiedZ := 3 / math.Sqrt(4.65)
+	for _, tc := range []struct {
+		name  string
+		x, y  []float64
+		wantU float64
+		wantP float64
+	}{
+		{"separated", []float64{1, 2, 3}, []float64{4, 5, 6}, 0, 2 * 1.0 / 20},
+		{"separated, swapped", []float64{4, 5, 6}, []float64{1, 2, 3}, 9, 2 * 1.0 / 20},
+		{"interleaved", []float64{1, 3, 5}, []float64{2, 4, 6}, 3, 2 * 7.0 / 20},
+		{"one overlap", []float64{1, 2, 4}, []float64{3, 5, 6}, 1, 2 * 2.0 / 20},
+		{"centre", []float64{1, 4, 5}, []float64{2, 3, 6}, 4, 1},
+		{"unequal sizes", []float64{1, 2, 3, 4, 5}, []float64{6, 7, 8}, 0, 2 * 1.0 / 56},
+		{"one each", []float64{1}, []float64{2}, 0, 1},
+		{"ties", []float64{1, 2, 2}, []float64{2, 3, 4}, 1, math.Erfc(tiedZ / math.Sqrt2)},
+		{"all tied", []float64{5, 5}, []float64{5, 5, 5}, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, p := mannWhitney(tc.x, tc.y)
+			if u != tc.wantU || math.Abs(p-tc.wantP) > 1e-12 {
+				t.Errorf("U, p = %v, %v; want %v, %v", u, p, tc.wantU, tc.wantP)
+			}
+		})
+	}
+	if u, p := mannWhitney(nil, []float64{1}); !math.IsNaN(u) || !math.IsNaN(p) {
+		t.Errorf("empty sample: U, p = %v, %v; want NaN, NaN", u, p)
+	}
+}
+
+// TestCompareReportsRankTest: each row carries the rank test's p-value,
+// which does not change the verdict.
+func TestCompareReportsRankTest(t *testing.T) {
+	base := writeBaseline(t, compareBaseline)
+	// Hot: {100, 120} against {200, 210} is the most extreme of the six
+	// arrangements of two samples of two, p = 2/6, and far past the 30%
+	// tolerance. ZeroAlloc: one run each, tied, p = 1.
+	current := `BenchmarkHot-4	100	200 ns/op	64 B/op	2 allocs/op
+BenchmarkHot-4	100	210 ns/op	64 B/op	2 allocs/op
+BenchmarkZeroAlloc-4	100	50 ns/op	0 B/op	0 allocs/op
+`
+	var out strings.Builder
+	ok, err := runCompare([]string{"-baseline", base}, strings.NewReader(current), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Fatalf("ns/op regression not caught:\n%s", out.String())
+	}
+	for _, want := range []string{"p=0.333", "p=1.000"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
 	}
 }

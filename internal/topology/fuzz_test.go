@@ -68,12 +68,12 @@ func FuzzTopologyTiers(f *testing.F) {
 	})
 }
 
-// FuzzTopologyAdjacency checks every tag's neighbour list, order included,
-// against the two-pass builder (topology.TwoPassAdjacency) over
-// byte-derived deployments with zero to two walls. Neighbour order sets the
-// lossy channel's per-pair draw order and SICP's parent adoption, so a
-// builder that finds the right neighbours in another order still changes
-// results.
+// FuzzTopologyAdjacency checks the position numbering (checkNumbering) and
+// every tag's neighbour list, order included, against the two-pass builder
+// (topology.TwoPassAdjacency) over byte-derived deployments with zero to
+// two walls. Neighbour order sets the lossy channel's per-pair draw order
+// and SICP's parent adoption, so a builder that finds the right neighbours
+// in another order still changes results.
 func FuzzTopologyAdjacency(f *testing.F) {
 	// raw[0]%3 walls of four bytes each, then one (x, y) byte pair per tag;
 	// bits 16–21 of rangeBits pick r = 0.25 … 16 m.
@@ -121,6 +121,7 @@ func FuzzTopologyAdjacency(f *testing.F) {
 		if err != nil {
 			t.Fatalf("build rejected a valid input: %v", err)
 		}
+		checkNumbering(t, nw)
 		ref := topology.TwoPassAdjacency(nw)
 		for i := range d.Tags {
 			if got, want := nw.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
@@ -129,4 +130,36 @@ func FuzzTopologyAdjacency(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkNumbering fails unless Order and Rank are inverse permutations of
+// the tags, every row is strictly ascending, PosTier is Tier renumbered,
+// and Neighbors is each tag's row mapped back through Order.
+func checkNumbering(t *testing.T, nw *topology.Network) {
+	t.Helper()
+	order, rank := nw.Order(), nw.Rank()
+	if len(order) != nw.N() || len(rank) != nw.N() || len(nw.PosTier()) != nw.N() {
+		t.Fatalf("%d tags but order/rank/tier lengths %d/%d/%d", nw.N(), len(order), len(rank), len(nw.PosTier()))
+	}
+	for k, i := range order {
+		if i < 0 || int(i) >= nw.N() || rank[i] != int32(k) {
+			t.Fatalf("order[%d] = %d but its rank is not %d", k, i, k)
+		}
+		if nw.PosTier()[k] != nw.Tier[i] {
+			t.Fatalf("position %d: tier %d, tag %d has tier %d", k, nw.PosTier()[k], i, nw.Tier[i])
+		}
+		row := nw.Row(k)
+		for j := 1; j < len(row); j++ {
+			if row[j-1] >= row[j] {
+				t.Fatalf("row %d not strictly ascending: %v", k, row)
+			}
+		}
+		mapped := make([]int32, len(row))
+		for j, v := range row {
+			mapped[j] = order[v]
+		}
+		if got := nw.Neighbors(int(i)); !slices.Equal(got, mapped) {
+			t.Fatalf("tag %d: Neighbors %v, its row maps to %v", i, got, mapped)
+		}
+	}
 }

@@ -36,10 +36,12 @@ func PaperRanges(r float64) Ranges {
 }
 
 // Validate reports whether the ranges are physically meaningful under the
-// paper's model (R > r', R > r, all positive).
+// paper's model (R ≥ r', all positive and finite). NaN fails every check.
 func (rg Ranges) Validate() error {
-	if rg.ReaderToTag <= 0 || rg.TagToReader <= 0 || rg.TagToTag <= 0 {
-		return fmt.Errorf("topology: ranges must be positive, got %+v", rg)
+	for _, x := range [...]float64{rg.ReaderToTag, rg.TagToReader, rg.TagToTag} {
+		if !(x > 0 && x <= math.MaxFloat64) {
+			return fmt.Errorf("topology: ranges must be positive and finite, got %+v", rg)
+		}
 	}
 	if rg.ReaderToTag < rg.TagToReader {
 		return fmt.Errorf("topology: reader-to-tag range %v below tag-to-reader range %v",
@@ -60,8 +62,15 @@ func (rg Ranges) CheckingFrameLen() int {
 }
 
 // Network is the derived structure for one reader over one deployment.
-// Adjacency is stored in compressed sparse row form: the neighbors of tag i
-// are adj[offsets[i]:offsets[i+1]].
+//
+// Adjacency is stored once, in compressed sparse row form over positions:
+// the tags renumbered in the cell-sorted order the builder computes, so that
+// tags near each other in space sit near each other in memory. Position k
+// holds tag order[k] and tag i sits at position rank[i]; row k,
+// adj[offsets[k]:offsets[k+1]], lists the positions adjacent to k in
+// ascending order. The kernels (the CCM session, SICP, the tier BFS) walk
+// rows and index their own per-tag state by position; everything a caller
+// sees (Tier, Neighbors, results) keeps the original tag indices.
 type Network struct {
 	Deployment *geom.Deployment
 	Ranges     Ranges
@@ -76,6 +85,10 @@ type Network struct {
 
 	offsets []int32
 	adj     []int32
+	order   []int32
+	rank    []int32
+	// posTier[k] is Tier[order[k]].
+	posTier []int16
 
 	// Tier[i] is tag i's tier: 1 for direct reader contact, k for k-hop
 	// paths, 0 for tags that cannot reach the reader at all.
@@ -112,16 +125,42 @@ func BuildObstructed(d *geom.Deployment, readerIdx int, rg Ranges, obstacles []g
 	return nw, nil
 }
 
-// Neighbors returns the indices of tags within TagToTag range of tag i.
-// The returned slice aliases internal storage and must not be modified.
+// Neighbors returns the indices of tags within TagToTag range of tag i, in
+// ascending order of their positions — the order every neighbour walk
+// visits them in. It returns a fresh copy mapped from the position row, for
+// tests and cold paths; kernels walk Row instead.
 func (nw *Network) Neighbors(i int) []int32 {
-	return nw.adj[nw.offsets[i]:nw.offsets[i+1]]
+	row := nw.Row(int(nw.rank[i]))
+	out := make([]int32, len(row))
+	for j, k := range row {
+		out[j] = nw.order[k]
+	}
+	return out
 }
 
 // Degree returns the number of neighbors of tag i.
 func (nw *Network) Degree(i int) int {
-	return int(nw.offsets[i+1] - nw.offsets[i])
+	return len(nw.Row(int(nw.rank[i])))
 }
+
+// Row returns the positions adjacent to position k, ascending. The slice
+// aliases internal storage and must not be modified.
+func (nw *Network) Row(k int) []int32 {
+	return nw.adj[nw.offsets[k]:nw.offsets[k+1]]
+}
+
+// Order returns the position → tag index permutation: position k holds tag
+// Order()[k]. The slice aliases internal storage and must not be modified.
+func (nw *Network) Order() []int32 { return nw.order }
+
+// Rank returns the tag index → position permutation, the inverse of Order.
+// The slice aliases internal storage and must not be modified.
+func (nw *Network) Rank() []int32 { return nw.rank }
+
+// PosTier returns the tiers indexed by position: PosTier()[k] is
+// Tier[Order()[k]]. The slice aliases internal storage and must not be
+// modified.
+func (nw *Network) PosTier() []int16 { return nw.posTier }
 
 // N returns the number of tags (including unreachable ones).
 func (nw *Network) N() int { return len(nw.Tier) }
@@ -141,10 +180,11 @@ func (nw *Network) TierCounts() []int {
 // exactly once.
 //
 // Tags are counting-sorted into cells, row-major by cell id and by tag index
-// within a cell; position k in that order (members[k], with its coordinates
-// at pts[k]) is the order every neighbour list comes out in: tag i's list is
-// its neighbours sorted by k. The session's lossy draw order and SICP's
-// parent adoption depend on it, so the order is part of the contract.
+// within a cell; position k in that order holds tag order[k], with its
+// coordinates at pts[k], and numbers the CSR. Row k is k's neighbours
+// ascending, so mapped through order a tag's neighbour list comes out
+// sorted by position. The session's lossy draw order and SICP's parent
+// adoption depend on that sequence, so it is part of the contract.
 //
 // The tag at k is tested against the rest of its own cell and the four
 // forward cells c+1, c+cols−1, c+cols and c+cols+1, i.e. against later
@@ -156,11 +196,12 @@ func (nw *Network) TierCounts() []int {
 // link needs Dist2 ≤ r² and an unblocked path, both symmetric in their
 // endpoints, so one test per pair decides the link both ways.
 //
-// The scatter then walks the forward lists in ascending k: a hit (a, b)
-// appends a to b's list and b to a's. Every earlier neighbour of a has
-// already appended itself by the time a writes its forward hits, so each
-// list is its backward neighbours in ascending k followed by its forward
-// ones: sorted by k.
+// The scatter then walks the forward lists in ascending k: a hit (k, b)
+// appends k to row b and b to row k. Every earlier neighbour of k has
+// already appended itself by the time k writes its forward hits, so each
+// row is its backward neighbours in ascending order followed by its forward
+// ones: sorted. Rows are laid out in position order, so the scatter's
+// writes advance through adj nearly sequentially.
 func (nw *Network) buildAdjacency() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
@@ -198,14 +239,15 @@ func (nw *Network) buildAdjacency() {
 	for c := 1; c < len(cellStart); c++ {
 		cellStart[c] += cellStart[c-1]
 	}
-	members := make([]int32, n)
+	order := make([]int32, n)
 	pts := make([]geom.Point, n)
 	for i := n - 1; i >= 0; i-- {
 		c := cellOf[i]
 		cellStart[c]--
-		members[cellStart[c]] = int32(i)
+		order[cellStart[c]] = int32(i)
 		pts[cellStart[c]] = tags[i]
 	}
+	nw.order = order
 
 	// windows returns cell c's two candidate windows beyond its own members:
 	// the own row runs to the end of c+1 (when it exists), the next row
@@ -286,27 +328,21 @@ func (nw *Network) buildAdjacency() {
 	}
 
 	offsets := nw.offsets
-	for k, i := range members {
-		offsets[i+1] = deg[k]
-	}
-	for i := 0; i < n; i++ {
-		offsets[i+1] += offsets[i]
+	for k := 0; k < n; k++ {
+		offsets[k+1] = offsets[k] + deg[k]
 	}
 	adj := make([]int32, offsets[n])
 	nw.adj = adj
 
-	// Scatter pass: cursor[k] is the next free slot of the tag at k's list.
+	// Scatter pass: cursor[k] is the next free slot of row k.
 	cursor := deg
-	for k, i := range members {
-		cursor[k] = offsets[i]
-	}
+	copy(cursor, offsets[:n])
 	bit = 0
 	for cy := 0; cy < rows; cy++ {
 		for cx := 0; cx < cols; cx++ {
 			c := cy*cols + cx
 			rowEnd, nextLo, nextHi := windows(cx, cy)
 			for k := cellStart[c]; k < cellStart[c+1]; k++ {
-				a := members[k]
 				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
 					// Walk the window's bits a word at a time.
 					for j := w[0]; j < w[1]; {
@@ -314,9 +350,9 @@ func (nw *Network) buildAdjacency() {
 						word := (fwd[bit>>6] >> (bit & 63)) & (1<<take - 1)
 						for ; word != 0; word &= word - 1 {
 							b := j + int32(bits.TrailingZeros64(word))
-							adj[cursor[b]] = a
+							adj[cursor[b]] = k
 							cursor[b]++
-							adj[cursor[k]] = members[b]
+							adj[cursor[k]] = b
 							cursor[k]++
 						}
 						j += take
@@ -326,6 +362,13 @@ func (nw *Network) buildAdjacency() {
 			}
 		}
 	}
+
+	// The cursors are spent; their storage becomes rank.
+	rank := cursor
+	for k, i := range order {
+		rank[i] = int32(k)
+	}
+	nw.rank = rank
 }
 
 // computeTiers runs a BFS from the tier-1 set (tags within TagToReader of
@@ -333,22 +376,26 @@ func (nw *Network) buildAdjacency() {
 // reader's broadcast range: CCM tags must hear the one-hop request and
 // indicator-vector broadcasts (§III-A), so a tag beyond ReaderToTag cannot
 // participate no matter how well it is relay-connected.
+//
+// The BFS runs over positions, walking rows; tiers are hop distances, so
+// the numbering does not change them. One scatter then fills Tier.
 func (nw *Network) computeTiers() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
-	nw.Tier = make([]int16, n)
+	tier := make([]int16, n)
 	queue := make([]int32, 0, n)
 	r1 := nw.Ranges.TagToReader
 	rb := nw.Ranges.ReaderToTag
 	inFieldOfView := make([]bool, n)
-	for i, p := range tags {
+	for k, i := range nw.order {
+		p := tags[i]
 		d := p.Dist(nw.Reader)
-		inFieldOfView[i] = d <= rb
+		inFieldOfView[k] = d <= rb
 		// Tier 1 needs the weak tag→reader link, which obstacles block;
 		// the field of view (reader's high-power broadcast) is unaffected.
-		if d <= r1 && inFieldOfView[i] && !geom.Blocked(nw.Obstacles, p, nw.Reader) {
-			nw.Tier[i] = 1
-			queue = append(queue, int32(i))
+		if d <= r1 && inFieldOfView[k] && !geom.Blocked(nw.Obstacles, p, nw.Reader) {
+			tier[k] = 1
+			queue = append(queue, int32(k))
 		}
 	}
 	nw.Reachable = len(queue)
@@ -358,10 +405,10 @@ func (nw *Network) computeTiers() {
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		next := nw.Tier[u] + 1
-		for _, v := range nw.Neighbors(int(u)) {
-			if nw.Tier[v] == 0 && inFieldOfView[v] {
-				nw.Tier[v] = next
+		next := tier[u] + 1
+		for _, v := range nw.Row(int(u)) {
+			if tier[v] == 0 && inFieldOfView[v] {
+				tier[v] = next
 				if next > maxTier {
 					maxTier = next
 				}
@@ -371,4 +418,9 @@ func (nw *Network) computeTiers() {
 		}
 	}
 	nw.K = int(maxTier)
+	nw.posTier = tier
+	nw.Tier = make([]int16, n)
+	for k, i := range nw.order {
+		nw.Tier[i] = tier[k]
+	}
 }

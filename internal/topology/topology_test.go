@@ -208,6 +208,19 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(d, 0, Ranges{}); err == nil {
 		t.Error("zero ranges accepted")
 	}
+	// NaN passes every ordered comparison false: a NaN range once built a
+	// network with no links.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, rg := range []Ranges{
+			{ReaderToTag: x, TagToReader: 20, TagToTag: 6},
+			{ReaderToTag: 30, TagToReader: x, TagToTag: 6},
+			{ReaderToTag: 30, TagToReader: 20, TagToTag: x},
+		} {
+			if _, err := Build(d, 0, rg); err == nil {
+				t.Errorf("non-finite ranges %+v accepted", rg)
+			}
+		}
+	}
 }
 
 func TestEmptyDeployment(t *testing.T) {

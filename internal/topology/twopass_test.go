@@ -7,11 +7,18 @@ import (
 )
 
 // TwoPassAdjacency rebuilds nw's adjacency with the builder the half-stencil
-// pass replaced and returns it as a separate Network (no tiers). That
+// pass replaced and returns it as a separate Network, tiers included. That
 // builder scans the full 3×3 stencil from both ends of every pair, once to
 // count degrees and once to fill, so it shares no pair bookkeeping with
 // buildAdjacency; its neighbour lists, order included, are the oracle the
 // fuzz and differential tests hold buildAdjacency to.
+//
+// The result is nw's identity-numbered twin: its positions are the original
+// tag indices (Order and Rank are the identity), and row i lists tag i's
+// neighbours in the order buildAdjacency's mapped rows must reproduce. A
+// kernel run on the twin walks the same graph in the same neighbour order
+// with no renumbering at all, so its output is the numbering-invariance
+// oracle.
 func TwoPassAdjacency(nw *Network) *Network {
 	ref := &Network{
 		Deployment: nw.Deployment,
@@ -20,6 +27,13 @@ func TwoPassAdjacency(nw *Network) *Network {
 		Obstacles:  nw.Obstacles,
 	}
 	ref.buildAdjacencyTwoPass()
+	n := ref.Deployment.N()
+	ref.order = make([]int32, n)
+	ref.rank = make([]int32, n)
+	for i := range ref.order {
+		ref.order[i], ref.rank[i] = int32(i), int32(i)
+	}
+	ref.computeTiers()
 	return ref
 }
 

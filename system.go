@@ -2,6 +2,7 @@ package netags
 
 import (
 	"fmt"
+	"math"
 
 	"netags/internal/core"
 	"netags/internal/energy"
@@ -78,6 +79,8 @@ func (o *SystemOptions) setDefaults() {
 	}
 }
 
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // System is a simulated deployment of networked tags around one or more
 // readers, ready to run system-level operations. Create one with NewSystem;
 // a System is immutable and safe to reuse across operations.
@@ -99,6 +102,15 @@ func NewSystem(opts SystemOptions) (*System, error) {
 		return nil, fmt.Errorf("netags: negative tag count %d", opts.Tags)
 	}
 	opts.setDefaults()
+	// Only non-finite values are rejected here: a non-positive cluster
+	// spread still means the default. The ranges are checked by
+	// topology.Ranges.Validate.
+	if !isFinite(opts.Radius) {
+		return nil, fmt.Errorf("netags: radius %v must be finite", opts.Radius)
+	}
+	if !isFinite(opts.ClusterSpread) {
+		return nil, fmt.Errorf("netags: cluster spread %v must be finite", opts.ClusterSpread)
+	}
 	if opts.IDs != nil && len(opts.IDs) != opts.Tags {
 		return nil, fmt.Errorf("netags: %d IDs for %d tags", len(opts.IDs), opts.Tags)
 	}

@@ -58,6 +58,32 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(SystemOptions{Tags: 5, ReaderRange: 10, TagToReaderRange: 20}); err == nil {
 		t.Error("inverted ranges accepted")
 	}
+	// NaN passes every ordered comparison false: each of these once ran
+	// silently (a network with no links) or, for the cluster spread, never
+	// returned.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, opts := range []SystemOptions{
+			{Tags: 50, Radius: x},
+			{Tags: 50, ReaderRange: x},
+			{Tags: 50, TagToReaderRange: x},
+			{Tags: 50, InterTagRange: x},
+			{Tags: 50, Clusters: 2, ClusterSpread: x},
+		} {
+			if _, err := NewSystem(opts); err == nil {
+				t.Errorf("non-finite option accepted: %+v", opts)
+			}
+		}
+	}
+	// A non-positive cluster spread means the default (Radius/6), and the
+	// spread is ignored without clusters.
+	for _, opts := range []SystemOptions{
+		{Tags: 50, ClusterSpread: -1},
+		{Tags: 50, Clusters: 2, ClusterSpread: -1},
+	} {
+		if _, err := NewSystem(opts); err != nil {
+			t.Errorf("%+v rejected: %v", opts, err)
+		}
+	}
 }
 
 func TestEstimateCardinality(t *testing.T) {
@@ -206,6 +232,14 @@ func TestCollectBitmapValidation(t *testing.T) {
 	sys := testSystem(t, 50, 6, 10)
 	if _, err := sys.CollectBitmap(SessionOptions{}); err == nil {
 		t.Fatal("zero frame size accepted")
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sys.CollectBitmap(SessionOptions{FrameSize: 64, Sampling: x}); err == nil {
+			t.Errorf("sampling %v accepted", x)
+		}
+		if _, err := sys.CollectBitmap(SessionOptions{FrameSize: 64, LossProb: x}); err == nil {
+			t.Errorf("loss probability %v accepted", x)
+		}
 	}
 }
 
