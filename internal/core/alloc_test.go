@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"netags/internal/energy"
+	"netags/internal/topology"
 )
 
 // TestSessionRoundAllocs pins the session hot paths at exactly zero
@@ -82,5 +84,47 @@ func TestSessionRoundAllocs(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestRunnerNetworkSwitchAllocs pins the arena across networks: the row
+// masks are derived per session into retained storage, not kept per
+// network, so the first session on a different network of the same size
+// allocates nothing outside its Result. The config is p = 1 over 2000 tags,
+// so every in-system tag derives its masks and a heard strip spans 32
+// words. Like TestSessionRoundAllocs, it measures the session minus Result
+// assembly, here once, since a warm-up run would hide the switch.
+func TestRunnerNetworkSwitchAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is load-sensitive; skipped in -short")
+	}
+	a := diskNetwork(t, 2000, 5, 0xa110c)
+	b := diskNetwork(t, 2000, 5, 0xb110c)
+	cfg := Config{FrameSize: 128, Seed: 42, Sampling: 1}
+	for _, nw := range []*topology.Network{a, b} {
+		if err := cfg.validate(nw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meter := energy.NewMeter(a.N())
+	var s session
+	runSession := func(nw *topology.Network) {
+		s.init(nw, cfg, meter)
+		s.seedInitialPicks()
+		for round := 1; round <= cfg.maxRounds(nw); round++ {
+			s.runRound(round)
+			if !s.runCheckingFrame(round) {
+				break
+			}
+		}
+	}
+	runSession(a)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runSession(b)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("first session on a second network allocated %d times outside its Result, want 0", allocs)
 	}
 }

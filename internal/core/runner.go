@@ -6,12 +6,15 @@ import (
 )
 
 // Runner executes CCM sessions while retaining every piece of per-session
-// scratch — the per-tag heard bitset (n·⌈f/64⌉ words: 32 MB at 10^6 tags
-// and f = 256), the CSR transmit view, the checking-frame wave buffers, the
-// reader bitmaps — between runs. After the first session
-// over a deployment of a given size, subsequent sessions of similar shape
-// allocate only their Result (bitmap clone, meter, diagnostic copies); the
-// per-round hot path allocates nothing at all (TestSessionRoundAllocs).
+// scratch — the slot-major heard bitset (f·⌈n/64⌉ words: 32 MB at 10^6
+// tags and f = 256), the row masks each session derives for its
+// transmitters, the slot- and tag-grouped transmit views, the
+// checking-frame wave buffers, the reader bitmaps — between runs. Nothing
+// in it is keyed by network: after the first session over a deployment of
+// a given size, subsequent sessions of similar shape, on that network or
+// another, allocate only their Result (bitmap clone, meter, diagnostic
+// copies); the per-round hot path allocates nothing at all
+// (TestSessionRoundAllocs, TestRunnerNetworkSwitchAllocs).
 //
 // A Runner is not safe for concurrent use; pool one per worker (see
 // internal/experiment). Results are fully owned by the caller and remain

@@ -35,18 +35,29 @@ type Result struct {
 	CheckSlotsPerRound []int
 }
 
+// rowMask is one word of a row mask: bit j of bits stands for the tag at
+// position word*64+j.
+type rowMask struct {
+	word int32
+	bits uint64
+}
+
+// span is a half-open index range.
+type span struct{ lo, hi int32 }
+
 // session carries the mutable state of one run. All of it is arena-style
 // scratch owned by a Runner: every slice is sized on first use, retained
 // across sessions, and re-initialized in O(n) (plus one clear of the
-// n·⌈f/64⌉-word heard bitset) by init — the per-round hot paths allocate
+// f·⌈n/64⌉-word heard bitset) by init — the per-round hot paths allocate
 // nothing once the arena is warm (TestSessionRoundAllocs pins this at
 // exactly zero).
 //
 // Every per-tag array is indexed by position, the network's cell-sorted
 // numbering (topology.Network.Row), so one transmitter's neighbours sit in
-// nearby words. Tag indices appear only where they are observable: the
-// picker and IDs see them, the lossy channel draws in their order, and the
-// position-indexed meter is scattered back to them at session end.
+// a few words of a heard strip. Tag indices appear only where they are
+// observable: the picker and IDs see them, the lossy channel draws in their
+// order, and the position-indexed meter is scattered back to them at
+// session end.
 //
 // A tag's view of a slot is the pair (heard bit, reader's known bitmap):
 // with the heard bit clear and the slot not silenced the tag listens there;
@@ -63,19 +74,20 @@ type session struct {
 	order []int32
 	rank  []int32
 
-	// heard is the per-tag slot bitset, word-major: ⌈f/64⌉ strips of n
-	// words, where heard[w*n+k] holds slots 64w..64w+63 of the tag at
-	// position k. A bit is set once the tag has picked the slot or heard it
-	// busy. Word-major keeps one transmitter's deliveries to a word inside a
-	// single n-word strip, which stays cache resident where a tag's whole
-	// row would not, and position indexing keeps its neighbours' words
-	// close together within the strip. Out-of-system tags' bits stay clear;
-	// delivery skips those tags.
+	// heard is the per-tag slot bitset, slot-major: f strips of ⌈n/64⌉
+	// words, where bit k&63 of heard[slot*words+k>>6] belongs to the
+	// tag at position k. A bit is set once the tag has picked the slot or
+	// heard it busy. Slot-major turns one transmitter's delivery of a slot
+	// into a few word operations: its row, as masks over positions, is ORed
+	// into the slot's strip, and position indexing keeps a row's neighbours
+	// in a handful of words. Out-of-system tags' bits stay clear; the row
+	// masks leave those tags out.
 	heard []uint64
+	words int // ⌈n/64⌉, the length of one slot's strip
 
 	// Pending (tag, slot) pairs: slots a tag picked or heard since the last
-	// frame, in discovery order. Each round consumes them into the CSR
-	// transmit view below and refills them during delivery. A pair enters
+	// frame, in discovery order. Each round consumes them into one of the
+	// transmit views below and refills them during delivery. A pair enters
 	// at most once per session (its heard bit is set on entry), so both
 	// buffers reach a session-wide high-water mark and stop growing. A
 	// pending pair whose slot has since been silenced is dead: it is never
@@ -83,25 +95,34 @@ type session struct {
 	pendTag  []int32
 	pendSlot []int32
 
-	// CSR transmit view of the current round, rebuilt from the pending
-	// pairs each round in O(touched): tag t's transmissions are
-	// txSlots[txOff[t] : txOff[t]+txLen[t]]. txOff and txLen are n-sized
-	// but only entries of tags in touched are live; txLen doubles as the
-	// first-touch detector and is restored to all-zero after every round.
+	// CSR transmit view of the current round on the lossy channel, rebuilt
+	// from the pending pairs each round in O(touched): tag t's
+	// transmissions are txSlots[txOff[t] : txOff[t]+txLen[t]]. txOff and
+	// txLen are n-sized but only entries of tags in touched are live; txLen
+	// doubles as the first-touch detector (on both channels) and is
+	// restored to all-zero after every round.
 	txSlots []int32
 	txOff   []int32
 	txLen   []int32
-	// touched lists the tags with pending entries this round. Reliable
-	// delivery is order-free and visits them by position; lossy delivery
-	// visits them by tag index, the order that pins the channel's PRNG
-	// draws (see sortMarked).
+	// touched lists the tags with pending entries this round. Lossy
+	// delivery visits them by tag index, the order that pins the channel's
+	// PRNG draws (see sortMarked); reliable delivery only charges them.
 	touched []int32
 
-	// txMask is the current transmitter's slot set over the words in
-	// txWords, for word-at-a-time reliable delivery; it is all-zero between
-	// transmitters.
-	txMask  []uint64
-	txWords []int
+	// Slot-grouped transmit view of the current round on the reliable
+	// channel: one counting sort over the frame leaves slot's transmitters
+	// at slotTx[slotEnd[slot-1]:slotEnd[slot]] (from 0 for slot 0).
+	// slotEnd has f+1 entries and is all-zero between rounds.
+	slotTx  []int32
+	slotEnd []int32
+
+	// Row masks for reliable delivery: the in-system neighbours of the tag
+	// at position k, as (word, bits) pairs over positions, are
+	// masks[maskSpan[k].lo:maskSpan[k].hi]. A row is derived on the tag's
+	// first transmission in a session (lo < 0 until then), so masks reaches
+	// a session-wide high-water mark like the pending buffers.
+	masks    []rowMask
+	maskSpan []span
 
 	// unknownCount[i] is the number of slots tag i still listens in — heard
 	// bit clear and not silenced — i.e. how many slots it monitors per
@@ -159,45 +180,30 @@ func grow[T any](s []T, n int) []T {
 }
 
 // sortMarked orders ids, which lists without repeats exactly the positions
-// whose flag is non-zero. Reliable sessions (loss nil) are order-free and
-// take ascending positions: consecutive transmitters are then spatial
-// neighbours whose rows hit the same heard words, which makes the paper
-// sessions 10–32% faster than ascending tag index (DESIGN.md). Lossy
-// sessions take ascending tag index, the order their PRNG draws are pinned
-// to. A dense set is rebuilt
-// by one scan of the flags instead of sorted, which is cheaper once it
-// holds more than about 1/32 of the positions. The tag-order sort maps the
+// whose flag is non-zero, by ascending tag index: the order the lossy
+// channel's PRNG draws are pinned to. Reliable sessions are order-free and
+// take the same order; a position-ordered checking-frame wave measured no
+// faster (DESIGN.md "Delivery-order contract"). A dense set is rebuilt by
+// one scan of the flags in tag order instead of sorted, which is cheaper
+// once it holds more than about 1/32 of the positions. The sort maps the
 // ids to tags and back rather than sorting with a comparator, so it needs
 // no closure over the arena.
 func sortMarked[T comparable](s *session, ids []int32, flags []T) []int32 {
-	byTag := s.loss != nil
 	if len(ids) <= len(flags)/32 {
-		if byTag {
-			for j, k := range ids {
-				ids[j] = s.order[k]
-			}
+		for j, k := range ids {
+			ids[j] = s.order[k]
 		}
 		slices.Sort(ids)
-		if byTag {
-			for j, i := range ids {
-				ids[j] = s.rank[i]
-			}
+		for j, i := range ids {
+			ids[j] = s.rank[i]
 		}
 		return ids
 	}
 	var zero T
 	ids = ids[:0]
-	if byTag {
-		for _, k := range s.rank {
-			if flags[k] != zero {
-				ids = append(ids, k)
-			}
-		}
-		return ids
-	}
-	for k, f := range flags {
-		if f != zero {
-			ids = append(ids, int32(k))
+	for _, k := range s.rank {
+		if flags[k] != zero {
+			ids = append(ids, k)
 		}
 	}
 	return ids
@@ -235,10 +241,12 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	}
 	s.respondedList = s.respondedList[:0]
 
-	words := (f + 63) / 64
-	s.heard = grow(s.heard, n*words)
+	s.words = (n + 63) / 64
+	s.heard = grow(s.heard, f*s.words)
 	clear(s.heard)
-	s.txMask = grow(s.txMask, words)
+	s.slotEnd = grow(s.slotEnd, f+1)
+	s.masks = s.masks[:0]
+	s.maskSpan = grow(s.maskSpan, n)
 	s.unknownCount = grow(s.unknownCount, n)
 	s.tier1 = grow(s.tier1, n)
 	s.inSystem = grow(s.inSystem, n)
@@ -279,6 +287,7 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 		s.inSystem[k] = tier != 0
 		s.tier1[k] = tier == 1
 		s.unknownCount[k] = 0
+		s.maskSpan[k] = span{-1, -1}
 		if tier != 0 {
 			s.unknownCount[k] = int32(f)
 		}
@@ -349,8 +358,8 @@ func (s *session) seedInitialPicks() {
 // already did: the heard bit is set and the pair joins the pending list.
 // Picks happen before the first frame, so no slot is silenced yet.
 func (s *session) schedule(k int32, slot int) {
-	w := &s.heard[slot>>6*s.n+int(k)]
-	bit := uint64(1) << (uint(slot) & 63)
+	w := &s.heard[slot*s.words+int(k>>6)]
+	bit := uint64(1) << (uint(k) & 63)
 	if *w&bit != 0 {
 		return
 	}
@@ -436,71 +445,24 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// suit, but it does occupy air time.)
 	s.clock.LongSlots++
 
-	// Fold the pending pairs into the CSR transmit view. Pass 1
-	// counts entries per tag (silenced ones included for sizing; the
-	// scatter pass drops them) and collects the touched set.
-	for _, t := range s.pendTag {
-		if s.txLen[t] == 0 {
-			s.touched = append(s.touched, t)
-		}
-		s.txLen[t]++
-	}
-	s.touched = sortMarked(s, s.touched, s.txLen)
-	s.txSlots = grow(s.txSlots, len(s.pendTag))
-	var off int32
-	for _, t := range s.touched {
-		s.txOff[t] = off
-		off += s.txLen[t]
-		s.txLen[t] = 0 // becomes the kept-entry cursor for pass 2
-	}
-	// Pass 2 captures this round's transmissions: every live pending pair
-	// is transmitted now. Pairs whose slot was silenced since the tag picked
-	// or heard it are dropped without cost. Scatter order preserves each
-	// tag's discovery order.
-	for k, t := range s.pendTag {
-		slot := s.pendSlot[k]
-		if s.silenced(slot) {
-			continue
-		}
-		s.txSlots[s.txOff[t]+s.txLen[t]] = slot
-		s.txLen[t]++
-	}
-	s.pendTag = s.pendTag[:0]
-	s.pendSlot = s.pendSlot[:0]
-
 	// Monitoring charge: a tag stays awake for exactly the slots it still
 	// listens in (§III-D: it sleeps in silenced slots and in slots it
 	// already transmitted, and is busy transmitting in pending ones).
 	s.posMeter.AddReceivedCounts(s.unknownCount)
 
-	// Deliver transmissions. A listener senses a busy slot iff it is in the
+	// Deliver transmissions. Every live pending pair is transmitted now;
+	// pairs whose slot was silenced since the tag picked or heard it are
+	// dropped without cost. A listener senses a busy slot iff it is in the
 	// system and monitoring that slot (half duplex: a tag transmitting in
-	// the slot has its heard bit set). No transmitted slot is silenced —
-	// pass 2 dropped those, and known only grows after the frame. Collisions
-	// are benign: the first delivery sets the heard bit, later deliveries
-	// find it set. Newly heard slots land back in the pending list for the
-	// next round.
+	// the slot has its heard bit set). Collisions are benign: the first
+	// delivery sets the heard bit, later deliveries find it set. Newly
+	// heard slots land back in the pending list for the next round.
 	s.roundBusy.Reset()
-	for _, k := range s.touched {
-		cnt := s.txLen[k]
-		if cnt == 0 {
-			continue
-		}
-		slots := s.txSlots[s.txOff[k] : s.txOff[k]+cnt]
-		txTags++
-		txBits += len(slots)
-		s.posMeter.AddSent(int(k), int64(len(slots)))
-		if s.loss == nil {
-			s.deliverReliable(int(k), slots)
-		} else {
-			s.deliverLossy(int(k), slots)
-		}
+	if s.loss == nil {
+		txTags, txBits = s.deliverBySlot()
+	} else {
+		txTags, txBits = s.deliverByTag()
 	}
-	// Release the CSR view: txLen back to all-zero, O(touched).
-	for _, t := range s.touched {
-		s.txLen[t] = 0
-	}
-	s.touched = s.touched[:0]
 	s.clock.ShortSlots += int64(s.f)
 
 	// Record what the reader learned this round.
@@ -553,48 +515,171 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	return txTags, txBits
 }
 
-// deliverReliable delivers the frame of the tag at position k on the
-// reliable channel a word at a time: the transmitter's slots become a mask
-// over the words they touch, and each in-system neighbour takes
-// mask &^ heard in one step per word. No PRNG draws happen here, and heard
-// bits, counts and the pending set do not depend on delivery order, so
-// pairs are appended word by word, and within a word neighbour by
-// neighbour.
-func (s *session) deliverReliable(k int, slots []int32) {
-	for _, slot := range slots {
-		wi := int(slot >> 6)
-		if s.txMask[wi] == 0 {
-			s.txWords = append(s.txWords, wi)
+// deliverBySlot runs the frame on the reliable channel, slot by slot. One
+// counting sort over the frame groups the live pending pairs by slot; each
+// slot's transmitters then OR their row masks into the slot's heard strip,
+// and every bit that turns on is a new pending pair. No PRNG draws happen
+// here, and heard bits, counts and the pending set do not depend on
+// delivery order, so pairs are appended slot by slot, transmitter by
+// transmitter, word by word. It returns the number of transmitters and the
+// bits they sent.
+func (s *session) deliverBySlot() (txTags, txBits int) {
+	// Compact the live pairs to the front of the pending list, counting
+	// them per slot (at slotEnd[slot+1]) and per tag (txLen).
+	end := s.slotEnd
+	live := 0
+	for k, t := range s.pendTag {
+		slot := s.pendSlot[k]
+		if s.silenced(slot) {
+			continue
 		}
-		s.txMask[wi] |= 1 << (uint(slot) & 63)
+		s.pendTag[live], s.pendSlot[live] = t, slot
+		live++
+		end[slot+1]++
+		if s.txLen[t] == 0 {
+			s.touched = append(s.touched, t)
+		}
+		s.txLen[t]++
 	}
-	neighbors := s.nw.Row(k)
-	for _, wi := range s.txWords {
-		mask := s.txMask[wi]
-		strip := s.heard[wi*s.n : (wi+1)*s.n]
-		for _, v := range neighbors {
-			fresh := mask &^ strip[v]
-			if fresh == 0 || !s.inSystem[v] {
-				continue
+	for slot := 1; slot <= s.f; slot++ {
+		end[slot] += end[slot-1]
+	}
+	// Scatter with end[slot] as slot's cursor: it starts at the slot's
+	// first entry and finishes on the next slot's first entry.
+	s.slotTx = grow(s.slotTx, live)
+	for k, t := range s.pendTag[:live] {
+		slot := s.pendSlot[k]
+		s.slotTx[end[slot]] = t
+		end[slot]++
+	}
+	s.pendTag = s.pendTag[:0]
+	s.pendSlot = s.pendSlot[:0]
+
+	for _, t := range s.touched {
+		s.posMeter.AddSent(int(t), int64(s.txLen[t]))
+		s.txLen[t] = 0
+		if s.maskSpan[t].lo < 0 {
+			s.deriveMasks(t)
+		}
+	}
+	txTags, txBits = len(s.touched), live
+	s.touched = s.touched[:0]
+
+	busy := s.roundBusy.Words()
+	lo := int32(0)
+	for slot := range s.f {
+		hi := end[slot]
+		end[slot] = 0
+		if lo == hi {
+			continue
+		}
+		strip := s.heard[slot*s.words : (slot+1)*s.words]
+		reader := false
+		for _, t := range s.slotTx[lo:hi] {
+			reader = reader || s.tier1[t]
+			sp := s.maskSpan[t]
+			for _, m := range s.masks[sp.lo:sp.hi] {
+				fresh := m.bits &^ strip[m.word]
+				if fresh == 0 {
+					continue
+				}
+				strip[m.word] |= fresh
+				base := m.word << 6
+				for ; fresh != 0; fresh &= fresh - 1 {
+					v := base + int32(bits.TrailingZeros64(fresh))
+					s.unknownCount[v]--
+					s.pendTag = append(s.pendTag, v)
+					s.pendSlot = append(s.pendSlot, int32(slot))
+				}
 			}
-			strip[v] |= fresh
-			s.unknownCount[v] -= int32(bits.OnesCount64(fresh))
-			for ; fresh != 0; fresh &= fresh - 1 {
-				s.pendTag = append(s.pendTag, v)
-				s.pendSlot = append(s.pendSlot, int32(wi<<6+bits.TrailingZeros64(fresh)))
-			}
+		}
+		if reader {
+			busy[slot>>6] |= 1 << (uint(slot) & 63)
+		}
+		lo = hi
+	}
+	end[s.f] = 0
+	return txTags, txBits
+}
+
+// deriveMasks writes the row masks of the tag at position k: its in-system
+// neighbours, a word per run of neighbours that share one. Rows are
+// ascending, so each word appears once; a row out of order would only
+// split a word across pairs, which delivers the same bits.
+func (s *session) deriveMasks(k int32) {
+	row := s.nw.Row(int(k))
+	lo := len(s.masks)
+	if cap(s.masks)-lo < len(row) {
+		// Double rather than let append grow by 1.25×: a fresh arena
+		// (RunSession) derives most rows of a flooded network once, and
+		// the copies would allocate several times the final size.
+		s.masks = slices.Grow(s.masks, max(len(row), cap(s.masks)))
+	}
+	for _, v := range row {
+		if !s.inSystem[v] {
+			continue
+		}
+		word, bit := v>>6, uint64(1)<<(uint(v)&63)
+		if last := len(s.masks) - 1; last >= lo && s.masks[last].word == word {
+			s.masks[last].bits |= bit
+		} else {
+			s.masks = append(s.masks, rowMask{word, bit})
 		}
 	}
-	if s.tier1[k] {
-		busy := s.roundBusy.Words()
-		for _, wi := range s.txWords {
-			busy[wi] |= s.txMask[wi]
+	s.maskSpan[k] = span{int32(lo), int32(len(s.masks))}
+}
+
+// deliverByTag runs the frame on the lossy channel, transmitter by
+// transmitter in ascending tag index. It folds the pending pairs into the
+// CSR transmit view and returns the number of transmitters and the bits
+// they sent.
+func (s *session) deliverByTag() (txTags, txBits int) {
+	// Pass 1 counts entries per tag (silenced ones included for sizing; the
+	// scatter pass drops them) and collects the touched set.
+	for _, t := range s.pendTag {
+		if s.txLen[t] == 0 {
+			s.touched = append(s.touched, t)
 		}
+		s.txLen[t]++
 	}
-	for _, wi := range s.txWords {
-		s.txMask[wi] = 0
+	s.touched = sortMarked(s, s.touched, s.txLen)
+	s.txSlots = grow(s.txSlots, len(s.pendTag))
+	var off int32
+	for _, t := range s.touched {
+		s.txOff[t] = off
+		off += s.txLen[t]
+		s.txLen[t] = 0 // becomes the kept-entry cursor for pass 2
 	}
-	s.txWords = s.txWords[:0]
+	// Pass 2 captures this round's live transmissions. Scatter order
+	// preserves each tag's discovery order.
+	for k, t := range s.pendTag {
+		slot := s.pendSlot[k]
+		if s.silenced(slot) {
+			continue
+		}
+		s.txSlots[s.txOff[t]+s.txLen[t]] = slot
+		s.txLen[t]++
+	}
+	s.pendTag = s.pendTag[:0]
+	s.pendSlot = s.pendSlot[:0]
+
+	for _, k := range s.touched {
+		cnt := s.txLen[k]
+		if cnt == 0 {
+			continue
+		}
+		slots := s.txSlots[s.txOff[k] : s.txOff[k]+cnt]
+		txTags++
+		txBits += len(slots)
+		s.posMeter.AddSent(int(k), int64(len(slots)))
+		s.deliverLossy(int(k), slots)
+	}
+	// Release the CSR view: txLen back to all-zero, O(touched).
+	for _, t := range s.touched {
+		s.txLen[t] = 0
+	}
+	s.touched = s.touched[:0]
+	return txTags, txBits
 }
 
 // deliverLossy delivers the frame of the tag at position k on the lossy
@@ -605,12 +690,12 @@ func (s *session) deliverReliable(k int, slots []int32) {
 func (s *session) deliverLossy(k int, slots []int32) {
 	neighbors := s.nw.Row(k)
 	for _, slot := range slots {
-		wi, bit := int(slot>>6), uint64(1)<<(uint(slot)&63)
+		strip := s.heard[int(slot)*s.words : int(slot+1)*s.words]
 		for _, v := range neighbors {
 			if !s.inSystem[v] {
 				continue
 			}
-			w := &s.heard[wi*s.n+int(v)]
+			w, bit := &strip[v>>6], uint64(1)<<(uint(v)&63)
 			if *w&bit != 0 || s.dropped() {
 				continue
 			}
@@ -627,9 +712,9 @@ func (s *session) deliverLossy(k int, slots []int32) {
 
 // settleSilenced charges the indicator broadcast's newBusy slots (count of
 // them) against every in-system tag's listening count: a tag stops
-// listening in each new busy slot it had not already picked or heard.
-// Sequential passes: one over the tags, one over each strip newBusy
-// touches.
+// listening in each new busy slot it had not already picked or heard. One
+// pass over the tags, then one refund per set bit of each new busy slot's
+// strip.
 func (s *session) settleSilenced(count int) {
 	if count == 0 {
 		return
@@ -641,12 +726,13 @@ func (s *session) settleSilenced(count int) {
 	}
 	// Out-of-system tags have no heard bits, so the refund skips them.
 	for wi, busy := range s.newBusy.Words() {
-		if busy == 0 {
-			continue
-		}
-		strip := s.heard[wi*s.n : (wi+1)*s.n]
-		for v, w := range strip {
-			s.unknownCount[v] += int32(bits.OnesCount64(w & busy))
+		for ; busy != 0; busy &= busy - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(busy)
+			for w, heard := range s.heard[slot*s.words : (slot+1)*s.words] {
+				for ; heard != 0; heard &= heard - 1 {
+					s.unknownCount[w<<6+bits.TrailingZeros64(heard)]++
+				}
+			}
 		}
 	}
 }
@@ -666,8 +752,7 @@ func (s *session) runCheckingFrame(round int) bool {
 	lc := s.cfg.checkingFrameLen(s.nw)
 
 	// C[1]'s responders are the tags holding a live pending pair, in
-	// ascending tag order when the channel is lossy: it draws in wave
-	// order.
+	// ascending tag order: the lossy channel draws in wave order.
 	s.wave = s.wave[:0]
 	for k, t := range s.pendTag {
 		if s.responded[t] || s.silenced(s.pendSlot[k]) {

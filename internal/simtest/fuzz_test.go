@@ -1,24 +1,51 @@
 package simtest
 
 import (
+	"math"
 	"testing"
 
 	"netags/internal/core"
 	"netags/internal/prng"
 )
 
+// wordBoundarySeeds are NewScenarioTags inputs whose in-system tag count is
+// 63, 64, 65, 127 and 129, each with at least three out-of-system tags and
+// three or more tiers.
+var wordBoundarySeeds = []struct {
+	seed uint64
+	tags uint8
+}{
+	{85, 90},   // 63 in system, 27 out
+	{1, 72},    // 64 in, 8 out
+	{36, 70},   // 65 in, 5 out
+	{296, 150}, // 127 in, 23 out
+	{132, 150}, // 129 in, 21 out
+}
+
 // FuzzSession throws fuzzer-chosen scenarios and session configs at the full
 // CCM stack and holds every run to the invariants the property suites pin:
 // bit-identical replay, soundness against the direct bitmap (with equality
 // and guaranteed termination on the reliable channel), the air-time clock
-// identity, and inert out-of-system tags.
+// identity, and inert out-of-system tags. A reliable run must also match
+// the per-pair lossy loop at a loss that never drops (as in
+// TestMetamorphicSilentLoss), which pits the row-mask kernel against the
+// row walk on every input. A non-zero tags pins a uniform scenario to that
+// many tags (NewScenarioTags); zero takes the generator's own scenario.
 func FuzzSession(f *testing.F) {
-	f.Add(uint64(1), uint16(32), uint16(0), uint16(0))
-	f.Add(uint64(0xda53caa1dd258d4), uint16(128), uint16(1), uint16(0))
-	f.Add(uint64(7), uint16(8), uint16(2), uint16(431))
-	f.Add(uint64(0xfeedface), uint16(299), uint16(5), uint16(900))
-	f.Fuzz(func(t *testing.T, seed uint64, frameBits, styleBits, lossBits uint16) {
+	f.Add(uint64(1), uint16(32), uint16(0), uint16(0), uint8(0))
+	f.Add(uint64(0xda53caa1dd258d4), uint16(128), uint16(1), uint16(0), uint8(0))
+	f.Add(uint64(7), uint16(8), uint16(2), uint16(431), uint8(0))
+	f.Add(uint64(0xfeedface), uint16(299), uint16(5), uint16(900), uint8(0))
+	// Reliable runs whose in-system tag count sits on either side of a
+	// 64-tag word boundary, each with out-of-system tags as well.
+	for _, c := range wordBoundarySeeds {
+		f.Add(c.seed, uint16(200), uint16(0), uint16(0), c.tags)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, frameBits, styleBits, lossBits uint16, tags uint8) {
 		sc := NewScenario(seed)
+		if tags != 0 {
+			sc = NewScenarioTags(seed, int(tags))
+		}
 		k := sc.Network.K
 		cfg := core.Config{
 			FrameSize:        1 + int(frameBits)%300,
@@ -64,6 +91,15 @@ func FuzzSession(f *testing.F) {
 			}
 			if !res.Bitmap.Equal(direct) {
 				t.Fatalf("seed %#x: Theorem 1 violated on a reliable channel", seed)
+			}
+			silent := cfg
+			silent.LossProb, silent.LossSeed = math.SmallestNonzeroFloat64, seed
+			lres, err := core.RunSession(sc.Network, silent)
+			if err != nil {
+				t.Fatalf("seed %#x: silent loss: %v", seed, err)
+			}
+			if got, want := fingerprint(lres), fingerprint(res); got != want {
+				t.Fatalf("seed %#x: per-pair delivery fingerprint %s != row-mask delivery %s", seed, got, want)
 			}
 		}
 

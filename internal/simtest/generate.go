@@ -62,7 +62,7 @@ func (s Shape) String() string {
 // the seed.
 func NewScenario(seed uint64) *Scenario {
 	src := prng.New(prng.DeriveSeed(seed, 0x5ce9a410))
-	return build(seed, Shape(src.Intn(int(numShapes))), src)
+	return build(seed, Shape(src.Intn(int(numShapes))), src, -1)
 }
 
 // NewScenarioShape is NewScenario with the family pinned — for minimized
@@ -70,10 +70,24 @@ func NewScenario(seed uint64) *Scenario {
 func NewScenarioShape(seed uint64, shape Shape) *Scenario {
 	src := prng.New(prng.DeriveSeed(seed, 0x5ce9a410))
 	src.Intn(int(numShapes)) // discard the shape draw to keep streams aligned
-	return build(seed, shape, src)
+	return build(seed, shape, src, -1)
 }
 
-func build(seed uint64, shape Shape, src *prng.Source) *Scenario {
+// NewScenarioTags is NewScenarioShape in the uniform family with exactly
+// tags tags instead of the generator's 0–120, for inputs that must reach a
+// given population: the session fuzzer uses it to put the tag count across
+// the 64-tag words of the session's bitsets. As in the family, the disk may
+// spill past the reader's field of view.
+func NewScenarioTags(seed uint64, tags int) *Scenario {
+	src := prng.New(prng.DeriveSeed(seed, 0x5ce9a410))
+	src.Intn(int(numShapes))
+	return build(seed, ShapeUniform, src, tags)
+}
+
+// build draws the scenario of the given shape from src. A non-negative
+// tags pins the uniform family's tag count; the draw it replaces is still
+// made, so the rest of the stream stays aligned.
+func build(seed uint64, shape Shape, src *prng.Source, tags int) *Scenario {
 	sc := &Scenario{Seed: seed, Shape: shape}
 	sc.Ranges = topology.Ranges{
 		ReaderToTag: 10 + 30*src.Float64(),
@@ -84,6 +98,9 @@ func build(seed uint64, shape Shape, src *prng.Source) *Scenario {
 	switch shape {
 	case ShapeUniform:
 		n := src.Intn(121)
+		if tags >= 0 {
+			n = tags
+		}
 		// Up to 1.5×R: tags beyond the broadcast range exist but are
 		// outside the system.
 		radius := sc.Ranges.ReaderToTag * (0.4 + 1.1*src.Float64())
