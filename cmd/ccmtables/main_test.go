@@ -130,3 +130,52 @@ func TestRunHTTPIntrospection(t *testing.T) {
 		t.Fatal("bad -http address accepted")
 	}
 }
+
+// TestRenderPinned pins ccmtables' stdout — the rendered figures and tables
+// of each sweep kind — for a tiny configuration, byte for byte, against
+// testdata/<kind>.golden. Worker count 2 exercises the parallel path; the
+// numbers are worker-count independent.
+func TestRenderPinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		args []string
+	}{
+		{"range", []string{"-n", "150", "-trials", "2", "-r", "6,3", "-all", "-protocols", "TRP-CCM,SICP,GMLE-CCM,CICP"}},
+		{"density", []string{"-trials", "2", "-r", "6", "-density", "120,60"}},
+		{"loss", []string{"-n", "150", "-trials", "2", "-r", "6", "-loss", "0,0.4"}},
+	} {
+		out := captureStdout(t, func() error {
+			return run(context.Background(), append(tc.args, "-quiet", "-workers", "2"))
+		})
+		want, err := os.ReadFile(filepath.Join("testdata", tc.kind+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%s stdout differs from testdata/%s.golden:\n%s", tc.kind, tc.kind, out)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected into a file and returns
+// what it wrote.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp.Close()
+	return string(data)
+}

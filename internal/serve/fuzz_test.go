@@ -149,3 +149,61 @@ func FuzzCheckpointReplay(f *testing.F) {
 		}
 	})
 }
+
+// TestJobSpecKeyPinned pins the content address of one spec per shape the
+// normalizer has to canonicalize: each sweep kind, omitted versus explicit
+// defaults, fields the kind never reads, an unsorted range axis, and
+// duplicate or reordered protocols. Job keys name cached results and
+// checkpoint files, so a key that moves orphans both: any change to these
+// values is a breaking change to the service, never a refactor.
+func TestJobSpecKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		key  string
+	}{
+		{"range minimal", JobSpec{N: 300, Trials: 2, RValues: []float64{6}},
+			"35ec773329b1a099084c97dddc3ca899b36881faef2ba63dfe75ea958ae00731"},
+		{"range explicit defaults", JobSpec{Sweep: SweepRange, N: 300, Radius: 30, Trials: 2, RValues: []float64{6},
+			Protocols: []string{"SICP", "GMLE-CCM", "TRP-CCM"}, GMLEFrame: 1671, TRPFrame: 3228},
+			"35ec773329b1a099084c97dddc3ca899b36881faef2ba63dfe75ea958ae00731"},
+		{"range ignored fields", JobSpec{N: 300, Trials: 2, RValues: []float64{6},
+			NValues: []int{100}, R: 4, LossValues: []float64{0.5}, FrameSize: 99},
+			"35ec773329b1a099084c97dddc3ca899b36881faef2ba63dfe75ea958ae00731"},
+		{"range unsorted axis", JobSpec{N: 300, Trials: 2, RValues: []float64{10, 2, 6}, Seed: 7},
+			"778b053bc03d599f9fd1e4b810927d99e13993b78a3cda2aa30f2d56c1d486b2"},
+		{"range protocols dup reorder", JobSpec{N: 300, Trials: 2, RValues: []float64{6},
+			Protocols: []string{"TRP-CCM", "CICP", "SICP", "CICP"}},
+			"9a3b703dd6399feb330999f567f74844aec696e880269137ff58886ed2b5a518"},
+		{"range knobs", JobSpec{N: 500, Radius: 20, Trials: 3, RValues: []float64{2, 4}, GMLEFrame: 64, TRPFrame: 96,
+			ContentionWindow: 8, DisableIndicatorVector: true},
+			"74d1f66ad5840cb9778628e527a438487e9e65361148920252a8e9553d5dd24e"},
+		{"density minimal", JobSpec{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{100, 300}},
+			"bb83157f697c2e3d9e21ab2c9b789be1382d88e141864f41bb685d567fccfb90"},
+		{"density explicit radius", JobSpec{Sweep: SweepDensity, Radius: 30, Trials: 2, R: 6, NValues: []int{100, 300}},
+			"bb83157f697c2e3d9e21ab2c9b789be1382d88e141864f41bb685d567fccfb90"},
+		{"density ignored fields", JobSpec{Sweep: SweepDensity, N: 5000, Trials: 2, R: 6, NValues: []int{300, 100},
+			RValues: []float64{2}, Protocols: []string{"SICP"}, GMLEFrame: 77, TRPFrame: 5, ContentionWindow: 3,
+			DisableIndicatorVector: true, LossValues: []float64{0.5}, FrameSize: 12, Seed: 9},
+			"96e9f2366760f1b5a18c97d963b163205143557d0ac32189f4c8045ae0fe1895"},
+		{"loss minimal", JobSpec{Sweep: SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0, 0.3}},
+			"30ced39f3a05d53bfdc999e45896ee741ea4a8b010b8bbb36380120f1c4d4540"},
+		{"loss reordered axis", JobSpec{Sweep: SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0.3, 0}},
+			"8c466b8df4e216dc49feba03160bee119bbda049222a4a8954b4df3b45d04fd7"},
+		{"loss ignored fields", JobSpec{Sweep: SweepLoss, N: 200, Radius: 30, Trials: 1, R: 6, LossValues: []float64{0, 0.3},
+			FrameSize: 512, RValues: []float64{2}, Protocols: []string{"CICP"}, GMLEFrame: 77, TRPFrame: 5,
+			ContentionWindow: 3, DisableIndicatorVector: true, NValues: []int{100}, Seed: 42},
+			"a7a69cc7d8a258097ab060635d39882a3b2cde1a0fcde0097c126b9f57570311"},
+	} {
+		got, err := tc.spec.Key()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := tc.spec.Validate(); err != nil {
+			t.Errorf("%s: pinned spec does not validate: %v", tc.name, err)
+		}
+		if got != tc.key {
+			t.Errorf("%s: key = %s, pinned %s", tc.name, got, tc.key)
+		}
+	}
+}

@@ -3,20 +3,31 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestResumeAfterDrainByteIdentical is the PR's acceptance test: a real
+// TestResumeAfterDrainByteIdentical, for every sweep kind: a real
 // sweep is drained mid-flight at ~50% of its points, the process "restarts"
 // (a new Manager on the same checkpoint dir), the spec is resubmitted, and
 // the resumed job (a) recomputes none of the completed points, (b) reports
 // them as ResumedPoints, and (c) produces a payload byte-identical to an
 // uninterrupted run.
 func TestResumeAfterDrainByteIdentical(t *testing.T) {
-	spec := JobSpec{N: 130, Trials: 2, RValues: []float64{3, 4, 5, 6}, Seed: 5}
+	for _, spec := range []JobSpec{
+		{N: 130, Trials: 2, RValues: []float64{3, 4, 5, 6}, Seed: 5},
+		{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{60, 90, 120, 150}, Seed: 5},
+		{Sweep: SweepLoss, N: 130, Trials: 2, R: 6, LossValues: []float64{0, 0.2, 0.4, 0.6}, Seed: 5},
+	} {
+		t.Run(spec.Normalized().Sweep, func(t *testing.T) { resumeAfterDrain(t, spec) })
+	}
+}
+
+func resumeAfterDrain(t *testing.T, spec JobSpec) {
 	points := spec.PointCount()
 	killAt := points / 2
 
@@ -263,5 +274,33 @@ func TestSubmitPriorityOrderViaManager(t *testing.T) {
 	defer mu.Unlock()
 	if len(order) != 3 || order[1] != inter.ID || order[2] != bulk.ID {
 		t.Errorf("execution order = %v, want interactive %s before bulk %s", order, inter.ID, bulk.ID)
+	}
+}
+
+// TestRunSpecPayloadPinned pins the SHA-256 of the served result bytes for
+// one small spec of each sweep kind. Payloads are cached under their spec's
+// key and compared byte for byte by resume and failover, so a payload that
+// changes for an unchanged spec breaks both; this pin catches it without a
+// daemon.
+func TestRunSpecPayloadPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec JobSpec
+		sum  string
+	}{
+		{JobSpec{N: 120, Trials: 2, RValues: []float64{6, 3}, Seed: 3, Protocols: []string{"TRP-CCM", "SICP", "CICP"}},
+			"7f6108e59989407b996354095c8145f863248a8196c433c3a7a5e4185ef900ca"},
+		{JobSpec{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{80, 40}, Seed: 3},
+			"28960129838476ea452c84c0efe79562b50e951f291912dc6e1885b8289d8234"},
+		{JobSpec{Sweep: SweepLoss, N: 120, Trials: 2, R: 6, LossValues: []float64{0.5, 0}, Seed: 3},
+			"c0bc3b2414e60ae7535f3af7660dfd684ec37fe979f6190ff72f0a6b86579924"},
+	} {
+		payload, err := runSpec(context.Background(), tc.spec, 2, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(payload)
+		if got := hex.EncodeToString(sum[:]); got != tc.sum {
+			t.Errorf("%s payload sha256 = %s, pinned %s\n%s", tc.spec.Normalized().Sweep, got, tc.sum, payload)
+		}
 	}
 }
