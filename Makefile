@@ -5,7 +5,8 @@
 # The repo benchmark (ccmbench/) is its own module, so `./...` skips it: it
 # is vetted and tested separately, and a change that breaks its build fails
 # here. Metric exposition text (# HELP / # TYPE) may only be written by the
-# one metric registry, internal/obs/registry.go.
+# one metric registry, internal/obs/registry.go, and only the sweep-kind
+# table, internal/experiment/kinds.go, may switch on a kind's name.
 # Set FUZZ=1 to also smoke the native fuzz targets (see fuzz-smoke).
 verify:
 	go build ./...
@@ -20,6 +21,9 @@ verify:
 	cd ccmbench && go vet ./... && go test ./...
 	@if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e '# HELP' -e '# TYPE' . | grep -vx './internal/obs/registry.go'; then \
 		echo "verify: metric exposition text outside internal/obs/registry.go (register the metric instead)"; exit 1; \
+	fi
+	@if grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e 'case[^:]*\bSweep(Range|Density|Loss)\b' -e 'case[^:]*"(range|density|loss)"' . | grep -vx './internal/experiment/kinds.go'; then \
+		echo "verify: switch on a sweep-kind name outside internal/experiment/kinds.go (add to the kind's table entry instead)"; exit 1; \
 	fi
 ifeq ($(FUZZ),1)
 	$(MAKE) fuzz-smoke

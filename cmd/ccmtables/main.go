@@ -10,6 +10,8 @@
 //	ccmtables -figure 4 -r 2,4,6,8,10
 //	ccmtables -table 3 -csv out.csv
 //	ccmtables -all -ablation            # CCM without the indicator vector
+//	ccmtables -density 300,600 -r 6     # population sweep at one range
+//	ccmtables -loss 0,0.3 -r 6          # unreliable-channel sweep
 //
 // Trials run in parallel over -workers goroutines (default: all cores);
 // every worker count reports bit-identical numbers, because trial seeds are
@@ -27,8 +29,10 @@ import (
 	"strings"
 
 	"netags/internal/experiment"
+	"netags/internal/gmle"
 	"netags/internal/obs"
 	"netags/internal/obs/httpserve"
+	"netags/internal/trp"
 )
 
 func main() {
@@ -131,121 +135,85 @@ func run(ctx context.Context, args []string) error {
 		observe = tracker.Wrap(observe)
 		setTotal = tracker.SetTotal
 	}
-	tracer := obs.Multi(instr.Tracer(), intro.Tracer())
-	if *density != "" {
-		values, err := parseFloats(*density)
-		if err != nil {
-			return err
-		}
-		rs, err := parseFloats(*rList)
-		if err != nil {
-			return err
-		}
-		ns := make([]int, len(values))
-		for i, v := range values {
-			ns[i] = int(v)
-		}
-		setTotal(len(ns) * *trials)
-		res, err := experiment.RunDensitySweepContext(ctx, experiment.DensityConfig{
-			BaseConfig: experiment.BaseConfig{
-				Radius:  30,
-				Trials:  *trials,
-				Seed:    *seed,
-				Workers: *workers,
-				Tracer:  tracer,
-			},
-			NValues: ns,
-			R:       rs[0],
-		}, observe)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return finish()
+	// One path for every sweep kind: the kind's axis flag picks it, the
+	// flags fill a Spec (each kind reads only its own fields), and the
+	// kind's report renders it.
+	spec := experiment.Spec{
+		Sweep: experiment.SweepRange, N: *n, Radius: 30, Trials: *trials, Seed: *seed,
+		GMLEFrame: gmle.PaperFrameSize, TRPFrame: trp.PaperFrameSize,
+		DisableIndicatorVector: *ablation,
 	}
-	if *loss != "" {
-		values, err := parseFloats(*loss)
-		if err != nil {
-			return err
-		}
-		rs, err := parseFloats(*rList)
-		if err != nil {
-			return err
-		}
-		setTotal(len(values) * *trials)
-		res, err := experiment.RunLossSweepContext(ctx, experiment.LossConfig{
-			BaseConfig: experiment.BaseConfig{
-				N:       *n,
-				Radius:  30,
-				Trials:  *trials,
-				Seed:    *seed,
-				Workers: *workers,
-				Tracer:  tracer,
-			},
-			R:          rs[0],
-			LossValues: values,
-		}, observe)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return finish()
+	for _, p := range strings.Split(*protos, ",") {
+		spec.Protocols = append(spec.Protocols, strings.TrimSpace(p))
 	}
-	if !*all && *figure == 0 && *table == 0 {
-		*all = true
-	}
-
-	cfg := experiment.Paper()
-	cfg.N = *n
-	cfg.Trials = *trials
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Tracer = tracer
-	cfg.DisableIndicatorVector = *ablation
-	if cfg.RValues, err = parseFloats(*rList); err != nil {
+	if spec.RValues, err = parseFloats("-r", *rList); err != nil {
 		return err
 	}
-	setTotal(len(cfg.RValues) * *trials)
-	cfg.Protocols = nil
-	for _, p := range strings.Split(*protos, ",") {
-		cfg.Protocols = append(cfg.Protocols, experiment.Protocol(strings.TrimSpace(p)))
+	switch {
+	case *density != "" && *loss != "":
+		return fmt.Errorf("-density and -loss pick different sweeps; give one")
+	case *density != "":
+		spec.Sweep = experiment.SweepDensity
+		spec.NValues, err = parseInts("-density", *density)
+	case *loss != "":
+		spec.Sweep = experiment.SweepLoss
+		spec.LossValues, err = parseFloats("-loss", *loss)
 	}
-
-	res, err := experiment.RunContext(ctx, cfg, observe)
 	if err != nil {
 		return err
 	}
-
-	if *all || *figure == 3 {
-		fmt.Println(res.RenderFig3())
-	}
-	if *all || *figure == 4 {
-		fmt.Println(res.RenderFig4())
-	}
-	tables := []experiment.TableMetric{
-		experiment.TableMaxSent, experiment.TableMaxReceived,
-		experiment.TableAvgSent, experiment.TableAvgReceived,
-	}
-	for i, tm := range tables {
-		if *all || *table == i+1 {
-			fmt.Println(res.RenderTable(tm))
+	if spec.Sweep != experiment.SweepRange {
+		// The density and loss sweeps hold the range fixed at one value.
+		if len(spec.RValues) != 1 {
+			return fmt.Errorf("-%s sweeps at one inter-tag range, but -r lists %d", spec.Sweep, len(spec.RValues))
 		}
+		spec.R = spec.RValues[0]
 	}
+	setTotal(spec.PointCount() * *trials)
+	res, err := experiment.Run(ctx, spec, experiment.Exec{
+		Workers: *workers,
+		Tracer:  obs.Multi(instr.Tracer(), intro.Tracer()),
+		Observe: observe,
+	})
+	if err != nil {
+		return err
+	}
+	if *all {
+		*figure, *table = 0, 0
+	}
+	fmt.Print(res.Render(*figure, *table))
+	// Only the range sweep has a long form; the others leave -csv unused.
 	if *csvPath != "" {
-		if err := os.WriteFile(*csvPath, []byte(res.CSV()), 0o644); err != nil {
-			return fmt.Errorf("write csv: %w", err)
+		if csv := res.CSV(); csv != "" {
+			if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
+				return fmt.Errorf("write csv: %w", err)
+			}
+			fmt.Fprintln(os.Stderr, "wrote", *csvPath)
 		}
-		fmt.Fprintln(os.Stderr, "wrote", *csvPath)
 	}
 	return finish()
 }
 
-func parseFloats(s string) ([]float64, error) {
+// parseFloats parses the comma-separated numbers given to the named flag.
+func parseFloats(name, s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad r value %q: %w", part, err)
+			return nil, fmt.Errorf("bad %s value %q: %w", name, part, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// parseInts parses the comma-separated integers given to the named flag.
+func parseInts(name, s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad %s value %q: want an integer", name, part)
 		}
 		out = append(out, v)
 	}

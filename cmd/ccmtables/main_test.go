@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseFloats(t *testing.T) {
-	got, err := parseFloats("2, 4,6")
+	got, err := parseFloats("-r", "2, 4,6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,8 @@ func TestParseFloats(t *testing.T) {
 			t.Fatalf("parsed %v, want %v", got, want)
 		}
 	}
-	if _, err := parseFloats("2,x"); err == nil {
-		t.Fatal("bad float accepted")
+	if _, err := parseFloats("-loss", "2,x"); err == nil || !strings.Contains(err.Error(), "-loss") {
+		t.Fatalf("bad float: err = %v, want one naming -loss", err)
 	}
 }
 
@@ -60,8 +60,18 @@ func TestRunLossMode(t *testing.T) {
 	if err := run(context.Background(), []string{"-n", "300", "-trials", "1", "-r", "6", "-loss", "0,0.5", "-quiet"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-n", "300", "-trials", "1", "-r", "6", "-loss", "bogus"}); err == nil {
-		t.Fatal("bad loss list accepted")
+	for _, tc := range []struct {
+		args []string
+		want string // in the error
+	}{
+		{[]string{"-loss", "bogus"}, "-loss"},
+		{[]string{"-loss", "0,0.5", "-r", "4,6"}, "-r lists 2"},
+		{[]string{"-loss", "0", "-density", "300"}, "-density and -loss"},
+	} {
+		args := append([]string{"-n", "300", "-trials", "1", "-r", "6", "-quiet"}, tc.args...)
+		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
 	}
 }
 
@@ -69,8 +79,18 @@ func TestRunDensityMode(t *testing.T) {
 	if err := run(context.Background(), []string{"-trials", "1", "-r", "6", "-density", "300,600", "-quiet"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-trials", "1", "-r", "6", "-density", "x"}); err == nil {
-		t.Fatal("bad density list accepted")
+	for _, tc := range []struct {
+		args []string
+		want string // in the error
+	}{
+		{[]string{"-density", "x"}, "-density"},
+		{[]string{"-density", "300.7"}, "-density"},
+		{[]string{"-density", "300,600", "-r", "4,6"}, "-r lists 2"},
+	} {
+		args := append([]string{"-trials", "1", "-r", "6", "-quiet"}, tc.args...)
+		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v): err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
 	}
 }
 

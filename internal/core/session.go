@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"netags/internal/bitmap"
 	"netags/internal/energy"
@@ -162,11 +163,21 @@ type session struct {
 	lossState prng.Source
 }
 
-// RunSession executes one CCM session (Algorithm 1) over the network with
-// freshly allocated state. Callers running many sessions should reuse a
-// Runner, which amortizes all scratch across runs.
+// runnerPool holds the warm arenas RunSession draws from. Which Runner
+// serves which session never affects results — a Runner behaves exactly as
+// fresh state (simtest's TestRunnerNoStateBleed pins this) and its Results
+// are caller-owned — so pooling is invisible to callers.
+var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
+
+// RunSession executes one CCM session (Algorithm 1) over the network on a
+// Runner taken from a package-wide pool, so repeated sessions reuse warm
+// scratch instead of allocating a fresh arena each call. It is safe for
+// concurrent use; a caller that wants its own arena holds a Runner.
 func RunSession(nw *topology.Network, cfg Config) (*Result, error) {
-	return NewRunner().Run(nw, cfg)
+	r := runnerPool.Get().(*Runner)
+	res, err := r.Run(nw, cfg)
+	runnerPool.Put(r) // not deferred: a Runner that panicked is dropped
+	return res, err
 }
 
 // grow returns s resized to n elements, reusing its backing array when the

@@ -4,31 +4,21 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"netags/internal/geom"
 	"netags/internal/gmle"
 	"netags/internal/obs"
-	"netags/internal/sicp"
 	"netags/internal/stats"
 	"netags/internal/topology"
 	"netags/internal/trp"
 )
 
-// DensityConfig parameterizes a population sweep — an extension beyond the
-// paper, which fixes n = 10,000. CCM's air time is governed by the frame
-// size and tier count, not the population, while SICP's grows linearly with
-// the IDs it must haul; sweeping n makes that scaling visible.
-//
-// Radius, Trials, Seed, and Workers come from the embedded BaseConfig;
-// BaseConfig.N is ignored — NValues supplies the populations.
-type DensityConfig struct {
-	BaseConfig
-	// NValues are the populations to sweep.
-	NValues []int
-	// R is the inter-tag range (paper geometry by default).
-	R float64
-}
+// The population sweep — an extension beyond the paper, which fixes
+// n = 10,000. CCM's air time is governed by the frame size and tier count,
+// not the population, while SICP's grows linearly with the IDs it must
+// haul; sweeping n makes that scaling visible. It reads Spec.NValues (the
+// axis), R, Radius, Trials and Seed, and re-derives the frame sizes per n,
+// exactly as the paper sizes its frames for n = 10,000.
 
 // DensityRow reports one population.
 type DensityRow struct {
@@ -42,15 +32,29 @@ type DensityRow struct {
 	Tiers stats.Sample
 }
 
-// DensityResults is the sweep outcome.
-type DensityResults struct {
-	Config DensityConfig
-	Rows   []DensityRow
+type densityRowJSON struct {
+	N         int        `json:"n"`
+	Tiers     sampleJSON `json:"tiers"`
+	SICPSlots sampleJSON `json:"sicp_slots"`
+	GMLESlots sampleJSON `json:"gmle_slots"`
+	TRPSlots  sampleJSON `json:"trp_slots"`
 }
 
-// densityPoint is one population with its per-n derived frame sizes.
-type densityPoint struct {
-	n, gmleF, trpF int
+// jsonView is the row's JSON form.
+func (row DensityRow) jsonView() any {
+	return densityRowJSON{
+		N:         row.N,
+		Tiers:     sampleView(&row.Tiers),
+		SICPSlots: sampleView(&row.SICPSlots),
+		GMLESlots: sampleView(&row.GMLESlots),
+		TRPSlots:  sampleView(&row.TRPSlots),
+	}
+}
+
+// DensityResults is the sweep outcome.
+type DensityResults struct {
+	Spec Spec
+	Rows []DensityRow
 }
 
 // densityTrial is one deployment's slot counts.
@@ -59,100 +63,68 @@ type densityTrial struct {
 	gmle, trp, sicp int64
 }
 
-// RunDensitySweepContext measures how each protocol's air time scales
-// with the population, over cfg.Workers goroutines. Frame sizes are re-derived per n, exactly as the paper sizes
-// its frames for n = 10,000.
-func RunDensitySweepContext(ctx context.Context, cfg DensityConfig, observe func(Progress)) (*DensityResults, error) {
-	return RunDensitySweepPartial(ctx, cfg, nil, nil, observe)
+func (t densityTrial) tierCount() int { return t.tiers }
+
+func validateDensity(s Spec) error {
+	for _, n := range s.NValues {
+		if n <= 0 {
+			return fmt.Errorf("experiment: population %d must be positive", n)
+		}
+		if _, err := densityFrames(n); err != nil {
+			return fmt.Errorf("experiment: population %d: %w", n, err)
+		}
+	}
+	if !(s.R > 0) {
+		return fmt.Errorf("experiment: inter-tag range %g must be positive", s.R)
+	}
+	return nil
 }
 
-// RunDensitySweepPartial is RunDensitySweepContext with resume support —
-// the same contract as RunContextPartial: skipped points come back as
-// zero-valued rows (only N set) and pointDone fires once per computed
-// point with its fully aggregated DensityRow.
-func RunDensitySweepPartial(ctx context.Context, cfg DensityConfig, skip []bool, pointDone func(PointInfo, DensityRow), observe func(Progress)) (*DensityResults, error) {
-	if err := cfg.validate(false); err != nil {
-		return nil, err
-	}
-	if len(cfg.NValues) == 0 || cfg.R <= 0 {
-		return nil, fmt.Errorf("experiment: incomplete density config %+v", cfg)
-	}
-	points := make([]densityPoint, len(cfg.NValues))
-	for i, n := range cfg.NValues {
-		if n <= 0 {
-			return nil, fmt.Errorf("experiment: population %d must be positive", n)
-		}
-		gmleF, err := gmle.FrameSizeFor(0.05, 0.95)
+// densityTrialFunc measures each protocol's air time over one deployment of
+// n tags, with frames sized for n.
+func densityTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, int, int, TrialSeeds) (densityTrial, error) {
+	return func(_ context.Context, n int, trial int, seeds TrialSeeds) (densityTrial, error) {
+		sized, err := densityFrames(n)
 		if err != nil {
-			return nil, err
+			return densityTrial{}, err
 		}
-		tol := n / 200
-		if tol == 0 {
-			tol = 1
-		}
-		trpF, err := trp.FrameSizeFor(n, tol, 0.95)
+		d := geom.NewUniformDisk(n, s.Radius, seeds.Deploy)
+		nw, err := topology.Build(d, 0, topology.PaperRanges(s.R))
 		if err != nil {
-			return nil, err
+			return densityTrial{}, fmt.Errorf("n=%d trial %d: %w", n, trial, err)
 		}
-		points[i] = densityPoint{n: n, gmleF: gmleF, trpF: trpF}
+		dt := densityTrial{tiers: nw.K}
+		for _, run := range []struct {
+			p    Protocol
+			into *int64
+		}{{GMLECCM, &dt.gmle}, {TRPCCM, &dt.trp}, {SICP, &dt.sicp}} {
+			clock, _, err := runProtocol(run.p, nw, sized, tracer, seeds.Proto)
+			if err != nil {
+				return densityTrial{}, err
+			}
+			*run.into = clock.Total()
+		}
+		return dt, nil
 	}
+}
 
-	sweep := Sweep[densityPoint, densityTrial]{
-		Base:   cfg.BaseConfig,
-		Points: points,
-		Skip:   skip,
-		Key:    func(p densityPoint) uint64 { return IntKey(p.n) },
-		Run: func(ctx context.Context, p densityPoint, trial int, seeds TrialSeeds) (densityTrial, error) {
-			d := geom.NewUniformDisk(p.n, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
-			if err != nil {
-				return densityTrial{}, fmt.Errorf("n=%d trial %d: %w", p.n, trial, err)
-			}
-			gm, _, err := runProtocolSized(GMLECCM, nw, p.gmleF, gmle.SamplingFor(p.gmleF, float64(p.n)), seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			tr, _, err := runProtocolSized(TRPCCM, nw, p.trpF, 1, seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			si, _, err := runProtocolSized(SICP, nw, 0, 0, seeds.Proto, cfg.Tracer)
-			if err != nil {
-				return densityTrial{}, err
-			}
-			return densityTrial{tiers: nw.K, gmle: gm, trp: tr, sicp: si}, nil
-		},
-		Event: func(p densityPoint, trial int, dt densityTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "density", N: p.n, Trial: trial, Trials: cfg.Trials,
-				Protocols: []Protocol{GMLECCM, TRPCCM, SICP}, Tiers: dt.tiers, Elapsed: elapsed,
-			}
-		},
+// densityFrames sizes the protocols' frames for a population of n, as the
+// paper sizes them for n = 10,000: GMLE for β = 5 %, α = 95 %, and TRP to
+// detect a 0.5 % shortfall (at least one tag) with δ = 95 %.
+func densityFrames(n int) (Spec, error) {
+	sized := Spec{N: n}
+	var err error
+	if sized.GMLEFrame, err = gmle.FrameSizeFor(0.05, 0.95); err != nil {
+		return Spec{}, err
 	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[densityPoint, densityTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildDensityRow(p.Point.n, p.Trials))
-		}
+	if sized.TRPFrame, err = trp.FrameSizeFor(n, max(n/200, 1), 0.95); err != nil {
+		return Spec{}, err
 	}
-	grid, err := RunSweep(ctx, sweep, observe)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &DensityResults{Config: cfg}
-	for pi, p := range points {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, DensityRow{N: p.n})
-			continue
-		}
-		res.Rows = append(res.Rows, buildDensityRow(p.n, grid[pi]))
-	}
-	return res, nil
+	return sized, nil
 }
 
 // buildDensityRow folds one population's trials into its DensityRow.
-func buildDensityRow(n int, trials []densityTrial) DensityRow {
+func buildDensityRow(_ Spec, n int, trials []densityTrial) DensityRow {
 	row := DensityRow{N: n}
 	for _, dt := range trials {
 		row.Tiers.Add(float64(dt.tiers))
@@ -163,35 +135,18 @@ func buildDensityRow(n int, trials []densityTrial) DensityRow {
 	return row
 }
 
-// runProtocolSized runs one protocol with explicit frame parameters and
-// returns its slot count.
-func runProtocolSized(p Protocol, nw *topology.Network, frame int, sampling float64, seed uint64, tracer obs.Tracer) (int64, int64, error) {
-	switch p {
-	case GMLECCM, TRPCCM:
-		r, err := runCCM(nw, frame, sampling, seed, false, tracer)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.clock.Total(), 0, nil
-	case SICP:
-		r, err := sicp.Collect(nw, sicp.Options{Seed: seed, Tracer: tracer})
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Clock.Total(), 0, nil
-	}
-	return 0, 0, fmt.Errorf("experiment: unsupported protocol %q in density sweep", p)
-}
-
-// Render prints the sweep as a table.
-func (r *DensityResults) Render() string {
+// Render prints the sweep as its single table (Report).
+func (r *DensityResults) Render(int, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Population sweep: execution time in slots (r=%g, %d trials, frames re-sized per n)\n",
-		r.Config.R, r.Config.Trials)
+		r.Spec.R, r.Spec.Trials)
 	fmt.Fprintf(&b, "%8s  %6s  %12s  %12s  %12s\n", "n", "tiers", "SICP", "GMLE-CCM", "TRP-CCM")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8d  %6.1f  %12.0f  %12.0f  %12.0f\n",
 			row.N, row.Tiers.Mean(), row.SICPSlots.Mean(), row.GMLESlots.Mean(), row.TRPSlots.Mean())
 	}
-	return b.String()
+	return b.String() + "\n"
 }
+
+// CSV is empty: the population sweep has no long form (Report).
+func (r *DensityResults) CSV() string { return "" }

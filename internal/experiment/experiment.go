@@ -15,10 +15,9 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"netags/internal/core"
 	"netags/internal/energy"
@@ -105,6 +104,43 @@ type Row struct {
 	ByProtocol map[Protocol]*Metrics
 }
 
+// protoMetricsJSON is one protocol's aggregates at one range point.
+type protoMetricsJSON struct {
+	Protocol    string     `json:"protocol"`
+	Slots       sampleJSON `json:"slots"`
+	MaxSent     sampleJSON `json:"max_sent"`
+	MaxReceived sampleJSON `json:"max_received"`
+	AvgSent     sampleJSON `json:"avg_sent"`
+	AvgReceived sampleJSON `json:"avg_received"`
+}
+
+type rangeRowJSON struct {
+	R         float64            `json:"r"`
+	Tiers     sampleJSON         `json:"tiers"`
+	Protocols []protoMetricsJSON `json:"protocols"`
+}
+
+// jsonView is the row's JSON form, protocols in the canonical order
+// whatever order the map iterates in.
+func (row Row) jsonView() any {
+	rj := rangeRowJSON{R: row.R, Tiers: sampleView(&row.Tiers)}
+	for _, proto := range protocolOrder {
+		m, ok := row.ByProtocol[proto]
+		if !ok {
+			continue
+		}
+		rj.Protocols = append(rj.Protocols, protoMetricsJSON{
+			Protocol:    string(proto),
+			Slots:       sampleView(&m.Slots),
+			MaxSent:     sampleView(&m.MaxSent),
+			MaxReceived: sampleView(&m.MaxReceived),
+			AvgSent:     sampleView(&m.AvgSent),
+			AvgReceived: sampleView(&m.AvgReceived),
+		})
+	}
+	return rj
+}
+
 // Results is the output of a sweep.
 type Results struct {
 	Config Config
@@ -115,8 +151,10 @@ type Results struct {
 // pool and reduced into Row accumulators in grid order afterwards.
 type rangeTrial struct {
 	tiers  int
-	protos []protoObs // indexed like the validated protocol list
+	protos []protoObs // indexed like rangeProtocols
 }
+
+func (t rangeTrial) tierCount() int { return t.tiers }
 
 // protoObs is one protocol's raw observations for one trial.
 type protoObs struct {
@@ -125,116 +163,134 @@ type protoObs struct {
 	avgSent, avgReceived float64
 }
 
-// PointInfo identifies one completed sweep point for the per-point hooks
-// of the Partial runners: its grid index, the position-derived seeds each
-// trial ran with, and the summed wall time of the point's work items.
-type PointInfo struct {
-	Index   int
-	Seeds   []TrialSeeds
-	Elapsed time.Duration
-}
-
 // RunContext executes the sweep, fanning the (r, trial) grid out over
 // cfg.Workers goroutines (0 = GOMAXPROCS). Results are bit-identical for
 // every worker count. observe, if non-nil, receives one Progress event per
-// completed trial, serialized but in completion order.
+// completed trial, serialized but in completion order. It is Run on the
+// range kind with cfg taken as given, not normalized: frames and radius
+// must be set, and only an empty Protocols defaults (to the paper's three).
 func RunContext(ctx context.Context, cfg Config, observe func(Progress)) (*Results, error) {
-	return RunContextPartial(ctx, cfg, nil, nil, observe)
-}
-
-// RunContextPartial is RunContext with resume support: points whose
-// skip[i] is true are not run (their Rows come back with a nil ByProtocol
-// map — the caller is expected to already hold their results), and
-// pointDone, if non-nil, fires once per computed point, as soon as its
-// last trial lands, with the point's fully aggregated Row. Because seeds
-// are position-derived and per-point aggregation reads only that point's
-// trials, a Row delivered through pointDone is bit-identical to the same
-// Row of an uninterrupted run — the contract checkpoint/resume builds on.
-func RunContextPartial(ctx context.Context, cfg Config, skip []bool, pointDone func(PointInfo, Row), observe func(Progress)) (*Results, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
+	s := Spec{
+		Sweep: SweepRange, N: cfg.N, Radius: cfg.Radius, Trials: cfg.Trials, Seed: cfg.Seed,
+		RValues: cfg.RValues, GMLEFrame: cfg.GMLEFrame, TRPFrame: cfg.TRPFrame,
+		ContentionWindow: cfg.ContentionWindow, DisableIndicatorVector: cfg.DisableIndicatorVector,
 	}
-	if len(cfg.RValues) == 0 {
-		return nil, fmt.Errorf("experiment: no r values in config %+v", cfg)
+	for _, p := range cfg.Protocols {
+		s.Protocols = append(s.Protocols, string(p))
 	}
-	if cfg.GMLEFrame <= 0 || cfg.TRPFrame <= 0 {
-		return nil, fmt.Errorf("experiment: frame sizes must be positive")
-	}
-	protocols := cfg.Protocols
-	if len(protocols) == 0 {
-		protocols = []Protocol{SICP, GMLECCM, TRPCCM}
-	}
-	for _, p := range protocols {
-		switch p {
-		case GMLECCM, TRPCCM, SICP, CICP:
-		default:
-			return nil, fmt.Errorf("experiment: unknown protocol %q", p)
-		}
-	}
-
-	sweep := Sweep[float64, rangeTrial]{
-		Base:   cfg.BaseConfig,
-		Points: cfg.RValues,
-		Key:    FloatKey,
-		Skip:   skip,
-		Run: func(ctx context.Context, r float64, trial int, seeds TrialSeeds) (rangeTrial, error) {
-			d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(r))
-			if err != nil {
-				return rangeTrial{}, fmt.Errorf("r=%v trial %d: %w", r, trial, err)
-			}
-			in := func(i int) bool { return nw.Tier[i] > 0 }
-			tr := rangeTrial{tiers: nw.K, protos: make([]protoObs, len(protocols))}
-			for pi, p := range protocols {
-				clock, meter, err := runProtocol(p, nw, cfg, seeds.Proto)
-				if err != nil {
-					return rangeTrial{}, fmt.Errorf("r=%v trial %d %s: %w", r, trial, p, err)
-				}
-				sum := meter.Summarize(in)
-				tr.protos[pi] = protoObs{
-					slots:       clock.Total(),
-					maxSent:     sum.MaxSent,
-					maxReceived: sum.MaxReceived,
-					avgSent:     sum.AvgSent,
-					avgReceived: sum.AvgReceived,
-				}
-			}
-			return tr, nil
-		},
-		Event: func(r float64, trial int, tr rangeTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "range", R: r, Trial: trial, Trials: cfg.Trials,
-				Protocols: protocols, Tiers: tr.tiers, Elapsed: elapsed,
-			}
-		},
-	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[float64, rangeTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildRangeRow(p.Point, protocols, p.Trials))
-		}
-	}
-	grid, err := RunSweep(ctx, sweep, observe)
+	rep, err := Run(ctx, s, Exec{Workers: cfg.Workers, Tracer: cfg.Tracer, Observe: observe})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Results{Config: cfg}
-	for pi, r := range cfg.RValues {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, Row{R: r})
-			continue
-		}
-		res.Rows = append(res.Rows, buildRangeRow(r, protocols, grid[pi]))
-	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].R < res.Rows[j].R })
+	res := rep.(*Results)
+	res.Config = cfg
 	return res, nil
+}
+
+// rangeConfig is the range sweep's Config view of a spec.
+func (s Spec) rangeConfig() Config {
+	return Config{
+		BaseConfig: BaseConfig{N: s.N, Radius: s.Radius, Trials: s.Trials, Seed: s.Seed},
+		RValues:    s.RValues, GMLEFrame: s.GMLEFrame, TRPFrame: s.TRPFrame,
+		Protocols: rangeProtocols(s), ContentionWindow: s.ContentionWindow,
+		DisableIndicatorVector: s.DisableIndicatorVector,
+	}
+}
+
+// protocolOrder is the canonical protocol order: spec normalization, row
+// encoding and rendering all list protocols in it.
+var protocolOrder = []Protocol{SICP, CICP, GMLECCM, TRPCCM}
+
+// rangeProtocols is the protocol list a range spec runs, in the spec's
+// order: the paper's three when the spec names none.
+func rangeProtocols(s Spec) []Protocol {
+	if len(s.Protocols) == 0 {
+		return []Protocol{SICP, GMLECCM, TRPCCM}
+	}
+	out := make([]Protocol, len(s.Protocols))
+	for i, p := range s.Protocols {
+		out[i] = Protocol(p)
+	}
+	return out
+}
+
+// canonicalProtocols dedupes and orders a protocol list into protocolOrder.
+// Unknown names sort last (alphabetically) so normalization stays total;
+// validation rejects them afterwards.
+func canonicalProtocols(in []string) []string {
+	var out, unknown []string
+	for _, kp := range protocolOrder {
+		if slices.Contains(in, string(kp)) {
+			out = append(out, string(kp))
+		}
+	}
+	for _, p := range in {
+		if !slices.Contains(protocolOrder, Protocol(p)) && !slices.Contains(unknown, p) {
+			unknown = append(unknown, p)
+		}
+	}
+	sort.Strings(unknown)
+	return append(out, unknown...)
+}
+
+func validateRange(s Spec) error {
+	if s.N <= 0 {
+		return fmt.Errorf("experiment: population N must be positive, got %d", s.N)
+	}
+	for _, r := range s.RValues {
+		if !(r > 0) {
+			return fmt.Errorf("experiment: inter-tag range %g must be positive", r)
+		}
+	}
+	for _, p := range s.Protocols {
+		if !slices.Contains(protocolOrder, Protocol(p)) {
+			return fmt.Errorf("experiment: unknown protocol %q", p)
+		}
+	}
+	if s.GMLEFrame <= 0 || s.TRPFrame <= 0 {
+		return fmt.Errorf("experiment: frame sizes must be positive")
+	}
+	if s.ContentionWindow < 0 {
+		return fmt.Errorf("experiment: contention window must be >= 0, got %d", s.ContentionWindow)
+	}
+	return nil
+}
+
+// rangeTrialFunc runs every selected protocol over one deployment at
+// inter-tag range r.
+func rangeTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, float64, int, TrialSeeds) (rangeTrial, error) {
+	protocols := rangeProtocols(s)
+	return func(_ context.Context, r float64, trial int, seeds TrialSeeds) (rangeTrial, error) {
+		d := geom.NewUniformDisk(s.N, s.Radius, seeds.Deploy)
+		nw, err := topology.Build(d, 0, topology.PaperRanges(r))
+		if err != nil {
+			return rangeTrial{}, fmt.Errorf("r=%v trial %d: %w", r, trial, err)
+		}
+		in := func(i int) bool { return nw.Tier[i] > 0 }
+		tr := rangeTrial{tiers: nw.K, protos: make([]protoObs, len(protocols))}
+		for pi, p := range protocols {
+			clock, meter, err := runProtocol(p, nw, s, tracer, seeds.Proto)
+			if err != nil {
+				return rangeTrial{}, fmt.Errorf("r=%v trial %d %s: %w", r, trial, p, err)
+			}
+			sum := meter.Summarize(in)
+			tr.protos[pi] = protoObs{
+				slots:       clock.Total(),
+				maxSent:     sum.MaxSent,
+				maxReceived: sum.MaxReceived,
+				avgSent:     sum.AvgSent,
+				avgReceived: sum.AvgReceived,
+			}
+		}
+		return tr, nil
+	}
 }
 
 // buildRangeRow folds one point's trials (in trial order) into its Row.
 // It reads nothing outside the point, so the Row is a pure function of
 // (point, trials) — per-point results are content-addressable.
-func buildRangeRow(r float64, protocols []Protocol, trials []rangeTrial) Row {
+func buildRangeRow(s Spec, r float64, trials []rangeTrial) Row {
+	protocols := rangeProtocols(s)
 	row := Row{R: r, ByProtocol: make(map[Protocol]*Metrics, len(protocols))}
 	for _, p := range protocols {
 		row.ByProtocol[p] = &Metrics{}
@@ -253,75 +309,38 @@ func buildRangeRow(r float64, protocols []Protocol, trials []rangeTrial) Row {
 	return row
 }
 
-func runProtocol(p Protocol, nw *topology.Network, cfg Config, seed uint64) (energy.Clock, *energy.Meter, error) {
+// runProtocol runs protocol p over nw with the spec's frames and knobs.
+func runProtocol(p Protocol, nw *topology.Network, s Spec, tracer obs.Tracer, seed uint64) (energy.Clock, *energy.Meter, error) {
 	switch p {
-	case GMLECCM:
-		r, err := runCCM(nw, cfg.GMLEFrame, gmle.SamplingFor(cfg.GMLEFrame, float64(cfg.N)), seed, cfg.DisableIndicatorVector, cfg.Tracer)
-		if err != nil {
-			return energy.Clock{}, nil, err
+	case GMLECCM, TRPCCM:
+		cfg := core.Config{FrameSize: s.TRPFrame, Seed: seed, Sampling: 1,
+			DisableIndicatorVector: s.DisableIndicatorVector, Tracer: tracer}
+		if p == GMLECCM {
+			cfg.FrameSize, cfg.Sampling = s.GMLEFrame, gmle.SamplingFor(s.GMLEFrame, float64(s.N))
 		}
-		return r.clock, r.meter, nil
-	case TRPCCM:
-		r, err := runCCM(nw, cfg.TRPFrame, 1, seed, cfg.DisableIndicatorVector, cfg.Tracer)
-		if err != nil {
-			return energy.Clock{}, nil, err
+		if s.DisableIndicatorVector {
+			// Flooding needs more rounds than Algorithm 1's L_c bound: the
+			// inner tags' bits keep rippling outward after the reader has
+			// everything.
+			cfg.MaxRounds = 4 * nw.Ranges.CheckingFrameLen()
 		}
-		return r.clock, r.meter, nil
-	case SICP:
-		r, err := sicp.Collect(nw, sicp.Options{Seed: seed, ContentionWindow: cfg.ContentionWindow, Tracer: cfg.Tracer})
+		r, err := core.RunSession(nw, cfg)
 		if err != nil {
 			return energy.Clock{}, nil, err
 		}
 		return r.Clock, r.Meter, nil
-	case CICP:
-		r, err := sicp.CollectCICP(nw, sicp.Options{Seed: seed, ContentionWindow: cfg.ContentionWindow, Tracer: cfg.Tracer})
+	case SICP, CICP:
+		collect := sicp.Collect
+		if p == CICP {
+			collect = sicp.CollectCICP
+		}
+		r, err := collect(nw, sicp.Options{Seed: seed, ContentionWindow: s.ContentionWindow, Tracer: tracer})
 		if err != nil {
 			return energy.Clock{}, nil, err
 		}
 		return r.Clock, r.Meter, nil
 	}
 	return energy.Clock{}, nil, fmt.Errorf("experiment: unknown protocol %q", p)
-}
-
-// runnerPool amortizes core session scratch across the sweep's worker pool:
-// trials executing on the same worker reuse one arena instead of allocating
-// fresh per-round state every session. Which Runner serves which trial never
-// affects results — Runners are behaviorally identical to fresh state
-// (simtest's TestRunnerNoStateBleed pins this) — so pooling preserves the
-// package's bit-identical-across-Workers guarantee.
-var runnerPool = sync.Pool{New: func() any { return core.NewRunner() }}
-
-// runSessionPooled is core.RunSession through the worker-shared arena pool.
-func runSessionPooled(nw *topology.Network, cfg core.Config) (*core.Result, error) {
-	r := runnerPool.Get().(*core.Runner)
-	defer runnerPool.Put(r)
-	return r.Run(nw, cfg)
-}
-
-type ccmRun struct {
-	clock energy.Clock
-	meter *energy.Meter
-}
-
-func runCCM(nw *topology.Network, frame int, sampling float64, seed uint64, noIndicator bool, tracer obs.Tracer) (*ccmRun, error) {
-	cfg := core.Config{
-		FrameSize:              frame,
-		Seed:                   seed,
-		Sampling:               sampling,
-		DisableIndicatorVector: noIndicator,
-		Tracer:                 tracer,
-	}
-	if noIndicator {
-		// Flooding needs more rounds than Algorithm 1's L_c bound: the
-		// inner tags' bits keep rippling outward after the reader has
-		// everything.
-		cfg.MaxRounds = 4 * nw.Ranges.CheckingFrameLen()
-	}
-	res, err := runSessionPooled(nw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &ccmRun{clock: res.Clock, meter: res.Meter}, nil
 }
 
 // Render helpers ------------------------------------------------------------
@@ -416,6 +435,25 @@ func (r *Results) RenderTable(t TableMetric) string {
 	return b.String()
 }
 
+// Render prints the selected figures and tables (Report): Fig. 3 and 4,
+// then Tables I–IV, each followed by a blank line.
+func (r *Results) Render(figure, table int) string {
+	all := figure == 0 && table == 0
+	var b strings.Builder
+	if all || figure == 3 {
+		b.WriteString(r.RenderFig3() + "\n")
+	}
+	if all || figure == 4 {
+		b.WriteString(r.RenderFig4() + "\n")
+	}
+	for t := TableMaxSent; t <= TableAvgReceived; t++ {
+		if all || table == int(t) {
+			b.WriteString(r.RenderTable(t) + "\n")
+		}
+	}
+	return b.String()
+}
+
 // CSV dumps every metric in long form for external plotting.
 func (r *Results) CSV() string {
 	var b strings.Builder
@@ -447,9 +485,8 @@ func (r *Results) protocols() []Protocol {
 	if len(r.Rows) == 0 {
 		return nil
 	}
-	order := []Protocol{SICP, CICP, GMLECCM, TRPCCM}
 	var out []Protocol
-	for _, p := range order {
+	for _, p := range protocolOrder {
 		if _, ok := r.Rows[0].ByProtocol[p]; ok {
 			out = append(out, p)
 		}

@@ -4,32 +4,25 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"netags/internal/core"
 	"netags/internal/geom"
+	"netags/internal/obs"
 	"netags/internal/stats"
 	"netags/internal/topology"
 	"netags/internal/trp"
 )
 
-// LossConfig parameterizes the unreliable-channel sweep — an extension
-// beyond the paper, which assumes every busy slot is sensed (§V's detection
-// guarantee silently depends on that). Loss turns busy slots idle, which
-// CCM cannot distinguish from absence: delivery degrades and TRP starts
-// accusing present tags.
-//
-// N, Radius, Trials, Seed, and Workers come from the embedded BaseConfig.
-type LossConfig struct {
-	BaseConfig
-	// R is the inter-tag range.
-	R float64
-	// LossValues are the per-reception loss probabilities to sweep.
-	LossValues []float64
-	// FrameSize is the TRP frame (0 = derive for N with the paper's
-	// tolerance and delta).
-	FrameSize int
-}
+// The unreliable-channel sweep — an extension beyond the paper, which
+// assumes every busy slot is sensed (§V's detection guarantee silently
+// depends on that). Loss turns busy slots idle, which CCM cannot
+// distinguish from absence: delivery degrades and TRP starts accusing
+// present tags. It reads Spec.LossValues (the axis), N, R, FrameSize (the
+// TRP frame; 0 derives it per deployment with the paper's tolerance and
+// delta), Radius, Trials and Seed, and measures CCM delivery and TRP false
+// accusations with nothing actually missing. The channel's coin flips draw
+// from the trial's Aux seed stream, so every worker count observes the
+// same losses.
 
 // LossRow reports one loss probability.
 type LossRow struct {
@@ -40,15 +33,32 @@ type LossRow struct {
 	// FalsePositives is the number of present-and-reachable tags accused
 	// per execution (0 under a reliable channel).
 	FalsePositives stats.Sample
-	// ExtraRounds is the session length in rounds (loss can both shorten —
-	// lost checking-frame waves — and lengthen sessions).
+	// Rounds is the session length in rounds (loss can both shorten — lost
+	// checking-frame waves — and lengthen sessions).
 	Rounds stats.Sample
+}
+
+type lossRowJSON struct {
+	Loss           float64    `json:"loss"`
+	Delivery       sampleJSON `json:"delivery"`
+	FalsePositives sampleJSON `json:"false_positives"`
+	Rounds         sampleJSON `json:"rounds"`
+}
+
+// jsonView is the row's JSON form.
+func (row LossRow) jsonView() any {
+	return lossRowJSON{
+		Loss:           row.Loss,
+		Delivery:       sampleView(&row.Delivery),
+		FalsePositives: sampleView(&row.FalsePositives),
+		Rounds:         sampleView(&row.Rounds),
+	}
 }
 
 // LossResults is the sweep outcome.
 type LossResults struct {
-	Config LossConfig
-	Rows   []LossRow
+	Spec Spec
+	Rows []LossRow
 }
 
 // lossTrial is one deployment's delivery and accusation measurements.
@@ -60,125 +70,87 @@ type lossTrial struct {
 	rounds      float64
 }
 
-// RunLossSweepContext measures CCM delivery and TRP false accusations as
-// the channel degrades, with nothing actually missing, over cfg.Workers
-// goroutines. The channel's coin flips draw from the trial's Aux seed
-// stream, so every worker count observes the same losses.
-func RunLossSweepContext(ctx context.Context, cfg LossConfig, observe func(Progress)) (*LossResults, error) {
-	return RunLossSweepPartial(ctx, cfg, nil, nil, observe)
+func (t lossTrial) tierCount() int { return t.tiers }
+
+func validateLoss(s Spec) error {
+	if s.N <= 0 {
+		return fmt.Errorf("experiment: population N must be positive, got %d", s.N)
+	}
+	if !(s.R > 0) {
+		return fmt.Errorf("experiment: inter-tag range %g must be positive", s.R)
+	}
+	for _, loss := range s.LossValues {
+		if !(loss >= 0 && loss < 1) {
+			return fmt.Errorf("experiment: loss probability %v outside [0,1)", loss)
+		}
+	}
+	if s.FrameSize < 0 {
+		return fmt.Errorf("experiment: frame size must be >= 0, got %d", s.FrameSize)
+	}
+	return nil
 }
 
-// RunLossSweepPartial is RunLossSweepContext with resume support — the
-// same contract as RunContextPartial: skipped points come back as
-// zero-valued rows (only Loss set) and pointDone fires once per computed
-// point with its fully aggregated LossRow.
-func RunLossSweepPartial(ctx context.Context, cfg LossConfig, skip []bool, pointDone func(PointInfo, LossRow), observe func(Progress)) (*LossResults, error) {
-	if err := cfg.validate(true); err != nil {
-		return nil, err
-	}
-	if cfg.R <= 0 || len(cfg.LossValues) == 0 {
-		return nil, fmt.Errorf("experiment: incomplete loss config %+v", cfg)
-	}
-	for _, loss := range cfg.LossValues {
-		if loss < 0 || loss >= 1 {
-			return nil, fmt.Errorf("experiment: loss probability %v outside [0,1)", loss)
+// lossTrialFunc runs one TRP-CCM session over a lossy channel and checks
+// its bitmap against the reliable one.
+func lossTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, float64, int, TrialSeeds) (lossTrial, error) {
+	return func(_ context.Context, loss float64, trial int, seeds TrialSeeds) (lossTrial, error) {
+		d := geom.NewUniformDisk(s.N, s.Radius, seeds.Deploy)
+		nw, err := topology.Build(d, 0, topology.PaperRanges(s.R))
+		if err != nil {
+			return lossTrial{}, fmt.Errorf("loss=%v trial %d: %w", loss, trial, err)
 		}
-	}
-
-	sweep := Sweep[float64, lossTrial]{
-		Base:   cfg.BaseConfig,
-		Points: cfg.LossValues,
-		Skip:   skip,
-		Key:    FloatKey,
-		Run: func(ctx context.Context, loss float64, trial int, seeds TrialSeeds) (lossTrial, error) {
-			d := geom.NewUniformDisk(cfg.N, cfg.Radius, seeds.Deploy)
-			nw, err := topology.Build(d, 0, topology.PaperRanges(cfg.R))
-			if err != nil {
-				return lossTrial{}, fmt.Errorf("loss=%v trial %d: %w", loss, trial, err)
+		inventory := make([]uint64, 0, nw.Reachable)
+		for i := 0; i < nw.N(); i++ {
+			if nw.Tier[i] > 0 {
+				inventory = append(inventory, uint64(i)+1)
 			}
-			inventory := make([]uint64, 0, nw.Reachable)
-			for i := 0; i < nw.N(); i++ {
-				if nw.Tier[i] > 0 {
-					inventory = append(inventory, uint64(i)+1)
-				}
-			}
-			f := cfg.FrameSize
-			if f == 0 {
-				tol := len(inventory) / 200
-				if tol == 0 {
-					tol = 1
-				}
-				f, err = trp.FrameSizeFor(len(inventory), tol, 0.95)
-				if err != nil {
-					return lossTrial{}, err
-				}
-			}
-			cc := core.Config{
-				FrameSize: f,
-				Seed:      seeds.Proto,
-				Sampling:  1,
-				LossProb:  loss,
-				LossSeed:  seeds.Aux,
-				Tracer:    cfg.Tracer,
-			}
-			got, err := runSessionPooled(nw, cc)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			truthCfg := cc
-			truthCfg.LossProb = 0
-			truthCfg.Tracer = nil // reference computation, not a protocol run
-			truth, err := core.DirectBitmap(nw, truthCfg)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			lt := lossTrial{tiers: nw.K, rounds: float64(got.Rounds)}
-			if truth.Count() > 0 {
-				lt.delivery = float64(got.Bitmap.Count()) / float64(truth.Count())
-				lt.hasDelivery = true
-			}
-			plan, err := trp.NewPlan(inventory, f, seeds.Proto)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			det, err := plan.Detect(got.Bitmap)
-			if err != nil {
-				return lossTrial{}, err
-			}
-			lt.falsePos = float64(len(det.Suspects))
-			return lt, nil
-		},
-		Event: func(loss float64, trial int, lt lossTrial, elapsed time.Duration) Progress {
-			return Progress{
-				Sweep: "loss", R: cfg.R, Loss: loss, Trial: trial, Trials: cfg.Trials,
-				Protocols: []Protocol{TRPCCM}, Tiers: lt.tiers, Elapsed: elapsed,
-			}
-		},
-	}
-	if pointDone != nil {
-		sweep.PointDone = func(p SweepPoint[float64, lossTrial]) {
-			pointDone(PointInfo{Index: p.Index, Seeds: p.Seeds, Elapsed: p.Elapsed},
-				buildLossRow(p.Point, p.Trials))
 		}
-	}
-	grid, err := RunSweep(ctx, sweep, observe)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &LossResults{Config: cfg}
-	for pi, loss := range cfg.LossValues {
-		if skip != nil && skip[pi] {
-			res.Rows = append(res.Rows, LossRow{Loss: loss})
-			continue
+		f := s.FrameSize
+		if f == 0 {
+			f, err = trp.FrameSizeFor(len(inventory), max(len(inventory)/200, 1), 0.95)
+			if err != nil {
+				return lossTrial{}, err
+			}
 		}
-		res.Rows = append(res.Rows, buildLossRow(loss, grid[pi]))
+		cc := core.Config{
+			FrameSize: f,
+			Seed:      seeds.Proto,
+			Sampling:  1,
+			LossProb:  loss,
+			LossSeed:  seeds.Aux,
+			Tracer:    tracer,
+		}
+		got, err := core.RunSession(nw, cc)
+		if err != nil {
+			return lossTrial{}, err
+		}
+		truthCfg := cc
+		truthCfg.LossProb = 0
+		truthCfg.Tracer = nil // reference computation, not a protocol run
+		truth, err := core.DirectBitmap(nw, truthCfg)
+		if err != nil {
+			return lossTrial{}, err
+		}
+		lt := lossTrial{tiers: nw.K, rounds: float64(got.Rounds)}
+		if truth.Count() > 0 {
+			lt.delivery = float64(got.Bitmap.Count()) / float64(truth.Count())
+			lt.hasDelivery = true
+		}
+		plan, err := trp.NewPlan(inventory, f, seeds.Proto)
+		if err != nil {
+			return lossTrial{}, err
+		}
+		det, err := plan.Detect(got.Bitmap)
+		if err != nil {
+			return lossTrial{}, err
+		}
+		lt.falsePos = float64(len(det.Suspects))
+		return lt, nil
 	}
-	return res, nil
 }
 
 // buildLossRow folds one loss probability's trials into its LossRow.
-func buildLossRow(loss float64, trials []lossTrial) LossRow {
+func buildLossRow(_ Spec, loss float64, trials []lossTrial) LossRow {
 	row := LossRow{Loss: loss}
 	for _, lt := range trials {
 		if lt.hasDelivery {
@@ -190,15 +162,18 @@ func buildLossRow(loss float64, trials []lossTrial) LossRow {
 	return row
 }
 
-// Render prints the sweep as a table.
-func (r *LossResults) Render() string {
+// Render prints the sweep as its single table (Report).
+func (r *LossResults) Render(int, int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Unreliable channel: CCM delivery and TRP false accusations (n=%d, r=%g, %d trials, nothing missing)\n",
-		r.Config.N, r.Config.R, r.Config.Trials)
+		r.Spec.N, r.Spec.R, r.Spec.Trials)
 	fmt.Fprintf(&b, "%8s  %12s  %18s  %8s\n", "loss", "delivery", "false accusations", "rounds")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%8.2f  %11.1f%%  %18.1f  %8.1f\n",
 			row.Loss, 100*row.Delivery.Mean(), row.FalsePositives.Mean(), row.Rounds.Mean())
 	}
-	return b.String()
+	return b.String() + "\n"
 }
+
+// CSV is empty: the loss sweep has no long form (Report).
+func (r *LossResults) CSV() string { return "" }

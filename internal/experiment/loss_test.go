@@ -7,14 +7,15 @@ import (
 )
 
 func TestRunLossSweep(t *testing.T) {
-	res, err := RunLossSweepContext(context.Background(), LossConfig{
-		BaseConfig: BaseConfig{N: 800, Radius: 30, Trials: 3, Seed: 1},
+	rep, err := Run(context.Background(), Spec{
+		Sweep: SweepLoss, N: 800, Radius: 30, Trials: 3, Seed: 1,
 		R:          6,
 		LossValues: []float64{0, 0.3, 0.8},
-	}, nil)
+	}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.(*LossResults)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(res.Rows))
 	}
@@ -34,33 +35,34 @@ func TestRunLossSweep(t *testing.T) {
 	if r2.FalsePositives.Mean() <= 0 {
 		t.Error("heavy loss produced no false accusations (implausible)")
 	}
-	out := res.Render()
+	out := res.Render(0, 0)
 	if !strings.Contains(out, "delivery") || !strings.Contains(out, "0.80") {
 		t.Errorf("render broken:\n%s", out)
 	}
 }
 
 func TestRunLossSweepValidation(t *testing.T) {
-	if _, err := RunLossSweepContext(context.Background(), LossConfig{}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{Sweep: SweepLoss}, Exec{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := RunLossSweepContext(context.Background(), LossConfig{
-		BaseConfig: BaseConfig{N: 10, Radius: 30, Trials: 1},
-		R:          6, LossValues: []float64{1.5},
-	}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{
+		Sweep: SweepLoss, N: 10, Radius: 30, Trials: 1,
+		R: 6, LossValues: []float64{1.5},
+	}, Exec{}); err == nil {
 		t.Error("loss >= 1 accepted")
 	}
 }
 
 func TestRunDensitySweep(t *testing.T) {
-	res, err := RunDensitySweepContext(context.Background(), DensityConfig{
-		BaseConfig: BaseConfig{Radius: 30, Trials: 2, Seed: 3},
-		NValues:    []int{500, 2000},
-		R:          6,
-	}, nil)
+	rep, err := Run(context.Background(), Spec{
+		Sweep: SweepDensity, Radius: 30, Trials: 2, Seed: 3,
+		NValues: []int{500, 2000},
+		R:       6,
+	}, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.(*DensityResults)
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
@@ -76,19 +78,19 @@ func TestRunDensitySweep(t *testing.T) {
 	if largeRatio <= smallRatio {
 		t.Errorf("SICP/TRP ratio did not widen with n: %.1f -> %.1f", smallRatio, largeRatio)
 	}
-	if out := res.Render(); !strings.Contains(out, "Population sweep") {
+	if out := res.Render(0, 0); !strings.Contains(out, "Population sweep") {
 		t.Errorf("render broken:\n%s", out)
 	}
 }
 
 func TestRunDensitySweepValidation(t *testing.T) {
-	if _, err := RunDensitySweepContext(context.Background(), DensityConfig{}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{Sweep: SweepDensity}, Exec{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := RunDensitySweepContext(context.Background(), DensityConfig{
-		BaseConfig: BaseConfig{Radius: 30, Trials: 1},
-		NValues:    []int{0}, R: 6,
-	}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{
+		Sweep: SweepDensity, Radius: 30, Trials: 1,
+		NValues: []int{0}, R: 6,
+	}, Exec{}); err == nil {
 		t.Error("zero population accepted")
 	}
 }

@@ -32,7 +32,7 @@ import (
 // Embed it in a sweep-specific config and validate with its methods.
 type BaseConfig struct {
 	// N is the number of deployed tags. Sweeps that vary the population
-	// (DensityConfig) ignore it.
+	// (the density kind) ignore it.
 	N int
 	// Radius is the deployment disk radius in meters.
 	Radius float64
@@ -63,12 +63,9 @@ func (c BaseConfig) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// validate checks the shared fields. Sweeps that ignore N pass needN=false.
-func (c BaseConfig) validate(needN bool) error {
-	if needN && c.N <= 0 {
-		return fmt.Errorf("experiment: population N must be positive, got %d", c.N)
-	}
-	if c.Radius <= 0 {
+// validate checks the fields every sweep reads; N is the kind's to check.
+func (c BaseConfig) validate() error {
+	if !(c.Radius > 0) {
 		return fmt.Errorf("experiment: radius must be positive, got %g", c.Radius)
 	}
 	if c.Trials <= 0 {
@@ -112,7 +109,9 @@ func IntKey(v int) uint64 { return uint64(v) }
 // the sweep coordinates, the deployment's tier count, and the wall time
 // instead of a pre-rendered line. String renders the legacy line.
 type Progress struct {
-	// Sweep labels the producing sweep: "range", "density", or "loss".
+	// Sweep labels the producing sweep: a kind name ("range", "density",
+	// "loss") or, for events from outside the kinds table, any other name,
+	// which String labels by R.
 	Sweep string
 	// R is the inter-tag range of the work item (range and loss sweeps).
 	R float64
@@ -189,15 +188,7 @@ func (p Progress) MarshalJSON() ([]byte, error) {
 // the sweep-wide completion count and remaining-time estimate when the
 // runner stamped them ("r=6 trial 1/2 done (K=4) [3/18, eta 42s]").
 func (p Progress) String() string {
-	var line string
-	switch p.Sweep {
-	case "density":
-		line = fmt.Sprintf("n=%d trial %d/%d done (K=%d)", p.N, p.Trial+1, p.Trials, p.Tiers)
-	case "loss":
-		line = fmt.Sprintf("loss=%g trial %d/%d done (K=%d)", p.Loss, p.Trial+1, p.Trials, p.Tiers)
-	default:
-		line = fmt.Sprintf("r=%g trial %d/%d done (K=%d)", p.R, p.Trial+1, p.Trials, p.Tiers)
-	}
+	line := fmt.Sprintf("%s trial %d/%d done (K=%d)", pointLabel(p), p.Trial+1, p.Trials, p.Tiers)
 	if p.Total > 0 {
 		if p.Completed >= p.Total {
 			line += fmt.Sprintf(" [%d/%d, done]", p.Completed, p.Total)
@@ -237,9 +228,8 @@ type Sweep[P, T any] struct {
 }
 
 // SweepPoint is one completed grid point, delivered to Sweep.PointDone:
-// the point's coordinates, its trial results in trial order, the
-// position-derived seeds each trial ran with, and the summed wall time of
-// the point's work items.
+// the point's coordinates, its trial results in trial order, and the
+// summed wall time of the point's work items.
 type SweepPoint[P, T any] struct {
 	// Index is the point's position in Sweep.Points.
 	Index int
@@ -247,10 +237,6 @@ type SweepPoint[P, T any] struct {
 	Point P
 	// Trials holds the point's results, indexed by trial.
 	Trials []T
-	// Seeds[t] are the seeds trial t ran with (re-derivable via SeedsFor;
-	// carried here so checkpoints can record them without replaying the
-	// derivation).
-	Seeds []TrialSeeds
 	// Elapsed is the sum of the point's per-item wall times — the compute
 	// cost of the point, not the wall-clock span (which under parallelism
 	// interleaves with other points).
@@ -276,7 +262,7 @@ func RunSweep[P, T any](ctx context.Context, s Sweep[P, T], observe func(Progres
 	if s.Skip != nil && len(s.Skip) != len(s.Points) {
 		return nil, fmt.Errorf("experiment: skip vector has %d entries for %d points", len(s.Skip), len(s.Points))
 	}
-	if err := s.Base.validate(false); err != nil {
+	if err := s.Base.validate(); err != nil {
 		return nil, err
 	}
 	trials := s.Base.Trials
@@ -337,13 +323,9 @@ func RunSweep[P, T any](ctx context.Context, s Sweep[P, T], observe func(Progres
 		if s.PointDone != nil {
 			pointNanos[pi].Add(int64(elapsed))
 			if remaining[pi].Add(-1) == 0 {
-				seeds := make([]TrialSeeds, trials)
-				for t := range seeds {
-					seeds[t] = SeedsFor(s.Base.Seed, s.Key(point), t)
-				}
 				sp := SweepPoint[P, T]{
 					Index: pi, Point: point, Trials: results[pi],
-					Seeds: seeds, Elapsed: time.Duration(pointNanos[pi].Load()),
+					Elapsed: time.Duration(pointNanos[pi].Load()),
 				}
 				mu.Lock()
 				s.PointDone(sp)

@@ -84,44 +84,27 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestDensitySweepParallelMatchesSequential extends the contract to the
 // population sweep.
 func TestDensitySweepParallelMatchesSequential(t *testing.T) {
-	cfg := DensityConfig{
-		BaseConfig: BaseConfig{Radius: 30, Trials: 2, Seed: 3, Workers: 1},
-		NValues:    []int{400, 900},
-		R:          6,
-	}
-	seq, err := RunDensitySweepContext(context.Background(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	par, err := RunDensitySweepContext(context.Background(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Rows, par.Rows) {
-		t.Fatal("density sweep diverged between worker counts")
-	}
+	parallelMatchesSequential(t, Spec{Sweep: SweepDensity, Radius: 30, Trials: 2, Seed: 3, NValues: []int{400, 900}, R: 6})
 }
 
 // TestLossSweepParallelMatchesSequential extends the contract to the
 // unreliable-channel sweep (which consumes the extra Aux seed stream).
 func TestLossSweepParallelMatchesSequential(t *testing.T) {
-	cfg := LossConfig{
-		BaseConfig: BaseConfig{N: 500, Radius: 30, Trials: 2, Seed: 1, Workers: 1},
-		R:          6,
-		LossValues: []float64{0, 0.5},
-	}
-	seq, err := RunLossSweepContext(context.Background(), cfg, nil)
+	parallelMatchesSequential(t, Spec{Sweep: SweepLoss, N: 500, Radius: 30, Trials: 2, Seed: 1, R: 6, LossValues: []float64{0, 0.5}})
+}
+
+func parallelMatchesSequential(t *testing.T, s Spec) {
+	t.Helper()
+	seq, err := Run(context.Background(), s, Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := RunLossSweepContext(context.Background(), cfg, nil)
+	par, err := Run(context.Background(), s, Exec{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Rows, par.Rows) {
-		t.Fatal("loss sweep diverged between worker counts")
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("%s sweep diverged between worker counts", s.Sweep)
 	}
 }
 

@@ -31,14 +31,7 @@ type PointTiming struct {
 
 // Label renders the point's coordinates ("r=15", "n=5000", "loss=0.2").
 func (p *PointTiming) Label() string {
-	switch p.Sweep {
-	case "density":
-		return fmt.Sprintf("n=%d", p.N)
-	case "loss":
-		return fmt.Sprintf("loss=%g", p.Loss)
-	default:
-		return fmt.Sprintf("r=%g", p.R)
-	}
+	return pointLabel(Progress{Sweep: p.Sweep, R: p.R, N: p.N, Loss: p.Loss})
 }
 
 // Throughput is the point's completion rate in items per second of summed
@@ -83,8 +76,9 @@ func (tm *Timing) Observe(p Progress) {
 }
 
 // Wrap returns an observer that records each event and then forwards it to
-// next (which may be nil). Pass the result as the observe argument of any
-// Run*SweepContext call to collect timing without giving up progress output.
+// next (which may be nil). Pass the result as the observer of any sweep
+// (RunContext's observe, Exec.Observe) to collect timing without giving up
+// progress output.
 func (tm *Timing) Wrap(next func(Progress)) func(Progress) {
 	return func(p Progress) {
 		tm.Observe(p)

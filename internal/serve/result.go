@@ -1,13 +1,12 @@
 // Result execution and rendering. runSpecHooked is the single bridge from
-// a canonical JobSpec to the experiment package's sweeps: it streams every
-// completed grid point out through a hook as deterministic row JSON (fixed
-// field order, canonical protocol order, float64 formatting delegated to
-// encoding/json). The final payload is assembled from those per-point rows
-// by assemblePayload — the same function whether the rows were computed
-// just now, restored from a checkpoint, or a mix — so an interrupted-and-
-// resumed sweep produces byte-identical payloads to an uninterrupted run
-// by construction. Byte-identical payloads for equal specs are what make
-// the content-addressed cache exact.
+// a canonical JobSpec to experiment.Run: it streams every completed grid
+// point out through a hook as the kind's deterministic row JSON. The final
+// payload is assembled from those per-point rows by assemblePayload — the
+// same function whether the rows were computed just now, restored from a
+// checkpoint, or a mix — so an interrupted-and-resumed sweep produces
+// byte-identical payloads to an uninterrupted run by construction.
+// Byte-identical payloads for equal specs are what make the
+// content-addressed cache exact.
 package serve
 
 import (
@@ -18,109 +17,7 @@ import (
 
 	"netags/internal/experiment"
 	"netags/internal/obs"
-	"netags/internal/stats"
 )
-
-// sampleJSON is the JSON view of a stats.Sample summary.
-type sampleJSON struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	StdDev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-}
-
-func sampleView(s *stats.Sample) sampleJSON {
-	return sampleJSON{N: s.N(), Mean: s.Mean(), StdDev: s.StdDev(), Min: s.Min(), Max: s.Max()}
-}
-
-// protoMetricsJSON is one protocol's aggregates at one range point.
-type protoMetricsJSON struct {
-	Protocol    string     `json:"protocol"`
-	Slots       sampleJSON `json:"slots"`
-	MaxSent     sampleJSON `json:"max_sent"`
-	MaxReceived sampleJSON `json:"max_received"`
-	AvgSent     sampleJSON `json:"avg_sent"`
-	AvgReceived sampleJSON `json:"avg_received"`
-}
-
-type rangeRowJSON struct {
-	R         float64            `json:"r"`
-	Tiers     sampleJSON         `json:"tiers"`
-	Protocols []protoMetricsJSON `json:"protocols"`
-}
-
-type densityRowJSON struct {
-	N         int        `json:"n"`
-	Tiers     sampleJSON `json:"tiers"`
-	SICPSlots sampleJSON `json:"sicp_slots"`
-	GMLESlots sampleJSON `json:"gmle_slots"`
-	TRPSlots  sampleJSON `json:"trp_slots"`
-}
-
-type lossRowJSON struct {
-	Loss           float64    `json:"loss"`
-	Delivery       sampleJSON `json:"delivery"`
-	FalsePositives sampleJSON `json:"false_positives"`
-	Rounds         sampleJSON `json:"rounds"`
-}
-
-// resultPayload is the JSON document served by GET /api/v1/jobs/{id}/result
-// and stored in the cache. Exactly one row slice is populated, matching the
-// spec's sweep kind; rows are raw per-point JSON, the same bytes that were
-// checkpointed and streamed as each point completed.
-type resultPayload struct {
-	// Key is the job's content address (also its job id).
-	Key string `json:"key"`
-	// Spec echoes the normalized spec the result was computed from.
-	Spec JobSpec `json:"spec"`
-	// Rows, one flavor per sweep kind.
-	RangeRows   []json.RawMessage `json:"range_rows,omitempty"`
-	DensityRows []json.RawMessage `json:"density_rows,omitempty"`
-	LossRows    []json.RawMessage `json:"loss_rows,omitempty"`
-}
-
-// Per-point row encoders. Each renders one grid point's aggregates into
-// the deterministic row JSON; protocols appear in the canonical order
-// regardless of how the map iterates.
-
-func encodeRangeRow(row experiment.Row) (json.RawMessage, error) {
-	rj := rangeRowJSON{R: row.R, Tiers: sampleView(&row.Tiers)}
-	for _, proto := range protocolOrder {
-		m, ok := row.ByProtocol[proto]
-		if !ok {
-			continue
-		}
-		rj.Protocols = append(rj.Protocols, protoMetricsJSON{
-			Protocol:    string(proto),
-			Slots:       sampleView(&m.Slots),
-			MaxSent:     sampleView(&m.MaxSent),
-			MaxReceived: sampleView(&m.MaxReceived),
-			AvgSent:     sampleView(&m.AvgSent),
-			AvgReceived: sampleView(&m.AvgReceived),
-		})
-	}
-	return json.Marshal(rj)
-}
-
-func encodeDensityRow(row experiment.DensityRow) (json.RawMessage, error) {
-	return json.Marshal(densityRowJSON{
-		N:         row.N,
-		Tiers:     sampleView(&row.Tiers),
-		SICPSlots: sampleView(&row.SICPSlots),
-		GMLESlots: sampleView(&row.GMLESlots),
-		TRPSlots:  sampleView(&row.TRPSlots),
-	})
-}
-
-func encodeLossRow(row experiment.LossRow) (json.RawMessage, error) {
-	return json.Marshal(lossRowJSON{
-		Loss:           row.Loss,
-		Delivery:       sampleView(&row.Delivery),
-		FalsePositives: sampleView(&row.FalsePositives),
-		Rounds:         sampleView(&row.Rounds),
-	})
-}
 
 // runHooks carries the per-run wiring from the manager into runSpecHooked.
 type runHooks struct {
@@ -147,94 +44,48 @@ func runSpecHooked(ctx context.Context, spec JobSpec, workers int, h runHooks) e
 	if err := n.Validate(); err != nil {
 		return err
 	}
-	base := experiment.BaseConfig{
-		N:       n.N,
-		Radius:  n.Radius,
-		Trials:  n.Trials,
-		Seed:    n.Seed,
-		Workers: workers,
-		Tracer:  h.tracer,
-	}
-	emit := func(encode func() (json.RawMessage, error), info experiment.PointInfo) {
-		if h.pointDone == nil {
-			return
+	x := experiment.Exec{Workers: workers, Tracer: h.tracer, Observe: h.observe, Skip: h.skip}
+	if h.pointDone != nil {
+		x.PointDone = func(p experiment.PointInfo) {
+			h.pointDone(PointRecord{
+				Index:     p.Index,
+				Label:     n.PointLabel(p.Index),
+				ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond),
+				Row:       p.Row,
+			})
 		}
-		row, err := encode()
-		if err != nil {
-			// A row that cannot marshal is a programming error; surface it
-			// loudly rather than checkpointing a hole.
-			panic(fmt.Sprintf("serve: encode point %d: %v", info.Index, err))
-		}
-		h.pointDone(PointRecord{
-			Index:     info.Index,
-			Label:     n.PointLabel(info.Index),
-			ElapsedMS: float64(info.Elapsed) / float64(time.Millisecond),
-			Row:       row,
-		})
 	}
-	switch n.Sweep {
-	case SweepRange:
-		protos := make([]experiment.Protocol, len(n.Protocols))
-		for i, p := range n.Protocols {
-			protos[i] = experiment.Protocol(p)
-		}
-		_, err := experiment.RunContextPartial(ctx, experiment.Config{
-			BaseConfig:             base,
-			RValues:                n.RValues,
-			GMLEFrame:              n.GMLEFrame,
-			TRPFrame:               n.TRPFrame,
-			Protocols:              protos,
-			ContentionWindow:       n.ContentionWindow,
-			DisableIndicatorVector: n.DisableIndicatorVector,
-		}, h.skip, func(info experiment.PointInfo, row experiment.Row) {
-			emit(func() (json.RawMessage, error) { return encodeRangeRow(row) }, info)
-		}, h.observe)
-		return err
-	case SweepDensity:
-		_, err := experiment.RunDensitySweepPartial(ctx, experiment.DensityConfig{
-			BaseConfig: base,
-			NValues:    n.NValues,
-			R:          n.R,
-		}, h.skip, func(info experiment.PointInfo, row experiment.DensityRow) {
-			emit(func() (json.RawMessage, error) { return encodeDensityRow(row) }, info)
-		}, h.observe)
-		return err
-	case SweepLoss:
-		_, err := experiment.RunLossSweepPartial(ctx, experiment.LossConfig{
-			BaseConfig: base,
-			R:          n.R,
-			LossValues: n.LossValues,
-			FrameSize:  n.FrameSize,
-		}, h.skip, func(info experiment.PointInfo, row experiment.LossRow) {
-			emit(func() (json.RawMessage, error) { return encodeLossRow(row) }, info)
-		}, h.observe)
-		return err
-	}
-	return fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
+	_, err := experiment.Run(ctx, experiment.Spec(n), x)
+	return err
 }
 
-// assemblePayload renders the final result document from the job's
-// complete, index-ordered row set. It is the only payload producer:
+// assemblePayload renders the final result document — served by GET
+// /api/v1/jobs/{id}/result and stored in the cache — from the job's
+// complete, index-ordered row set: the job's key, the normalized spec it
+// was computed from, and the rows under the kind's member ("range_rows",
+// "density_rows", "loss_rows"). It is the only payload producer:
 // uninterrupted, resumed, and direct runs all funnel through it, which is
 // what makes their bytes identical.
 func assemblePayload(key string, spec JobSpec, rows []json.RawMessage) ([]byte, error) {
 	n := spec.Normalized()
-	p := resultPayload{Key: key, Spec: n}
-	switch n.Sweep {
-	case SweepRange:
-		p.RangeRows = rows
-	case SweepDensity:
-		p.DensityRows = rows
-	case SweepLoss:
-		p.LossRows = rows
-	default:
+	field := experiment.Spec(n).RowsField()
+	if field == "" {
 		return nil, fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
 	}
-	b, err := json.Marshal(p)
+	head, err := json.Marshal(struct {
+		Key  string  `json:"key"`
+		Spec JobSpec `json:"spec"`
+	}{key, n})
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	body, err := json.Marshal(rows)
+	if err != nil {
+		return nil, err
+	}
+	// head is a JSON object; splice the rows in as its last member.
+	out := append(head[:len(head)-1], `,"`+field+`":`...)
+	return append(append(out, body...), '}', '\n'), nil
 }
 
 // runSpec executes the spec start-to-finish and returns the assembled

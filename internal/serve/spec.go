@@ -18,11 +18,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"netags/internal/experiment"
-	"netags/internal/gmle"
-	"netags/internal/trp"
 )
 
 // Spec size caps: a service accepting jobs from the network must bound the
@@ -40,17 +37,20 @@ const (
 	MaxPopulation = 1 << 20
 )
 
-// Sweep kinds accepted by JobSpec.Sweep.
+// Sweep kinds accepted by JobSpec.Sweep (experiment's kinds table).
 const (
-	SweepRange   = "range"
-	SweepDensity = "density"
-	SweepLoss    = "loss"
+	SweepRange   = experiment.SweepRange
+	SweepDensity = experiment.SweepDensity
+	SweepLoss    = experiment.SweepLoss
 )
 
-// JobSpec is the canonical description of one sweep job. It mirrors the
-// experiment package's three sweep configs (range, density, loss) flattened
-// into a single JSON-friendly shape; the selected Sweep decides which axis
-// fields are read.
+// maxRange bounds every length in a spec — the inter-tag ranges and the
+// deployment radius — in meters.
+const maxRange = 1e6
+
+// JobSpec is the canonical description of one sweep job: experiment.Spec,
+// whose kinds table normalizes, validates and runs it, with the service's
+// hashing and request caps on top.
 //
 // The cache-key contract: Key() is the SHA-256 of the normalized spec's
 // canonical JSON, and the normalized spec contains exactly the fields the
@@ -63,214 +63,43 @@ const (
 // cannot change the result — the per-job worker budget — are deliberately
 // not part of the spec (determinism at any worker count is pinned by the
 // experiment package's tests).
-type JobSpec struct {
-	// Sweep selects the sweep kind: "range" (default), "density", "loss".
-	Sweep string `json:"sweep,omitempty"`
-	// N is the tag population (range and loss sweeps; the density sweep
-	// ignores it in favor of NValues).
-	N int `json:"n,omitempty"`
-	// Radius is the deployment disk radius in meters (0 = the paper's 30).
-	Radius float64 `json:"radius,omitempty"`
-	// Trials is the number of independent deployments per sweep point.
-	Trials int `json:"trials,omitempty"`
-	// Seed is the sweep seed every trial's seeds derive from.
-	Seed uint64 `json:"seed,omitempty"`
-
-	// RValues is the range sweep's axis of inter-tag ranges.
-	RValues []float64 `json:"r_values,omitempty"`
-	// Protocols selects what the range sweep runs (empty = the paper's
-	// SICP, GMLE-CCM, TRP-CCM). Order and duplicates are canonicalized away.
-	Protocols []string `json:"protocols,omitempty"`
-	// GMLEFrame / TRPFrame are the range sweep's application frame sizes
-	// (0 = the paper's defaults).
-	GMLEFrame int `json:"gmle_frame,omitempty"`
-	TRPFrame  int `json:"trp_frame,omitempty"`
-	// ContentionWindow forwards to SICP/CICP (0 = their default).
-	ContentionWindow int `json:"contention_window,omitempty"`
-	// DisableIndicatorVector runs the CCM protocols without §III-D
-	// silencing (the flooding ablation).
-	DisableIndicatorVector bool `json:"disable_indicator_vector,omitempty"`
-
-	// NValues is the density sweep's axis of populations.
-	NValues []int `json:"n_values,omitempty"`
-	// R is the inter-tag range of the density and loss sweeps.
-	R float64 `json:"r,omitempty"`
-
-	// LossValues is the loss sweep's axis of loss probabilities.
-	LossValues []float64 `json:"loss_values,omitempty"`
-	// FrameSize is the loss sweep's TRP frame (0 = derive per deployment).
-	FrameSize int `json:"frame_size,omitempty"`
-}
-
-// protocolOrder is the canonical protocol ordering used for normalization
-// and result rendering (matching the experiment package's render order).
-var protocolOrder = []experiment.Protocol{
-	experiment.SICP, experiment.CICP, experiment.GMLECCM, experiment.TRPCCM,
-}
+type JobSpec experiment.Spec
 
 // Normalized returns the canonical form of the spec: defaults materialized,
 // ignored fields cleared, protocol set and range axis canonically ordered.
 // It does not validate; Key and Validate both start from this form.
 func (s JobSpec) Normalized() JobSpec {
-	n := s
-	if n.Sweep == "" {
-		n.Sweep = SweepRange
-	}
-	if n.Radius == 0 {
-		n.Radius = 30 // the paper's deployment disk
-	}
-	switch n.Sweep {
-	case SweepRange:
-		if len(n.Protocols) == 0 {
-			n.Protocols = []string{string(experiment.SICP), string(experiment.GMLECCM), string(experiment.TRPCCM)}
-		}
-		n.Protocols = canonicalProtocols(n.Protocols)
-		if n.GMLEFrame == 0 {
-			n.GMLEFrame = gmle.PaperFrameSize
-		}
-		if n.TRPFrame == 0 {
-			n.TRPFrame = trp.PaperFrameSize
-		}
-		// Range rows are sorted by r and seeds are position-derived from the
-		// point value, so axis order cannot change the result: sort it.
-		n.RValues = append([]float64(nil), n.RValues...)
-		sort.Float64s(n.RValues)
-		// Fields the range sweep never reads.
-		n.NValues, n.R, n.LossValues, n.FrameSize = nil, 0, nil, 0
-	case SweepDensity:
-		// The density sweep ignores N and every range/loss-only knob.
-		n.N = 0
-		n.RValues, n.Protocols = nil, nil
-		n.GMLEFrame, n.TRPFrame, n.ContentionWindow = 0, 0, 0
-		n.DisableIndicatorVector = false
-		n.LossValues, n.FrameSize = nil, 0
-		n.NValues = append([]int(nil), n.NValues...)
-	case SweepLoss:
-		n.RValues, n.Protocols = nil, nil
-		n.GMLEFrame, n.TRPFrame, n.ContentionWindow = 0, 0, 0
-		n.DisableIndicatorVector = false
-		n.NValues = nil
-		n.LossValues = append([]float64(nil), n.LossValues...)
-	}
-	return n
+	return JobSpec(experiment.Spec(s).Normalized())
 }
 
-// canonicalProtocols dedupes and orders a protocol list into the canonical
-// render order. Unknown names sort last (alphabetically) so normalization
-// stays total; Validate rejects them afterwards.
-func canonicalProtocols(in []string) []string {
-	seen := map[string]bool{}
-	var known, unknown []string
-	for _, p := range in {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		found := false
-		for _, kp := range protocolOrder {
-			if p == string(kp) {
-				found = true
-				break
-			}
-		}
-		if found {
-			known = append(known, p)
-		} else {
-			unknown = append(unknown, p)
-		}
-	}
-	out := make([]string, 0, len(known)+len(unknown))
-	for _, kp := range protocolOrder {
-		for _, p := range known {
-			if p == string(kp) {
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(unknown)
-	return append(out, unknown...)
-}
-
-// Validate checks the normalized spec. It reports the first problem found.
+// Validate checks the normalized spec, then the service's request caps. It
+// reports the first problem found.
 func (s JobSpec) Validate() error {
 	n := s.Normalized()
-	if n.Trials <= 0 {
-		return fmt.Errorf("serve: trials must be positive, got %d", n.Trials)
+	if err := experiment.Spec(n).Validate(); err != nil {
+		return err
 	}
 	if n.Trials > MaxTrials {
 		return fmt.Errorf("serve: trials %d exceeds cap %d", n.Trials, MaxTrials)
 	}
-	if n.Radius <= 0 {
-		return fmt.Errorf("serve: radius must be positive, got %g", n.Radius)
-	}
-	var points int
-	switch n.Sweep {
-	case SweepRange:
-		points = len(n.RValues)
-		if points == 0 {
-			return fmt.Errorf("serve: range sweep needs r_values")
-		}
-		for _, r := range n.RValues {
-			if !(r > 0) || r > 1e6 {
-				return fmt.Errorf("serve: inter-tag range %g out of range", r)
-			}
-		}
-		if n.N <= 0 || n.N > MaxPopulation {
-			return fmt.Errorf("serve: population n must be in [1, %d], got %d", MaxPopulation, n.N)
-		}
-		for _, p := range n.Protocols {
-			switch experiment.Protocol(p) {
-			case experiment.SICP, experiment.CICP, experiment.GMLECCM, experiment.TRPCCM:
-			default:
-				return fmt.Errorf("serve: unknown protocol %q", p)
-			}
-		}
-		if n.GMLEFrame <= 0 || n.TRPFrame <= 0 {
-			return fmt.Errorf("serve: frame sizes must be positive")
-		}
-		if n.ContentionWindow < 0 {
-			return fmt.Errorf("serve: contention window must be >= 0, got %d", n.ContentionWindow)
-		}
-	case SweepDensity:
-		points = len(n.NValues)
-		if points == 0 {
-			return fmt.Errorf("serve: density sweep needs n_values")
-		}
-		for _, v := range n.NValues {
-			if v <= 0 || v > MaxPopulation {
-				return fmt.Errorf("serve: population %d out of [1, %d]", v, MaxPopulation)
-			}
-		}
-		if !(n.R > 0) || n.R > 1e6 {
-			return fmt.Errorf("serve: inter-tag range %g out of range", n.R)
-		}
-	case SweepLoss:
-		points = len(n.LossValues)
-		if points == 0 {
-			return fmt.Errorf("serve: loss sweep needs loss_values")
-		}
-		for _, l := range n.LossValues {
-			if l < 0 || l >= 1 {
-				return fmt.Errorf("serve: loss probability %g outside [0,1)", l)
-			}
-		}
-		if n.N <= 0 || n.N > MaxPopulation {
-			return fmt.Errorf("serve: population n must be in [1, %d], got %d", MaxPopulation, n.N)
-		}
-		if !(n.R > 0) || n.R > 1e6 {
-			return fmt.Errorf("serve: inter-tag range %g out of range", n.R)
-		}
-		if n.FrameSize < 0 {
-			return fmt.Errorf("serve: frame size must be >= 0, got %d", n.FrameSize)
-		}
-	default:
-		return fmt.Errorf("serve: unknown sweep kind %q", n.Sweep)
-	}
+	points := experiment.Spec(n).PointCount()
 	if points > MaxPoints {
 		return fmt.Errorf("serve: %d sweep points exceed cap %d", points, MaxPoints)
 	}
 	if items := points * n.Trials; items > MaxWorkItems {
 		return fmt.Errorf("serve: %d work items exceed cap %d", items, MaxWorkItems)
+	}
+	// Normalization zeroed every field the kind never reads, so the caps
+	// apply to all of them at once.
+	for _, v := range append([]int{n.N}, n.NValues...) {
+		if v > MaxPopulation {
+			return fmt.Errorf("serve: population %d exceeds cap %d", v, MaxPopulation)
+		}
+	}
+	for _, v := range append([]float64{n.Radius, n.R}, n.RValues...) {
+		if v > maxRange {
+			return fmt.Errorf("serve: length %g m exceeds cap %g", v, maxRange)
+		}
 	}
 	return nil
 }
@@ -284,37 +113,13 @@ func (s JobSpec) TotalItems() int {
 // PointCount returns the normalized spec's sweep-axis length — the number
 // of grid points, and the denominator of the per-point checkpoint.
 func (s JobSpec) PointCount() int {
-	n := s.Normalized()
-	switch n.Sweep {
-	case SweepRange:
-		return len(n.RValues)
-	case SweepDensity:
-		return len(n.NValues)
-	case SweepLoss:
-		return len(n.LossValues)
-	}
-	return 0
+	return experiment.Spec(s.Normalized()).PointCount()
 }
 
 // PointLabel renders point i's coordinate on the normalized axis ("r=6",
 // "n=5000", "loss=0.2") — the human-readable half of a checkpoint entry.
 func (s JobSpec) PointLabel(i int) string {
-	n := s.Normalized()
-	switch n.Sweep {
-	case SweepRange:
-		if i >= 0 && i < len(n.RValues) {
-			return fmt.Sprintf("r=%g", n.RValues[i])
-		}
-	case SweepDensity:
-		if i >= 0 && i < len(n.NValues) {
-			return fmt.Sprintf("n=%d", n.NValues[i])
-		}
-	case SweepLoss:
-		if i >= 0 && i < len(n.LossValues) {
-			return fmt.Sprintf("loss=%g", n.LossValues[i])
-		}
-	}
-	return fmt.Sprintf("point=%d", i)
+	return experiment.Spec(s.Normalized()).PointLabel(i)
 }
 
 // CanonicalJSON renders the normalized spec in its stable serialization:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -178,9 +179,16 @@ func TestSpecValidate(t *testing.T) {
 		{"NaN r", JobSpec{N: 300, Trials: 2, RValues: []float64{nan()}}},
 		{"loss of 1", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{1}}},
 		{"density zero pop", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{0}}},
+		{"density pop too small for a TRP frame", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1}}},
 		{"too many trials", JobSpec{N: 300, Trials: MaxTrials + 1, RValues: []float64{6}}},
 		{"work item cap", JobSpec{N: 300, Trials: MaxTrials, RValues: manyPoints(64)}},
 		{"population cap", JobSpec{N: MaxPopulation + 1, Trials: 1, RValues: []float64{6}}},
+		{"density population cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{MaxPopulation + 1}}},
+		{"range cap", JobSpec{N: 300, Trials: 1, RValues: []float64{2e6}}},
+		{"loss range cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 2e6, LossValues: []float64{0}}},
+		{"radius cap", JobSpec{N: 300, Trials: 1, Radius: 2e6, RValues: []float64{6}}},
+		{"NaN radius", JobSpec{N: 300, Trials: 1, Radius: nan(), RValues: []float64{6}}},
+		{"NaN loss", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{nan()}}},
 	}
 	for _, tc := range invalid {
 		if err := tc.s.Validate(); err == nil {
@@ -216,5 +224,18 @@ func TestSpecKeyIsHex(t *testing.T) {
 	k := mustKey(t, JobSpec{N: 300, Trials: 2, RValues: []float64{6}})
 	if len(k) != 64 || strings.ToLower(k) != k {
 		t.Errorf("key %q is not lowercase hex sha256", k)
+	}
+}
+
+// TestRunSpecTinyRange: a valid spec whose inter-tag range is tiny next to
+// the deployment used to size the topology grid at ~10^17 cells and panic
+// the worker running it. It now runs to a payload.
+func TestRunSpecTinyRange(t *testing.T) {
+	spec := JobSpec{N: 300, Trials: 1, RValues: []float64{1e-7}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSpec(context.Background(), spec, 1, nil, nil); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package topology_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -126,6 +127,58 @@ func BenchmarkBuildN1e5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := topology.Build(d, 0, rg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildGridBounded: the cell grid is sized from the deployment's extent
+// over r, so a tiny r or a huge extent used to ask for billions of cells
+// (r = 1e-7 over the paper's disk made makeslice panic). The grid is now
+// bounded linearly in n; both extremes build in a few megabytes, with every
+// neighbour list still matching brute force.
+func TestBuildGridBounded(t *testing.T) {
+	far := &geom.Deployment{Readers: []geom.Point{{}}, Radius: 1e12}
+	rng := prng.New(7)
+	for i := 0; i < 200; i++ {
+		// Two clumps 10^12 m apart: linked within, never across.
+		off := float64(i%2) * 1e12
+		far.Tags = append(far.Tags, geom.Point{X: off + rng.Float64()*4, Y: rng.Float64() * 4})
+	}
+	for _, tc := range []struct {
+		name string
+		d    *geom.Deployment
+		r    float64
+	}{
+		{"tiny r", geom.NewUniformDisk(300, 30, 1), 1e-7},
+		{"huge extent", far, 1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		nw, err := topology.Build(tc.d, 0, topology.PaperRanges(tc.r))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Errorf("%s: build allocated %d bytes", tc.name, alloc)
+		}
+		links := 0
+		for i, p := range tc.d.Tags {
+			var want []int32
+			for j, q := range tc.d.Tags {
+				if j != i && p.Dist2(q) <= tc.r*tc.r {
+					want = append(want, int32(j))
+				}
+			}
+			got := slices.Clone(nw.Neighbors(i))
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: tag %d neighbours %v, brute force %v", tc.name, i, got, want)
+			}
+			links += len(got)
+		}
+		if tc.name == "huge extent" && links == 0 {
+			t.Errorf("%s: no links inside the clumps", tc.name)
 		}
 	}
 }

@@ -176,8 +176,9 @@ func (nw *Network) TierCounts() []int {
 }
 
 // buildAdjacency fills the CSR adjacency in one half-stencil pass over a
-// uniform grid whose cells are TagToTag wide, testing each candidate pair
-// exactly once.
+// uniform grid whose cells are TagToTag wide (wider only where that grid
+// would exceed max(4n, 2^16) cells), testing each candidate pair exactly
+// once.
 //
 // Tags are counting-sorted into cells, row-major by cell id and by tag index
 // within a cell; position k in that order holds tag order[k], with its
@@ -220,8 +221,18 @@ func (nw *Network) buildAdjacency() {
 		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
 		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 	}
-	cols := int((maxX-minX)/r) + 1
-	rows := int((maxY-minY)/r) + 1
+	// Cells are TagToTag wide unless that grid would dwarf the population:
+	// a tiny r or a huge extent asks for up to billions of cells, each of
+	// which is allocated and visited. Past maxCells the edge widens until
+	// the grid fits; cells wider than r keep the half-stencil exact, with
+	// more candidates per cell.
+	cell := r
+	w, h := maxX-minX, maxY-minY
+	if maxCells := float64(max(4*n, 1<<16)); (w/cell+1)*(h/cell+1) > maxCells {
+		cell = max(w, h) / (math.Sqrt(maxCells) - 1)
+	}
+	cols := int(w/cell) + 1
+	rows := int(h/cell) + 1
 
 	// Counting sort: cellStart[c] is first the occupancy of cell c, then its
 	// end, and after the descending placement its start (cellStart[c+1] is
@@ -230,8 +241,8 @@ func (nw *Network) buildAdjacency() {
 	cellOf := make([]int32, n)
 	cellStart := make([]int32, cols*rows+1)
 	for i, p := range tags {
-		cx := min(int((p.X-minX)/r), cols-1) // min guards the topmost
-		cy := min(int((p.Y-minY)/r), rows-1) // boundary points
+		cx := min(int((p.X-minX)/cell), cols-1) // min guards the topmost
+		cy := min(int((p.Y-minY)/cell), rows-1) // boundary points
 		c := int32(cy*cols + cx)
 		cellOf[i] = c
 		cellStart[c]++
