@@ -163,11 +163,15 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	if spec.Sweep != experiment.SweepRange {
-		// The density and loss sweeps hold the range fixed at one value.
+		// The density and loss sweeps hold the range fixed at one value and
+		// print one table, with no figures to pick and no long form.
 		if len(spec.RValues) != 1 {
 			return fmt.Errorf("-%s sweeps at one inter-tag range, but -r lists %d", spec.Sweep, len(spec.RValues))
 		}
 		spec.R = spec.RValues[0]
+		if *figure != 0 || *table != 0 || *csvPath != "" {
+			return fmt.Errorf("-%s prints one table: -figure, -table and -csv apply to the range sweep only", spec.Sweep)
+		}
 	}
 	setTotal(spec.PointCount() * *trials)
 	res, err := experiment.Run(ctx, spec, experiment.Exec{
@@ -178,18 +182,20 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	ranged, ok := res.(*experiment.Results)
+	if !ok {
+		fmt.Print(res)
+		return finish()
+	}
 	if *all {
 		*figure, *table = 0, 0
 	}
-	fmt.Print(res.Render(*figure, *table))
-	// Only the range sweep has a long form; the others leave -csv unused.
+	fmt.Print(ranged.Render(*figure, *table))
 	if *csvPath != "" {
-		if csv := res.CSV(); csv != "" {
-			if err := os.WriteFile(*csvPath, []byte(csv), 0o644); err != nil {
-				return fmt.Errorf("write csv: %w", err)
-			}
-			fmt.Fprintln(os.Stderr, "wrote", *csvPath)
+		if err := os.WriteFile(*csvPath, []byte(ranged.CSV()), 0o644); err != nil {
+			return fmt.Errorf("write csv: %w", err)
 		}
+		fmt.Fprintln(os.Stderr, "wrote", *csvPath)
 	}
 	return finish()
 }

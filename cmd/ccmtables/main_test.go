@@ -67,6 +67,8 @@ func TestRunLossMode(t *testing.T) {
 		{[]string{"-loss", "bogus"}, "-loss"},
 		{[]string{"-loss", "0,0.5", "-r", "4,6"}, "-r lists 2"},
 		{[]string{"-loss", "0", "-density", "300"}, "-density and -loss"},
+		{[]string{"-loss", "0", "-csv", filepath.Join(t.TempDir(), "l.csv")}, "-csv"},
+		{[]string{"-loss", "0", "-figure", "3"}, "-figure"},
 	} {
 		args := append([]string{"-n", "300", "-trials", "1", "-r", "6", "-quiet"}, tc.args...)
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -86,6 +88,8 @@ func TestRunDensityMode(t *testing.T) {
 		{[]string{"-density", "x"}, "-density"},
 		{[]string{"-density", "300.7"}, "-density"},
 		{[]string{"-density", "300,600", "-r", "4,6"}, "-r lists 2"},
+		{[]string{"-density", "300", "-csv", filepath.Join(t.TempDir(), "d.csv")}, "-csv"},
+		{[]string{"-density", "300", "-table", "1"}, "-table"},
 	} {
 		args := append([]string{"-trials", "1", "-r", "6", "-quiet"}, tc.args...)
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), tc.want) {

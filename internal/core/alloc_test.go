@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"netags/internal/energy"
+	"netags/internal/obs"
 	"netags/internal/topology"
 )
 
@@ -126,5 +127,20 @@ func TestRunnerNetworkSwitchAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
 		t.Errorf("first session on a second network allocated %d times outside its Result, want 0", allocs)
+	}
+}
+
+// TestRunnerReleasesCaller: between sessions a Runner — RunSession's pooled
+// ones included — holds no reference to the caller's network, IDs, tracer
+// or Result meter, so an idle arena keeps only its own scratch alive.
+func TestRunnerReleasesCaller(t *testing.T) {
+	nw := diskNetwork(t, 300, 5, 0x5e1)
+	r := NewRunner()
+	if _, err := r.Run(nw, Config{FrameSize: 64, Seed: 7, Sampling: 1, Tracer: obs.NewMemory()}); err != nil {
+		t.Fatal(err)
+	}
+	if s := &r.s; s.nw != nil || s.order != nil || s.rank != nil || s.meter != nil ||
+		s.cfg.Tracer != nil || s.cfg.IDs != nil {
+		t.Error("idle Runner still references its last session's caller state")
 	}
 }

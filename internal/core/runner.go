@@ -16,10 +16,11 @@ import (
 // copies); the per-round hot path allocates nothing at all
 // (TestSessionRoundAllocs, TestRunnerNetworkSwitchAllocs).
 //
-// A Runner is not safe for concurrent use; pool one per worker (see
-// internal/experiment). Results are fully owned by the caller and remain
-// valid after the Runner moves on to its next session, so pooling never
-// constrains result lifetime.
+// A Runner is not safe for concurrent use; RunSession pools them. Results
+// are fully owned by the caller and remain valid after the Runner moves on
+// to its next session, so pooling never constrains result lifetime. Between
+// sessions a Runner holds no reference to the caller's network, config or
+// tracer, only its own scratch.
 type Runner struct {
 	s session
 }
@@ -40,5 +41,7 @@ func (r *Runner) Run(nw *topology.Network, cfg Config) (*Result, error) {
 	}
 	r.s.init(nw, cfg, energy.NewMeter(nw.N()))
 	r.s.seedInitialPicks()
-	return r.s.run(), nil
+	res := r.s.run()
+	r.s.release()
+	return res, nil
 }

@@ -135,8 +135,8 @@ func buildDensityRow(_ Spec, n int, trials []densityTrial) DensityRow {
 	return row
 }
 
-// Render prints the sweep as its single table (Report).
-func (r *DensityResults) Render(int, int) string {
+// String prints the sweep as its single table (Report).
+func (r *DensityResults) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Population sweep: execution time in slots (r=%g, %d trials, frames re-sized per n)\n",
 		r.Spec.R, r.Spec.Trials)
@@ -147,6 +147,3 @@ func (r *DensityResults) Render(int, int) string {
 	}
 	return b.String() + "\n"
 }
-
-// CSV is empty: the population sweep has no long form (Report).
-func (r *DensityResults) CSV() string { return "" }

@@ -435,8 +435,12 @@ func (r *Results) RenderTable(t TableMetric) string {
 	return b.String()
 }
 
-// Render prints the selected figures and tables (Report): Fig. 3 and 4,
-// then Tables I–IV, each followed by a blank line.
+// String prints every figure and table (Report): Render(0, 0).
+func (r *Results) String() string { return r.Render(0, 0) }
+
+// Render prints the selected figures and tables, each followed by a blank
+// line: Fig. 3 and 4, then Tables I–IV. figure (3 or 4) and table (1–4)
+// pick one each, and 0, 0 picks all of them.
 func (r *Results) Render(figure, table int) string {
 	all := figure == 0 && table == 0
 	var b strings.Builder

@@ -104,16 +104,10 @@ type PointInfo struct {
 	Row json.RawMessage
 }
 
-// Report is a finished sweep in printable form.
-type Report interface {
-	// Render returns the selected tables, each followed by a blank line.
-	// figure (3 or 4) and table (1–4) pick among the range sweep's
-	// figures and energy tables, and 0, 0 picks all of them; a kind with a
-	// single table renders it whatever is picked.
-	Render(figure, table int) string
-	// CSV dumps every metric in long form, or "" for a kind without one.
-	CSV() string
-}
+// Report is a finished sweep in printable form: String renders every
+// table of the kind, each followed by a blank line. The range kind's
+// *Results also renders a selection (Render) and a long form (CSV).
+type Report interface{ String() string }
 
 // trialResult is what the runner needs from any kind's per-trial result:
 // the tier count of the trial's deployment, for Progress.
@@ -123,8 +117,6 @@ type trialResult interface{ tierCount() int }
 // measurements, R one point's reduced row.
 type kind[P any, T trialResult, R any] struct {
 	name string
-	// field is the result-payload member its rows fill.
-	field string
 	// normalize returns the fields the kind reads, canonically ordered and
 	// with defaults materialized; everything else stays zero. The shared
 	// fields (Sweep, Radius, Trials, Seed) are set by Spec.Normalized.
@@ -151,9 +143,8 @@ type kind[P any, T trialResult, R any] struct {
 
 // kinds is the table. Its first entry is the default kind.
 var kinds = []sweepKind{
-	&kind[float64, rangeTrial, Row]{
-		name:  SweepRange,
-		field: "range_rows",
+	newKind(&kind[float64, rangeTrial, Row]{
+		name: SweepRange,
 		normalize: func(s Spec) Spec {
 			// Rows are sorted by r and seeds derive from the point value, so
 			// axis order cannot change the result: sort it.
@@ -187,10 +178,9 @@ var kinds = []sweepKind{
 			sort.Slice(rows, func(i, j int) bool { return rows[i].R < rows[j].R })
 			return &Results{Config: s.rangeConfig(), Rows: rows}
 		},
-	},
-	&kind[int, densityTrial, DensityRow]{
-		name:  SweepDensity,
-		field: "density_rows",
+	}),
+	newKind(&kind[int, densityTrial, DensityRow]{
+		name: SweepDensity,
 		normalize: func(s Spec) Spec {
 			return Spec{NValues: append([]int(nil), s.NValues...), R: s.R}
 		},
@@ -205,10 +195,9 @@ var kinds = []sweepKind{
 		reduce: buildDensityRow,
 		encode: DensityRow.jsonView,
 		report: func(s Spec, rows []DensityRow) Report { return &DensityResults{Spec: s, Rows: rows} },
-	},
-	&kind[float64, lossTrial, LossRow]{
-		name:  SweepLoss,
-		field: "loss_rows",
+	}),
+	newKind(&kind[float64, lossTrial, LossRow]{
+		name: SweepLoss,
 		normalize: func(s Spec) Spec {
 			return Spec{N: s.N, R: s.R, LossValues: append([]float64(nil), s.LossValues...), FrameSize: s.FrameSize}
 		},
@@ -223,27 +212,33 @@ var kinds = []sweepKind{
 		reduce: buildLossRow,
 		encode: LossRow.jsonView,
 		report: func(s Spec, rows []LossRow) Report { return &LossResults{Spec: s, Rows: rows} },
-	},
+	}),
 }
 
-// sweepKind is a kind entry with its point, trial and row types erased.
-type sweepKind interface {
-	kindName() string
-	rowsField() string
-	normalized(Spec) Spec
-	check(Spec) error
-	points(Spec) int
-	pointLabel(s Spec, i int) string
-	progressLabel(Progress) string
-	run(context.Context, Spec, Exec) (Report, error)
+// sweepKind is a kind entry with its point, trial and row types erased:
+// what Spec's methods and Run read.
+type sweepKind struct {
+	name       string
+	normalize  func(Spec) Spec
+	validate   func(Spec) error
+	points     func(Spec) int
+	pointLabel func(s Spec, i int) string
+	label      func(Progress) string
+	run        func(context.Context, Spec, Exec) (Report, error)
 }
 
-func (k *kind[P, T, R]) kindName() string                { return k.name }
-func (k *kind[P, T, R]) rowsField() string               { return k.field }
-func (k *kind[P, T, R]) normalized(s Spec) Spec          { return k.normalize(s) }
-func (k *kind[P, T, R]) check(s Spec) error              { return k.validate(s) }
-func (k *kind[P, T, R]) points(s Spec) int               { return len(k.axis(s)) }
-func (k *kind[P, T, R]) progressLabel(p Progress) string { return k.label(p) }
+// newKind erases k's types into its table entry.
+func newKind[P any, T trialResult, R any](k *kind[P, T, R]) sweepKind {
+	return sweepKind{
+		name:       k.name,
+		normalize:  k.normalize,
+		validate:   k.validate,
+		points:     func(s Spec) int { return len(k.axis(s)) },
+		pointLabel: k.pointLabel,
+		label:      k.label,
+		run:        k.run,
+	}
+}
 
 func (k *kind[P, T, R]) pointLabel(s Spec, i int) string {
 	axis := k.axis(s)
@@ -297,11 +292,11 @@ func (k *kind[P, T, R]) run(ctx context.Context, s Spec, x Exec) (Report, error)
 // lookupKind returns the table entry named name.
 func lookupKind(name string) (sweepKind, bool) {
 	for _, k := range kinds {
-		if k.kindName() == name {
+		if k.name == name {
 			return k, true
 		}
 	}
-	return nil, false
+	return sweepKind{}, false
 }
 
 // Normalized returns the canonical form of the spec: the default kind and
@@ -310,7 +305,7 @@ func lookupKind(name string) (sweepKind, bool) {
 // unknown kind as it is.
 func (s Spec) Normalized() Spec {
 	if s.Sweep == "" {
-		s.Sweep = kinds[0].kindName()
+		s.Sweep = kinds[0].name
 	}
 	if s.Radius == 0 {
 		s.Radius = 30 // the paper's deployment disk
@@ -319,7 +314,7 @@ func (s Spec) Normalized() Spec {
 	if !ok {
 		return s
 	}
-	n := k.normalized(s)
+	n := k.normalize(s)
 	n.Sweep, n.Radius, n.Trials, n.Seed = s.Sweep, s.Radius, s.Trials, s.Seed
 	return n
 }
@@ -338,7 +333,7 @@ func (s Spec) Validate() error {
 	if k.points(s) == 0 {
 		return fmt.Errorf("experiment: %s sweep has no points", s.Sweep)
 	}
-	return k.check(s)
+	return k.validate(s)
 }
 
 // PointCount returns the spec's sweep-axis length (0 for an unknown kind).
@@ -362,7 +357,7 @@ func (s Spec) PointLabel(i int) string {
 // ("range_rows", "density_rows", "loss_rows"); "" for an unknown kind.
 func (s Spec) RowsField() string {
 	if k, ok := lookupKind(s.Sweep); ok {
-		return k.rowsField()
+		return k.name + "_rows"
 	}
 	return ""
 }
@@ -385,7 +380,7 @@ func pointLabel(p Progress) string {
 	if !ok {
 		k = kinds[0]
 	}
-	return k.progressLabel(p)
+	return k.label(p)
 }
 
 // sampleJSON is the JSON view of a stats.Sample summary, the building

@@ -162,8 +162,8 @@ func buildLossRow(_ Spec, loss float64, trials []lossTrial) LossRow {
 	return row
 }
 
-// Render prints the sweep as its single table (Report).
-func (r *LossResults) Render(int, int) string {
+// String prints the sweep as its single table (Report).
+func (r *LossResults) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Unreliable channel: CCM delivery and TRP false accusations (n=%d, r=%g, %d trials, nothing missing)\n",
 		r.Spec.N, r.Spec.R, r.Spec.Trials)
@@ -174,6 +174,3 @@ func (r *LossResults) Render(int, int) string {
 	}
 	return b.String() + "\n"
 }
-
-// CSV is empty: the loss sweep has no long form (Report).
-func (r *LossResults) CSV() string { return "" }

@@ -35,7 +35,7 @@ func TestRunLossSweep(t *testing.T) {
 	if r2.FalsePositives.Mean() <= 0 {
 		t.Error("heavy loss produced no false accusations (implausible)")
 	}
-	out := res.Render(0, 0)
+	out := res.String()
 	if !strings.Contains(out, "delivery") || !strings.Contains(out, "0.80") {
 		t.Errorf("render broken:\n%s", out)
 	}
@@ -78,7 +78,7 @@ func TestRunDensitySweep(t *testing.T) {
 	if largeRatio <= smallRatio {
 		t.Errorf("SICP/TRP ratio did not widen with n: %.1f -> %.1f", smallRatio, largeRatio)
 	}
-	if out := res.Render(0, 0); !strings.Contains(out, "Population sweep") {
+	if out := res.String(); !strings.Contains(out, "Population sweep") {
 		t.Errorf("render broken:\n%s", out)
 	}
 }

@@ -48,6 +48,12 @@ const (
 // deployment radius — in meters.
 const maxRange = 1e6
 
+// maxFrameWords bounds a CCM session's heard bitset, f·⌈n/64⌉ 64-bit words
+// for frame f over n tags, at 512 MiB: every paper-frame spec up to
+// MaxPopulation fits, while a frame field alone cannot demand more memory
+// than a worker has.
+const maxFrameWords = 1 << 26
+
 // JobSpec is the canonical description of one sweep job: experiment.Spec,
 // whose kinds table normalizes, validates and runs it, with the service's
 // hashing and request caps on top.
@@ -72,13 +78,12 @@ func (s JobSpec) Normalized() JobSpec {
 	return JobSpec(experiment.Spec(s).Normalized())
 }
 
-// Validate checks the normalized spec, then the service's request caps. It
+// Validate checks the service's request caps on the normalized spec, then
+// the spec itself. The caps come first: they bound what the spec's own
+// checks compute (the density kind sizes a TRP frame per population). It
 // reports the first problem found.
 func (s JobSpec) Validate() error {
 	n := s.Normalized()
-	if err := experiment.Spec(n).Validate(); err != nil {
-		return err
-	}
 	if n.Trials > MaxTrials {
 		return fmt.Errorf("serve: trials %d exceeds cap %d", n.Trials, MaxTrials)
 	}
@@ -91,17 +96,26 @@ func (s JobSpec) Validate() error {
 	}
 	// Normalization zeroed every field the kind never reads, so the caps
 	// apply to all of them at once.
+	population := 0
 	for _, v := range append([]int{n.N}, n.NValues...) {
 		if v > MaxPopulation {
 			return fmt.Errorf("serve: population %d exceeds cap %d", v, MaxPopulation)
 		}
+		population = max(population, v)
 	}
 	for _, v := range append([]float64{n.Radius, n.R}, n.RValues...) {
 		if v > maxRange {
 			return fmt.Errorf("serve: length %g m exceeds cap %g", v, maxRange)
 		}
 	}
-	return nil
+	if words := (population + 63) / 64; words > 0 {
+		for _, f := range []int{n.GMLEFrame, n.TRPFrame, n.FrameSize} {
+			if f > maxFrameWords/words {
+				return fmt.Errorf("serve: frame %d over %d tags exceeds cap %d bitset words", f, population, maxFrameWords)
+			}
+		}
+	}
+	return experiment.Spec(n).Validate()
 }
 
 // TotalItems returns the job's work-item count (points × trials) on the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustKey(t *testing.T, s JobSpec) string {
@@ -159,6 +160,9 @@ func TestSpecValidate(t *testing.T) {
 		{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{50}},
 		{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0.5}},
 		{N: 300, Trials: 2, RValues: []float64{6}, Protocols: []string{"CICP"}},
+		// The frame cap admits the paper's frames at the population cap.
+		{N: MaxPopulation, Trials: 1, RValues: []float64{6}},
+		{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1 << 20},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -189,11 +193,33 @@ func TestSpecValidate(t *testing.T) {
 		{"radius cap", JobSpec{N: 300, Trials: 1, Radius: 2e6, RValues: []float64{6}}},
 		{"NaN radius", JobSpec{N: 300, Trials: 1, Radius: nan(), RValues: []float64{6}}},
 		{"NaN loss", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{nan()}}},
+		{"gmle frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, GMLEFrame: 1e12}},
+		{"trp frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1e12}},
+		{"trp frame cap at the population cap", JobSpec{N: MaxPopulation, Trials: 1, RValues: []float64{6}, TRPFrame: 5000}},
+		{"loss frame cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0}, FrameSize: 1e12}},
 	}
 	for _, tc := range invalid {
 		if err := tc.s.Validate(); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+	}
+}
+
+// TestSpecValidateCapsFirst: the request caps bound what validation itself
+// computes. A density population far past MaxPopulation would otherwise
+// reach the TRP frame sizing, whose search takes hours at n ≈ 10^15.
+func TestSpecValidateCapsFirst(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}.Validate()
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("population 1e15 accepted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Validate still running after 10 s")
 	}
 }
 
