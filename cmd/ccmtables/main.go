@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string) error {
 		return fmt.Errorf("-density and -loss pick different sweeps; give one")
 	case *density != "":
 		spec.Sweep = experiment.SweepDensity
-		spec.NValues, err = parseInts("-density", *density)
+		spec.NValues, err = parseList("-density", *density, strconv.Atoi)
 	case *loss != "":
 		spec.Sweep = experiment.SweepLoss
 		spec.LossValues, err = parseFloats("-loss", *loss)
@@ -202,24 +202,16 @@ func run(ctx context.Context, args []string) error {
 
 // parseFloats parses the comma-separated numbers given to the named flag.
 func parseFloats(name, s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad %s value %q: %w", name, part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return parseList(name, s, func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
 }
 
-// parseInts parses the comma-separated integers given to the named flag.
-func parseInts(name, s string) ([]int, error) {
-	var out []int
+// parseList parses the comma-separated values given to the named flag.
+func parseList[T any](name, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := parse(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad %s value %q: want an integer", name, part)
+			return nil, fmt.Errorf("bad %s value %q: %w", name, part, err)
 		}
 		out = append(out, v)
 	}

@@ -42,6 +42,8 @@ func (r *Runner) Run(nw *topology.Network, cfg Config) (*Result, error) {
 	r.s.init(nw, cfg, energy.NewMeter(nw.N()))
 	r.s.seedInitialPicks()
 	res := r.s.run()
-	r.s.release()
+	// Drop the caller's network, config (IDs, Tracer) and Result meter, so
+	// an idle arena keeps only its own scratch alive; init sets them again.
+	r.s.nw, r.s.cfg, r.s.order, r.s.rank, r.s.meter = nil, Config{}, nil, nil, nil
 	return res, nil
 }

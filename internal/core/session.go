@@ -180,13 +180,6 @@ func RunSession(nw *topology.Network, cfg Config) (*Result, error) {
 	return res, err
 }
 
-// release drops the session's references to the caller's network, config
-// (IDs, Tracer) and Result meter, so an idle arena keeps only its own
-// scratch alive. init sets all of them again.
-func (s *session) release() {
-	s.nw, s.cfg, s.order, s.rank, s.meter = nil, Config{}, nil, nil, nil
-}
-
 // grow returns s resized to n elements, reusing its backing array when the
 // capacity allows. Recycled prefixes keep their old contents; callers that
 // need zeroed memory clear explicitly.

@@ -13,10 +13,10 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"netags/internal/core"
@@ -218,19 +218,15 @@ func rangeProtocols(s Spec) []Protocol {
 // Unknown names sort last (alphabetically) so normalization stays total;
 // validation rejects them afterwards.
 func canonicalProtocols(in []string) []string {
-	var out, unknown []string
-	for _, kp := range protocolOrder {
-		if slices.Contains(in, string(kp)) {
-			out = append(out, string(kp))
+	rank := func(p string) int {
+		if i := slices.Index(protocolOrder, Protocol(p)); i >= 0 {
+			return i
 		}
+		return len(protocolOrder)
 	}
-	for _, p := range in {
-		if !slices.Contains(protocolOrder, Protocol(p)) && !slices.Contains(unknown, p) {
-			unknown = append(unknown, p)
-		}
-	}
-	sort.Strings(unknown)
-	return append(out, unknown...)
+	out := slices.Clone(in)
+	slices.SortFunc(out, func(a, b string) int { return cmp.Or(rank(a)-rank(b), strings.Compare(a, b)) })
+	return slices.Compact(out)
 }
 
 func validateRange(s Spec) error {

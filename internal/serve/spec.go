@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"netags/internal/experiment"
 )
@@ -96,24 +97,15 @@ func (s JobSpec) Validate() error {
 	}
 	// Normalization zeroed every field the kind never reads, so the caps
 	// apply to all of them at once.
-	population := 0
-	for _, v := range append([]int{n.N}, n.NValues...) {
-		if v > MaxPopulation {
-			return fmt.Errorf("serve: population %d exceeds cap %d", v, MaxPopulation)
-		}
-		population = max(population, v)
+	population := slices.Max(append([]int{n.N}, n.NValues...))
+	if population > MaxPopulation {
+		return fmt.Errorf("serve: population %d exceeds cap %d", population, MaxPopulation)
 	}
-	for _, v := range append([]float64{n.Radius, n.R}, n.RValues...) {
-		if v > maxRange {
-			return fmt.Errorf("serve: length %g m exceeds cap %g", v, maxRange)
-		}
+	if l := slices.Max(append([]float64{n.Radius, n.R}, n.RValues...)); l > maxRange {
+		return fmt.Errorf("serve: length %g m exceeds cap %g", l, maxRange)
 	}
-	if words := (population + 63) / 64; words > 0 {
-		for _, f := range []int{n.GMLEFrame, n.TRPFrame, n.FrameSize} {
-			if f > maxFrameWords/words {
-				return fmt.Errorf("serve: frame %d over %d tags exceeds cap %d bitset words", f, population, maxFrameWords)
-			}
-		}
+	if f := max(n.GMLEFrame, n.TRPFrame, n.FrameSize); population > 0 && f > maxFrameWords/((population+63)/64) {
+		return fmt.Errorf("serve: frame %d over %d tags exceeds cap %d bitset words", f, population, maxFrameWords)
 	}
 	return experiment.Spec(n).Validate()
 }
