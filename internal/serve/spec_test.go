@@ -197,29 +197,21 @@ func TestSpecValidate(t *testing.T) {
 		{"trp frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1e12}},
 		{"trp frame cap at the population cap", JobSpec{N: MaxPopulation, Trials: 1, RValues: []float64{6}, TRPFrame: 5000}},
 		{"loss frame cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0}, FrameSize: 1e12}},
+		// The caps bound what validation itself computes: past them, the
+		// density kind's TRP frame sizing would run for hours.
+		{"density population far past the cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}},
 	}
 	for _, tc := range invalid {
-		if err := tc.s.Validate(); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		done := make(chan error, 1)
+		go func() { done <- tc.s.Validate() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s accepted", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Validate still running after 10 s", tc.name)
 		}
-	}
-}
-
-// TestSpecValidateCapsFirst: the request caps bound what validation itself
-// computes. A density population far past MaxPopulation would otherwise
-// reach the TRP frame sizing, whose search takes hours at n ≈ 10^15.
-func TestSpecValidateCapsFirst(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		done <- JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}.Validate()
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("population 1e15 accepted")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Validate still running after 10 s")
 	}
 }
 
