@@ -46,6 +46,16 @@ type rowMask struct {
 // span is a half-open index range.
 type span struct{ lo, hi int32 }
 
+// pendWord is one entry of the pending set: the tags at positions
+// word*64+j, for each set bit j of bits, picked or heard slot since the last
+// frame. An entry holds the bits one row mask turned on in one word of a
+// heard strip (a pick is one bit), merged into the entry before it when
+// slot and word match (see hear).
+type pendWord struct {
+	slot, word int32
+	bits       uint64
+}
+
 // session carries the mutable state of one run. All of it is arena-style
 // scratch owned by a Runner: every slice is sized on first use, retained
 // across sessions, and re-initialized in O(n) (plus one clear of the
@@ -86,39 +96,44 @@ type session struct {
 	heard []uint64
 	words int // ⌈n/64⌉, the length of one slot's strip
 
-	// Pending (tag, slot) pairs: slots a tag picked or heard since the last
-	// frame, in discovery order. Each round consumes them into one of the
-	// transmit views below and refills them during delivery. A pair enters
-	// at most once per session (its heard bit is set on entry), so both
-	// buffers reach a session-wide high-water mark and stop growing. A
-	// pending pair whose slot has since been silenced is dead: it is never
-	// transmitted and does not count as data still to deliver.
-	pendTag  []int32
-	pendSlot []int32
+	// pend is the pending set: the (tag, slot) pairs picked or heard since
+	// the last frame, as pendWord entries in discovery order. Each round
+	// consumes it into one of the transmit views below and refills it
+	// during delivery. A pair enters at most once per session (its heard bit
+	// is set on entry), so the buffer reaches a session-wide high-water mark
+	// and stops growing. A pending pair whose slot has since been silenced
+	// is dead: it is never transmitted and does not count as data still to
+	// deliver.
+	pend []pendWord
+	// acc is a ⌈n/64⌉-word scratch set over positions, all-zero between
+	// uses: the live entries are ORed into it to read the tags they hold
+	// once each (this round's transmitters, the checking frame's C[1]).
+	acc []uint64
 
 	// CSR transmit view of the current round on the lossy channel, rebuilt
 	// from the pending pairs each round in O(touched): tag t's
 	// transmissions are txSlots[txOff[t] : txOff[t]+txLen[t]]. txOff and
 	// txLen are n-sized but only entries of tags in touched are live; txLen
-	// doubles as the first-touch detector (on both channels) and is
-	// restored to all-zero after every round.
+	// doubles as the first-touch detector and is restored to all-zero after
+	// every round.
 	txSlots []int32
 	txOff   []int32
 	txLen   []int32
-	// touched lists the tags with pending entries this round. Lossy
-	// delivery visits them by tag index, the order that pins the channel's
-	// PRNG draws (see sortMarked); reliable delivery only charges them.
+	// touched lists the tags with pending entries this round, visited by
+	// tag index: the order that pins the channel's PRNG draws (see
+	// sortMarked).
 	touched []int32
 
 	// Slot-grouped transmit view of the current round on the reliable
-	// channel: one counting sort over the frame leaves slot's transmitters
-	// at slotTx[slotEnd[slot-1]:slotEnd[slot]] (from 0 for slot 0).
-	// slotEnd has f+1 entries and is all-zero between rounds.
-	slotTx  []int32
+	// channel: one counting sort over the frame leaves slot's live pending
+	// words, as (word, bits) pairs over positions, at
+	// slotTx[slotEnd[slot-1]:slotEnd[slot]] (from 0 for slot 0). slotEnd
+	// has f+1 entries and is all-zero between rounds.
+	slotTx  []rowMask
 	slotEnd []int32
 
-	// Row masks for reliable delivery: the in-system neighbours of the tag
-	// at position k, as (word, bits) pairs over positions, are
+	// Row masks, for delivery on both channels: the in-system neighbours of
+	// the tag at position k, as (word, bits) pairs over positions, are
 	// masks[maskSpan[k].lo:maskSpan[k].hi]. A row is derived on the tag's
 	// first transmission in a session (lo < 0 until then), so masks reaches
 	// a session-wide high-water mark like the pending buffers.
@@ -130,9 +145,12 @@ type session struct {
 	// frame. Zero for out-of-system tags.
 	unknownCount []int32
 	// tier1 marks tags the reader can hear directly; inSystem marks tags
-	// with Tier > 0 (§II: the rest are outside the system entirely).
-	tier1    []bool
-	inSystem []bool
+	// with Tier > 0 (§II: the rest are outside the system entirely), and
+	// inSystemBits holds the same marks as a bitset over positions, a word
+	// of row mask at a time.
+	tier1        []bool
+	inSystem     []bool
+	inSystemBits []uint64
 
 	// meter is the Result's, indexed by tag; posMeter accumulates the
 	// session by position and is scattered into meter at session end.
@@ -188,6 +206,17 @@ func grow[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
+}
+
+// reserve returns s with room for at least n more elements. It grows the
+// capacity at least twofold rather than by append's 1.25×, so an arena that
+// meets a slightly larger high-water mark on its next network still has
+// room, and a fresh arena copies less on the way up.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // sortMarked orders ids, which lists without repeats exactly the positions
@@ -261,13 +290,16 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	s.unknownCount = grow(s.unknownCount, n)
 	s.tier1 = grow(s.tier1, n)
 	s.inSystem = grow(s.inSystem, n)
+	s.inSystemBits = grow(s.inSystemBits, s.words)
+	clear(s.inSystemBits)
+	s.acc = grow(s.acc, s.words)
+	clear(s.acc)
 	s.txOff = grow(s.txOff, n)
 	s.txLen = grow(s.txLen, n)
 	s.responded = grow(s.responded, n)
 
 	// A truncated session also leaves never-transmitted pairs pending.
-	s.pendTag = s.pendTag[:0]
-	s.pendSlot = s.pendSlot[:0]
+	s.pend = s.pend[:0]
 	s.wave = s.wave[:0]
 	s.waveNext = s.waveNext[:0]
 	s.newBusyPerRound = s.newBusyPerRound[:0]
@@ -301,6 +333,7 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 		s.maskSpan[k] = span{-1, -1}
 		if tier != 0 {
 			s.unknownCount[k] = int32(f)
+			s.inSystemBits[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
 }
@@ -366,18 +399,31 @@ func (s *session) seedInitialPicks() {
 }
 
 // schedule records that the tag at position k picked slot, unless it
-// already did: the heard bit is set and the pair joins the pending list.
-// Picks happen before the first frame, so no slot is silenced yet.
+// already did. Picks happen before the first frame, so no slot is silenced
+// yet.
 func (s *session) schedule(k int32, slot int) {
-	w := &s.heard[slot*s.words+int(k>>6)]
-	bit := uint64(1) << (uint(k) & 63)
-	if *w&bit != 0 {
+	strip := s.heard[slot*s.words : (slot+1)*s.words]
+	if bit := uint64(1) << (uint(k) & 63); strip[k>>6]&bit == 0 {
+		s.hear(strip, int32(slot), k>>6, bit)
+	}
+}
+
+// hear records that the tags at the set bits of one word picked or heard
+// slot, whose heard strip is strip: their heard bits are set, they stop
+// listening there, and they join the pending set. Bits join the last
+// entry when it holds the same slot and word, so every tag's entries stay
+// in discovery order: the order the lossy channel's transmit view keeps
+// each tag's slots in.
+func (s *session) hear(strip []uint64, slot, word int32, tags uint64) {
+	strip[word] |= tags
+	for b, base := tags, word<<6; b != 0; b &= b - 1 {
+		s.unknownCount[base+int32(bits.TrailingZeros64(b))]--
+	}
+	if last := len(s.pend) - 1; last >= 0 && s.pend[last].slot == slot && s.pend[last].word == word {
+		s.pend[last].bits |= tags
 		return
 	}
-	*w |= bit
-	s.unknownCount[k]--
-	s.pendTag = append(s.pendTag, k)
-	s.pendSlot = append(s.pendSlot, int32(slot))
+	s.pend = append(s.pend, pendWord{slot, word, tags})
 }
 
 func (s *session) run() *Result {
@@ -421,8 +467,8 @@ func (s *session) run() *Result {
 	res.Bitmap = s.known.Clone()
 	res.NewBusyPerRound = append([]int(nil), s.newBusyPerRound...)
 	res.CheckSlotsPerRound = append([]int(nil), s.checkSlotsPerRound...)
-	for _, slot := range s.pendSlot {
-		if !s.silenced(slot) {
+	for _, e := range s.pend {
+		if !s.silenced(e.slot) {
 			res.Truncated = true
 			break
 		}
@@ -527,54 +573,53 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 }
 
 // deliverBySlot runs the frame on the reliable channel, slot by slot. One
-// counting sort over the frame groups the live pending pairs by slot; each
-// slot's transmitters then OR their row masks into the slot's heard strip,
-// and every bit that turns on is a new pending pair. No PRNG draws happen
-// here, and heard bits, counts and the pending set do not depend on
-// delivery order, so pairs are appended slot by slot, transmitter by
-// transmitter, word by word. It returns the number of transmitters and the
-// bits they sent.
+// counting sort over the frame groups the live pending words by slot; each
+// slot's transmitters, the set bits of its words, then OR their row masks
+// into the slot's heard strip, and every word with bits that turn on is a
+// new pending word. No PRNG draws happen here, and heard bits, counts and
+// the pending set do not depend on delivery order, so words are appended
+// slot by slot, transmitter by transmitter, mask by mask. It returns the
+// number of transmitters and the bits they sent.
 func (s *session) deliverBySlot() (txTags, txBits int) {
-	// Compact the live pairs to the front of the pending list, counting
-	// them per slot (at slotEnd[slot+1]) and per tag (txLen).
+	// Compact the live words to the front of the pending list, counting
+	// them per slot (at slotEnd[slot+1]) and collecting their tags in acc.
 	end := s.slotEnd
 	live := 0
-	for k, t := range s.pendTag {
-		slot := s.pendSlot[k]
-		if s.silenced(slot) {
+	for _, e := range s.pend {
+		if s.silenced(e.slot) {
 			continue
 		}
-		s.pendTag[live], s.pendSlot[live] = t, slot
+		s.pend[live] = e
 		live++
-		end[slot+1]++
-		if s.txLen[t] == 0 {
-			s.touched = append(s.touched, t)
-		}
-		s.txLen[t]++
+		end[e.slot+1]++
+		s.acc[e.word] |= e.bits
+		txBits += bits.OnesCount64(e.bits)
 	}
 	for slot := 1; slot <= s.f; slot++ {
 		end[slot] += end[slot-1]
 	}
 	// Scatter with end[slot] as slot's cursor: it starts at the slot's
 	// first entry and finishes on the next slot's first entry.
-	s.slotTx = grow(s.slotTx, live)
-	for k, t := range s.pendTag[:live] {
-		slot := s.pendSlot[k]
-		s.slotTx[end[slot]] = t
-		end[slot]++
+	s.slotTx = reserve(s.slotTx[:0], live)[:live]
+	for _, e := range s.pend[:live] {
+		s.slotTx[end[e.slot]] = rowMask{e.word, e.bits}
+		end[e.slot]++
 	}
-	s.pendTag = s.pendTag[:0]
-	s.pendSlot = s.pendSlot[:0]
+	s.pend = s.pend[:0]
 
-	for _, t := range s.touched {
-		s.posMeter.AddSent(int(t), int64(s.txLen[t]))
-		s.txLen[t] = 0
-		if s.maskSpan[t].lo < 0 {
-			s.deriveMasks(t)
+	// Each transmitter derives its row masks on its first transmission.
+	for w, b := range s.acc {
+		if b == 0 {
+			continue
+		}
+		s.acc[w] = 0
+		txTags += bits.OnesCount64(b)
+		for ; b != 0; b &= b - 1 {
+			if t := int32(w<<6 + bits.TrailingZeros64(b)); s.maskSpan[t].lo < 0 {
+				s.deriveMasks(t)
+			}
 		}
 	}
-	txTags, txBits = len(s.touched), live
-	s.touched = s.touched[:0]
 
 	busy := s.roundBusy.Words()
 	lo := int32(0)
@@ -586,21 +631,17 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 		}
 		strip := s.heard[slot*s.words : (slot+1)*s.words]
 		reader := false
-		for _, t := range s.slotTx[lo:hi] {
-			reader = reader || s.tier1[t]
-			sp := s.maskSpan[t]
-			for _, m := range s.masks[sp.lo:sp.hi] {
-				fresh := m.bits &^ strip[m.word]
-				if fresh == 0 {
-					continue
-				}
-				strip[m.word] |= fresh
-				base := m.word << 6
-				for ; fresh != 0; fresh &= fresh - 1 {
-					v := base + int32(bits.TrailingZeros64(fresh))
-					s.unknownCount[v]--
-					s.pendTag = append(s.pendTag, v)
-					s.pendSlot = append(s.pendSlot, int32(slot))
+		for _, e := range s.slotTx[lo:hi] {
+			for b := e.bits; b != 0; b &= b - 1 {
+				t := e.word<<6 + int32(bits.TrailingZeros64(b))
+				s.posMeter.AddSent(int(t), 1)
+				reader = reader || s.tier1[t]
+				sp := s.maskSpan[t]
+				s.pend = reserve(s.pend, int(sp.hi-sp.lo))
+				for _, m := range s.masks[sp.lo:sp.hi] {
+					if fresh := m.bits &^ strip[m.word]; fresh != 0 {
+						s.hear(strip, int32(slot), m.word, fresh)
+					}
 				}
 			}
 		}
@@ -614,28 +655,30 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 }
 
 // deriveMasks writes the row masks of the tag at position k: its in-system
-// neighbours, a word per run of neighbours that share one. Rows are
-// ascending, so each word appears once; a row out of order would only
-// split a word across pairs, which delivers the same bits.
+// neighbours, one mask per run of neighbours that share a word and ascend
+// in it. It gathers the row's bits a word at a time and keeps each word's
+// in-system part. So a mask's bits, taken in ascending order, list its
+// neighbours in row order, the lossy channel's draw order. Built rows are
+// ascending, so each word appears once; a row out of order (the
+// identity-numbered twin of TestNumberingInvariant) only splits a word
+// across masks, which delivers the same bits.
 func (s *session) deriveMasks(k int32) {
 	row := s.nw.Row(int(k))
 	lo := len(s.masks)
-	if cap(s.masks)-lo < len(row) {
-		// Double rather than let append grow by 1.25×: a fresh arena
-		// (RunSession) derives most rows of a flooded network once, and
-		// the copies would allocate several times the final size.
-		s.masks = slices.Grow(s.masks, max(len(row), cap(s.masks)))
-	}
+	s.masks = reserve(s.masks, len(row))
+	var word int32 // a flush before the first neighbour flushes nothing
+	var acc uint64
 	for _, v := range row {
-		if !s.inSystem[v] {
-			continue
+		if v>>6 != word || acc>>(uint(v)&63) != 0 {
+			if acc &= s.inSystemBits[word]; acc != 0 {
+				s.masks = append(s.masks, rowMask{word, acc})
+			}
+			word, acc = v>>6, 0
 		}
-		word, bit := v>>6, uint64(1)<<(uint(v)&63)
-		if last := len(s.masks) - 1; last >= lo && s.masks[last].word == word {
-			s.masks[last].bits |= bit
-		} else {
-			s.masks = append(s.masks, rowMask{word, bit})
-		}
+		acc |= 1 << (uint(v) & 63)
+	}
+	if acc &= s.inSystemBits[word]; acc != 0 {
+		s.masks = append(s.masks, rowMask{word, acc})
 	}
 	s.maskSpan[k] = span{int32(lo), int32(len(s.masks))}
 }
@@ -645,16 +688,21 @@ func (s *session) deriveMasks(k int32) {
 // CSR transmit view and returns the number of transmitters and the bits
 // they sent.
 func (s *session) deliverByTag() (txTags, txBits int) {
-	// Pass 1 counts entries per tag (silenced ones included for sizing; the
+	// Pass 1 counts pairs per tag (silenced ones included for sizing; the
 	// scatter pass drops them) and collects the touched set.
-	for _, t := range s.pendTag {
-		if s.txLen[t] == 0 {
-			s.touched = append(s.touched, t)
+	pairs := 0
+	for _, e := range s.pend {
+		for b := e.bits; b != 0; b &= b - 1 {
+			t := e.word<<6 + int32(bits.TrailingZeros64(b))
+			if s.txLen[t] == 0 {
+				s.touched = append(s.touched, t)
+			}
+			s.txLen[t]++
+			pairs++
 		}
-		s.txLen[t]++
 	}
 	s.touched = sortMarked(s, s.touched, s.txLen)
-	s.txSlots = grow(s.txSlots, len(s.pendTag))
+	s.txSlots = grow(s.txSlots, pairs)
 	var off int32
 	for _, t := range s.touched {
 		s.txOff[t] = off
@@ -663,16 +711,17 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 	}
 	// Pass 2 captures this round's live transmissions. Scatter order
 	// preserves each tag's discovery order.
-	for k, t := range s.pendTag {
-		slot := s.pendSlot[k]
-		if s.silenced(slot) {
+	for _, e := range s.pend {
+		if s.silenced(e.slot) {
 			continue
 		}
-		s.txSlots[s.txOff[t]+s.txLen[t]] = slot
-		s.txLen[t]++
+		for b := e.bits; b != 0; b &= b - 1 {
+			t := e.word<<6 + int32(bits.TrailingZeros64(b))
+			s.txSlots[s.txOff[t]+s.txLen[t]] = e.slot
+			s.txLen[t]++
+		}
 	}
-	s.pendTag = s.pendTag[:0]
-	s.pendSlot = s.pendSlot[:0]
+	s.pend = s.pend[:0]
 
 	for _, k := range s.touched {
 		cnt := s.txLen[k]
@@ -683,7 +732,10 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 		txTags++
 		txBits += len(slots)
 		s.posMeter.AddSent(int(k), int64(len(slots)))
-		s.deliverLossy(int(k), slots)
+		if s.maskSpan[k].lo < 0 {
+			s.deriveMasks(k)
+		}
+		s.deliverLossy(k, slots)
 	}
 	// Release the CSR view: txLen back to all-zero, O(touched).
 	for _, t := range s.touched {
@@ -696,24 +748,24 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 // deliverLossy delivers the frame of the tag at position k on the lossy
 // channel pair by pair, slot outer and neighbour inner, with the reader
 // sensing each slot after its neighbours. This order is the channel's PRNG
-// draw order, which the golden lossy fingerprints pin; a row lists its
-// neighbours in the same sequence as the tag's neighbour list.
-func (s *session) deliverLossy(k int, slots []int32) {
-	neighbors := s.nw.Row(k)
+// draw order, which the golden lossy fingerprints pin. It walks the tag's
+// row masks: a mask's listeners, its bits not yet heard in the slot, come
+// in row order (see deriveMasks), so each draws once, in the order a walk
+// of the row would, and neighbours that heard the slot cost no load each.
+func (s *session) deliverLossy(k int32, slots []int32) {
+	sp := s.maskSpan[k]
 	for _, slot := range slots {
 		strip := s.heard[int(slot)*s.words : int(slot+1)*s.words]
-		for _, v := range neighbors {
-			if !s.inSystem[v] {
-				continue
+		for _, m := range s.masks[sp.lo:sp.hi] {
+			var heard uint64
+			for listen := m.bits &^ strip[m.word]; listen != 0; listen &= listen - 1 {
+				if !s.dropped() {
+					heard |= listen & -listen
+				}
 			}
-			w, bit := &strip[v>>6], uint64(1)<<(uint(v)&63)
-			if *w&bit != 0 || s.dropped() {
-				continue
+			if heard != 0 {
+				s.hear(strip, slot, m.word, heard)
 			}
-			*w |= bit
-			s.unknownCount[v]--
-			s.pendTag = append(s.pendTag, v)
-			s.pendSlot = append(s.pendSlot, slot)
 		}
 		if s.tier1[k] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
 			s.roundBusy.Set(int(slot))
@@ -763,15 +815,26 @@ func (s *session) runCheckingFrame(round int) bool {
 	lc := s.cfg.checkingFrameLen(s.nw)
 
 	// C[1]'s responders are the tags holding a live pending pair, in
-	// ascending tag order: the lossy channel draws in wave order.
+	// ascending tag order: the lossy channel draws in wave order. The live
+	// entries are ORed into acc, whose set bits are the responders once
+	// each.
+	for _, e := range s.pend {
+		if !s.silenced(e.slot) {
+			s.acc[e.word] |= e.bits
+		}
+	}
 	s.wave = s.wave[:0]
-	for k, t := range s.pendTag {
-		if s.responded[t] || s.silenced(s.pendSlot[k]) {
+	for w, b := range s.acc {
+		if b == 0 {
 			continue
 		}
-		s.responded[t] = true
-		s.respondedList = append(s.respondedList, t)
-		s.wave = append(s.wave, t)
+		s.acc[w] = 0
+		for ; b != 0; b &= b - 1 {
+			k := int32(w<<6 + bits.TrailingZeros64(b))
+			s.responded[k] = true
+			s.respondedList = append(s.respondedList, k)
+			s.wave = append(s.wave, k)
+		}
 	}
 	s.wave = sortMarked(s, s.wave, s.responded)
 

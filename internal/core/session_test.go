@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"netags/internal/energy"
 	"netags/internal/geom"
 	"netags/internal/obs"
 	"netags/internal/topology"
@@ -271,6 +274,78 @@ func TestSessionTruncationReported(t *testing.T) {
 	}
 	if !res.Truncated {
 		t.Fatal("truncation not reported")
+	}
+}
+
+// TestPendingWords pins the two fates of a multi-bit pending word: tag A
+// (x = 19, tier 1) and tag D (x = 28, tier 3) sit on either side of B and C
+// (x = 23 and 24, tier 2), and one transmission puts two or more of them in
+// one pending word. Each case runs on both channels, the lossy one at a
+// loss that never drops.
+func TestPendingWords(t *testing.T) {
+	d := &geom.Deployment{
+		Tags:    []geom.Point{{X: 19}, {X: 23}, {X: 24}, {X: 28}},
+		Readers: []geom.Point{{}},
+		Radius:  30,
+	}
+	nw, err := topology.Build(d, 0, topology.PaperRanges(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []int16{nw.Tier[0], nw.Tier[1], nw.Tier[2], nw.Tier[3]}; got[0] != 1 || got[1] != 2 || got[2] != 2 || got[3] != 3 {
+		t.Fatalf("fixture broken: tiers %v, want [1 2 2 3]", got)
+	}
+	for _, loss := range []float64{0, math.SmallestNonzeroFloat64} {
+		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
+			// A's slot 3 reaches B and C as one word in round 1, and the
+			// reader, which hears A, silences slot 3 before they relay it:
+			// the word is dead. It never transmits, C[1] has no responder,
+			// and the session ends untruncated after one round.
+			cfg := Config{FrameSize: 8, Picker: fixedPicker(map[int][]int{0: {3}}),
+				LossProb: loss, LossSeed: 1}
+			var s session
+			s.init(nw, cfg, energy.NewMeter(nw.N()))
+			s.seedInitialPicks()
+			s.runRound(1)
+			heard := 0
+			for _, e := range s.pend {
+				if e.slot != 3 || !s.silenced(e.slot) {
+					t.Errorf("pending entry %+v, want slot 3, silenced", e)
+				}
+				heard += bits.OnesCount64(e.bits)
+			}
+			if heard != 2 {
+				t.Errorf("%d pending pairs after round 1, want B and C", heard)
+			}
+			if len(s.pend) != 1 {
+				t.Errorf("%d pending words, want 1", len(s.pend))
+			}
+			res, err := RunSession(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds != 1 || res.Truncated || !res.Bitmap.Get(3) {
+				t.Errorf("rounds=%d truncated=%v slot 3=%v, want 1, false, true",
+					res.Rounds, res.Truncated, res.Bitmap.Get(3))
+			}
+			for i, want := range []int64{1, 0, 0, 0} {
+				if got := res.Meter.Sent(i); got != want {
+					t.Errorf("tag %d sent %d bits, want %d", i, got, want)
+				}
+			}
+
+			// B's slot 5 reaches A, C and D as one word, which stays live:
+			// with a one-round bound the session ends with it pending.
+			cfg.Picker, cfg.MaxRounds = fixedPicker(map[int][]int{1: {5}}), 1
+			res, err = RunSession(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rounds != 1 || !res.Truncated || res.Bitmap.Get(5) {
+				t.Errorf("rounds=%d truncated=%v slot 5=%v, want 1, true, false",
+					res.Rounds, res.Truncated, res.Bitmap.Get(5))
+			}
+		})
 	}
 }
 

@@ -109,18 +109,38 @@ func densityTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, int, int,
 }
 
 // densityFrames sizes the protocols' frames for a population of n, as the
-// paper sizes them for n = 10,000: GMLE for β = 5 %, α = 95 %, and TRP to
-// detect a 0.5 % shortfall (at least one tag) with δ = 95 %.
+// paper sizes them for n = 10,000: GMLE for β = 5 %, α = 95 %, and TRP by
+// trpFrameFor.
 func densityFrames(n int) (Spec, error) {
 	sized := Spec{N: n}
 	var err error
 	if sized.GMLEFrame, err = gmle.FrameSizeFor(0.05, 0.95); err != nil {
 		return Spec{}, err
 	}
-	if sized.TRPFrame, err = trp.FrameSizeFor(n, max(n/200, 1), 0.95); err != nil {
+	if sized.TRPFrame, err = trpFrameFor(n); err != nil {
 		return Spec{}, err
 	}
 	return sized, nil
+}
+
+// trpFrameFor sizes a TRP frame for an inventory of n tags, as the paper
+// sizes it for n = 10,000: to detect a 0.5 % shortfall (at least one tag)
+// with δ = 95 %.
+func trpFrameFor(n int) (int, error) {
+	return trp.FrameSizeFor(n, max(n/200, 1), 0.95)
+}
+
+// densitySessions sizes each population's two CCM sessions as its trials
+// do. A population too small to size its TRP frame has none; validation
+// rejects it.
+func densitySessions(s Spec) []Session {
+	var out []Session
+	for _, n := range s.NValues {
+		if sized, err := densityFrames(n); err == nil {
+			out = append(out, Session{n, sized.GMLEFrame}, Session{n, sized.TRPFrame})
+		}
+	}
+	return out
 }
 
 // buildDensityRow folds one population's trials into its DensityRow.

@@ -139,7 +139,13 @@ type kind[P any, T trialResult, R any] struct {
 	// encode returns a row's JSON view; report wraps the rows for print.
 	encode func(R) any
 	report func(Spec, []R) Report
+	// sessions lists the CCM sessions a trial runs, by size.
+	sessions func(Spec) []Session
 }
+
+// Session is the size of a CCM session a sweep runs: its population and
+// frame. Its heard bitset holds Frame·⌈N/64⌉ 64-bit words.
+type Session struct{ N, Frame int }
 
 // kinds is the table. Its first entry is the default kind.
 var kinds = []sweepKind{
@@ -178,6 +184,7 @@ var kinds = []sweepKind{
 			sort.Slice(rows, func(i, j int) bool { return rows[i].R < rows[j].R })
 			return &Results{Config: s.rangeConfig(), Rows: rows}
 		},
+		sessions: func(s Spec) []Session { return []Session{{s.N, s.GMLEFrame}, {s.N, s.TRPFrame}} },
 	}),
 	newKind(&kind[int, densityTrial, DensityRow]{
 		name: SweepDensity,
@@ -190,11 +197,12 @@ var kinds = []sweepKind{
 		at: func(_ Spec, n int) Progress {
 			return Progress{N: n, Protocols: []Protocol{GMLECCM, TRPCCM, SICP}}
 		},
-		label:  func(p Progress) string { return fmt.Sprintf("n=%d", p.N) },
-		trial:  densityTrialFunc,
-		reduce: buildDensityRow,
-		encode: DensityRow.jsonView,
-		report: func(s Spec, rows []DensityRow) Report { return &DensityResults{Spec: s, Rows: rows} },
+		label:    func(p Progress) string { return fmt.Sprintf("n=%d", p.N) },
+		trial:    densityTrialFunc,
+		reduce:   buildDensityRow,
+		encode:   DensityRow.jsonView,
+		report:   func(s Spec, rows []DensityRow) Report { return &DensityResults{Spec: s, Rows: rows} },
+		sessions: densitySessions,
 	}),
 	newKind(&kind[float64, lossTrial, LossRow]{
 		name: SweepLoss,
@@ -207,11 +215,12 @@ var kinds = []sweepKind{
 		at: func(s Spec, loss float64) Progress {
 			return Progress{R: s.R, Loss: loss, Protocols: []Protocol{TRPCCM}}
 		},
-		label:  func(p Progress) string { return fmt.Sprintf("loss=%g", p.Loss) },
-		trial:  lossTrialFunc,
-		reduce: buildLossRow,
-		encode: LossRow.jsonView,
-		report: func(s Spec, rows []LossRow) Report { return &LossResults{Spec: s, Rows: rows} },
+		label:    func(p Progress) string { return fmt.Sprintf("loss=%g", p.Loss) },
+		trial:    lossTrialFunc,
+		reduce:   buildLossRow,
+		encode:   LossRow.jsonView,
+		report:   func(s Spec, rows []LossRow) Report { return &LossResults{Spec: s, Rows: rows} },
+		sessions: lossSessions,
 	}),
 }
 
@@ -225,6 +234,7 @@ type sweepKind struct {
 	pointLabel func(s Spec, i int) string
 	label      func(Progress) string
 	run        func(context.Context, Spec, Exec) (Report, error)
+	sessions   func(Spec) []Session
 }
 
 // newKind erases k's types into its table entry.
@@ -237,6 +247,7 @@ func newKind[P any, T trialResult, R any](k *kind[P, T, R]) sweepKind {
 		pointLabel: k.pointLabel,
 		label:      k.label,
 		run:        k.run,
+		sessions:   k.sessions,
 	}
 }
 
@@ -351,6 +362,16 @@ func (s Spec) PointLabel(i int) string {
 		return k.pointLabel(s, i)
 	}
 	return fmt.Sprintf("point=%d", i)
+}
+
+// Sessions lists the sizes of the CCM sessions a trial of the spec runs,
+// frames it derives included (nil for an unknown kind). The jobs service
+// caps their heard bitsets with it.
+func (s Spec) Sessions() []Session {
+	if k, ok := lookupKind(s.Sweep); ok {
+		return k.sessions(s)
+	}
+	return nil
 }
 
 // RowsField names the result-payload member the spec's rows fill

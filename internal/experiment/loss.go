@@ -31,7 +31,11 @@ type LossRow struct {
 	// reader.
 	Delivery stats.Sample
 	// FalsePositives is the number of present-and-reachable tags accused
-	// per execution (0 under a reliable channel).
+	// per execution. A reliable channel accuses none only when the session
+	// runs to completion: it stops after L_c = 2·EstimatedTiers rounds
+	// (§III-E), so in a sparse deployment with more tiers than that the
+	// deepest tiers' bits never arrive and TRP accuses present tags even
+	// at loss 0.
 	FalsePositives stats.Sample
 	// Rounds is the session length in rounds (loss can both shorten — lost
 	// checking-frame waves — and lengthen sessions).
@@ -90,6 +94,17 @@ func validateLoss(s Spec) error {
 	return nil
 }
 
+// lossSessions sizes the loss sweep's TRP session. A derived frame is
+// sized for the deployment's reachable tags; it is given here for all N of
+// them, the most a deployment can reach.
+func lossSessions(s Spec) []Session {
+	f := s.FrameSize
+	if f == 0 {
+		f, _ = trpFrameFor(s.N) // an N too small to size one fails its trials instead
+	}
+	return []Session{{s.N, f}}
+}
+
 // lossTrialFunc runs one TRP-CCM session over a lossy channel and checks
 // its bitmap against the reliable one.
 func lossTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, float64, int, TrialSeeds) (lossTrial, error) {
@@ -107,8 +122,7 @@ func lossTrialFunc(s Spec, tracer obs.Tracer) func(context.Context, float64, int
 		}
 		f := s.FrameSize
 		if f == 0 {
-			f, err = trp.FrameSizeFor(len(inventory), max(len(inventory)/200, 1), 0.95)
-			if err != nil {
+			if f, err = trpFrameFor(len(inventory)); err != nil {
 				return lossTrial{}, err
 			}
 		}

@@ -51,8 +51,8 @@ const maxRange = 1e6
 
 // maxFrameWords bounds a CCM session's heard bitset, f·⌈n/64⌉ 64-bit words
 // for frame f over n tags, at 512 MiB: every paper-frame spec up to
-// MaxPopulation fits, while a frame field alone cannot demand more memory
-// than a worker has.
+// MaxPopulation fits, while no frame, given or derived, can demand more
+// memory than a worker has.
 const maxFrameWords = 1 << 26
 
 // JobSpec is the canonical description of one sweep job: experiment.Spec,
@@ -104,8 +104,11 @@ func (s JobSpec) Validate() error {
 	if l := slices.Max(append([]float64{n.Radius, n.R}, n.RValues...)); l > maxRange {
 		return fmt.Errorf("serve: length %g m exceeds cap %g", l, maxRange)
 	}
-	if f := max(n.GMLEFrame, n.TRPFrame, n.FrameSize); population > 0 && f > maxFrameWords/((population+63)/64) {
-		return fmt.Errorf("serve: frame %d over %d tags exceeds cap %d bitset words", f, population, maxFrameWords)
+	// The caps above bound what sizing the derived frames computes.
+	for _, ss := range experiment.Spec(n).Sessions() {
+		if ss.N > 0 && ss.Frame > maxFrameWords/((ss.N+63)/64) {
+			return fmt.Errorf("serve: frame %d over %d tags exceeds cap %d bitset words", ss.Frame, ss.N, maxFrameWords)
+		}
 	}
 	return experiment.Spec(n).Validate()
 }

@@ -163,6 +163,9 @@ func TestSpecValidate(t *testing.T) {
 		// The frame cap admits the paper's frames at the population cap.
 		{N: MaxPopulation, Trials: 1, RValues: []float64{6}},
 		{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1 << 20},
+		// Frames derived for the paper's population fit the cap too.
+		{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{10000}},
+		{Sweep: SweepLoss, N: 10000, Trials: 1, R: 6, LossValues: []float64{0}},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -197,6 +200,10 @@ func TestSpecValidate(t *testing.T) {
 		{"trp frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1e12}},
 		{"trp frame cap at the population cap", JobSpec{N: MaxPopulation, Trials: 1, RValues: []float64{6}, TRPFrame: 5000}},
 		{"loss frame cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0}, FrameSize: 1e12}},
+		// Derived frames: a TRP frame sized for 2^20 tags is 139,717 slots,
+		// a 17 GiB heard bitset.
+		{"density derived frame cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1 << 20}}},
+		{"loss derived frame cap", JobSpec{Sweep: SweepLoss, N: 1 << 20, Trials: 1, R: 6, LossValues: []float64{0}}},
 		// The caps bound what validation itself computes: past them, the
 		// density kind's TRP frame sizing would run for hours.
 		{"density population far past the cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}},

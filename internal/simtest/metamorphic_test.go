@@ -219,3 +219,39 @@ func TestMetamorphicSilentLoss(t *testing.T) {
 		}
 	})
 }
+
+// TestMetamorphicSilentLossCut holds the two delivery loops to each other in
+// reliable sessions cut at every round bound below the tier depth K, where
+// a session can end with live pending words: Truncated, Rounds and the
+// meter must match the silent-loss run's as well as the bitmap. Some of
+// the cut sessions must truncate, or the property checks nothing.
+func TestMetamorphicSilentLossCut(t *testing.T) {
+	truncated := 0
+	ForEach(t, 0xc07, func(t *testing.T, sc *Scenario) {
+		base := sc.NewConfig(sc.Source(29))
+		for cut := 1; cut < sc.Network.K; cut++ {
+			cfg := base
+			cfg.MaxRounds = cut
+			res, err := core.RunSession(sc.Network, cfg)
+			if err != nil {
+				t.Fatalf("%v seed %#x cut %d: %v", sc.Shape, sc.Seed, cut, err)
+			}
+			if res.Truncated {
+				truncated++
+			}
+			cfg.LossProb, cfg.LossSeed = math.SmallestNonzeroFloat64, sc.Seed
+			lres, err := core.RunSession(sc.Network, cfg)
+			if err != nil {
+				t.Fatalf("%v seed %#x cut %d silent loss: %v", sc.Shape, sc.Seed, cut, err)
+			}
+			if got, want := fingerprint(lres), fingerprint(res); got != want {
+				t.Errorf("%v seed %#x cut %d: lossy delivery fingerprint %s != reliable delivery %s",
+					sc.Shape, sc.Seed, cut, got, want)
+			}
+		}
+	})
+	if truncated == 0 {
+		t.Error("no cut session truncated")
+	}
+	t.Logf("%d cut sessions truncated", truncated)
+}

@@ -16,7 +16,8 @@
 // errors, so CI can tell "slower" from "broken"). Next to each mean delta
 // it prints the two-sided Mann–Whitney U p-value of the ns/op samples
 // (mannWhitney), which reports whether the shift stands out from the runs'
-// spread; it does not enter the verdict.
+// spread, and a shift verdict: faster, slower or unresolved (see shift).
+// Neither enters the pass/fail verdict.
 package main
 
 import (
@@ -297,13 +298,14 @@ func readBaseline(path string) ([]summary, error) {
 // more than tol, or its mean allocs/op exceeds the baseline by more than
 // allocTol plus half an allocation (the absolute slack keeps a 0→0.33
 // flicker on a zero-alloc baseline from tripping the relative check). The
-// row's p is the rank test's, reported only.
+// row's p and shift are reported only.
 func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 	curBy := map[string]summary{}
 	for _, s := range cur {
 		curBy[s.Name] = s
 	}
 	baseNames := map[string]bool{}
+	shifts := map[string]int{}
 	ok := true
 	for _, b := range base {
 		baseNames[b.Name] = true
@@ -320,9 +322,12 @@ func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 			ok = false
 		}
 		_, p := mannWhitney(b.nsRuns, c.nsRuns)
-		fmt.Fprintf(out, "%s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%, p=%s, limit %+.0f%%)  allocs %6.1f -> %6.1f\n",
+		d := delta(b.NsPerOp.Mean, c.NsPerOp.Mean)
+		sh := shift(d, p)
+		shifts[sh]++
+		fmt.Fprintf(out, "%s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%, p=%s, %-11s limit %+.0f%%)  allocs %6.1f -> %6.1f\n",
 			verdict, b.Name,
-			b.NsPerOp.Mean, c.NsPerOp.Mean, 100*delta(b.NsPerOp.Mean, c.NsPerOp.Mean), formatP(p), 100*tol,
+			b.NsPerOp.Mean, c.NsPerOp.Mean, 100*d, formatP(p), sh+",", 100*tol,
 			b.AllocsPerOp.Mean, c.AllocsPerOp.Mean)
 	}
 	for _, c := range cur {
@@ -331,6 +336,8 @@ func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 				c.Name, c.NsPerOp.Mean, c.AllocsPerOp.Mean)
 		}
 	}
+	fmt.Fprintf(out, "bench-compare: %d faster, %d slower, %d unresolved (p < %g and |change| > %.0f%%; report-only)\n",
+		shifts["faster"], shifts["slower"], shifts["unresolved"], shiftLevel, 100*shiftMinEffect)
 	if ok {
 		fmt.Fprintf(out, "bench-compare: %d benchmarks within tolerance (ns/op +%.0f%%, allocs +%.0f%%)\n",
 			len(base), 100*tol, 100*allocTol)
@@ -338,6 +345,29 @@ func compare(out io.Writer, base, cur []summary, tol, allocTol float64) bool {
 		fmt.Fprintln(out, "bench-compare: regression detected")
 	}
 	return ok
+}
+
+// A row's shift resolves only when the rank test's p is below shiftLevel
+// and its mean ns/op moved by more than shiftMinEffect of the baseline.
+const (
+	shiftLevel     = 0.05
+	shiftMinEffect = 0.10
+)
+
+// shift labels a row's change of mean ns/op, d (a fraction of the
+// baseline), given the rank test's p: "faster" or "slower" when both
+// thresholds above are passed, "unresolved" otherwise. Either half alone
+// misleads on a shared host: a host that drifts between the baseline and
+// the check gives a small p to a shift of no practical size, and a large
+// mean change over a few noisy runs can be chance.
+func shift(d, p float64) string {
+	switch {
+	case !(p < shiftLevel) || math.Abs(d) <= shiftMinEffect:
+		return "unresolved"
+	case d < 0:
+		return "faster"
+	}
+	return "slower"
 }
 
 // formatP renders a p-value, or "-" when there were no samples to rank.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -401,5 +402,51 @@ BenchmarkZeroAlloc-4	100	50 ns/op	0 B/op	0 allocs/op
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestCompareShiftVerdict: a row's shift resolves only when the rank test's
+// p is below the level and the mean moved by more than the minimum effect.
+func TestCompareShiftVerdict(t *testing.T) {
+	runs := func(name string, ns ...int) string {
+		var b strings.Builder
+		for _, v := range ns {
+			fmt.Fprintf(&b, "%s-4\t100\t%d ns/op\t0 B/op\t0 allocs/op\n", name, v)
+		}
+		return b.String()
+	}
+	// Five runs a side, fully separated: p = 2/252 ≈ 0.008.
+	base := writeBaseline(t, runs("BenchmarkFast", 100, 101, 102, 103, 104)+
+		runs("BenchmarkSlow", 100, 101, 102, 103, 104)+
+		runs("BenchmarkSmall", 100, 101, 102, 103, 104)+
+		runs("BenchmarkFew", 100, 101))
+	current := runs("BenchmarkFast", 70, 71, 72, 73, 74) + // −30%, p ≈ 0.008
+		runs("BenchmarkSlow", 120, 121, 122, 123, 124) + // +20%, p ≈ 0.008
+		runs("BenchmarkSmall", 105, 106, 107, 108, 109) + // +5%, under the minimum effect
+		runs("BenchmarkFew", 60, 61) // −40%, but p = 1/3
+	var out strings.Builder
+	ok, err := runCompare([]string{"-baseline", base}, strings.NewReader(current), &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Fatalf("run within the 30%% tolerance flagged:\n%s", out.String())
+	}
+	for name, want := range map[string]string{
+		"BenchmarkFast": "faster", "BenchmarkSlow": "slower",
+		"BenchmarkSmall": "unresolved", "BenchmarkFew": "unresolved",
+	} {
+		var row string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, name+" ") {
+				row = line
+			}
+		}
+		if !strings.Contains(row, " "+want+",") {
+			t.Errorf("%s: want %q in row %q", name, want, row)
+		}
+	}
+	if !strings.Contains(out.String(), "1 faster, 1 slower, 2 unresolved") {
+		t.Errorf("tally missing:\n%s", out.String())
 	}
 }
