@@ -109,4 +109,16 @@ bench-compare:
 			-baseline BENCH_observability.json \
 			-tolerance $(BENCH_TOLERANCE) -alloc-tolerance $(BENCH_ALLOC_TOLERANCE)
 
-.PHONY: verify test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare
+# Report-only A/B of the tracked benchmarks: BASE (a git revision) against
+# the working tree, each side's test binaries run as PAIRS interleaved pairs
+# with the side that goes first alternating (scripts/bench_ab.sh). Per
+# benchmark it prints the change's wins, both medians, the base's IQR and a
+# one-sided sign-test p; 9 wins of 10 is p ≈ 0.011. Narrow it with BENCH,
+# e.g. make bench-ab BASE=HEAD~1 BENCH='SessionPaper|BuildN1e5'.
+BASE  ?= HEAD
+BENCH ?= $(BENCH_PATTERN)
+PAIRS ?= 10
+bench-ab:
+	./scripts/bench_ab.sh '$(BASE)' '$(subst ',,$(BENCH))' '$(PAIRS)' '$(BENCH_TIME)' $(BENCH_PKGS)
+
+.PHONY: verify test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare bench-ab

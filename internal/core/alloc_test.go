@@ -88,12 +88,11 @@ func TestSessionRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestRunnerNetworkSwitchAllocs pins the arena across networks: the row
-// masks are derived per session into retained storage, not kept per
-// network, so the first session on a different network of the same size
+// TestRunnerNetworkSwitchAllocs pins the arena across networks: nothing in
+// it is keyed by network (the row masks are the network's own, read as
+// they are), so the first session on a different network of the same size
 // allocates nothing outside its Result. The config is p = 1 over 2000 tags,
-// so every in-system tag derives its masks and a heard strip spans 32
-// words. Like TestSessionRoundAllocs, it measures the session minus Result
+// so every in-system tag transmits and a heard strip spans 32 words. Like TestSessionRoundAllocs, it measures the session minus Result
 // assembly, here once, since a warm-up run would hide the switch.
 func TestRunnerNetworkSwitchAllocs(t *testing.T) {
 	if testing.Short() {

@@ -7,11 +7,11 @@ import (
 
 // Runner executes CCM sessions while retaining every piece of per-session
 // scratch — the slot-major heard bitset (f·⌈n/64⌉ words: 32 MB at 10^6
-// tags and f = 256), the row masks each session derives for its
-// transmitters, the pending words (16 B each: the tags of one heard-strip
-// word that picked or heard one slot), the slot- and tag-grouped transmit
-// views, the checking-frame wave buffers, the reader bitmaps — between
-// runs. Nothing in it is keyed by network: after the first session over a
+// tags and f = 256), the pending words (16 B each: the tags of one
+// heard-strip word that picked or heard one slot), the slot- and
+// tag-grouped transmit views, the checking-frame wave buffers, the reader
+// bitmaps — between runs. The row masks it delivers over are the network's
+// own (topology.Network.Masks), read as they are. Nothing in it is keyed by network: after the first session over a
 // deployment of a given size, subsequent sessions of similar shape, on that
 // network or another, allocate only their Result (bitmap clone, meter,
 // diagnostic copies); the per-round hot path allocates nothing at all

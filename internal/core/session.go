@@ -36,16 +36,6 @@ type Result struct {
 	CheckSlotsPerRound []int
 }
 
-// rowMask is one word of a row mask: bit j of bits stands for the tag at
-// position word*64+j.
-type rowMask struct {
-	word int32
-	bits uint64
-}
-
-// span is a half-open index range.
-type span struct{ lo, hi int32 }
-
 // pendWord is one entry of the pending set: the tags at positions
 // word*64+j, for each set bit j of bits, picked or heard slot since the last
 // frame. An entry holds the bits one row mask turned on in one word of a
@@ -64,8 +54,8 @@ type pendWord struct {
 // exactly zero).
 //
 // Every per-tag array is indexed by position, the network's cell-sorted
-// numbering (topology.Network.Row), so one transmitter's neighbours sit in
-// a few words of a heard strip. Tag indices appear only where they are
+// numbering (topology.Network.Masks), so one transmitter's neighbours sit
+// in a few words of a heard strip. Tag indices appear only where they are
 // observable: the picker and IDs see them, the lossy channel draws in their
 // order, and the position-indexed meter is scattered back to them at
 // session end.
@@ -91,8 +81,8 @@ type session struct {
 	// heard it busy. Slot-major turns one transmitter's delivery of a slot
 	// into a few word operations: its row, as masks over positions, is ORed
 	// into the slot's strip, and position indexing keeps a row's neighbours
-	// in a handful of words. Out-of-system tags' bits stay clear; the row
-	// masks leave those tags out.
+	// in a handful of words. Out-of-system tags' bits stay clear: delivery
+	// ANDs the row masks with inSystemBits.
 	heard []uint64
 	words int // ⌈n/64⌉, the length of one slot's strip
 
@@ -129,16 +119,8 @@ type session struct {
 	// words, as (word, bits) pairs over positions, at
 	// slotTx[slotEnd[slot-1]:slotEnd[slot]] (from 0 for slot 0). slotEnd
 	// has f+1 entries and is all-zero between rounds.
-	slotTx  []rowMask
+	slotTx  []topology.Mask
 	slotEnd []int32
-
-	// Row masks, for delivery on both channels: the in-system neighbours of
-	// the tag at position k, as (word, bits) pairs over positions, are
-	// masks[maskSpan[k].lo:maskSpan[k].hi]. A row is derived on the tag's
-	// first transmission in a session (lo < 0 until then), so masks reaches
-	// a session-wide high-water mark like the pending buffers.
-	masks    []rowMask
-	maskSpan []span
 
 	// unknownCount[i] is the number of slots tag i still listens in — heard
 	// bit clear and not silenced — i.e. how many slots it monitors per
@@ -146,11 +128,13 @@ type session struct {
 	unknownCount []int32
 	// tier1 marks tags the reader can hear directly; inSystem marks tags
 	// with Tier > 0 (§II: the rest are outside the system entirely), and
-	// inSystemBits holds the same marks as a bitset over positions, a word
-	// of row mask at a time.
+	// inSystemBits holds the same marks as a bitset over positions, to AND
+	// with a row mask. allIn reports that every tag is in the system, when
+	// the AND changes nothing and is skipped.
 	tier1        []bool
 	inSystem     []bool
 	inSystemBits []uint64
+	allIn        bool
 
 	// meter is the Result's, indexed by tag; posMeter accumulates the
 	// session by position and is scattered into meter at session end.
@@ -285,8 +269,6 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	s.heard = grow(s.heard, f*s.words)
 	clear(s.heard)
 	s.slotEnd = grow(s.slotEnd, f+1)
-	s.masks = s.masks[:0]
-	s.maskSpan = grow(s.maskSpan, n)
 	s.unknownCount = grow(s.unknownCount, n)
 	s.tier1 = grow(s.tier1, n)
 	s.inSystem = grow(s.inSystem, n)
@@ -330,12 +312,12 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 		s.inSystem[k] = tier != 0
 		s.tier1[k] = tier == 1
 		s.unknownCount[k] = 0
-		s.maskSpan[k] = span{-1, -1}
 		if tier != 0 {
 			s.unknownCount[k] = int32(f)
 			s.inSystemBits[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
+	s.allIn = nw.Reachable == n
 }
 
 // silenced reports whether the indicator vector has put slot to sleep for
@@ -574,12 +556,13 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 
 // deliverBySlot runs the frame on the reliable channel, slot by slot. One
 // counting sort over the frame groups the live pending words by slot; each
-// slot's transmitters, the set bits of its words, then OR their row masks
-// into the slot's heard strip, and every word with bits that turn on is a
-// new pending word. No PRNG draws happen here, and heard bits, counts and
-// the pending set do not depend on delivery order, so words are appended
-// slot by slot, transmitter by transmitter, mask by mask. It returns the
-// number of transmitters and the bits they sent.
+// slot's transmitters, the set bits of its words, then OR their row masks,
+// less the out-of-system tags, into the slot's heard strip, and every word
+// with bits that turn on is a new pending word. No PRNG draws happen here,
+// and heard bits, counts and the pending set do not depend on delivery
+// order, so words are appended slot by slot, transmitter by transmitter,
+// mask by mask. It returns the number of transmitters and the bits they
+// sent.
 func (s *session) deliverBySlot() (txTags, txBits int) {
 	// Compact the live words to the front of the pending list, counting
 	// them per slot (at slotEnd[slot+1]) and collecting their tags in acc.
@@ -602,22 +585,15 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 	// first entry and finishes on the next slot's first entry.
 	s.slotTx = reserve(s.slotTx[:0], live)[:live]
 	for _, e := range s.pend[:live] {
-		s.slotTx[end[e.slot]] = rowMask{e.word, e.bits}
+		s.slotTx[end[e.slot]] = topology.Mask{Word: e.word, Bits: e.bits}
 		end[e.slot]++
 	}
 	s.pend = s.pend[:0]
 
-	// Each transmitter derives its row masks on its first transmission.
 	for w, b := range s.acc {
-		if b == 0 {
-			continue
-		}
-		s.acc[w] = 0
-		txTags += bits.OnesCount64(b)
-		for ; b != 0; b &= b - 1 {
-			if t := int32(w<<6 + bits.TrailingZeros64(b)); s.maskSpan[t].lo < 0 {
-				s.deriveMasks(t)
-			}
+		if b != 0 {
+			s.acc[w] = 0
+			txTags += bits.OnesCount64(b)
 		}
 	}
 
@@ -632,15 +608,19 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 		strip := s.heard[slot*s.words : (slot+1)*s.words]
 		reader := false
 		for _, e := range s.slotTx[lo:hi] {
-			for b := e.bits; b != 0; b &= b - 1 {
-				t := e.word<<6 + int32(bits.TrailingZeros64(b))
+			for b := e.Bits; b != 0; b &= b - 1 {
+				t := e.Word<<6 + int32(bits.TrailingZeros64(b))
 				s.posMeter.AddSent(int(t), 1)
 				reader = reader || s.tier1[t]
-				sp := s.maskSpan[t]
-				s.pend = reserve(s.pend, int(sp.hi-sp.lo))
-				for _, m := range s.masks[sp.lo:sp.hi] {
-					if fresh := m.bits &^ strip[m.word]; fresh != 0 {
-						s.hear(strip, int32(slot), m.word, fresh)
+				row := s.nw.Masks(int(t))
+				s.pend = reserve(s.pend, len(row))
+				for _, m := range row {
+					fresh := m.Bits &^ strip[m.Word]
+					if !s.allIn {
+						fresh &= s.inSystemBits[m.Word]
+					}
+					if fresh != 0 {
+						s.hear(strip, int32(slot), m.Word, fresh)
 					}
 				}
 			}
@@ -652,35 +632,6 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 	}
 	end[s.f] = 0
 	return txTags, txBits
-}
-
-// deriveMasks writes the row masks of the tag at position k: its in-system
-// neighbours, one mask per run of neighbours that share a word and ascend
-// in it. It gathers the row's bits a word at a time and keeps each word's
-// in-system part. So a mask's bits, taken in ascending order, list its
-// neighbours in row order, the lossy channel's draw order. Built rows are
-// ascending, so each word appears once; a row out of order (the
-// identity-numbered twin of TestNumberingInvariant) only splits a word
-// across masks, which delivers the same bits.
-func (s *session) deriveMasks(k int32) {
-	row := s.nw.Row(int(k))
-	lo := len(s.masks)
-	s.masks = reserve(s.masks, len(row))
-	var word int32 // a flush before the first neighbour flushes nothing
-	var acc uint64
-	for _, v := range row {
-		if v>>6 != word || acc>>(uint(v)&63) != 0 {
-			if acc &= s.inSystemBits[word]; acc != 0 {
-				s.masks = append(s.masks, rowMask{word, acc})
-			}
-			word, acc = v>>6, 0
-		}
-		acc |= 1 << (uint(v) & 63)
-	}
-	if acc &= s.inSystemBits[word]; acc != 0 {
-		s.masks = append(s.masks, rowMask{word, acc})
-	}
-	s.maskSpan[k] = span{int32(lo), int32(len(s.masks))}
 }
 
 // deliverByTag runs the frame on the lossy channel, transmitter by
@@ -732,9 +683,6 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 		txTags++
 		txBits += len(slots)
 		s.posMeter.AddSent(int(k), int64(len(slots)))
-		if s.maskSpan[k].lo < 0 {
-			s.deriveMasks(k)
-		}
 		s.deliverLossy(k, slots)
 	}
 	// Release the CSR view: txLen back to all-zero, O(touched).
@@ -749,22 +697,27 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 // channel pair by pair, slot outer and neighbour inner, with the reader
 // sensing each slot after its neighbours. This order is the channel's PRNG
 // draw order, which the golden lossy fingerprints pin. It walks the tag's
-// row masks: a mask's listeners, its bits not yet heard in the slot, come
-// in row order (see deriveMasks), so each draws once, in the order a walk
-// of the row would, and neighbours that heard the slot cost no load each.
+// row masks: a mask's listeners, its in-system bits not yet heard in the
+// slot, come in row order (see topology.Network), so each draws once, in
+// the order a walk of the row would, and neighbours that heard the slot
+// cost no load each.
 func (s *session) deliverLossy(k int32, slots []int32) {
-	sp := s.maskSpan[k]
+	row := s.nw.Masks(int(k))
 	for _, slot := range slots {
 		strip := s.heard[int(slot)*s.words : int(slot+1)*s.words]
-		for _, m := range s.masks[sp.lo:sp.hi] {
+		for _, m := range row {
+			listen := m.Bits &^ strip[m.Word]
+			if !s.allIn {
+				listen &= s.inSystemBits[m.Word]
+			}
 			var heard uint64
-			for listen := m.bits &^ strip[m.word]; listen != 0; listen &= listen - 1 {
+			for ; listen != 0; listen &= listen - 1 {
 				if !s.dropped() {
 					heard |= listen & -listen
 				}
 			}
 			if heard != 0 {
-				s.hear(strip, slot, m.word, heard)
+				s.hear(strip, slot, m.Word, heard)
 			}
 		}
 		if s.tier1[k] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
@@ -856,19 +809,27 @@ func (s *session) runCheckingFrame(round int) bool {
 		if heard {
 			break
 		}
-		// Propagate the wave one hop: listeners adjacent to a transmitter
-		// respond in the next slot. A joiner monitored C[1..j] before
-		// responding, so its whole listening bill lands here.
+		// Propagate the wave one hop: in-system listeners adjacent to a
+		// transmitter respond in the next slot, taken in row order. A joiner
+		// monitored C[1..j] before responding, so its whole listening bill
+		// lands here.
 		s.waveNext = s.waveNext[:0]
 		for _, u := range s.wave {
-			for _, v := range s.nw.Row(int(u)) {
-				if s.responded[v] || !s.inSystem[v] || s.dropped() {
-					continue
+			for _, m := range s.nw.Masks(int(u)) {
+				listen := m.Bits
+				if !s.allIn {
+					listen &= s.inSystemBits[m.Word]
 				}
-				s.responded[v] = true
-				s.respondedList = append(s.respondedList, v)
-				s.posMeter.AddReceived(int(v), int64(j))
-				s.waveNext = append(s.waveNext, v)
+				for ; listen != 0; listen &= listen - 1 {
+					v := m.Word<<6 + int32(bits.TrailingZeros64(listen))
+					if s.responded[v] || s.dropped() {
+						continue
+					}
+					s.responded[v] = true
+					s.respondedList = append(s.respondedList, v)
+					s.posMeter.AddReceived(int(v), int64(j))
+					s.waveNext = append(s.waveNext, v)
+				}
 			}
 		}
 		s.wave, s.waveNext = s.waveNext, s.wave

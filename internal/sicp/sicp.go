@@ -35,13 +35,14 @@
 // sort, and IDs travel in intrusive linked lists spliced onto the parent's
 // in O(1). One collection is O(messages + edges) with a constant number of
 // allocations. All per-tag state is indexed by the network's positions
-// (topology.Network.Row), so the neighbour walks read nearby memory; the
+// (topology.Network.Masks), so the neighbour walks read nearby memory; the
 // PRNG draws and the child lists keep tag index order, which is what pins
 // the results.
 package sicp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netags/internal/energy"
 	"netags/internal/obs"
@@ -267,8 +268,10 @@ func (c *collector) transmit(u int) {
 func (c *collector) sleep(u int32) {
 	var heard int64
 	msgs := c.msgs
-	for _, v := range c.nw.Row(int(u)) {
-		heard += int64(msgs[v])
+	for _, m := range c.nw.Masks(int(u)) {
+		for b := m.Bits; b != 0; b &= b - 1 {
+			heard += int64(msgs[m.Word<<6+int32(bits.TrailingZeros64(b))])
+		}
 	}
 	c.meter.AddReceived(int(u), (energy.IDBits-1)*heard)
 	idle := c.cumShort + c.cumLong - int64(msgs[u])
@@ -337,20 +340,32 @@ func (c *collector) buildTree() {
 	// globally-first transmitter of a tier claim its whole range.
 	// The draws go in tag index order, and the j-th candidate is the j-th
 	// upstream neighbour in the tag's neighbour list, which is its row's
-	// order. A draw depends only on the candidate count, so the rows are
-	// walked in position order: once to count into parent[k], then, after
-	// the draws have replaced the counts, once more to pick.
+	// order: its masks' bits, ascending. A draw depends only on the
+	// candidate count, so the rows are walked in position order: once to
+	// count into parent[k], then, after the draws have replaced the counts,
+	// once more to pick.
+	//
+	// up[r] marks the in-system tags whose tier is r mod 3. The in-system
+	// neighbours of a tag at tier t sit at tiers t−1, t and t+1 (the BFS
+	// layering), which differ mod 3, so its upstream neighbours are its
+	// row's masks ANDed with up[(t−1)%3].
+	words := (n + 63) / 64
+	upBits := make([]uint64, 3*words)
+	up := [3][]uint64{upBits[:words], upBits[words : 2*words], upBits[2*words:]}
+	for k, t := range c.tier {
+		if t > 0 {
+			up[t%3][k>>6] |= 1 << (uint(k) & 63)
+		}
+	}
 	for k, t := range c.tier {
 		if t < 2 {
 			continue
 		}
-		cnt := int32(0)
-		for _, v := range nw.Row(k) {
-			if c.tier[v] == t-1 {
-				cnt++
-			}
+		upstream, cnt := up[(t-1)%3], 0
+		for _, m := range nw.Masks(k) {
+			cnt += bits.OnesCount64(m.Bits & upstream[m.Word])
 		}
-		c.parent[k] = cnt
+		c.parent[k] = int32(cnt)
 	}
 	for i, t := range nw.Tier {
 		if t >= 2 {
@@ -364,15 +379,18 @@ func (c *collector) buildTree() {
 		if t < 2 {
 			continue
 		}
-		j := c.parent[k]
-		for _, v := range nw.Row(k) {
-			if c.tier[v] == t-1 {
-				if j == 0 {
-					c.parent[k] = v
-					break
-				}
-				j--
+		upstream, j := up[(t-1)%3], int(c.parent[k])
+		for _, m := range nw.Masks(k) {
+			b := m.Bits & upstream[m.Word]
+			if cnt := bits.OnesCount64(b); j >= cnt {
+				j -= cnt
+				continue
 			}
+			for ; j > 0; j-- {
+				b &= b - 1
+			}
+			c.parent[k] = m.Word<<6 + int32(bits.TrailingZeros64(b))
+			break
 		}
 	}
 

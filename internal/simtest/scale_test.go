@@ -100,10 +100,10 @@ func TestScaleSessionMatchesDirect(t *testing.T) {
 // the pooled kernel, twice (to exercise arena reuse at full scale), matching
 // DirectBitmap exactly and staying inside explicit duration and heap
 // budgets. The budgets are deliberately loose — far over the measured
-// ~0.2 s/session and ~250 MiB live heap (2-core Xeon @ 2.1 GHz; the
-// adjacency dominates the heap, the arena is 32 MB of heard bits) — so
-// they catch asymptotic regressions (an accidental O(n) alloc per round, a
-// retained per-round slice) rather than machine-speed noise.
+// ~0.2 s/session and ~150 MiB live heap (2-core Xeon @ 2.1 GHz; the
+// adjacency's row masks are ~63 MB of it, the arena 32 MB of heard bits)
+// — so they catch asymptotic regressions (an accidental O(n) alloc per
+// round, a retained per-round slice) rather than machine-speed noise.
 func TestScaleMillionTagSmoke(t *testing.T) {
 	requireScale(t)
 	const n = 1_000_000

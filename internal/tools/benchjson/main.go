@@ -18,6 +18,11 @@
 // (mannWhitney), which reports whether the shift stands out from the runs'
 // spread, and a shift verdict: faster, slower or unresolved (see shift).
 // Neither enters the pass/fail verdict.
+//
+// The ab subcommand reads two files of interleaved-pair output, a base
+// revision's and a change's (make bench-ab), and prints per benchmark the
+// change's wins, both medians, the base's interquartile range and a
+// one-sided sign-test p (see runAB).
 package main
 
 import (
@@ -87,9 +92,10 @@ type summary struct {
 	NsPerOp     stat   `json:"ns_per_op"`
 	BytesPerOp  stat   `json:"bytes_per_op"`
 	AllocsPerOp stat   `json:"allocs_per_op"`
-	// nsRuns holds the ns/op of every run, for the rank test; it is
-	// rebuilt from the raw benchmarks, not stored.
-	nsRuns []float64
+	// nsRuns and allocRuns hold the ns/op and allocs/op of every run, in
+	// run order, for the rank test and the ab pairs; they are rebuilt from
+	// the raw benchmarks, not stored.
+	nsRuns, allocRuns []float64
 }
 
 type document struct {
@@ -111,6 +117,13 @@ type document struct {
 
 func main() {
 	args := os.Args[1:]
+	if len(args) > 0 && args[0] == "ab" {
+		if err := runAB(args[1:], os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if len(args) > 0 && args[0] == "compare" {
 		ok, err := runCompare(args[1:], os.Stdin, os.Stdout)
 		if err != nil {
@@ -231,6 +244,7 @@ func summarize(bs []result) []summary {
 			BytesPerOp:  newStat(a.bytes),
 			AllocsPerOp: newStat(a.allocs),
 			nsRuns:      a.ns,
+			allocRuns:   a.allocs,
 		})
 	}
 	return out

@@ -450,3 +450,68 @@ func TestCompareShiftVerdict(t *testing.T) {
 		t.Errorf("tally missing:\n%s", out.String())
 	}
 }
+
+// TestABPairs: the i-th run in the base file pairs with the i-th in the
+// change's, ties count for neither side, and a benchmark missing from the
+// change's runs is reported rather than paired.
+func TestABPairs(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.txt")
+	change := filepath.Join(dir, "change.txt")
+	if err := os.WriteFile(base, []byte(`BenchmarkHot-2	10	100 ns/op	8 allocs/op
+BenchmarkGone-2	10	5 ns/op
+BenchmarkHot-2	10	120 ns/op	8 allocs/op
+BenchmarkHot-2	10	110 ns/op	8 allocs/op
+BenchmarkHot-2	10	90 ns/op	8 allocs/op
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(change, []byte(`BenchmarkHot-2	10	90 ns/op	8 allocs/op
+BenchmarkHot-2	10	130 ns/op	8 allocs/op
+BenchmarkHot-2	10	100 ns/op	8 allocs/op
+BenchmarkHot-2	10	90 ns/op	8 allocs/op
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := runAB([]string{base, change}, &out); err != nil {
+		t.Fatal(err)
+	}
+	// Pairs (100,90) win, (120,130) loss, (110,100) win, (90,90) tie: 2 of
+	// 4, with the sign test over the 3 untied pairs: p = 4/8.
+	hot := rowOf(t, out.String(), "BenchmarkHot")
+	for _, want := range []string{"2/4", "105", "95", "0.5000", "8→8"} {
+		if !strings.Contains(hot, want) {
+			t.Errorf("row %q lacks %q", hot, want)
+		}
+	}
+	if !strings.Contains(rowOf(t, out.String(), "BenchmarkGone"), "missing") {
+		t.Errorf("a benchmark absent from the change's runs is not reported:\n%s", out.String())
+	}
+	if err := runAB([]string{base}, &out); err == nil {
+		t.Error("one file accepted")
+	}
+}
+
+// rowOf returns the line of out that starts with name.
+func rowOf(t *testing.T, out, name string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			return line
+		}
+	}
+	t.Fatalf("no %s row in:\n%s", name, out)
+	return ""
+}
+
+func TestSignP(t *testing.T) {
+	for _, c := range []struct {
+		wins, n int
+		want    float64
+	}{{9, 10, 11.0 / 1024}, {10, 10, 1.0 / 1024}, {0, 10, 1}, {0, 0, 1}, {2, 3, 0.5}} {
+		if got := signP(c.wins, c.n); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("signP(%d, %d) = %v, want %v", c.wins, c.n, got, c.want)
+		}
+	}
+}

@@ -25,11 +25,13 @@ func checkSymmetric(t *testing.T, nw *topology.Network) {
 	}
 }
 
-// checkMatchesTwoPass fails unless every neighbour list, order included,
-// equals the two-pass builder's.
+// checkMatchesTwoPass fails unless both networks' mask CSRs are well formed
+// and every neighbour list, order included, equals the two-pass builder's.
 func checkMatchesTwoPass(t *testing.T, nw *topology.Network) {
 	t.Helper()
 	ref := topology.TwoPassAdjacency(nw)
+	checkMasks(t, nw, true)
+	checkMasks(t, ref, false)
 	for i := 0; i < nw.N(); i++ {
 		if got, want := nw.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
 			t.Fatalf("tag %d at %+v: neighbours %v, two-pass builder says %v (ranges %+v, obstacles %+v)",

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -18,12 +19,25 @@ func FuzzTopologyTiers(f *testing.F) {
 	f.Add([]byte{128, 128, 200, 128, 60, 128, 128, 200}, uint64(0))
 	f.Add([]byte{0, 0, 255, 255, 0, 255, 255, 0, 128, 128}, uint64(0x1234567))
 	f.Add([]byte{140, 128, 152, 128, 164, 128, 176, 128, 188, 128}, uint64(31))
+	// 140 tags in an 8 × 2 m strip running out from the reader, at r = 1.5,
+	// r' = 2 and R = 10: rows that span two mask words and tiers whose
+	// frontier spans several.
+	var strip []byte
+	for v := byte(1); len(strip) < 280; {
+		v = v*73 + 41 // full-period LCG mod 256
+		if len(strip)%2 == 0 {
+			strip = append(strip, 128+v%33)
+		} else {
+			strip = append(strip, 124+v%9)
+		}
+	}
+	f.Add(strip, uint64(0x1000c))
 	f.Fuzz(func(t *testing.T, raw []byte, rangeBits uint64) {
 		if len(raw) < 2 {
 			return
 		}
-		if len(raw) > 96 {
-			raw = raw[:96] // ≤48 tags keeps the quadratic oracle cheap
+		if len(raw) > 288 {
+			raw = raw[:288] // ≤ 144 tags: past two mask words, and the quadratic oracle stays cheap
 		}
 		// Each coordinate byte maps to [-32, 31.75]: dense enough around the
 		// ranges below that every tier relation is exercised.
@@ -68,8 +82,8 @@ func FuzzTopologyTiers(f *testing.F) {
 	})
 }
 
-// FuzzTopologyAdjacency checks the position numbering (checkNumbering) and
-// every tag's neighbour list, order included, against the two-pass builder
+// FuzzTopologyAdjacency checks the position numbering (checkNumbering), the
+// mask CSR's structure (checkMasks) and every tag's neighbour list, order included, against the two-pass builder
 // (topology.TwoPassAdjacency) over byte-derived deployments with zero to
 // two walls. Neighbour order sets the lossy channel's per-pair draw order
 // and SICP's parent adoption, so a builder that finds the right neighbours
@@ -89,12 +103,20 @@ func FuzzTopologyAdjacency(f *testing.F) {
 		blob = append(blob, 118+v%21)
 	}
 	f.Add(blob, uint64(0x20000))
+	// 140 tags in the same square with no wall: rows that span three mask
+	// words.
+	blob = []byte{0}
+	for v := byte(1); len(blob) < 281; {
+		v = v*73 + 41
+		blob = append(blob, 118+v%21)
+	}
+	f.Add(blob, uint64(0x20000))
 	f.Fuzz(func(t *testing.T, raw []byte, rangeBits uint64) {
 		if len(raw) < 1 {
 			return
 		}
-		if len(raw) > 137 {
-			raw = raw[:137] // ≤ 64 tags keeps the oracle cheap
+		if len(raw) > 297 {
+			raw = raw[:297] // ≤ 148 tags: past two mask words, and the oracle stays cheap
 		}
 		// Coordinates step by 0.1 m over [-12.8, 12.7]: 0.1 is inexact in
 		// binary, so cross products round and near-collinear walls can
@@ -122,7 +144,9 @@ func FuzzTopologyAdjacency(f *testing.F) {
 			t.Fatalf("build rejected a valid input: %v", err)
 		}
 		checkNumbering(t, nw)
+		checkMasks(t, nw, true)
 		ref := topology.TwoPassAdjacency(nw)
+		checkMasks(t, ref, false)
 		for i := range d.Tags {
 			if got, want := nw.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
 				t.Fatalf("tag %d at %+v: neighbours %v, two-pass builder says %v (r=%v, walls %+v)",
@@ -160,6 +184,48 @@ func checkNumbering(t *testing.T, nw *topology.Network) {
 		}
 		if got := nw.Neighbors(int(i)); !slices.Equal(got, mapped) {
 			t.Fatalf("tag %d: Neighbors %v, its row maps to %v", i, got, mapped)
+		}
+	}
+}
+
+// checkMasks fails unless nw's mask CSR is well formed: no mask is empty,
+// holds a position past the last tag, or holds its own row's bit; every bit
+// has its twin in the other row; and Degree counts Neighbors. With
+// ascending set, as for built rows, each row's words must also strictly
+// ascend: one mask per word.
+func checkMasks(t *testing.T, nw *topology.Network, ascending bool) {
+	t.Helper()
+	has := func(k, v int) bool {
+		for _, m := range nw.Masks(k) {
+			if int(m.Word) == v>>6 && m.Bits&(1<<(uint(v)&63)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for k := 0; k < nw.N(); k++ {
+		row := nw.Masks(k)
+		for j, m := range row {
+			if m.Bits == 0 {
+				t.Fatalf("row %d: empty mask %d of %+v", k, j, row)
+			}
+			if ascending && j > 0 && row[j-1].Word >= m.Word {
+				t.Fatalf("row %d: words not strictly ascending: %+v", k, row)
+			}
+			for b := m.Bits; b != 0; b &= b - 1 {
+				v := int(m.Word)<<6 + bits.TrailingZeros64(b)
+				switch {
+				case v >= nw.N():
+					t.Fatalf("row %d: position %d past the last tag", k, v)
+				case v == k:
+					t.Fatalf("row %d: self bit", k)
+				case !has(v, k):
+					t.Fatalf("row %d holds %d, but row %d lacks %d", k, v, v, k)
+				}
+			}
+		}
+		if i := int(nw.Order()[k]); nw.Degree(i) != len(nw.Neighbors(i)) {
+			t.Fatalf("tag %d: degree %d, %d neighbours", i, nw.Degree(i), len(nw.Neighbors(i)))
 		}
 	}
 }

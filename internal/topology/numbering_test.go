@@ -86,11 +86,12 @@ func viewCollect(res *sicp.Result) collectView {
 
 // TestNumberingInvariant runs the kernels that walk the position-numbered
 // adjacency (the CCM session, SICP and CICP) on a built network and on its
-// identity-numbered twin (topology.TwoPassAdjacency), and requires
-// identical output: the cell-sorted numbering is an internal layout, never
-// an observable. The twin's positions are the tag indices themselves, so a
-// kernel that let positions leak into a result, a picker call, or the lossy
-// channel's draw order would diverge here.
+// identity-numbered twin (topology.TwoPassAdjacency), whose out-of-order
+// rows must split some word across masks, and requires identical output:
+// the cell-sorted numbering is an internal layout, never an observable. The
+// twin's positions are the tag indices themselves, so a kernel that let
+// positions leak into a result, a picker call, or the lossy channel's draw
+// order would diverge here.
 func TestNumberingInvariant(t *testing.T) {
 	const n = 800
 	deployments := []struct {
@@ -118,6 +119,9 @@ func TestNumberingInvariant(t *testing.T) {
 						t.Fatal(err)
 					}
 					twin := topology.TwoPassAdjacency(nw)
+					if !splitsWord(twin) {
+						t.Fatal("no twin row splits a word, so the backward-row draw order goes unexercised")
+					}
 					if !slices.Equal(nw.Tier, twin.Tier) || nw.K != twin.K || nw.Reachable != twin.Reachable {
 						t.Fatalf("tiers differ: K=%d/%d Reachable=%d/%d", nw.K, twin.K, nw.Reachable, twin.Reachable)
 					}
@@ -187,6 +191,22 @@ func checkCollectInvariant(t *testing.T, nw, twin *topology.Network, seed uint64
 				proto.name, views[0].Clock, views[1].Clock, len(views[0].Collected), len(views[1].Collected))
 		}
 	}
+}
+
+// splitsWord reports whether some row of nw holds one word in two masks, as
+// a row that goes backwards inside a word does.
+func splitsWord(nw *topology.Network) bool {
+	for k := 0; k < nw.N(); k++ {
+		row := nw.Masks(k)
+		for j := range row {
+			for _, m := range row[:j] {
+				if m.Word == row[j].Word {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // summary shortens a session view for a failure message.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"netags/internal/geom"
 )
@@ -61,16 +62,26 @@ func (rg Ranges) CheckingFrameLen() int {
 	return 2 * rg.EstimatedTiers()
 }
 
+// Mask is one word of a row: bit j of Bits stands for the tag at position
+// Word*64+j.
+type Mask struct {
+	Word int32
+	Bits uint64
+}
+
 // Network is the derived structure for one reader over one deployment.
 //
-// Adjacency is stored once, in compressed sparse row form over positions:
-// the tags renumbered in the cell-sorted order the builder computes, so that
-// tags near each other in space sit near each other in memory. Position k
-// holds tag order[k] and tag i sits at position rank[i]; row k,
-// adj[offsets[k]:offsets[k+1]], lists the positions adjacent to k in
-// ascending order. The kernels (the CCM session, SICP, the tier BFS) walk
-// rows and index their own per-tag state by position; everything a caller
-// sees (Tier, Neighbors, results) keeps the original tag indices.
+// Adjacency is stored once, as a compressed sparse row of masks over
+// positions: the tags renumbered in the cell-sorted order the builder
+// computes, so that tags near each other in space sit near each other in
+// memory. Position k holds tag order[k] and tag i sits at position rank[i];
+// row k, masks[moff[k]:moff[k+1]], holds the positions adjacent to k, one
+// mask per word they occupy, in ascending word order. A row's bits taken in
+// ascending order are its neighbours in ascending position: the row order
+// every neighbour walk follows. The kernels (the CCM session, SICP, the tier
+// BFS) OR or walk those masks and index their own per-tag state by position;
+// everything a caller sees (Tier, Neighbors, results) keeps the original tag
+// indices.
 type Network struct {
 	Deployment *geom.Deployment
 	Ranges     Ranges
@@ -83,10 +94,10 @@ type Network struct {
 	// unaffected.
 	Obstacles []geom.Segment
 
-	offsets []int32
-	adj     []int32
-	order   []int32
-	rank    []int32
+	moff  []int32
+	masks []Mask
+	order []int32
+	rank  []int32
 	// posTier[k] is Tier[order[k]].
 	posTier []int16
 
@@ -127,12 +138,11 @@ func BuildObstructed(d *geom.Deployment, readerIdx int, rg Ranges, obstacles []g
 
 // Neighbors returns the indices of tags within TagToTag range of tag i, in
 // ascending order of their positions — the order every neighbour walk
-// visits them in. It returns a fresh copy mapped from the position row, for
-// tests and cold paths; kernels walk Row instead.
+// visits them in. It decodes a fresh copy from the tag's row, for tests and
+// cold paths; kernels walk Masks instead.
 func (nw *Network) Neighbors(i int) []int32 {
-	row := nw.Row(int(nw.rank[i]))
-	out := make([]int32, len(row))
-	for j, k := range row {
+	out := nw.Row(int(nw.rank[i]))
+	for j, k := range out {
 		out[j] = nw.order[k]
 	}
 	return out
@@ -140,13 +150,29 @@ func (nw *Network) Neighbors(i int) []int32 {
 
 // Degree returns the number of neighbors of tag i.
 func (nw *Network) Degree(i int) int {
-	return len(nw.Row(int(nw.rank[i])))
+	d := 0
+	for _, m := range nw.Masks(int(nw.rank[i])) {
+		d += bits.OnesCount64(m.Bits)
+	}
+	return d
 }
 
-// Row returns the positions adjacent to position k, ascending. The slice
-// aliases internal storage and must not be modified.
+// Masks returns row k: the positions adjacent to position k, as masks in
+// row order. The slice aliases internal storage and must not be modified.
+func (nw *Network) Masks(k int) []Mask {
+	return nw.masks[nw.moff[k]:nw.moff[k+1]]
+}
+
+// Row returns the positions adjacent to position k in row order, decoded
+// into a fresh slice from its masks. It is for tests and cold paths.
 func (nw *Network) Row(k int) []int32 {
-	return nw.adj[nw.offsets[k]:nw.offsets[k+1]]
+	var row []int32
+	for _, m := range nw.Masks(k) {
+		for b := m.Bits; b != 0; b &= b - 1 {
+			row = append(row, m.Word<<6+int32(bits.TrailingZeros64(b)))
+		}
+	}
+	return row
 }
 
 // Order returns the position → tag index permutation: position k holds tag
@@ -175,10 +201,9 @@ func (nw *Network) TierCounts() []int {
 	return counts
 }
 
-// buildAdjacency fills the CSR adjacency in one half-stencil pass over a
-// uniform grid whose cells are TagToTag wide (wider only where that grid
-// would exceed max(4n, 2^16) cells), testing each candidate pair exactly
-// once.
+// buildAdjacency fills the mask CSR in one half-stencil pass over a uniform
+// grid whose cells are TagToTag wide (wider only where that grid would
+// exceed max(4n, 2^16) cells), testing each candidate pair exactly once.
 //
 // Tags are counting-sorted into cells, row-major by cell id and by tag index
 // within a cell; position k in that order holds tag order[k], with its
@@ -197,16 +222,21 @@ func (nw *Network) TierCounts() []int {
 // link needs Dist2 ≤ r² and an unblocked path, both symmetric in their
 // endpoints, so one test per pair decides the link both ways.
 //
-// The scatter then walks the forward lists in ascending k: a hit (k, b)
-// appends k to row b and b to row k. Every earlier neighbour of k has
-// already appended itself by the time k writes its forward hits, so each
-// row is its backward neighbours in ascending order followed by its forward
-// ones: sorted. Rows are laid out in position order, so the scatter's
-// writes advance through adj nearly sequentially.
+// Before the test pass each row gets room for one mask per word that its
+// cell's bands (cells cx−1 … cx+1 of the previous, own and next cell rows)
+// touch, which bounds its masks. The scatter then walks the forward lists
+// in ascending k. A hit
+// (k, b) ORs k's bit into row b's last mask, or opens the next one when k
+// starts a new word; k's own forward hits are shifted into its row a fetched
+// word at a time. Every earlier neighbour of k has ORed itself in by the
+// time k writes its forward hits, so each row is its backward neighbours
+// followed by its forward ones: ascending, one mask per word. Row k is then
+// complete and moves down to close the gap its unused room left; it never
+// reaches row k+1's room, which starts past k's.
 func (nw *Network) buildAdjacency() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
-	nw.offsets = make([]int32, n+1)
+	nw.moff = make([]int32, n+1)
 	if n == 0 {
 		return
 	}
@@ -260,77 +290,87 @@ func (nw *Network) buildAdjacency() {
 	}
 	nw.order = order
 
-	// windows returns cell c's two candidate windows beyond its own members:
-	// the own row runs to the end of c+1 (when it exists), the next row
-	// spans c+cols−1 … c+cols+1, clipped at the grid's edges.
-	windows := func(cx, cy int) (rowEnd, nextLo, nextHi int32) {
+	// band returns the positions of cells cx−1 … cx+1 in cell row cy,
+	// clipped at the grid's edges, and nothing outside the grid. A tag at k
+	// in cell (cx, cy) is tested against two windows: its own row's band
+	// past k, and the next row's band.
+	band := func(cx, cy int) (lo, hi int32) {
+		if cy < 0 || cy >= rows {
+			return 0, 0
+		}
 		c := cy*cols + cx
-		rowEnd = cellStart[c+1]
+		lo, hi = cellStart[c], cellStart[c+1]
+		if cx > 0 {
+			lo = cellStart[c-1]
+		}
 		if cx+1 < cols {
-			rowEnd = cellStart[c+2]
+			hi = cellStart[c+2]
 		}
-		if cy+1 < rows {
-			lo, hi := c+cols, c+cols+1
-			if cx > 0 {
-				lo--
-			}
-			if cx+1 < cols {
-				hi++
-			}
-			nextLo, nextHi = cellStart[lo], cellStart[hi]
-		}
-		return rowEnd, nextLo, nextHi
+		return lo, hi
 	}
+	// spanned is the number of mask words the positions [lo, hi) touch.
+	spanned := func(lo, hi int32) int32 {
+		if lo == hi {
+			return 0
+		}
+		return (hi-1)>>6 - lo>>6 + 1
+	}
+	// Size the forward list, and give each row room for its masks: one per
+	// word that its cell's bands in the previous, own and next cell rows
+	// touch.
+	moff := nw.moff
 	nbits := 0
+	var room int32
 	for cy := 0; cy < rows; cy++ {
 		for cx := 0; cx < cols; cx++ {
 			c := cy*cols + cx
-			s, e := int(cellStart[c]), int(cellStart[c+1])
+			s, e := cellStart[c], cellStart[c+1]
 			if s == e {
 				continue
 			}
-			rowEnd, nextLo, nextHi := windows(cx, cy)
-			m := e - s
+			rowLo, rowEnd := band(cx, cy)
+			nextLo, nextHi := band(cx, cy+1)
+			m := int(e - s)
 			// Σ over the cell's members k of (rowEnd−k−1) + (nextHi−nextLo).
-			nbits += m*(int(rowEnd)-s) - m*(m+1)/2 + m*int(nextHi-nextLo)
+			nbits += m*int(rowEnd-s) - m*(m+1)/2 + m*int(nextHi-nextLo)
+			words := spanned(band(cx, cy-1)) + spanned(rowLo, rowEnd) + spanned(nextLo, nextHi)
+			for k := s; k < e; k++ {
+				moff[k] = room
+				room += words
+			}
 		}
 	}
+	moff[n] = room
 	fwd := make([]uint64, (nbits+63)/64)
 
-	// Test pass. deg[k] is the degree of the tag at k: its forward hits
-	// plus one per earlier tag that hit it. cellOf is dead and reused.
-	deg := cellOf
-	clear(deg)
+	// Test pass.
 	bit, word := 0, uint64(0)
 	for cy := 0; cy < rows; cy++ {
 		for cx := 0; cx < cols; cx++ {
 			c := cy*cols + cx
-			rowEnd, nextLo, nextHi := windows(cx, cy)
+			_, rowEnd := band(cx, cy)
+			nextLo, nextHi := band(cx, cy+1)
 			for k := cellStart[c]; k < cellStart[c+1]; k++ {
 				p := pts[k]
-				hits := int32(0)
 				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
 					for j := w[0]; j < w[1]; j++ {
-						// h is 0 or 1 and every counter takes it
+						// h is 0 or 1 and the word takes it
 						// unconditionally: about a third of candidates
 						// hit, too irregular for a branch to predict.
-						var h int32
+						var h uint64
 						if p.Dist2(pts[j]) <= r2 {
 							h = 1
 						}
 						if walled && h == 1 && geom.Blocked(obstacles, p, pts[j]) {
 							h = 0
 						}
-						word |= uint64(h) << (bit & 63)
-						deg[j] += h
-						hits += h
+						word |= h << (bit & 63)
 						if bit++; bit&63 == 0 {
 							fwd[bit>>6-1] = word
 							word = 0
 						}
 					}
 				}
-				deg[k] += hits
 			}
 		}
 	}
@@ -338,48 +378,76 @@ func (nw *Network) buildAdjacency() {
 		fwd[bit>>6] = word
 	}
 
-	offsets := nw.offsets
-	for k := 0; k < n; k++ {
-		offsets[k+1] = offsets[k] + deg[k]
-	}
-	adj := make([]int32, offsets[n])
-	nw.adj = adj
-
-	// Scatter pass: cursor[k] is the next free slot of row k.
-	cursor := deg
-	copy(cursor, offsets[:n])
+	// Scatter pass: last[k] indexes row k's last mask, which is still empty
+	// (all-zero) until the row's first hit. moff[k] is row k's room until
+	// the row moves down to out, then its final offset.
+	masks := make([]Mask, room)
+	last := cellOf // dead since the counting sort
+	copy(last, moff[:n])
+	out := int32(0)
 	bit = 0
 	for cy := 0; cy < rows; cy++ {
 		for cx := 0; cx < cols; cx++ {
 			c := cy*cols + cx
-			rowEnd, nextLo, nextHi := windows(cx, cy)
+			_, rowEnd := band(cx, cy)
+			nextLo, nextHi := band(cx, cy+1)
 			for k := cellStart[c]; k < cellStart[c+1]; k++ {
+				kw, kb := k>>6, uint64(1)<<(uint(k)&63)
 				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
 					// Walk the window's bits a word at a time.
 					for j := w[0]; j < w[1]; {
 						take := min(int32(64-bit&63), w[1]-j)
 						word := (fwd[bit>>6] >> (bit & 63)) & (1<<take - 1)
-						for ; word != 0; word &= word - 1 {
-							b := j + int32(bits.TrailingZeros64(word))
-							adj[cursor[b]] = k
-							cursor[b]++
-							adj[cursor[k]] = b
-							cursor[k]++
+						if word != 0 {
+							sh := uint(j) & 63
+							if lo := word << sh; lo != 0 {
+								orMask(masks, last, k, j>>6, lo)
+							}
+							if hi := word >> (64 - sh); hi != 0 {
+								orMask(masks, last, k, j>>6+1, hi)
+							}
+							for ; word != 0; word &= word - 1 {
+								orMask(masks, last, j+int32(bits.TrailingZeros64(word)), kw, kb)
+							}
 						}
 						j += take
 						bit += int(take)
 					}
 				}
+				end := last[k]
+				if masks[end].Bits != 0 {
+					end++
+				}
+				lo := moff[k]
+				moff[k] = out
+				out += int32(copy(masks[out:], masks[lo:end]))
 			}
 		}
 	}
+	moff[n] = out
+	// The room ran about a quarter over the rows (1.17–1.25 on the paper's
+	// and scale-1e5's networks); keeping only the rows trims that from the
+	// network's lifetime.
+	nw.masks = slices.Clone(masks[:out])
 
-	// The cursors are spent; their storage becomes rank.
-	rank := cursor
+	// last is spent; its storage becomes rank.
+	rank := last
 	for k, i := range order {
 		rank[i] = int32(k)
 	}
 	nw.rank = rank
+}
+
+// orMask ORs b, bits of word w, into row k, whose last mask is masks[last[k]]:
+// into that mask when it is empty or holds word w, else into the next one.
+func orMask(masks []Mask, last []int32, k, w int32, b uint64) {
+	m := &masks[last[k]]
+	if m.Word != w && m.Bits != 0 {
+		last[k]++
+		m = &masks[last[k]]
+	}
+	m.Word = w
+	m.Bits |= b
 }
 
 // computeTiers runs a BFS from the tier-1 set (tags within TagToReader of
@@ -388,47 +456,72 @@ func (nw *Network) buildAdjacency() {
 // indicator-vector broadcasts (§III-A), so a tag beyond ReaderToTag cannot
 // participate no matter how well it is relay-connected.
 //
-// The BFS runs over positions, walking rows; tiers are hop distances, so
-// the numbering does not change them. One scatter then fills Tier.
+// The BFS runs over positions, a tier at a time, on bitsets: the frontier's
+// row masks are ORed into next, and the words they touched, less the closed
+// tags (already tiered, or out of the field of view), are the next
+// frontier. Tiers are hop distances, so the numbering does not change them.
+// One scatter then fills Tier.
 func (nw *Network) computeTiers() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
 	tier := make([]int16, n)
-	queue := make([]int32, 0, n)
+	words := (n + 63) / 64
+	closed := make([]uint64, words)
+	next := make([]uint64, words) // all-zero between tiers
+	// A tier holds each word at most once.
+	frontier, grown := make([]Mask, 0, words), make([]Mask, 0, words)
+	touched := make([]int32, 0, words)
 	r1 := nw.Ranges.TagToReader
 	rb := nw.Ranges.ReaderToTag
-	inFieldOfView := make([]bool, n)
 	for k, i := range nw.order {
 		p := tags[i]
 		d := p.Dist(nw.Reader)
-		inFieldOfView[k] = d <= rb
+		w, b := int32(k>>6), uint64(1)<<(uint(k)&63)
 		// Tier 1 needs the weak tag→reader link, which obstacles block;
 		// the field of view (reader's high-power broadcast) is unaffected.
-		if d <= r1 && inFieldOfView[k] && !geom.Blocked(nw.Obstacles, p, nw.Reader) {
+		if d > rb {
+			closed[w] |= b
+		} else if d <= r1 && !geom.Blocked(nw.Obstacles, p, nw.Reader) {
 			tier[k] = 1
-			queue = append(queue, int32(k))
+			closed[w] |= b
+			if l := len(frontier) - 1; l >= 0 && frontier[l].Word == w {
+				frontier[l].Bits |= b
+			} else {
+				frontier = append(frontier, Mask{w, b})
+			}
+			nw.Reachable++
 		}
 	}
-	nw.Reachable = len(queue)
-	maxTier := int16(0)
-	if len(queue) > 0 {
-		maxTier = 1
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		next := tier[u] + 1
-		for _, v := range nw.Row(int(u)) {
-			if tier[v] == 0 && inFieldOfView[v] {
-				tier[v] = next
-				if next > maxTier {
-					maxTier = next
+	t := int16(1)
+	for ; len(frontier) > 0; t++ {
+		touched = touched[:0]
+		for _, f := range frontier {
+			for b := f.Bits; b != 0; b &= b - 1 {
+				for _, m := range nw.Masks(int(f.Word<<6) + bits.TrailingZeros64(b)) {
+					if next[m.Word] == 0 {
+						touched = append(touched, m.Word)
+					}
+					next[m.Word] |= m.Bits
 				}
-				nw.Reachable++
-				queue = append(queue, v)
 			}
 		}
+		grown = grown[:0]
+		for _, w := range touched {
+			b := next[w] &^ closed[w]
+			next[w] = 0
+			if b == 0 {
+				continue
+			}
+			closed[w] |= b
+			grown = append(grown, Mask{w, b})
+			nw.Reachable += bits.OnesCount64(b)
+			for ; b != 0; b &= b - 1 {
+				tier[w<<6+int32(bits.TrailingZeros64(b))] = t + 1
+			}
+		}
+		frontier, grown = grown, frontier
 	}
-	nw.K = int(maxTier)
+	nw.K = int(t - 1)
 	nw.posTier = tier
 	nw.Tier = make([]int16, n)
 	for k, i := range nw.order {

@@ -37,9 +37,10 @@ func TwoPassAdjacency(nw *Network) *Network {
 	return ref
 }
 
-// buildAdjacencyTwoPass is the two-pass builder, unchanged: it fills the CSR
-// adjacency using a uniform grid with cell size equal to the tag-to-tag
-// range, so each tag only tests the 3×3 surrounding cells.
+// buildAdjacencyTwoPass is the two-pass builder: it finds each tag's
+// neighbours using a uniform grid with cell size equal to the tag-to-tag
+// range, so each tag only tests the 3×3 surrounding cells, and lists them
+// in int32 rows that it then emits as masks.
 func (nw *Network) buildAdjacencyTwoPass() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
@@ -54,7 +55,7 @@ func (nw *Network) buildAdjacencyTwoPass() {
 		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 	}
 	if n == 0 {
-		nw.offsets = make([]int32, 1)
+		nw.moff = make([]int32, 1)
 		return
 	}
 	cols := int((maxX-minX)/r) + 1
@@ -122,16 +123,33 @@ func (nw *Network) buildAdjacencyTwoPass() {
 		forEachCandidate(i, func(int32) { d++ })
 		deg[i] = d
 	}
-	nw.offsets = make([]int32, n+1)
+	offsets := make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		nw.offsets[i+1] = nw.offsets[i] + deg[i]
+		offsets[i+1] = offsets[i] + deg[i]
 	}
-	nw.adj = make([]int32, nw.offsets[n])
+	adj := make([]int32, offsets[n])
 	cursor := make([]int32, n)
 	for i := 0; i < n; i++ {
 		forEachCandidate(i, func(j int32) {
-			nw.adj[nw.offsets[i]+cursor[i]] = j
+			adj[offsets[i]+cursor[i]] = j
 			cursor[i]++
 		})
+	}
+
+	// Emit the rows as masks, in row order: a row that goes backwards (a
+	// neighbour not above every bit of the current mask) starts a new mask,
+	// so a word can recur within a row and each mask's ascending bits stay
+	// a run of the row.
+	nw.moff = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for _, v := range adj[offsets[i]:offsets[i+1]] {
+			w, b := v>>6, uint64(1)<<(uint(v)&63)
+			if l := len(nw.masks) - 1; l >= int(nw.moff[i]) && nw.masks[l].Word == w && nw.masks[l].Bits < b {
+				nw.masks[l].Bits |= b
+			} else {
+				nw.masks = append(nw.masks, Mask{w, b})
+			}
+		}
+		nw.moff[i+1] = int32(len(nw.masks))
 	}
 }
