@@ -129,12 +129,10 @@ type session struct {
 	// tier1 marks tags the reader can hear directly; inSystem marks tags
 	// with Tier > 0 (§II: the rest are outside the system entirely), and
 	// inSystemBits holds the same marks as a bitset over positions, to AND
-	// with a row mask. allIn reports that every tag is in the system, when
-	// the AND changes nothing and is skipped.
+	// with a row mask.
 	tier1        []bool
 	inSystem     []bool
 	inSystemBits []uint64
-	allIn        bool
 
 	// meter is the Result's, indexed by tag; posMeter accumulates the
 	// session by position and is scattered into meter at session end.
@@ -317,7 +315,6 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 			s.inSystemBits[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
-	s.allIn = nw.Reachable == n
 }
 
 // silenced reports whether the indicator vector has put slot to sleep for
@@ -615,10 +612,7 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 				row := s.nw.Masks(int(t))
 				s.pend = reserve(s.pend, len(row))
 				for _, m := range row {
-					fresh := m.Bits &^ strip[m.Word]
-					if !s.allIn {
-						fresh &= s.inSystemBits[m.Word]
-					}
+					fresh := m.Bits &^ strip[m.Word] & s.inSystemBits[m.Word]
 					if fresh != 0 {
 						s.hear(strip, int32(slot), m.Word, fresh)
 					}
@@ -706,10 +700,7 @@ func (s *session) deliverLossy(k int32, slots []int32) {
 	for _, slot := range slots {
 		strip := s.heard[int(slot)*s.words : int(slot+1)*s.words]
 		for _, m := range row {
-			listen := m.Bits &^ strip[m.Word]
-			if !s.allIn {
-				listen &= s.inSystemBits[m.Word]
-			}
+			listen := m.Bits &^ strip[m.Word] & s.inSystemBits[m.Word]
 			var heard uint64
 			for ; listen != 0; listen &= listen - 1 {
 				if !s.dropped() {
@@ -816,10 +807,7 @@ func (s *session) runCheckingFrame(round int) bool {
 		s.waveNext = s.waveNext[:0]
 		for _, u := range s.wave {
 			for _, m := range s.nw.Masks(int(u)) {
-				listen := m.Bits
-				if !s.allIn {
-					listen &= s.inSystemBits[m.Word]
-				}
+				listen := m.Bits & s.inSystemBits[m.Word]
 				for ; listen != 0; listen &= listen - 1 {
 					v := m.Word<<6 + int32(bits.TrailingZeros64(listen))
 					if s.responded[v] || s.dropped() {
