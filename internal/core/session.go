@@ -93,7 +93,9 @@ type session struct {
 	// is set on entry), so the buffer reaches a session-wide high-water mark
 	// and stops growing. A pending pair whose slot has since been silenced
 	// is dead: it is never transmitted and does not count as data still to
-	// deliver.
+	// deliver. Only the lossy channel queues dead pairs; on the reliable
+	// channel deliverBySlot never delivers into a slot the reader silences
+	// at the end of the same frame, so every entry is live.
 	pend []pendWord
 	// acc is a ⌈n/64⌉-word scratch set over positions, all-zero between
 	// uses: the live entries are ORed into it to read the tags they hold
@@ -126,11 +128,11 @@ type session struct {
 	// bit clear and not silenced — i.e. how many slots it monitors per
 	// frame. Zero for out-of-system tags.
 	unknownCount []int32
-	// tier1 marks tags the reader can hear directly; inSystem marks tags
-	// with Tier > 0 (§II: the rest are outside the system entirely), and
-	// inSystemBits holds the same marks as a bitset over positions, to AND
-	// with a row mask.
-	tier1        []bool
+	// tier1Bits marks the tags the reader hears directly, as a bitset over
+	// positions; inSystem marks tags with Tier > 0 (§II: the rest are
+	// outside the system entirely), and inSystemBits holds the same marks as
+	// a bitset over positions, to AND with a row mask.
+	tier1Bits    []uint64
 	inSystem     []bool
 	inSystemBits []uint64
 
@@ -268,8 +270,9 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 	clear(s.heard)
 	s.slotEnd = grow(s.slotEnd, f+1)
 	s.unknownCount = grow(s.unknownCount, n)
-	s.tier1 = grow(s.tier1, n)
 	s.inSystem = grow(s.inSystem, n)
+	s.tier1Bits = grow(s.tier1Bits, s.words)
+	clear(s.tier1Bits)
 	s.inSystemBits = grow(s.inSystemBits, s.words)
 	clear(s.inSystemBits)
 	s.acc = grow(s.acc, s.words)
@@ -308,13 +311,20 @@ func (s *session) init(nw *topology.Network, cfg Config, meter *energy.Meter) {
 		// consume no energy (the same boundary sicp draws with its asleep
 		// set).
 		s.inSystem[k] = tier != 0
-		s.tier1[k] = tier == 1
 		s.unknownCount[k] = 0
 		if tier != 0 {
 			s.unknownCount[k] = int32(f)
 			s.inSystemBits[k>>6] |= 1 << (uint(k) & 63)
 		}
+		if tier == 1 {
+			s.tier1Bits[k>>6] |= 1 << (uint(k) & 63)
+		}
 	}
+}
+
+// tier1 reports whether the reader hears the tag at position k directly.
+func (s *session) tier1(k int32) bool {
+	return s.tier1Bits[k>>6]&(1<<(uint(k)&63)) != 0
 }
 
 // silenced reports whether the indicator vector has put slot to sleep for
@@ -492,7 +502,8 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 	// system and monitoring that slot (half duplex: a tag transmitting in
 	// the slot has its heard bit set). Collisions are benign: the first
 	// delivery sets the heard bit, later deliveries find it set. Newly
-	// heard slots land back in the pending list for the next round.
+	// heard slots land back in the pending list for the next round, except
+	// on the reliable channel in slots the reader hears (see deliverBySlot).
 	s.roundBusy.Reset()
 	if s.loss == nil {
 		txTags, txBits = s.deliverBySlot()
@@ -552,25 +563,26 @@ func (s *session) runRound(round int) (txTags, txBits int) {
 }
 
 // deliverBySlot runs the frame on the reliable channel, slot by slot. One
-// counting sort over the frame groups the live pending words by slot; each
-// slot's transmitters, the set bits of its words, then OR their row masks,
-// less the out-of-system tags, into the slot's heard strip, and every word
-// with bits that turn on is a new pending word. No PRNG draws happen here,
-// and heard bits, counts and the pending set do not depend on delivery
-// order, so words are appended slot by slot, transmitter by transmitter,
-// mask by mask. It returns the number of transmitters and the bits they
-// sent.
+// counting sort over the frame groups the pending words by slot, and a
+// slot's transmitters are the set bits of its words. The reader hears the
+// slot if any of them is tier 1. With the indicator vector on, such a slot
+// is silenced for every tag at the end of this frame, so its transmitters
+// pay their bit and nothing is delivered: a fresh hearer's pair would be
+// dead before it could transmit, and the listening count it would lose is
+// the one settleSilenced takes from every tag that had not heard the slot
+// before. In every other slot the transmitters OR their row masks, less
+// the out-of-system tags, into the slot's heard strip, and every word with
+// bits that turn on is a new pending word, in a slot the reader has not
+// silenced. No PRNG draws happen here, and heard bits, counts and the
+// pending set do not depend on delivery order, so words are appended slot
+// by slot, transmitter by transmitter, mask by mask. It returns the number
+// of transmitters and the bits they sent.
 func (s *session) deliverBySlot() (txTags, txBits int) {
-	// Compact the live words to the front of the pending list, counting
-	// them per slot (at slotEnd[slot+1]) and collecting their tags in acc.
+	// Count the pending words per slot (at slotEnd[slot+1]) and collect
+	// their tags in acc. All of them are live: no word is ever queued in a
+	// slot the reader has heard.
 	end := s.slotEnd
-	live := 0
 	for _, e := range s.pend {
-		if s.silenced(e.slot) {
-			continue
-		}
-		s.pend[live] = e
-		live++
 		end[e.slot+1]++
 		s.acc[e.word] |= e.bits
 		txBits += bits.OnesCount64(e.bits)
@@ -580,8 +592,9 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 	}
 	// Scatter with end[slot] as slot's cursor: it starts at the slot's
 	// first entry and finishes on the next slot's first entry.
+	live := len(s.pend)
 	s.slotTx = reserve(s.slotTx[:0], live)[:live]
-	for _, e := range s.pend[:live] {
+	for _, e := range s.pend {
 		s.slotTx[end[e.slot]] = topology.Mask{Word: e.word, Bits: e.bits}
 		end[e.slot]++
 	}
@@ -595,6 +608,7 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 	}
 
 	busy := s.roundBusy.Words()
+	indicator := !s.cfg.DisableIndicatorVector
 	lo := int32(0)
 	for slot := range s.f {
 		hi := end[slot]
@@ -602,13 +616,29 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 		if lo == hi {
 			continue
 		}
-		strip := s.heard[slot*s.words : (slot+1)*s.words]
+		tx := s.slotTx[lo:hi]
+		lo = hi
 		reader := false
-		for _, e := range s.slotTx[lo:hi] {
+		for _, e := range tx {
+			if e.Bits&s.tier1Bits[e.Word] != 0 {
+				reader = true
+				break
+			}
+		}
+		if reader {
+			busy[slot>>6] |= 1 << (uint(slot) & 63)
+		}
+		// The indicator vector silences a slot the reader hears at the end
+		// of this frame, so its transmitters deliver nothing.
+		skip := reader && indicator
+		strip := s.heard[slot*s.words : (slot+1)*s.words]
+		for _, e := range tx {
 			for b := e.Bits; b != 0; b &= b - 1 {
 				t := e.Word<<6 + int32(bits.TrailingZeros64(b))
 				s.posMeter.AddSent(int(t), 1)
-				reader = reader || s.tier1[t]
+				if skip {
+					continue
+				}
 				row := s.nw.Masks(int(t))
 				s.pend = reserve(s.pend, len(row))
 				for _, m := range row {
@@ -619,10 +649,6 @@ func (s *session) deliverBySlot() (txTags, txBits int) {
 				}
 			}
 		}
-		if reader {
-			busy[slot>>6] |= 1 << (uint(slot) & 63)
-		}
-		lo = hi
 	}
 	end[s.f] = 0
 	return txTags, txBits
@@ -696,7 +722,7 @@ func (s *session) deliverByTag() (txTags, txBits int) {
 // the order a walk of the row would, and neighbours that heard the slot
 // cost no load each.
 func (s *session) deliverLossy(k int32, slots []int32) {
-	row := s.nw.Masks(int(k))
+	row, reader := s.nw.Masks(int(k)), s.tier1(k)
 	for _, slot := range slots {
 		strip := s.heard[int(slot)*s.words : int(slot+1)*s.words]
 		for _, m := range row {
@@ -711,7 +737,7 @@ func (s *session) deliverLossy(k int32, slots []int32) {
 				s.hear(strip, slot, m.Word, heard)
 			}
 		}
-		if s.tier1[k] && !s.roundBusy.Get(int(slot)) && !s.dropped() {
+		if reader && !s.roundBusy.Get(int(slot)) && !s.dropped() {
 			s.roundBusy.Set(int(slot))
 		}
 	}
@@ -721,7 +747,10 @@ func (s *session) deliverLossy(k int32, slots []int32) {
 // them) against every in-system tag's listening count: a tag stops
 // listening in each new busy slot it had not already picked or heard. One
 // pass over the tags, then one refund per set bit of each new busy slot's
-// strip.
+// strip. On the reliable channel every such bit was set before this frame
+// (deliverBySlot delivers nothing into a slot the reader hears), so a tag
+// that would have heard the slot in this frame pays here the one count it
+// would have lost by hearing it.
 func (s *session) settleSilenced(count int) {
 	if count == 0 {
 		return
@@ -793,7 +822,7 @@ func (s *session) runCheckingFrame(round int) bool {
 			s.posMeter.AddSent(int(u), 1)
 		}
 		for _, u := range s.wave {
-			if s.tier1[u] && !s.dropped() {
+			if s.tier1(u) && !s.dropped() {
 				heard = true
 			}
 		}

@@ -281,7 +281,8 @@ func TestSessionTruncationReported(t *testing.T) {
 // (x = 19, tier 1) and tag D (x = 28, tier 3) sit on either side of B and C
 // (x = 23 and 24, tier 2), and one transmission puts two or more of them in
 // one pending word. Each case runs on both channels, the lossy one at a
-// loss that never drops.
+// loss that never drops. The reliable channel never queues the dead word:
+// it skips delivery into a slot the reader hears in the same frame.
 func TestPendingWords(t *testing.T) {
 	d := &geom.Deployment{
 		Tags:    []geom.Point{{X: 19}, {X: 23}, {X: 24}, {X: 28}},
@@ -300,25 +301,43 @@ func TestPendingWords(t *testing.T) {
 			// A's slot 3 reaches B and C as one word in round 1, and the
 			// reader, which hears A, silences slot 3 before they relay it:
 			// the word is dead. It never transmits, C[1] has no responder,
-			// and the session ends untruncated after one round.
+			// and the session ends untruncated after one round. The
+			// reliable channel does not deliver it at all, so slot 3's
+			// strip holds only A's pick.
 			cfg := Config{FrameSize: 8, Picker: fixedPicker(map[int][]int{0: {3}}),
 				LossProb: loss, LossSeed: 1}
 			var s session
 			s.init(nw, cfg, energy.NewMeter(nw.N()))
 			s.seedInitialPicks()
 			s.runRound(1)
-			heard := 0
-			for _, e := range s.pend {
-				if e.slot != 3 || !s.silenced(e.slot) {
-					t.Errorf("pending entry %+v, want slot 3, silenced", e)
+			if loss == 0 {
+				if len(s.pend) != 0 {
+					t.Errorf("%d pending words after round 1, want 0", len(s.pend))
 				}
-				heard += bits.OnesCount64(e.bits)
-			}
-			if heard != 2 {
-				t.Errorf("%d pending pairs after round 1, want B and C", heard)
-			}
-			if len(s.pend) != 1 {
-				t.Errorf("%d pending words, want 1", len(s.pend))
+				a := s.rank[0]
+				for w, b := range s.heard[3*s.words : 4*s.words] {
+					want := uint64(0)
+					if int32(w) == a>>6 {
+						want = 1 << (uint(a) & 63)
+					}
+					if b != want {
+						t.Errorf("slot 3 strip word %d = %#x, want %#x (A's bit only)", w, b, want)
+					}
+				}
+			} else {
+				heard := 0
+				for _, e := range s.pend {
+					if e.slot != 3 || !s.silenced(e.slot) {
+						t.Errorf("pending entry %+v, want slot 3, silenced", e)
+					}
+					heard += bits.OnesCount64(e.bits)
+				}
+				if heard != 2 {
+					t.Errorf("%d pending pairs after round 1, want B and C", heard)
+				}
+				if len(s.pend) != 1 {
+					t.Errorf("%d pending words, want 1", len(s.pend))
+				}
 			}
 			res, err := RunSession(nw, cfg)
 			if err != nil {
@@ -344,6 +363,58 @@ func TestPendingWords(t *testing.T) {
 			if res.Rounds != 1 || !res.Truncated || res.Bitmap.Get(5) {
 				t.Errorf("rounds=%d truncated=%v slot 5=%v, want 1, true, false",
 					res.Rounds, res.Truncated, res.Bitmap.Get(5))
+			}
+		})
+	}
+}
+
+// TestReliableChannelQueuesNoDeadWords pins the invariant that lets
+// deliverBySlot count every pending word as live: on the reliable channel
+// with the indicator vector on, no round leaves a pending entry in a
+// silenced slot. It steps paper-like sessions (full and sampled
+// participation) and sessions whose tag counts straddle a 64-tag word
+// through the round loop by hand and checks the pending set after every
+// round, up to the session's own stopping point.
+func TestReliableChannelQueuesNoDeadWords(t *testing.T) {
+	type tc struct {
+		name string
+		nw   *topology.Network
+		cfg  Config
+	}
+	var cases []tc
+	for _, r := range []float64{2, 6} {
+		nw := diskNetwork(t, 2000, r, 21)
+		cases = append(cases,
+			tc{fmt.Sprintf("trp-like/r=%g", r), nw, Config{FrameSize: 646, Seed: 3, Sampling: 1}},
+			tc{fmt.Sprintf("gmle-like/r=%g", r), nw, Config{FrameSize: 334, Seed: 3, Sampling: 0.27}})
+	}
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
+		cases = append(cases, tc{fmt.Sprintf("n=%d", n), diskNetwork(t, n, 8, uint64(n)),
+			Config{FrameSize: 40, Seed: uint64(n), Sampling: 1}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.cfg.validate(c.nw); err != nil {
+				t.Fatal(err)
+			}
+			var s session
+			s.init(c.nw, c.cfg, energy.NewMeter(c.nw.N()))
+			s.seedInitialPicks()
+			rounds := 0
+			for round := 1; round <= c.cfg.maxRounds(c.nw); round++ {
+				s.runRound(round)
+				rounds = round
+				for _, e := range s.pend {
+					if s.silenced(e.slot) {
+						t.Fatalf("round %d: pending entry %+v in a silenced slot", round, e)
+					}
+				}
+				if !s.runCheckingFrame(round) {
+					break
+				}
+			}
+			if rounds < 2 {
+				t.Errorf("session ran %d rounds, want at least 2 to exercise relays", rounds)
 			}
 		})
 	}

@@ -30,7 +30,14 @@ var wordBoundarySeeds = []struct {
 // the per-pair lossy loop at a loss that never drops (as in
 // TestMetamorphicSilentLoss), which pits the row-mask kernel against the
 // row walk on every input. A non-zero tags pins a uniform scenario to that
-// many tags (NewScenarioTags); zero takes the generator's own scenario.
+// many tags (NewScenarioTags); zero takes the generator's own scenario. A
+// lossBits of 32768 or more turns the indicator vector off, as the golden
+// no-indicator variant does, so the reliable kernel's full delivery, which
+// the indicator's skip of heard slots bypasses, meets the row walk too.
+// Without the vector a slot floods until every tag of its component has
+// heard it, one hop per round, so those sessions may run up to one round
+// per tag: the golden variant's 4(K+2) rounds cut the flood of the
+// noindicator-long-flood corpus entry (93 tags, K = 1, 13 rounds).
 func FuzzSession(f *testing.F) {
 	f.Add(uint64(1), uint16(32), uint16(0), uint16(0), uint8(0))
 	f.Add(uint64(0xda53caa1dd258d4), uint16(128), uint16(1), uint16(0), uint8(0))
@@ -41,6 +48,8 @@ func FuzzSession(f *testing.F) {
 	for _, c := range wordBoundarySeeds {
 		f.Add(c.seed, uint16(200), uint16(0), uint16(0), c.tags)
 	}
+	// The flooding ablation on the reliable channel (33250 % 950 == 0).
+	f.Add(uint64(1), uint16(32), uint16(0), uint16(33250), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, frameBits, styleBits, lossBits uint16, tags uint8) {
 		sc := NewScenario(seed)
 		if tags != 0 {
@@ -54,6 +63,10 @@ func FuzzSession(f *testing.F) {
 			MaxRounds:        k + 2,
 			LossProb:         float64(lossBits%950) / 1000,
 			LossSeed:         prng.DeriveSeed(seed, uint64(lossBits)),
+		}
+		if lossBits >= 32768 {
+			cfg.DisableIndicatorVector = true
+			cfg.MaxRounds = sc.Network.N() + 2
 		}
 		switch styleBits % 3 {
 		case 0:
