@@ -70,6 +70,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSession$$' -fuzztime $(FUZZTIME) ./internal/simtest/
 	go test -run '^$$' -fuzz '^FuzzJobSpecKey$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	go test -run '^$$' -fuzz '^FuzzStreamCursor$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzHashRing$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # Sequential-vs-parallel sweep benchmark (one full Quick() sweep each;

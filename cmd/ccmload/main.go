@@ -63,13 +63,13 @@ func main() {
 	}
 }
 
-// jobSpec builds one submission's spec from the size class. The sizes are
-// tuned so "small" computes in tens of milliseconds and "large" in high
-// hundreds on one worker — enough spread to make a priority mix meaningful
-// without making low-RPS smoke runs slow.
+// jobSpec builds one submission's spec from the size class. On one worker
+// (2-core Xeon) "small" computes in a few milliseconds and "large", at the
+// paper's n = 10^4, in about 0.4 s: a spread that makes a priority mix
+// meaningful, and 10 large jobs a second overload one worker.
 func jobSpec(large bool, seed uint64) serve.JobSpec {
 	if large {
-		return serve.JobSpec{N: 1200, Trials: 2, RValues: []float64{3, 5, 7, 9}, Seed: seed}
+		return serve.JobSpec{N: 10000, Trials: 2, RValues: []float64{3, 5, 7, 9}, Seed: seed}
 	}
 	return serve.JobSpec{N: 400, Trials: 1, RValues: []float64{4, 6}, Seed: seed}
 }
@@ -199,7 +199,7 @@ gen:
 				}
 				return
 			}
-			st, err := cl.Wait(awaitCtx, sub.ID, 100*time.Millisecond)
+			st, err := cl.Await(awaitCtx, sub.ID, nil)
 			switch {
 			case err != nil:
 				cnt.add(result{}) // unfinished: deadline passed while queued/running

@@ -110,8 +110,9 @@ func TestRunShedRetryAndReportJSON(t *testing.T) {
 		key, _ := req.Spec.Key()
 		json.NewEncoder(w).Encode(serve.SubmitResponse{ID: key, Status: serve.OutcomeCached}) //nolint:errcheck
 	})
-	mux.HandleFunc("GET /api/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(serve.JobStatus{ID: r.PathValue("id"), State: serve.StateDone}) //nolint:errcheck
+	mux.HandleFunc("GET /api/v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		st := serve.JobStatus{ID: r.PathValue("id"), State: serve.StateDone}
+		json.NewEncoder(w).Encode(serve.StreamEvent{Event: "state", State: &st}) //nolint:errcheck
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

@@ -58,7 +58,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit through router: %v", err)
 	}
-	if st, err := cl.Wait(callCtx, sub.ID, 10*time.Millisecond); err != nil || st.State != serve.StateDone {
+	if st, err := cl.Await(callCtx, sub.ID, nil); err != nil || st.State != serve.StateDone {
 		t.Fatalf("wait = %+v, %v", st, err)
 	}
 	p1, err := cl.Result(callCtx, sub.ID)

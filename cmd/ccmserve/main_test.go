@@ -59,7 +59,7 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 	}
 
-	if st, err := cl.Wait(callCtx, subs[0].ID, 10*time.Millisecond); err != nil || st.State != serve.StateDone {
+	if st, err := cl.Await(callCtx, subs[0].ID, nil); err != nil || st.State != serve.StateDone {
 		t.Fatalf("wait = %+v, %v", st, err)
 	}
 	p1, err := cl.Result(callCtx, subs[0].ID)

@@ -403,7 +403,7 @@ func (rt *Router) do(r *http.Request, backend string, body []byte) (*http.Respon
 }
 
 // relay copies the backend reply to the client, flushing after every
-// chunk so streamed NDJSON/SSE bodies pass through live.
+// chunk so streamed NDJSON bodies pass through live.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backend string) {
 	defer resp.Body.Close()
 	h := w.Header()

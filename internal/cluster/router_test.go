@@ -512,7 +512,7 @@ func TestRouterEndToEndRealWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := refCl.Wait(ctx, refSub.ID, 5*time.Millisecond); err != nil {
+	if _, err := refCl.Await(ctx, refSub.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	want, err := refCl.Result(ctx, refSub.ID)

@@ -44,8 +44,7 @@ type Options struct {
 	// Ring backs /events.
 	Ring *obs.Ring
 	// Progress backs /progress: it returns the current sweep state as JSON
-	// (experiment.(*Tracker).ProgressJSON is the canonical source). Nil
-	// serves {"active":false}.
+	// (experiment.(*Tracker).ProgressJSON is the canonical source).
 	Progress func() ([]byte, error)
 	// Ready backs /readyz: the endpoint answers 200 while Ready returns
 	// true and 503 once it returns false (a job manager flips it during
@@ -119,9 +118,8 @@ func NewHandler(o Options) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		if o.Progress == nil {
-			fmt.Fprint(w, `{"active":false}`+"\n")
+			http.NotFound(w, r)
 			return
 		}
 		b, err := o.Progress()
@@ -129,6 +127,7 @@ func NewHandler(o Options) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		w.Header().Set("Content-Type", "application/json")
 		w.Write(append(b, '\n'))
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {

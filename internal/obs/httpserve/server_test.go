@@ -129,19 +129,15 @@ func TestServerLiveSweep(t *testing.T) {
 func TestServerDisabledEndpoints(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(Options{}))
 	defer ts.Close()
-	for _, path := range []string{"/metrics", "/events"} {
+	for _, path := range []string{"/metrics", "/events", "/progress"} {
 		if code, _ := get(t, ts.URL+path); code != http.StatusNotFound {
 			t.Errorf("%s without a sink: status %d, want 404", path, code)
 		}
 	}
-	code, body := get(t, ts.URL+"/progress")
-	if code != http.StatusOK || string(body) != `{"active":false}`+"\n" {
-		t.Errorf("/progress without a source: %d %q", code, body)
-	}
 	if code, _ := get(t, ts.URL+"/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown path served")
 	}
-	code, body = get(t, ts.URL+"/")
+	code, body := get(t, ts.URL+"/")
 	if code != http.StatusOK || len(body) == 0 {
 		t.Errorf("index page: %d %q", code, body)
 	}

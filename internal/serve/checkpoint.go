@@ -33,8 +33,8 @@ import (
 // PointRecord is one completed sweep point: checkpoint line, stream event
 // payload, and resume unit all at once.
 type PointRecord struct {
-	// Seq is the 1-based per-job completion order — the stream resume
-	// cursor (Last-Event-ID).
+	// Seq is the 1-based per-job completion order — the stream's ?after=
+	// resume cursor.
 	Seq int `json:"seq"`
 	// Index is the point's position on the normalized sweep axis; together
 	// with the job key it addresses the record.

@@ -409,28 +409,3 @@ func (c *Client) awaitOnce(ctx context.Context, id string, last *int, onPoint fu
 	}
 	return JobStatus{}, false, s.Err()
 }
-
-// Wait polls the job until it reaches a terminal state (or ctx expires)
-// and returns the final status. poll <= 0 defaults to 50ms. Await is the
-// streaming alternative; Wait survives servers that predate /stream.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
-		}
-	}
-}

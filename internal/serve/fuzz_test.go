@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math/big"
+	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -146,6 +149,58 @@ func FuzzCheckpointReplay(f *testing.F) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("record %d reloads as %s, want %s", i, got, want)
 			}
+		}
+	})
+}
+
+// FuzzStreamCursor: the stream's ?after= cursor is the one client-chosen
+// number the stream reads. On a finished 4-point job, any string must
+// either be an integer in 0..4 (empty means 0) and replay exactly the
+// point seqs past it, strictly ascending, then one state event — or get
+// the 400 envelope. math/big is the oracle's parser, independent of the
+// handler's strconv.
+func FuzzStreamCursor(f *testing.F) {
+	for _, s := range []string{"", "0", "2", "4", "5", "-1", "-0", "+3", "007", "x", " 1", "1e0", "99999999999999999999"} {
+		f.Add(s)
+	}
+	stream := doneStreamJob(f)
+	points := streamSpec().PointCount()
+	f.Fuzz(func(t *testing.T, after string) {
+		cursor, ok := new(big.Int), after == ""
+		if !ok {
+			_, ok = cursor.SetString(after, 10)
+			ok = ok && cursor.Sign() >= 0 && cursor.Cmp(big.NewInt(int64(points))) <= 0
+		}
+		code, body := getBody(t, stream+"?after="+url.QueryEscape(after))
+		if !ok {
+			var env errorEnvelope
+			if code != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error.Code != CodeBadRequest {
+				t.Fatalf("after=%q: %d %s, want the 400 bad_request envelope", after, code, body)
+			}
+			return
+		}
+		if code != http.StatusOK {
+			t.Fatalf("after=%q: status %d %s", after, code, body)
+		}
+		last, states := int(cursor.Int64()), 0
+		for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+			var ev StreamEvent
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("after=%q: bad line %q: %v", after, line, err)
+			}
+			switch {
+			case states > 0:
+				t.Fatalf("after=%q: event after the state event: %s", after, body)
+			case ev.Event == "state":
+				states++
+			case ev.Event != "point" || ev.Seq <= last:
+				t.Fatalf("after=%q: point seqs not strictly ascending past the cursor: %s", after, body)
+			default:
+				last = ev.Seq
+			}
+		}
+		if states != 1 || last != points {
+			t.Fatalf("after=%q: %d state events after seq %d, want 1 after seq %d: %s", after, states, last, points, body)
 		}
 	})
 }

@@ -8,9 +8,7 @@
 //	GET    /api/v1/jobs/{id}/trace   lifecycle timeline with per-stage durations
 //	GET    /api/v1/jobs/{id}/result  the rendered result JSON (202 pending)
 //	GET    /api/v1/jobs/{id}/stream  NDJSON tail of per-point results;
-//	                                 resume with ?after=SEQ or Last-Event-ID;
-//	                                 Accept: text/event-stream switches the
-//	                                 same events to SSE framing
+//	                                 resume with ?after=SEQ
 //	DELETE /api/v1/jobs/{id}         cancel a queued or running job
 //
 // Every error is the one envelope
@@ -20,9 +18,9 @@
 //
 // The mux also serves /metrics (the manager's registry: serve cache, queue,
 // checkpoint, SLO-histogram, and HTTP-latency families, plus the collector
-// snapshot when one is configured), /progress (live
-// per-job tracker view), /events, /healthz, /readyz, and /debug/pprof/ from
-// internal/obs/httpserve.
+// snapshot when one is configured), /events, /healthz, /readyz, and
+// /debug/pprof/ from internal/obs/httpserve. A job's live progress is the
+// progress field of its status on /api/v1/jobs.
 //
 // The whole mux sits behind one middleware wrapper (middleware.go):
 // X-Request-ID injection/propagation, panic recovery, per-route/per-status
@@ -33,22 +31,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"netags/internal/obs/httpserve"
 )
 
 // APIPrefix is the versioned mount point of the jobs API.
 const APIPrefix = "/api/v1"
-
-// sseHeartbeatInterval paces the ": heartbeat" comment frames on SSE
-// streams. A var, not a const, so tests can shrink it.
-var sseHeartbeatInterval = 15 * time.Second
 
 // SubmitRequest is the POST /api/v1/jobs body.
 type SubmitRequest struct {
@@ -78,8 +69,7 @@ type SubmitResponse struct {
 // StreamEvent is one NDJSON line of GET /api/v1/jobs/{id}/stream. Events
 // arrive in seq order: one "point" per completed sweep point, then exactly
 // one "state" carrying the job's terminal status. Reconnect with
-// ?after=<last seen seq> (or a Last-Event-ID header) to receive only what
-// was missed.
+// ?after=<last seen seq> to receive only what was missed.
 type StreamEvent struct {
 	// Seq is the cursor: the point's completion number, or for the final
 	// state event the last point seq streamed.
@@ -108,12 +98,8 @@ const maxSpecBody = 1 << 20
 
 // NewHandler builds the combined mux: the jobs API under /api/v1 plus the
 // introspection endpoints. Unset obsOpts fields are wired to the manager:
-// Progress to the live job view, Ready to Accepting, Registry to the
-// manager's registry.
+// Ready to Accepting, Registry to the manager's registry.
 func NewHandler(m *Manager, obsOpts httpserve.Options) http.Handler {
-	if obsOpts.Progress == nil {
-		obsOpts.Progress = m.ProgressJSON
-	}
 	if obsOpts.Ready == nil {
 		obsOpts.Ready = m.Accepting
 	}
@@ -240,10 +226,11 @@ func handleResult(m *Manager, w http.ResponseWriter, r *http.Request) {
 
 // handleStream tails a job's per-point results as NDJSON. The full history
 // is replayed from the checkpoint (from seq 0, or after the client's
-// ?after= / Last-Event-ID cursor), then events stream live until the job
-// reaches a terminal state, at which point one final "state" event closes
-// the stream. Works on running, queued, and already-terminal jobs alike —
-// a done job simply replays and finishes immediately.
+// ?after= cursor), then events stream live until the job reaches a
+// terminal state, at which point one final "state" event closes the
+// stream. Works on running, queued, and already-terminal jobs alike — a
+// done job simply replays and finishes immediately. A cursor past the
+// job's point count names no seq the job can stream and is rejected.
 func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := m.jobRecord(id)
@@ -252,14 +239,11 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	after := 0
-	cursor := r.URL.Query().Get("after")
-	if cursor == "" {
-		cursor = r.Header.Get("Last-Event-ID")
-	}
-	if cursor != "" {
+	if cursor := r.URL.Query().Get("after"); cursor != "" {
 		n, err := strconv.Atoi(cursor)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest, "after/Last-Event-ID must be a non-negative integer")
+		if err != nil || n < 0 || n > j.points {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("after must be an integer in 0..%d (the job's point count)", j.points))
 			return
 		}
 		after = n
@@ -272,52 +256,18 @@ func handleStream(m *Manager, w http.ResponseWriter, r *http.Request) {
 			"job", id, "after", after, "request_id", RequestID(r.Context()))
 	}
 
-	// SSE framing is opt-in via Accept; NDJSON stays the default. Both carry
-	// the same StreamEvent JSON and the same seq cursor — an SSE client's
-	// automatic Last-Event-ID reconnect lands on the exact resume path the
-	// NDJSON ?after= cursor uses.
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	rc.Flush() // ship the headers now; events may be a long time coming
-	var emit func(ev StreamEvent) bool
-	if sse {
-		emit = func(ev StreamEvent) bool {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return false
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Event, b); err != nil {
-				return false
-			}
-			rc.Flush()
-			return true
+	enc := json.NewEncoder(w)
+	emit := func(ev StreamEvent) bool {
+		if enc.Encode(ev) != nil {
+			return false
 		}
-	} else {
-		enc := json.NewEncoder(w)
-		emit = func(ev StreamEvent) bool {
-			if enc.Encode(ev) != nil {
-				return false
-			}
-			rc.Flush()
-			return true
-		}
-	}
-	// SSE gets comment-framed heartbeats so proxies and clients can tell a
-	// quiet sweep from a dead connection; a nil channel (NDJSON) never
-	// fires. Heartbeat write errors end the stream like any other write
-	// error.
-	var heartbeat <-chan time.Time
-	if sse {
-		tick := time.NewTicker(sseHeartbeatInterval)
-		defer tick.Stop()
-		heartbeat = tick.C
+		rc.Flush()
+		return true
 	}
 
 	last := after
@@ -351,12 +301,6 @@ stream:
 					return
 				}
 				last = rec.Seq
-			case <-heartbeat:
-				if _, err := io.WriteString(w, ": heartbeat\n\n"); err != nil {
-					cancel()
-					return
-				}
-				rc.Flush()
 			case <-j.Done():
 				cancel()
 				// Final sweep: points that completed between our last event

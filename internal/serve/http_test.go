@@ -16,7 +16,7 @@ import (
 	"netags/internal/obs/httpserve"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
+func newTestServer(t testing.TB, cfg Config) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(cfg)
 	ts := httptest.NewServer(NewHandler(m, httpserve.Options{}))
@@ -43,7 +43,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, raw
 }
 
-func getBody(t *testing.T, url string) (int, []byte) {
+func getBody(t testing.TB, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestE2EExactlyOnce(t *testing.T) {
 	cl := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	final, err := cl.Wait(ctx, subA.ID, 5*time.Millisecond)
+	final, err := cl.Await(ctx, subA.ID, nil)
 	if err != nil || final.State != StateDone {
 		t.Fatalf("wait = %+v, %v", final, err)
 	}
@@ -209,7 +209,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if sub.ID == "" || len(sub.ID) != 64 {
 		t.Fatalf("bad job id %q", sub.ID)
 	}
-	if _, err := cl.Wait(ctx, sub.ID, 5*time.Millisecond); err != nil {
+	if _, err := cl.Await(ctx, sub.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := cl.Jobs(ctx)
@@ -365,8 +365,9 @@ func TestHTTPReadinessDuringDrain(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsAndIntrospection: the PR 4 endpoints stay mounted on the
-// combined mux and the progress view reflects live jobs.
+// TestHTTPMetricsAndIntrospection: the introspection endpoints stay
+// mounted on the combined mux, and the job list carries a running job's
+// live progress.
 func TestHTTPMetricsAndIntrospection(t *testing.T) {
 	gate := make(chan struct{})
 	ts, m := newTestServer(t, Config{Workers: 1, run: stubRun(nil, gate)})
@@ -376,9 +377,16 @@ func TestHTTPMetricsAndIntrospection(t *testing.T) {
 	}
 	waitRunning(t, m, sub.ID)
 
-	code, raw := getBody(t, ts.URL+"/progress")
-	if code != http.StatusOK || !strings.Contains(string(raw), sub.ID) {
-		t.Errorf("/progress = %d, %s", code, raw)
+	code, raw := getBody(t, ts.URL+"/api/v1/jobs")
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &list); code != http.StatusOK || err != nil || len(list.Jobs) != 1 {
+		t.Fatalf("/api/v1/jobs = %d, %s", code, raw)
+	}
+	if st := list.Jobs[0]; st.ID != sub.ID || st.State != StateRunning || st.Progress == nil ||
+		!st.Progress.Active || st.Progress.Total != testSpec(0).TotalItems() || st.Progress.Done {
+		t.Errorf("running job's status lacks its live progress: %s", raw)
 	}
 	code, raw = getBody(t, ts.URL+"/metrics")
 	if code != http.StatusOK || !strings.Contains(string(raw), "netags_serve_jobs_running 1") {

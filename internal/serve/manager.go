@@ -3,7 +3,6 @@ package serve
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -670,7 +669,7 @@ func (m *Manager) runJob(j *Job) {
 		"workers", j.workers)
 	m.running.Add(1)
 	// Anchor the tracker's rate clock here: queue wait (and, on a resumed
-	// job, the time before resubmission) must not dilute the /progress ETA.
+	// job, the time before resubmission) must not dilute the progress ETA.
 	j.tracker.MarkRunStart()
 	err := m.cfg.run(j.ctx, j.Spec, j.workers, runHooks{
 		observe: j.tracker.Wrap(nil),
@@ -1042,44 +1041,4 @@ func (m *Manager) register() {
 	}
 	m.slo = newSLOHists(reg)
 	m.http = newHTTPHists(reg)
-}
-
-// ProgressJSON renders the live view of every non-terminal job — the
-// /progress source when the serve layer is mounted.
-func (m *Manager) ProgressJSON() ([]byte, error) {
-	m.mu.Lock()
-	var live []*Job
-	for _, id := range m.order {
-		if j := m.jobs[id]; !j.State().Terminal() {
-			live = append(live, j)
-		}
-	}
-	m.mu.Unlock()
-	type jobProgress struct {
-		ID       string                      `json:"id"`
-		State    JobState                    `json:"state"`
-		Sweep    string                      `json:"sweep"`
-		Progress *experiment.TrackerSnapshot `json:"progress"`
-	}
-	out := struct {
-		Active bool          `json:"active"`
-		Jobs   []jobProgress `json:"jobs"`
-	}{Jobs: make([]jobProgress, 0, len(live))}
-	for _, j := range live {
-		snap := j.tracker.Snapshot()
-		st := j.State()
-		if st == StateRunning {
-			out.Active = true
-		}
-		out.Jobs = append(out.Jobs, jobProgress{ID: j.ID, State: st, Sweep: j.Spec.Sweep, Progress: &snap})
-	}
-	return appendNewlineJSON(out)
-}
-
-func appendNewlineJSON(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

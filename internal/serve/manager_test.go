@@ -436,30 +436,6 @@ func TestManagerPrune(t *testing.T) {
 	}
 }
 
-// TestManagerProgressJSON: the live view lists queued and running jobs
-// with tracker snapshots.
-func TestManagerProgressJSON(t *testing.T) {
-	gate := make(chan struct{})
-	m := NewManager(Config{Workers: 1, QueueDepth: 4, run: stubRun(nil, gate)})
-	defer func() { close(gate); m.Shutdown(context.Background()) }()
-	if _, _, err := m.Submit(testSpec(0), SubmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.Submit(testSpec(1), SubmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.ProgressJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(b)
-	for _, want := range []string{`"jobs":[`, `"state"`, `"progress"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("progress JSON missing %s: %s", want, s)
-		}
-	}
-}
-
 // TestManagerWorkersClamp: the per-job budget clamps to the configured cap.
 func TestManagerWorkersClamp(t *testing.T) {
 	got := make(chan int, 1)

@@ -29,7 +29,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Wait(ctx, sub.ID, 5*time.Millisecond)
+	st, err := cl.Await(ctx, sub.ID, nil)
 	if err != nil || st.State != StateDone {
 		t.Fatalf("wait = %+v, %v", st, err)
 	}

@@ -38,7 +38,7 @@ func TestTimeseriesSourceSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Wait(ctx, sub.ID, 10*time.Millisecond); err != nil {
+	if _, err := cl.Await(ctx, sub.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"slices"
 	"testing"
 	"time"
 )
@@ -106,43 +110,6 @@ func TestStreamLiveThenReconnect(t *testing.T) {
 	}
 }
 
-// TestStreamDoneJobReplays: streaming an already-finished job replays the
-// full history and closes with the state event immediately.
-func TestStreamDoneJobReplays(t *testing.T) {
-	ts, m := newTestServer(t, Config{Workers: 1, run: stubRun(nil, nil)})
-	cl := &Client{BaseURL: ts.URL}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	sub, err := cl.Submit(ctx, streamSpec(), SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, m, sub.ID)
-
-	s, err := cl.Stream(ctx, sub.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	points := 0
-	sawState := false
-	for s.Next() {
-		switch s.Event().Event {
-		case "point":
-			points++
-		case "state":
-			sawState = true
-		}
-		if sawState {
-			break
-		}
-	}
-	if points != streamSpec().PointCount() || !sawState {
-		t.Errorf("done-job stream replayed %d points, state %v", points, sawState)
-	}
-}
-
 // TestAwaitDeliversPointsAndFinalState: Await follows the stream to the
 // terminal status, invoking onPoint once per point.
 func TestAwaitDeliversPointsAndFinalState(t *testing.T) {
@@ -187,5 +154,90 @@ func TestAwaitUnknownJobErrors(t *testing.T) {
 	_, err := cl.Await(ctx, "0000000000000000000000000000000000000000000000000000000000000000", nil)
 	if err == nil {
 		t.Fatal("Await on unknown job succeeded")
+	}
+}
+
+// doneStreamJob submits streamSpec on a stub run and awaits it, so its
+// stream replays all 4 points and closes.
+func doneStreamJob(t testing.TB) string {
+	t.Helper()
+	ts, _ := newTestServer(t, Config{Workers: 1, run: stubRun(nil, nil)})
+	cl := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sub, err := cl.Submit(ctx, streamSpec(), SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Await(ctx, sub.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	return ts.URL + "/api/v1/jobs/" + sub.ID + "/stream"
+}
+
+// TestStreamNDJSONFraming: the stream is application/x-ndjson, one JSON
+// event per line.
+func TestStreamNDJSONFraming(t *testing.T) {
+	resp, err := http.Get(doneStreamJob(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	lines := 0
+	for sc.Scan() {
+		var ev StreamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("line %d not NDJSON: %v", lines, err)
+		}
+		lines++
+	}
+	if lines != 5 { // 4 points + state
+		t.Errorf("NDJSON lines = %d, want 5", lines)
+	}
+}
+
+// TestStreamDoneJobReplays: streaming an already-finished job replays the
+// point seqs past the ?after= cursor and closes at once with a state event
+// carrying the last seq; a cursor past the point count gets the 400
+// envelope (FuzzStreamCursor covers every other string).
+func TestStreamDoneJobReplays(t *testing.T) {
+	url := doneStreamJob(t)
+	for _, tc := range []struct {
+		after string
+		seqs  []int // point seqs replayed; nil with bad set
+		bad   bool
+	}{
+		{after: "", seqs: []int{1, 2, 3, 4}},
+		{after: "2", seqs: []int{3, 4}},
+		{after: "4", seqs: []int{}},
+		{after: "5", bad: true}, // past the job's 4 points
+	} {
+		code, body := getBody(t, url+"?after="+tc.after)
+		if tc.bad {
+			var env errorEnvelope
+			if code != http.StatusBadRequest || json.Unmarshal(body, &env) != nil || env.Error.Code != CodeBadRequest {
+				t.Errorf("after=%q: %d %s, want the 400 bad_request envelope", tc.after, code, body)
+			}
+			continue
+		}
+		seqs, state := []int{}, 0
+		for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
+			var ev StreamEvent
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatalf("after=%q: bad line %q: %v", tc.after, line, err)
+			}
+			if ev.Event == "state" {
+				state = ev.Seq
+				continue
+			}
+			seqs = append(seqs, ev.Seq)
+		}
+		if code != http.StatusOK || !slices.Equal(seqs, tc.seqs) || state != 4 {
+			t.Errorf("after=%q: %d seqs %v, state seq %d; want %v, state seq 4", tc.after, code, seqs, state, tc.seqs)
+		}
 	}
 }

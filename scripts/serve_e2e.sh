@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end crash-resume smoke for ccmserve: start the daemon with a
 # checkpoint dir, submit a sweep, follow its NDJSON stream, kill -9 the
-# process at ~50% of the points, restart on the same dir, resubmit the
-# same spec, and verify the resumed job (a) reports resumed points,
-# (b) finishes, (c) produces a byte-identical result to an uninterrupted
-# run, and (d) carries a full lifecycle timeline on /jobs/{id}/trace
-# (checkpoint_restored included) with the SLO histogram families live on
-# /metrics and X-Request-ID correlation on every response. Exercises
+# process when the stream shows point 5 of 8, restart on the same dir,
+# resubmit the same spec, and verify the resumed job (a) reports resumed
+# points, (b) finishes, (c) produces a byte-identical result to an
+# uninterrupted run, and (d) carries a full lifecycle timeline on
+# /jobs/{id}/trace (checkpoint_restored included) with the SLO histogram
+# families live on /metrics and X-Request-ID correlation on every
+# response. Exercises
 # /api/v1/jobs, /stream, /trace, /result, and /metrics end to end.
 #
 # Usage: scripts/serve_e2e.sh   (from the repo root; needs go + curl)
@@ -23,8 +24,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# ~8 points x ~0.5s each with one serialized worker: slow enough to kill
-# mid-sweep, fast enough for CI. Seeded, so results are deterministic.
+# 8 points on one serialized worker. Seeded, so results are deterministic.
 SPEC='{"spec":{"n":2000,"trials":2,"r_values":[2,3,4,5,6,7,8,9],"seed":7}}'
 POINTS=8
 KILL_AT=$((POINTS / 2))
@@ -56,42 +56,47 @@ submit() { # submit <addr> -> response JSON on stdout
 
 job_id() { sed -n 's/.*"id":"\([0-9a-f]\{64\}\)".*/\1/p' <<<"$1" | head -1; }
 
-await_result() { # await_result <addr> <id> <outfile>
+await_result() { # await_result <addr> <id> <outfile>: stream to the state line
     local code
-    for _ in $(seq 1 300); do
-        code=$(curl -s -o "$3" -w '%{http_code}' "http://$1/api/v1/jobs/$2/result")
-        [ "$code" = 200 ] && return
-        sleep 0.2
-    done
-    die "job $2 never finished (last result status $code)"
+    curl -sN --max-time 120 "http://$1/api/v1/jobs/$2/stream" >"$3.stream" || true
+    grep -q '"event":"state".*"state":"done"' "$3.stream" \
+        || die "job $2 did not stream a done state: $(tail -1 "$3.stream")"
+    code=$(curl -s -o "$3" -w '%{http_code}' "http://$1/api/v1/jobs/$2/result")
+    [ "$code" = 200 ] || die "job $2 is done but its result answered $code"
 }
 
 echo "serve_e2e: building ccmserve + ccmload"
 go build -o "$WORK/ccmserve" ./cmd/ccmserve
 go build -o "$WORK/ccmload" ./cmd/ccmload
 
-# --- Phase 1: submit, stream, kill at ~50% -------------------------------
+# --- Phase 1: submit, stream, kill mid-sweep -----------------------------
 ADDR=$(start_daemon "$CKPT" "$WORK/daemon1.log" "$WORK/daemon1.pid")
 RESP=$(submit "$ADDR")
 ID=$(job_id "$RESP")
 [ -n "$ID" ] || die "no job id in submit response: $RESP"
 echo "serve_e2e: submitted $ID on $ADDR"
 
-# Tail the live stream while the sweep runs; the kill below drops it.
-curl -sN "http://$ADDR/api/v1/jobs/$ID/stream" >"$WORK/stream.ndjson" 2>/dev/null &
+# Read the live stream line by line as it arrives and kill -9 the daemon
+# when it shows point KILL_AT+1. The server hands point k+1 to the stream
+# only after point k's checkpoint line is written (both under the job's
+# lock), so at least KILL_AT lines are on disk by then.
+exec 3< <(curl -sN "http://$ADDR/api/v1/jobs/$ID/stream" 2>/dev/null)
 echo $! >>"$PIDFILE"
+SEQ=0
+while [ "$SEQ" -le "$KILL_AT" ] && IFS= read -r -t 60 LINE <&3; do
+    printf '%s\n' "$LINE" >>"$WORK/stream.ndjson"
+    [[ $LINE =~ ^\{\"seq\":([0-9]+),\"event\":\"point\" ]] && SEQ=${BASH_REMATCH[1]}
+done
+[ "$SEQ" -gt "$KILL_AT" ] || die "stream ended before point $((KILL_AT + 1)) (last seq $SEQ)"
+kill -9 "$(cat "$WORK/daemon1.pid")"
+exec 3<&-
 
 CKPT_FILE="$CKPT/$ID.ndjson"
-for _ in $(seq 1 600); do
-    LINES=0
-    [ -f "$CKPT_FILE" ] && LINES=$(wc -l <"$CKPT_FILE")
-    [ "$LINES" -ge "$KILL_AT" ] && break
-    sleep 0.05
-done
+LINES=0
+[ -f "$CKPT_FILE" ] && LINES=$(wc -l <"$CKPT_FILE")
 [ "$LINES" -ge "$KILL_AT" ] || die "checkpoint never reached $KILL_AT points"
 [ "$LINES" -lt "$POINTS" ] || die "sweep finished before the kill (got $LINES points); spec too fast"
-kill -9 "$(cat "$WORK/daemon1.pid")"
-echo "serve_e2e: killed daemon with $LINES/$POINTS points checkpointed"
+echo "serve_e2e: killed daemon at stream seq $SEQ with $LINES/$POINTS points checkpointed"
 
 grep -q '"event":"point"' "$WORK/stream.ndjson" \
     || die "stream tail captured no point events"
