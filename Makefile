@@ -72,6 +72,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzStreamCursor$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzHashRing$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/obs/timeseries/
 
 # Sequential-vs-parallel sweep benchmark (one full Quick() sweep each;
 # results are bit-identical, only the wall clock differs).
@@ -83,14 +84,14 @@ bench-sweep:
 # the pooled session kernel at 10^4–10^6 tags plus arena reuse (allocs/op
 # pinned at the small per-session constant — any per-round allocation
 # regression multiplies it and trips the alloc gate), the bitmap OR-merge
-# hot paths, sweep worker scaling, the -http Tracker bookkeeping, the serve
+# hot paths, sweep worker scaling, the serve
 # layer's submission fast paths (content-address hashing, cache hits,
 # warm-cache Submit), and the per-point execution path with observability
 # off (pinned at zero allocs) and fully on. The raw `go test -bench` lines
 # plus per-benchmark mean/min/max rollups land in BENCH_observability.json
 # (recover a benchstat input with `jq -r '.benchmarks[].raw'`).
 BENCH_PKGS    = ./internal/geom/ ./internal/topology/ ./internal/sicp/ ./internal/core/ ./internal/bitmap/ ./internal/experiment/ ./internal/serve/ ./internal/obs/timeseries/ ./internal/cluster/
-BENCH_PATTERN = 'Deploy|BuildPaper|BuildN1e5|CollectPaper|CollectN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|TrackerObserve|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
+BENCH_PATTERN = 'Deploy|BuildPaper|BuildN1e5|CollectPaper|CollectN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
 bench:
 	go test -bench=$(BENCH_PATTERN) -benchmem -count=5 -run='^$$' $(BENCH_PKGS) \
 		| tee /dev/stderr | go run ./internal/tools/benchjson > BENCH_observability.json

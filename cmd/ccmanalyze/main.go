@@ -16,6 +16,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"netags/internal/analysis"
@@ -87,26 +88,31 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	// Live introspection (-http): each completed r value feeds a Tracker so
-	// /progress reports completed/total and ETA mid-run. Observe-only; with
+	// Live introspection (-http): each completed r value is one Progress
+	// event, stamped here with the run's completed/total counts and elapsed
+	// time, so /progress reports them and an ETA mid-run. Observe-only; with
 	// the flag unset the tracer stays exactly instr.Tracer().
 	var intro *httpserve.Server
 	var observe func(experiment.Progress)
 	if *httpAddr != "" {
-		tracker := experiment.NewTracker()
-		tracker.SetTotal(len(rs))
+		var latest func() ([]byte, error)
+		observe, latest = experiment.TrackLatest(nil)
 		intro, err = httpserve.Start(*httpAddr, httpserve.Options{
 			Collector: obs.NewCollector(),
 			Ring:      obs.NewRing(0),
-			Progress:  tracker.ProgressJSON,
+			Progress:  latest,
 		})
 		if err != nil {
 			return err
 		}
 		defer intro.Close()
 		fmt.Fprintf(os.Stderr, "introspection: http://%s\n", intro.Addr())
-		observe = tracker.Wrap(nil)
 	}
+	var (
+		mu        sync.Mutex // orders the completed count with its event
+		completed int
+		runStart  = time.Now()
+	)
 	tracer := obs.Multi(instr.Tracer(), intro.Tracer())
 	// The deployment is built once and shared read-only; each r value's
 	// topology build + session is independent, so they fan out over the
@@ -131,8 +137,12 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		if observe != nil {
+			mu.Lock()
+			completed++
 			observe(experiment.Progress{Sweep: "analyze", R: r, Trials: 1,
-				Tiers: nw.K, Elapsed: time.Since(start)})
+				Tiers: nw.K, Elapsed: time.Since(start),
+				Completed: completed, Total: len(rs), SweepElapsed: time.Since(runStart)})
+			mu.Unlock()
 		}
 		in := func(i int) bool { return nw.Tier[i] > 0 }
 		sum := res.Meter.Summarize(in)

@@ -27,6 +27,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"time"
 
 	"netags/internal/experiment"
 	"netags/internal/gmle"
@@ -89,16 +90,6 @@ func run(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown -progress mode %q (want text, json, or off)", *progress)
 	}
-	// Per-point elapsed/throughput aggregation rides along on the same
-	// event stream and prints to stderr after the sweep.
-	timing := experiment.NewTiming()
-	observe = timing.Wrap(observe)
-	summarize := func() {
-		if *progress != "off" {
-			fmt.Fprint(os.Stderr, timing.String())
-		}
-	}
-
 	instr, err := obs.StartInstrumentation(*traceOut, *metrics, *cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -109,31 +100,24 @@ func run(ctx context.Context, args []string) error {
 			instr.Close(os.Stdout)
 		}
 	}()
-	finish := func() error {
-		summarize()
-		closed = true
-		return instr.Close(os.Stdout)
-	}
 	// Live introspection: -http starts an observe-only server whose
 	// collector and ring ride the sweep's tracer, and whose /progress view
-	// is fed by a Tracker stacked onto the observe chain. With the flag
-	// unset, intro is nil, intro.Tracer() is nil, and nothing changes.
+	// is the sweep's latest Progress event. With the flag unset, intro is
+	// nil, intro.Tracer() is nil, and nothing changes.
 	var intro *httpserve.Server
-	setTotal := func(int) {}
 	if *httpAddr != "" {
-		tracker := experiment.NewTracker()
+		var latest func() ([]byte, error)
+		observe, latest = experiment.TrackLatest(observe)
 		intro, err = httpserve.Start(*httpAddr, httpserve.Options{
 			Collector: obs.NewCollector(),
 			Ring:      obs.NewRing(0),
-			Progress:  tracker.ProgressJSON,
+			Progress:  latest,
 		})
 		if err != nil {
 			return err
 		}
 		defer intro.Close()
 		fmt.Fprintf(os.Stderr, "introspection: http://%s\n", intro.Addr())
-		observe = tracker.Wrap(observe)
-		setTotal = tracker.SetTotal
 	}
 	// One path for every sweep kind: the kind's axis flag picks it, the
 	// flags fill a Spec (each kind reads only its own fields), and the
@@ -173,14 +157,24 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("-%s prints one table: -figure, -table and -csv apply to the range sweep only", spec.Sweep)
 		}
 	}
-	setTotal(spec.PointCount() * *trials)
+	// Each computed point's summed item time lands in its slot, for the
+	// timing table printed to stderr after the sweep.
+	elapsed := make([]time.Duration, spec.PointCount())
 	res, err := experiment.Run(ctx, spec, experiment.Exec{
-		Workers: *workers,
-		Tracer:  obs.Multi(instr.Tracer(), intro.Tracer()),
-		Observe: observe,
+		Workers:   *workers,
+		Tracer:    obs.Multi(instr.Tracer(), intro.Tracer()),
+		Observe:   observe,
+		PointDone: func(p experiment.PointInfo) { elapsed[p.Index] = p.Elapsed },
 	})
 	if err != nil {
 		return err
+	}
+	finish := func() error {
+		if *progress != "off" {
+			fmt.Fprint(os.Stderr, timingTable(spec, elapsed))
+		}
+		closed = true
+		return instr.Close(os.Stdout)
 	}
 	ranged, ok := res.(*experiment.Results)
 	if !ok {
@@ -198,6 +192,18 @@ func run(ctx context.Context, args []string) error {
 		fmt.Fprintln(os.Stderr, "wrote", *csvPath)
 	}
 	return finish()
+}
+
+// timingTable renders each point's item count, mean time per item and
+// throughput, in axis order, from the points' summed item times.
+func timingTable(spec experiment.Spec, elapsed []time.Duration) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s  %6s  %12s  %12s\n", "point", "items", "ms/item", "items/sec")
+	for i, d := range elapsed {
+		fmt.Fprintf(&b, "%-12s  %6d  %12.2f  %12.1f\n", spec.PointLabel(i), spec.Trials,
+			float64(d)/float64(time.Millisecond)/float64(spec.Trials), float64(spec.Trials)/d.Seconds())
+	}
+	return b.String()
 }
 
 // parseFloats parses the comma-separated numbers given to the named flag.

@@ -260,12 +260,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleList fans GET /jobs out to every non-open backend and merges the
-// job arrays — the one read that has no single owning shard.
+// job arrays — the one read that has no single owning shard. Job objects
+// pass through as the workers wrote them, so no status field is lost on
+// the way.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Add(1)
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	var jobs []serve.JobStatus
+	jobs := []json.RawMessage{}
 	answered := false
 	for i, addr := range rt.ring.Backends() {
 		if rt.breakers[i].State() == BreakerOpen {
@@ -282,7 +284,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var out struct {
-			Jobs []serve.JobStatus `json:"jobs"`
+			Jobs []json.RawMessage `json:"jobs"`
 		}
 		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
@@ -294,11 +296,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	if answered {
 		rt.forwarded.Add(1)
 	}
-	if jobs == nil {
-		jobs = []serve.JobStatus{}
-	}
 	serve.WriteJSON(w, http.StatusOK, struct {
-		Jobs []serve.JobStatus `json:"jobs"`
+		Jobs []json.RawMessage `json:"jobs"`
 	}{Jobs: jobs})
 }
 

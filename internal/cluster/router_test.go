@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"netags/internal/obs"
 	"netags/internal/obs/httpserve"
 	"netags/internal/serve"
 )
@@ -472,6 +474,94 @@ func TestRouterListFanOutMerges(t *testing.T) {
 	}
 	if len(out.Jobs) != 3 {
 		t.Fatalf("merged %d jobs, want 3", len(out.Jobs))
+	}
+}
+
+// pointGate is a tracer that holds the sweep of the first job point to
+// complete until released, so a running job's status stands still.
+type pointGate struct {
+	once     sync.Once
+	reached  chan struct{}
+	release  chan struct{}
+	released sync.Once
+}
+
+func (g *pointGate) Trace(ev obs.Event) {
+	if ev.Kind == obs.KindJob && ev.Phase == serve.StagePointCompleted {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+}
+
+func (g *pointGate) open() { g.released.Do(func() { close(g.release) }) }
+
+// TestRouterListKeepsProgress: the router's job list passes each worker's
+// job objects through whole, so a running job's progress, with its
+// sweep_elapsed_ms and eta_ms, reads the same on the worker and the router.
+func TestRouterListKeepsProgress(t *testing.T) {
+	gate := &pointGate{reached: make(chan struct{}), release: make(chan struct{})}
+	m := serve.NewManager(serve.Config{Workers: 1, JobWorkers: 1, Tracer: gate})
+	worker, err := serve.StartServer("127.0.0.1:0", m, httpserve.Options{}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+	defer gate.open() // release the sweep before the worker drains
+	rt, err := NewRouter(RouterConfig{Backends: []string{worker.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler(httpserve.Options{}))
+	defer front.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := &serve.Client{BaseURL: front.URL}
+	spec := serve.JobSpec{N: 100, Trials: 2, RValues: []float64{4, 6}, Seed: 3}
+	if _, err := cl.Submit(ctx, spec, serve.SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.reached:
+	case <-ctx.Done():
+		t.Fatal("the job's first point never completed")
+	}
+
+	progress := func(base string) json.RawMessage {
+		t.Helper()
+		resp, err := http.Get(base + serve.APIPrefix + "/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Jobs []struct {
+				State    serve.JobState  `json:"state"`
+				Progress json.RawMessage `json:"progress"`
+			} `json:"jobs"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out.Jobs) != 1 {
+			t.Fatalf("%s job list: %v, %+v", base, err, out)
+		}
+		if out.Jobs[0].State != serve.StateRunning {
+			t.Fatalf("%s lists the job as %s, want running", base, out.Jobs[0].State)
+		}
+		return out.Jobs[0].Progress
+	}
+	direct, routed := progress("http://"+worker.Addr()), progress(front.URL)
+	if !bytes.Equal(direct, routed) {
+		t.Errorf("progress differs:\nworker %s\nrouter %s", direct, routed)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(routed, &fields); err != nil {
+		t.Fatalf("routed progress %s: %v", routed, err)
+	}
+	for _, key := range []string{"sweep_elapsed_ms", "eta_ms"} {
+		if v, _ := fields[key].(float64); v <= 0 {
+			t.Errorf("routed progress %s: %s = %v, want > 0", routed, key, fields[key])
+		}
 	}
 }
 

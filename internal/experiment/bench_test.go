@@ -30,16 +30,3 @@ func BenchmarkSweepWorkers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTrackerObserve pins the cost of the /progress bookkeeping that
-// -http stacks onto every progress event.
-func BenchmarkTrackerObserve(b *testing.B) {
-	tr := NewTracker()
-	tr.SetTotal(b.N)
-	p := Progress{Sweep: "range", R: 6, Trial: 1, Trials: 2, Tiers: 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Observe(p)
-	}
-}

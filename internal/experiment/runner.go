@@ -152,36 +152,100 @@ func (p Progress) ETA() time.Duration {
 	return time.Duration(perItem * float64(p.Total-p.Completed))
 }
 
+// progressJSON is the wire form of a Progress event.
+type progressJSON struct {
+	Sweep          string   `json:"sweep"`
+	R              float64  `json:"r,omitempty"`
+	N              int      `json:"n,omitempty"`
+	Loss           float64  `json:"loss"`
+	Trial          int      `json:"trial"`
+	Trials         int      `json:"trials"`
+	Protocols      []string `json:"protocols,omitempty"`
+	Tiers          int      `json:"tiers"`
+	ElapsedMS      float64  `json:"elapsed_ms"`
+	Completed      int      `json:"completed,omitempty"`
+	Total          int      `json:"total,omitempty"`
+	SweepElapsedMS float64  `json:"sweep_elapsed_ms,omitempty"`
+	ETAMS          float64  `json:"eta_ms,omitempty"`
+}
+
 // MarshalJSON renders the event as one JSONL-friendly object (the CLIs'
-// `-progress json` mode). Zero-valued coordinates are kept: a loss sweep
-// point with Loss 0 is real data, not absence.
+// `-progress json` mode, /progress, and a served job's status). Zero-valued
+// coordinates are kept: a loss sweep point with Loss 0 is real data, not
+// absence.
 func (p Progress) MarshalJSON() ([]byte, error) {
 	protos := make([]string, len(p.Protocols))
 	for i, pr := range p.Protocols {
 		protos[i] = string(pr)
 	}
-	return json.Marshal(struct {
-		Sweep          string   `json:"sweep"`
-		R              float64  `json:"r,omitempty"`
-		N              int      `json:"n,omitempty"`
-		Loss           float64  `json:"loss"`
-		Trial          int      `json:"trial"`
-		Trials         int      `json:"trials"`
-		Protocols      []string `json:"protocols,omitempty"`
-		Tiers          int      `json:"tiers"`
-		ElapsedMS      float64  `json:"elapsed_ms"`
-		Completed      int      `json:"completed,omitempty"`
-		Total          int      `json:"total,omitempty"`
-		SweepElapsedMS float64  `json:"sweep_elapsed_ms,omitempty"`
-		ETAMS          float64  `json:"eta_ms,omitempty"`
-	}{
+	return json.Marshal(progressJSON{
 		Sweep: p.Sweep, R: p.R, N: p.N, Loss: p.Loss,
 		Trial: p.Trial, Trials: p.Trials, Protocols: protos,
-		Tiers: p.Tiers, ElapsedMS: float64(p.Elapsed) / float64(time.Millisecond),
+		Tiers: p.Tiers, ElapsedMS: toMS(p.Elapsed),
 		Completed: p.Completed, Total: p.Total,
-		SweepElapsedMS: float64(p.SweepElapsed) / float64(time.Millisecond),
-		ETAMS:          float64(p.ETA()) / float64(time.Millisecond),
+		SweepElapsedMS: toMS(p.SweepElapsed),
+		ETAMS:          toMS(p.ETA()),
 	})
+}
+
+// UnmarshalJSON inverts MarshalJSON: the millisecond fields become
+// durations again, and the derived eta_ms is dropped (ETA recomputes it),
+// so marshal → unmarshal → marshal is byte-identical.
+func (p *Progress) UnmarshalJSON(b []byte) error {
+	var w progressJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*p = Progress{
+		Sweep: w.Sweep, R: w.R, N: w.N, Loss: w.Loss,
+		Trial: w.Trial, Trials: w.Trials,
+		Tiers: w.Tiers, Elapsed: fromMS(w.ElapsedMS),
+		Completed: w.Completed, Total: w.Total,
+		SweepElapsed: fromMS(w.SweepElapsedMS),
+	}
+	for _, pr := range w.Protocols {
+		p.Protocols = append(p.Protocols, Protocol(pr))
+	}
+	return nil
+}
+
+func toMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// fromMS rounds to the nanosecond, so toMS's float division round-trips.
+func fromMS(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
+
+// TrackLatest holds the latest Progress event of a sweep for a live
+// /progress view. observe stores each event and forwards it to next (which
+// may be nil); latest renders the stored event, or {} before the first.
+// Nothing is counted, timed or extrapolated here: the runner stamps
+// Completed, Total and SweepElapsed on every event, and ETA derives from
+// them.
+func TrackLatest(next func(Progress)) (observe func(Progress), latest func() ([]byte, error)) {
+	var (
+		mu   sync.Mutex
+		last Progress
+		seen bool
+	)
+	observe = func(p Progress) {
+		mu.Lock()
+		last, seen = p, true
+		mu.Unlock()
+		if next != nil {
+			next(p)
+		}
+	}
+	latest = func() ([]byte, error) {
+		mu.Lock()
+		p, ok := last, seen
+		mu.Unlock()
+		if !ok {
+			return []byte("{}"), nil
+		}
+		return p.MarshalJSON()
+	}
+	return observe, latest
 }
 
 // String renders the event in the legacy progress-line format, followed by

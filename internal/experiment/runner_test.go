@@ -251,3 +251,39 @@ func TestRunSweepObserverSerialized(t *testing.T) {
 		t.Errorf("events = %d, want 32", events)
 	}
 }
+
+// TestRunSweepResumedTotals: with points skipped (the resume path), the
+// runner's Total counts only the items that run. It is the one
+// denominator /progress and a served job's status report, so every event
+// carries it and the last one reads Completed == Total.
+func TestRunSweepResumedTotals(t *testing.T) {
+	const trials = 3
+	skip := []bool{true, false, true, false, false}
+	var events []Progress
+	_, err := RunSweep(context.Background(), Sweep[int, int]{
+		Base:   BaseConfig{Radius: 1, Trials: trials, Workers: 2},
+		Points: []int{1, 2, 3, 4, 5},
+		Key:    IntKey,
+		Skip:   skip,
+		Run:    func(ctx context.Context, p, trial int, seeds TrialSeeds) (int, error) { return p, nil },
+		Event: func(p, trial, result int, elapsed time.Duration) Progress {
+			return Progress{N: p, Trial: trial, Trials: trials}
+		},
+	}, func(p Progress) { events = append(events, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 3 * trials // three unskipped points
+	if len(events) != want {
+		t.Fatalf("%d events, want %d", len(events), want)
+	}
+	for i, ev := range events {
+		if ev.Total != want || ev.Completed != i+1 || skip[ev.N-1] {
+			t.Errorf("event %d = point %d, %d/%d; want an unskipped point at %d/%d",
+				i, ev.N, ev.Completed, ev.Total, i+1, want)
+		}
+	}
+	if last := events[len(events)-1]; last.Completed != last.Total {
+		t.Errorf("last event %d/%d, want Completed == Total", last.Completed, last.Total)
+	}
+}

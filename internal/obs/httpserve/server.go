@@ -6,9 +6,8 @@
 //	/metrics             Prometheus text exposition of the obs.Registry: the
 //	                     live obs.Collector snapshot, histogram buckets
 //	                     included, plus every co-mounted subsystem's families
-//	/progress            JSON of the running sweep (completed/total work
-//	                     items, per-point timing, throughput, ETA) from an
-//	                     experiment.Tracker-style source
+//	/progress            the running sweep's latest experiment.Progress event
+//	                     (completed/total work items, elapsed time, ETA)
 //	/events?n=K          the most recent K events retained by an obs.Ring
 //	/api/v1/timeseries   step-aligned history from a timeseries.DB
 //	/api/v1/alerts       SLO burn-rate alert states from an evaluator
@@ -44,7 +43,7 @@ type Options struct {
 	// Ring backs /events.
 	Ring *obs.Ring
 	// Progress backs /progress: it returns the current sweep state as JSON
-	// (experiment.(*Tracker).ProgressJSON is the canonical source).
+	// (the latest func of experiment.TrackLatest is the canonical source).
 	Progress func() ([]byte, error)
 	// Ready backs /readyz: the endpoint answers 200 while Ready returns
 	// true and 503 once it returns false (a job manager flips it during

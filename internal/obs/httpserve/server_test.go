@@ -37,11 +37,11 @@ func get(t *testing.T, url string) (int, []byte) {
 func TestServerLiveSweep(t *testing.T) {
 	coll := obs.NewCollector()
 	ring := obs.NewRing(64)
-	tracker := experiment.NewTracker()
+	observe, latest := experiment.TrackLatest(nil)
 	ts := httptest.NewServer(NewHandler(Options{
 		Collector: coll,
 		Ring:      ring,
-		Progress:  tracker.ProgressJSON,
+		Progress:  latest,
 	}))
 	defer ts.Close()
 
@@ -52,8 +52,7 @@ func TestServerLiveSweep(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Tracer = obs.Multi(coll, ring)
 	total := len(cfg.RValues) * cfg.Trials
-	tracker.SetTotal(total)
-	if _, err := experiment.RunContext(context.Background(), cfg, tracker.Wrap(nil)); err != nil {
+	if _, err := experiment.RunContext(context.Background(), cfg, observe); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,27 +70,17 @@ func TestServerLiveSweep(t *testing.T) {
 		t.Errorf("rounds_total = %g, want > 0", samples["netags_rounds_total"])
 	}
 
-	// /progress: totals match the grid and the sweep reads done.
+	// /progress: the last event's totals match the grid, and it reads done.
 	code, body = get(t, ts.URL+"/progress")
 	if code != http.StatusOK {
 		t.Fatalf("/progress status %d", code)
 	}
-	var prog struct {
-		Active    bool  `json:"active"`
-		Completed int   `json:"completed"`
-		Total     int   `json:"total"`
-		Done      bool  `json:"done"`
-		Points    []any `json:"points"`
-		Last      any   `json:"last"`
-	}
+	var prog experiment.Progress
 	if err := json.Unmarshal(body, &prog); err != nil {
 		t.Fatalf("/progress not JSON: %v\n%s", err, body)
 	}
-	if !prog.Active || !prog.Done || prog.Completed != total || prog.Total != total {
-		t.Errorf("/progress = %+v, want %d/%d done", prog, total, total)
-	}
-	if len(prog.Points) != len(cfg.RValues) || prog.Last == nil {
-		t.Errorf("/progress points/last missing: %s", body)
+	if prog.Completed != total || prog.Total != total || prog.ETA() != 0 || prog.R != 6 {
+		t.Errorf("/progress = %s, want %d/%d done at r=6", body, total, total)
 	}
 
 	// /events: the most recent ring contents, JSON-parseable, tail-limited.

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -47,6 +48,10 @@ type Rule struct {
 // IsBurn reports whether the rule is a burn-rate rule (vs threshold).
 func (r Rule) IsBurn() bool { return r.Good != "" || r.Total != "" }
 
+// Window is the rule's trailing evaluation window. Validate guarantees it
+// is positive.
+func (r Rule) Window() time.Duration { return time.Duration(r.WindowS * float64(time.Second)) }
+
 // Validate rejects rules that could never evaluate meaningfully. Names are
 // restricted to [A-Za-z0-9_.:-] because they travel as Prometheus label
 // values and through the hand-rolled /events JSON encoder unescaped.
@@ -62,8 +67,10 @@ func (r Rule) Validate() error {
 			return fmt.Errorf("rule %q: name may only contain [A-Za-z0-9_.:-]", r.Name)
 		}
 	}
-	if r.WindowS <= 0 {
-		return fmt.Errorf("rule %q: window_s must be > 0", r.Name)
+	// The window must hold a whole nanosecond and fit time.Duration: a
+	// larger one would wrap negative, a smaller one truncate to zero.
+	if ns := r.WindowS * float64(time.Second); !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("rule %q: window_s must be in [1e-9, 9.2e9], got %g", r.Name, r.WindowS)
 	}
 	if r.IsBurn() {
 		if r.Good == "" || r.Total == "" {
@@ -230,7 +237,7 @@ func counterDelta(samples []Sample, now time.Time, window time.Duration) (delta 
 }
 
 func (e *Evaluator) evalBurn(r Rule, now time.Time) (firing bool, burn, winTotal float64) {
-	window := time.Duration(r.WindowS * float64(time.Second))
+	window := r.Window()
 	goodS, okG := e.db.Samples(r.Good)
 	totalS, okT := e.db.Samples(r.Total)
 	if !okG || !okT {
@@ -266,7 +273,7 @@ func (e *Evaluator) evalThreshold(r Rule, now time.Time) (firing bool, mean floa
 	if !ok {
 		return false, 0
 	}
-	cutoff := now.Add(-time.Duration(r.WindowS * float64(time.Second))).UnixMilli()
+	cutoff := now.Add(-r.Window()).UnixMilli()
 	var sum float64
 	var n int
 	for i := len(samples) - 1; i >= 0; i-- {

@@ -170,6 +170,8 @@ func TestParseRules(t *testing.T) {
 	bad := []string{
 		`[{"name":"","window_s":1,"series":"x"}]`,                                         // no name
 		`[{"name":"r","series":"x"}]`,                                                     // no window
+		`[{"name":"r","window_s":1e10,"series":"x"}]`,                                     // window overflows time.Duration
+		`[{"name":"r","window_s":1e-10,"series":"x"}]`,                                    // window under a nanosecond
 		`[{"name":"r","window_s":1}]`,                                                     // neither shape
 		`[{"name":"r","window_s":1,"good":"g"}]`,                                          // burn without total
 		`[{"name":"r","window_s":1,"good":"g","total":"t","objective":2}]`,                // bad objective

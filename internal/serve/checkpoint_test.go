@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -271,5 +272,35 @@ func TestCheckpointGC(t *testing.T) {
 	}
 	if n := c.gc(0, live); n != 0 {
 		t.Errorf("ttl-0 GC purged %d", n)
+	}
+}
+
+// TestManagerCheckpointGC: a manager built with CheckpointDir and
+// CheckpointTTL purges, on startup, an unreferenced checkpoint file aged
+// past the TTL, keeps a fresh one, and counts the purge on /metrics.
+func TestManagerCheckpointGC(t *testing.T) {
+	dir := t.TempDir()
+	old := time.Now().Add(-2 * time.Hour)
+	stalePath := filepath.Join(dir, "stale.ndjson")
+	freshPath := filepath.Join(dir, "fresh.ndjson")
+	for _, p := range []string{stalePath, freshPath} {
+		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Chtimes(stalePath, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Config{Workers: 1, CheckpointDir: dir, CheckpointTTL: time.Hour, run: stubRun(nil, nil)})
+	defer m.Shutdown(context.Background())
+	if _, err := os.Stat(stalePath); !os.IsNotExist(err) {
+		t.Errorf("stale file survived the startup GC: %v", err)
+	}
+	if _, err := os.Stat(freshPath); err != nil {
+		t.Errorf("startup GC removed the fresh file: %v", err)
+	}
+	if text := promText(t, m.Registry()); !strings.Contains(text, "\nnetags_serve_checkpoint_purged_total 1\n") {
+		t.Errorf("purge not counted on /metrics:\n%s", text)
 	}
 }

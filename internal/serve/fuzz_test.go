@@ -100,8 +100,8 @@ func FuzzJobSpecKey(f *testing.F) {
 		if err := norm.Validate(); err != nil {
 			t.Fatalf("normalized spec invalid: %v\n%s", err, canon)
 		}
-		if norm.TotalItems() != spec.Normalized().TotalItems() {
-			t.Fatal("TotalItems unstable across normalization")
+		if norm.PointCount() != spec.PointCount() {
+			t.Fatal("PointCount unstable across normalization")
 		}
 	})
 }

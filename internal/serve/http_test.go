@@ -384,8 +384,9 @@ func TestHTTPMetricsAndIntrospection(t *testing.T) {
 	if err := json.Unmarshal(raw, &list); code != http.StatusOK || err != nil || len(list.Jobs) != 1 {
 		t.Fatalf("/api/v1/jobs = %d, %s", code, raw)
 	}
+	total := testSpec(0).PointCount() * testSpec(0).Trials
 	if st := list.Jobs[0]; st.ID != sub.ID || st.State != StateRunning || st.Progress == nil ||
-		!st.Progress.Active || st.Progress.Total != testSpec(0).TotalItems() || st.Progress.Done {
+		st.Progress.Completed != 1 || st.Progress.Total != total {
 		t.Errorf("running job's status lacks its live progress: %s", raw)
 	}
 	code, raw = getBody(t, ts.URL+"/metrics")

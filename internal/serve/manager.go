@@ -87,12 +87,9 @@ type Config struct {
 	TraceEventsPerJob int
 	// CheckpointTTL, when positive and CheckpointDir is set, purges
 	// checkpoint NDJSON files left by earlier process lifetimes once they
-	// go unreferenced for this long — on startup and every
-	// CheckpointGCInterval. Zero disables the GC.
+	// go unreferenced for this long — on startup and every TTL/4, clamped
+	// to [1min, 1h]. Zero disables the GC.
 	CheckpointTTL time.Duration
-	// CheckpointGCInterval is the purge cadence (0 = TTL/4, clamped to
-	// [1min, 1h]).
-	CheckpointGCInterval time.Duration
 
 	// run overrides job execution in tests. nil means runSpecHooked. The
 	// contract: call h.pointDone once per non-skipped point with its row,
@@ -122,15 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
-	}
-	if c.CheckpointGCInterval <= 0 && c.CheckpointTTL > 0 {
-		c.CheckpointGCInterval = c.CheckpointTTL / 4
-		if c.CheckpointGCInterval < time.Minute {
-			c.CheckpointGCInterval = time.Minute
-		}
-		if c.CheckpointGCInterval > time.Hour {
-			c.CheckpointGCInterval = time.Hour
-		}
 	}
 	if c.run == nil {
 		c.run = runSpecHooked
@@ -170,7 +158,6 @@ type Job struct {
 	points   int    // sweep-axis length (the N of "point k/N")
 	skip     []bool // checkpointed points to not recompute (resume)
 	resumed  int    // how many points the checkpoint restored
-	tracker  *experiment.Tracker
 	ctx      context.Context
 	cancel   context.CancelFunc
 	done     chan struct{}
@@ -184,6 +171,9 @@ type Job struct {
 	finished  time.Time
 	rows      pointLog  // checkpoint rows, file handle, stream subscribers
 	trace     *jobTrace // lifecycle timeline; nil when tracing is disabled
+	// progress is the runner's last Progress event; Completed is 0 until
+	// the first work item lands.
+	progress experiment.Progress
 
 	// Guarded by the manager's mu: the result payload, held while the job
 	// is in the manager's payload LRU.
@@ -281,10 +271,11 @@ type JobStatus struct {
 	SubmittedAt   string `json:"submitted_at,omitempty"`
 	StartedAt     string `json:"started_at,omitempty"`
 	FinishedAt    string `json:"finished_at,omitempty"`
-	// Progress is the per-job tracker snapshot: completed/total work
-	// items, per-point timing, throughput, ETA. On a resumed job the total
-	// counts only the points actually being computed.
-	Progress *experiment.TrackerSnapshot `json:"progress,omitempty"`
+	// Progress is the runner's last Progress event: completed/total work
+	// items, sweep elapsed time and ETA. On a resumed job the total counts
+	// only the points actually being computed. Omitted until the first
+	// work item lands.
+	Progress *experiment.Progress `json:"progress,omitempty"`
 }
 
 func rfc3339(t time.Time) string {
@@ -306,9 +297,11 @@ func (j *Job) Status() JobStatus {
 		StartedAt:     rfc3339(j.started),
 		FinishedAt:    rfc3339(j.finished),
 	}
+	if j.progress.Completed > 0 {
+		p := j.progress
+		st.Progress = &p
+	}
 	j.mu.Unlock()
-	snap := j.tracker.Snapshot()
-	st.Progress = &snap
 	return st
 }
 
@@ -372,7 +365,7 @@ func NewManager(cfg Config) *Manager {
 			m.log.Info("checkpoint gc: purged stale files on startup",
 				"purged", n, "ttl", cfg.CheckpointTTL.String())
 		}
-		go m.checkpointGCLoop()
+		go m.checkpointGCLoop(min(max(cfg.CheckpointTTL/4, time.Minute), time.Hour))
 	}
 	m.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -381,10 +374,10 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// checkpointGCLoop purges stale checkpoint files every GC interval until
+// checkpointGCLoop purges stale checkpoint files every interval until
 // Shutdown.
-func (m *Manager) checkpointGCLoop() {
-	t := time.NewTicker(m.cfg.CheckpointGCInterval)
+func (m *Manager) checkpointGCLoop(every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -536,7 +529,6 @@ func (m *Manager) Submit(spec JobSpec, opts SubmitOptions) (JobStatus, SubmitOut
 		priority:  opts.Priority.normalize(),
 		client:    opts.Client,
 		points:    points,
-		tracker:   experiment.NewTracker(),
 		ctx:       ctx,
 		cancel:    cancel,
 		done:      make(chan struct{}),
@@ -554,13 +546,6 @@ func (m *Manager) Submit(spec JobSpec, opts SubmitOptions) (JobStatus, SubmitOut
 		m.ckpt.load(key, &j.rows)
 	}
 	j.skip, j.resumed = j.rows.restore(points)
-	// The tracker denominator counts only the work actually ahead: resumed
-	// points contribute no items.
-	total := norm.TotalItems()
-	if points > 0 {
-		total -= j.resumed * (total / points)
-	}
-	j.tracker.SetTotal(total)
 
 	m.emitJob(j, key, StageReceived, j.priority, 0, points, "")
 	if err := m.sched.Push(j); err != nil {
@@ -668,13 +653,17 @@ func (m *Manager) runJob(j *Job) {
 		"job", j.ID, "class", string(j.priority), "queue_wait_ms", ms(queueWait),
 		"workers", j.workers)
 	m.running.Add(1)
-	// Anchor the tracker's rate clock here: queue wait (and, on a resumed
-	// job, the time before resubmission) must not dilute the progress ETA.
-	j.tracker.MarkRunStart()
+	// The runner's events count only the items left to run and time them
+	// from the sweep's own start, so queue wait and resumed points stay out
+	// of the ETA.
 	err := m.cfg.run(j.ctx, j.Spec, j.workers, runHooks{
-		observe: j.tracker.Wrap(nil),
-		tracer:  m.cfg.Tracer,
-		skip:    j.skip,
+		observe: func(p experiment.Progress) {
+			j.mu.Lock()
+			j.progress = p
+			j.mu.Unlock()
+		},
+		tracer: m.cfg.Tracer,
+		skip:   j.skip,
 		pointDone: func(rec PointRecord) {
 			m.pointCompleted(j, rec)
 		},

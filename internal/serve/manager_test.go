@@ -44,15 +44,18 @@ func stubRun(executions *atomic.Int64, gate <-chan struct{}) func(context.Contex
 		if executions != nil {
 			executions.Add(1)
 		}
+		// One item lands before the gate, so a gated job's status already
+		// carries the runner's progress.
+		if h.observe != nil {
+			h.observe(experiment.Progress{Sweep: spec.Sweep, Trial: 0, Trials: spec.Trials,
+				Completed: 1, Total: spec.PointCount() * spec.Trials})
+		}
 		if gate != nil {
 			select {
 			case <-gate:
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-		}
-		if h.observe != nil {
-			h.observe(experiment.Progress{Sweep: spec.Sweep, Trial: 0, Trials: spec.Trials, Completed: 1, Total: spec.TotalItems()})
 		}
 		emitStubPoints(spec, h)
 		return nil

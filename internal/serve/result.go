@@ -22,7 +22,7 @@ import (
 // runHooks carries the per-run wiring from the manager into runSpecHooked.
 type runHooks struct {
 	// observe receives the sweep's per-item Progress events (the manager
-	// wires the job's Tracker).
+	// keeps the last one for the job's status).
 	observe func(experiment.Progress)
 	// tracer, if non-nil, receives every protocol run's event stream.
 	tracer obs.Tracer

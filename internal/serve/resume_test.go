@@ -16,7 +16,7 @@ import (
 // (a new Manager on the same checkpoint dir), the spec is resubmitted, and
 // the resumed job (a) recomputes none of the completed points, (b) reports
 // them as ResumedPoints, and (c) produces a payload byte-identical to an
-// uninterrupted run.
+// uninterrupted run; its progress total counts only the recomputed points.
 func TestResumeAfterDrainByteIdentical(t *testing.T) {
 	for _, spec := range []JobSpec{
 		{N: 130, Trials: 2, RValues: []float64{3, 4, 5, 6}, Seed: 5},
@@ -98,6 +98,12 @@ func resumeAfterDrain(t *testing.T, spec JobSpec) {
 	final := waitTerminal(t, m2, st2.ID)
 	if final.State != StateDone {
 		t.Fatalf("resumed job = %+v", final)
+	}
+	// The status's progress is the runner's last event, so its total
+	// counts only the points still to run.
+	if want := (points - killAt) * spec.Trials; final.Progress == nil ||
+		final.Progress.Total != want || final.Progress.Completed != want {
+		t.Errorf("resumed job's progress = %+v, want %d/%d", final.Progress, want, want)
 	}
 
 	recomputedMu.Lock()

@@ -113,12 +113,6 @@ func (s JobSpec) Validate() error {
 	return experiment.Spec(n).Validate()
 }
 
-// TotalItems returns the job's work-item count (points × trials) on the
-// normalized spec — the tracker's denominator.
-func (s JobSpec) TotalItems() int {
-	return s.PointCount() * s.Normalized().Trials
-}
-
 // PointCount returns the normalized spec's sweep-axis length — the number
 // of grid points, and the denominator of the per-point checkpoint.
 func (s JobSpec) PointCount() int {

@@ -235,14 +235,6 @@ func manyPoints(n int) []float64 {
 	return out
 }
 
-// TestSpecTotalItems: the tracker denominator is points × trials.
-func TestSpecTotalItems(t *testing.T) {
-	s := JobSpec{N: 300, Trials: 5, RValues: []float64{2, 6, 10}}
-	if got := s.TotalItems(); got != 15 {
-		t.Errorf("TotalItems = %d, want 15", got)
-	}
-}
-
 // TestSpecKeyIsHex: keys are lowercase hex SHA-256 (64 chars) — stable
 // enough to live in URLs.
 func TestSpecKeyIsHex(t *testing.T) {
