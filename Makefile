@@ -72,6 +72,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzCheckpointReplay$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzStreamCursor$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	go test -run '^$$' -fuzz '^FuzzHashRing$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	go test -run '^$$' -fuzz '^FuzzRouterPath$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/obs/timeseries/
 
 # Sequential-vs-parallel sweep benchmark (one full Quick() sweep each;

@@ -7,7 +7,7 @@
 //	ccmserve -addr :9081 & ccmserve -addr :9082 & ccmserve -addr :9083 &
 //	ccmrouter -addr :9080 -backends localhost:9081,localhost:9082,localhost:9083
 //	curl -s localhost:9080/api/v1/jobs -d '{"spec":{"n":10000,"trials":5,"r_values":[2,4,6,8,10]}}'
-//	curl -s localhost:9080/api/v1/cluster | jq .   # ring/breaker/admission state
+//	curl -s localhost:9080/metrics | grep netags_cluster_   # ring/breaker/admission state
 //
 // Submissions shard by the JobSpec's SHA-256 content address, so one job's
 // submit, stream, trace, and result all land on the worker that owns (and
@@ -17,8 +17,9 @@
 // edge — per-client token buckets and utilization shedding answer 429 with
 // Retry-After before a worker queue ever deepens.
 //
-// Observability mirrors ccmserve: /metrics, /events, /api/v1/timeseries,
-// /api/v1/alerts (cluster SLO rules built in), /api/v1/cluster, /debug/dash.
+// Observability mirrors ccmserve: /metrics (every ring, breaker, admission
+// and router number), /events, /api/v1/timeseries, /api/v1/alerts (cluster
+// SLO rules built in), /debug/dash.
 package main
 
 import (
@@ -48,22 +49,13 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	var (
 		addr     = fs.String("addr", ":9080", "listen address")
 		backends = fs.String("backends", "", "comma-separated ccmserve worker addresses (host:port, required)")
-		replicas = fs.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
-		maxTries = fs.Int("max-attempts", 0, "distinct backends tried per request (0 = all)")
 
-		rate       = fs.Float64("rate", 0, "per-client sustained submissions/second (0 disables rate limiting)")
-		burst      = fs.Float64("burst", 0, "per-client token-bucket burst (0 = max(rate,1))")
-		maxClients = fs.Int("max-clients", 4096, "client buckets tracked before falling back to a shared overflow bucket")
-		maxInfl    = fs.Int("max-inflight", 0, "cluster-wide in-flight cap for utilization shedding (0 disables)")
-		shedBulk   = fs.Float64("shed-bulk", 0.8, "utilization fraction at which bulk submissions shed (interactive sheds only at 1.0)")
+		rate    = fs.Float64("rate", 0, "per-client sustained submissions/second (0 disables rate limiting)")
+		burst   = fs.Float64("burst", 0, "per-client token-bucket burst (0 = max(rate,1))")
+		maxInfl = fs.Int("max-inflight", 0, "cluster-wide cap on proxied requests in flight, open streams included, for utilization shedding (0 disables; bulk submissions shed at 80%)")
 
 		brkConsec   = fs.Int("breaker-consec", 5, "consecutive failures that trip a backend's breaker")
-		brkRate     = fs.Float64("breaker-rate", 0.5, "windowed failure rate that trips the breaker")
-		brkMin      = fs.Int("breaker-min", 10, "minimum windowed samples before the rate condition judges")
-		brkWindow   = fs.Duration("breaker-window", 10*time.Second, "failure-rate observation window")
 		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "open-state cooldown before half-open probes")
-		probes      = fs.Int("probes", 1, "concurrent half-open probes per backend")
-		probeOK     = fs.Int("probe-successes", 2, "probe successes that close a half-open breaker")
 	)
 	d := serve.NewDaemon("ccmrouter", fs, "cluster defaults")
 	if err := d.Parse(args); err != nil {
@@ -81,20 +73,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Backends:    workerAddrs,
-		Replicas:    *replicas,
-		MaxAttempts: *maxTries,
-		Admit: cluster.AdmitConfig{
-			Rate: *rate, Burst: *burst, MaxClients: *maxClients,
-			MaxInflight: *maxInfl, BulkShedFraction: *shedBulk,
-		},
-		Breaker: cluster.BreakerConfig{
-			ConsecutiveFailures: *brkConsec, FailureRate: *brkRate,
-			MinSamples: *brkMin, Window: *brkWindow, Cooldown: *brkCooldown,
-			HalfOpenProbes: *probes, ProbeSuccesses: *probeOK,
-		},
-		Logger: d.Logger,
-		Tracer: d.Ring,
+		Backends: workerAddrs,
+		Admit:    cluster.AdmitConfig{Rate: *rate, Burst: *burst, MaxInflight: *maxInfl},
+		Breaker:  cluster.BreakerConfig{ConsecutiveFailures: *brkConsec, Cooldown: *brkCooldown},
+		Logger:   d.Logger,
+		Tracer:   d.Ring,
 	})
 	if err != nil {
 		return err
@@ -114,11 +97,9 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 	// The plain banner stays greppable for scripts (cluster_e2e.sh parses
 	// the address out of it); everything after startup is structured.
-	fmt.Fprintf(os.Stderr, "ccmrouter: listening on %s (backends=%d replicas=%d)\n",
-		srv.Addr(), len(workerAddrs), *replicas)
+	fmt.Fprintf(os.Stderr, "ccmrouter: listening on %s (backends=%d)\n", srv.Addr(), len(workerAddrs))
 	d.Logger.Info("ccmrouter started",
 		"addr", srv.Addr(), "backends", strings.Join(workerAddrs, ","),
-		"replicas", *replicas,
 		"rate", *rate, "max_inflight", *maxInfl,
 		"breaker_consec", *brkConsec, "breaker_cooldown", brkCooldown.String())
 	if ready != nil {

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -28,7 +28,7 @@ func startWorker(t *testing.T) string {
 
 // TestRouterEndToEnd boots the router daemon in-process over two real
 // workers, runs a job through it with the serve.Client helper, and checks
-// the cluster status endpoint — then drains it via context cancel.
+// the cluster's state on /metrics — then drains it via context cancel.
 func TestRouterEndToEnd(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,34 +76,26 @@ func TestRouterEndToEnd(t *testing.T) {
 		t.Fatalf("result unstable across reads: %v", err)
 	}
 
-	// Cluster status reflects the membership and the traffic.
-	resp, err := http.Get("http://" + addr + "/api/v1/cluster")
+	// /metrics reflects the membership and the traffic: every breaker
+	// closed (state 0), and forwarded requests counted.
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var status struct {
-		Backends []struct {
-			Addr  string `json:"addr"`
-			State string `json:"state"`
-		} `json:"backends"`
-		Counters struct {
-			Forwarded int64 `json:"forwarded"`
-		} `json:"counters"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(status.Backends) != 2 {
-		t.Fatalf("cluster status lists %d backends, want 2", len(status.Backends))
-	}
-	for _, b := range status.Backends {
-		if b.State != "closed" {
-			t.Fatalf("backend %s breaker %q, want closed", b.Addr, b.State)
+	for _, w := range []string{w1, w2} {
+		if want := `netags_cluster_breaker_state{backend="` + w + `"} 0` + "\n"; !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, metrics)
 		}
 	}
-	if status.Counters.Forwarded == 0 {
-		t.Fatal("forwarded counter did not move")
+	if !bytes.Contains(metrics, []byte("netags_cluster_backends 2\n")) ||
+		!bytes.Contains(metrics, []byte("netags_cluster_forwarded_total ")) ||
+		bytes.Contains(metrics, []byte("netags_cluster_forwarded_total 0\n")) {
+		t.Fatalf("/metrics shows the wrong membership or no forwarded requests:\n%s", metrics)
 	}
 
 	cancel()

@@ -18,6 +18,18 @@ const (
 	ShedOverload  = "overload"
 )
 
+// Admission settings no deployment varies.
+const (
+	// clientCap bounds the tracked client set. Clients beyond it share one
+	// overflow bucket — a full table degrades to coarse fairness instead
+	// of unbounded memory.
+	clientCap = 4096
+	// bulkShare is the fraction of MaxInflight at which bulk-class
+	// submissions shed while interactive ones still pass. Interactive sheds
+	// only at full MaxInflight, preserving interactive-over-bulk end to end.
+	bulkShare = 0.8
+)
+
 // AdmitConfig tunes the admission stage. The zero value admits everything
 // (both mechanisms disabled).
 type AdmitConfig struct {
@@ -27,18 +39,11 @@ type AdmitConfig struct {
 	// Burst is the bucket capacity (momentary excursion above Rate).
 	// <= 0 defaults to max(Rate, 1).
 	Burst float64
-	// MaxClients bounds the tracked client set (default 4096). Clients
-	// beyond the cap share one overflow bucket — a full table degrades to
-	// coarse fairness instead of unbounded memory.
-	MaxClients int
-	// MaxInflight is the cluster-wide in-flight submission bound. <= 0
+	// MaxInflight bounds the cluster's in-flight proxied requests: every
+	// request the router is proxying counts, reads and NDJSON streams held
+	// open for a job's whole run included, not only submissions. <= 0
 	// disables utilization shedding.
 	MaxInflight int
-	// BulkShedFraction is the utilization at which bulk-class submissions
-	// shed while interactive ones still pass (default 0.8). Interactive
-	// sheds only at full MaxInflight, preserving interactive-over-bulk
-	// end to end.
-	BulkShedFraction float64
 }
 
 func (c AdmitConfig) withDefaults() AdmitConfig {
@@ -47,12 +52,6 @@ func (c AdmitConfig) withDefaults() AdmitConfig {
 		if c.Burst < 1 {
 			c.Burst = 1
 		}
-	}
-	if c.MaxClients <= 0 {
-		c.MaxClients = 4096
-	}
-	if c.BulkShedFraction <= 0 || c.BulkShedFraction > 1 {
-		c.BulkShedFraction = 0.8
 	}
 	return c
 }
@@ -105,7 +104,6 @@ type Admitter struct {
 	buckets  map[string]*bucket
 	overflow bucket
 
-	admitted    atomic.Int64
 	shedRate    atomic.Int64
 	shedLoad    atomic.Int64
 	overflowHit atomic.Int64
@@ -120,15 +118,16 @@ func NewAdmitter(cfg AdmitConfig) *Admitter {
 }
 
 // Admit decides one submission: client identifies the token bucket, bulk
-// selects the lower shed threshold, inflight is the cluster's current
-// in-flight submission count, and now is the decision time (passed in so
-// tests drive the clock). Shedding is checked before the rate limiter so
+// selects the lower shed threshold, inflight is the count MaxInflight
+// bounds (the router passes every proxied request in flight, streams
+// included), and now is the decision time (passed in so tests drive the
+// clock). Shedding is checked before the rate limiter so
 // an overloaded cluster does not drain client budgets it cannot serve.
 func (a *Admitter) Admit(client string, bulk bool, inflight int64, now time.Time) Decision {
 	if a.cfg.MaxInflight > 0 {
 		limit := int64(a.cfg.MaxInflight)
 		if bulk {
-			limit = int64(float64(a.cfg.MaxInflight) * a.cfg.BulkShedFraction)
+			limit = int64(float64(a.cfg.MaxInflight) * bulkShare)
 			if limit < 1 {
 				limit = 1
 			}
@@ -154,7 +153,6 @@ func (a *Admitter) Admit(client string, bulk bool, inflight int64, now time.Time
 			return Decision{Reason: ShedRateLimit, RetryAfter: wait}
 		}
 	}
-	a.admitted.Add(1)
 	return Decision{OK: true}
 }
 
@@ -172,7 +170,7 @@ func (a *Admitter) bucketFor(client string) *bucket {
 	if b = a.buckets[client]; b != nil {
 		return b
 	}
-	if len(a.buckets) >= a.cfg.MaxClients {
+	if len(a.buckets) >= clientCap {
 		a.overflowHit.Add(1)
 		return &a.overflow
 	}
@@ -183,7 +181,6 @@ func (a *Admitter) bucketFor(client string) *bucket {
 
 // AdmitStats is the admission counters snapshot.
 type AdmitStats struct {
-	Admitted      int64
 	ShedRateLimit int64
 	ShedOverload  int64
 	// Clients is the tracked client-bucket count.
@@ -199,7 +196,6 @@ func (a *Admitter) Stats() AdmitStats {
 	clients := len(a.buckets)
 	a.mu.RUnlock()
 	return AdmitStats{
-		Admitted:      a.admitted.Load(),
 		ShedRateLimit: a.shedRate.Load(),
 		ShedOverload:  a.shedLoad.Load(),
 		Clients:       clients,

@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -26,8 +25,7 @@ const (
 	BreakerOpen
 )
 
-// String returns the lowercase state name used in logs, metrics, and the
-// cluster status document.
+// String returns the lowercase state name used in logs and events.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:
@@ -40,31 +38,31 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// Breaker settings no deployment varies. The windowed-rate trip and the
+// probe cap stay as mechanisms; only their settings are fixed.
+const (
+	// tripRate trips the breaker when failures/total over the trailing
+	// rateWindow reaches this fraction with at least rateSamples outcomes.
+	tripRate    = 0.5
+	rateSamples = 10
+	// rateWindow is the failure-rate observation window. Counts reset when
+	// a recorded outcome arrives more than rateWindow after the window
+	// opened — expiry is clock-comparison only, never a timer.
+	rateWindow = 10 * time.Second
+	// probeCap caps concurrent in-flight probes while half-open.
+	probeCap = 1
+	// probesToClose is how many probe successes close the breaker.
+	probesToClose = 2
+)
+
 // BreakerConfig tunes one breaker. The zero value takes every default.
 type BreakerConfig struct {
 	// ConsecutiveFailures trips the breaker after this many failures in a
-	// row (default 5; negative disables the condition).
+	// row (<= 0 takes the default, 5).
 	ConsecutiveFailures int
-	// FailureRate trips the breaker when failures/total over the trailing
-	// Window reaches this fraction with at least MinSamples outcomes
-	// (default 0.5; 0 or negative disables the condition).
-	FailureRate float64
-	// MinSamples is the least windowed outcome count before FailureRate
-	// can judge (default 10).
-	MinSamples int
-	// Window is the failure-rate observation window (default 10s). Counts
-	// reset when a recorded outcome arrives more than Window after the
-	// window opened — expiry is clock-comparison only, never a timer.
-	Window time.Duration
 	// Cooldown is how long an open breaker blocks before allowing
-	// half-open probes (default 5s).
+	// half-open probes (<= 0 takes the default, 5s).
 	Cooldown time.Duration
-	// HalfOpenProbes caps concurrent in-flight probes while half-open
-	// (default 1).
-	HalfOpenProbes int
-	// ProbeSuccesses is how many probe successes close the breaker
-	// (default 2).
-	ProbeSuccesses int
 	// OnTransition, when non-nil, observes every state change. It is
 	// invoked with the breaker's lock held: it must be fast and must not
 	// call back into the breaker.
@@ -72,26 +70,11 @@ type BreakerConfig struct {
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.ConsecutiveFailures == 0 {
+	if c.ConsecutiveFailures <= 0 {
 		c.ConsecutiveFailures = 5
-	}
-	if c.FailureRate == 0 {
-		c.FailureRate = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
-	}
-	if c.Window <= 0 {
-		c.Window = 10 * time.Second
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 2
 	}
 	return c
 }
@@ -117,10 +100,7 @@ type Breaker struct {
 	probes   int       // in-flight half-open probes
 	probeOK  int       // successes this half-open episode
 
-	// Cumulative counters for metrics (guarded by mu).
-	trips     uint64
-	successes uint64
-	failures  uint64
+	trips uint64 // cumulative, for metrics
 }
 
 // NewBreaker returns a closed breaker with cfg's defaults materialized.
@@ -131,7 +111,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // Allow asks whether a request may proceed at time now. When ok, the
 // caller must eventually call Record with the returned gen (and probe
 // flag). probe marks half-open trial requests — they are capped at
-// HalfOpenProbes concurrently and their outcomes drive the
+// probeCap concurrently and their outcomes drive the
 // close-or-reopen decision.
 func (b *Breaker) Allow(now time.Time) (ok, probe bool, gen uint64) {
 	b.mu.Lock()
@@ -146,7 +126,7 @@ func (b *Breaker) Allow(now time.Time) (ok, probe bool, gen uint64) {
 		b.transition(BreakerHalfOpen, now)
 		fallthrough
 	case BreakerHalfOpen:
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= probeCap {
 			return false, false, b.gen
 		}
 		b.probes++
@@ -164,14 +144,9 @@ func (b *Breaker) Record(now time.Time, success, probe bool, gen uint64) {
 	if gen != b.gen {
 		return
 	}
-	if success {
-		b.successes++
-	} else {
-		b.failures++
-	}
 	switch b.state {
 	case BreakerClosed:
-		if now.Sub(b.winStart) > b.cfg.Window {
+		if now.Sub(b.winStart) > rateWindow {
 			b.winStart = now
 			b.winFails, b.winTotal = 0, 0
 		}
@@ -182,10 +157,8 @@ func (b *Breaker) Record(now time.Time, success, probe bool, gen uint64) {
 		}
 		b.consec++
 		b.winFails++
-		tripConsec := b.cfg.ConsecutiveFailures > 0 && b.consec >= b.cfg.ConsecutiveFailures
-		tripRate := b.cfg.FailureRate > 0 && b.winTotal >= b.cfg.MinSamples &&
-			float64(b.winFails)/float64(b.winTotal) >= b.cfg.FailureRate
-		if tripConsec || tripRate {
+		if b.consec >= b.cfg.ConsecutiveFailures ||
+			(b.winTotal >= rateSamples && float64(b.winFails)/float64(b.winTotal) >= tripRate) {
 			b.trip(now)
 		}
 	case BreakerHalfOpen:
@@ -200,7 +173,7 @@ func (b *Breaker) Record(now time.Time, success, probe bool, gen uint64) {
 		}
 		if probe {
 			b.probeOK++
-			if b.probeOK >= b.cfg.ProbeSuccesses {
+			if b.probeOK >= probesToClose {
 				b.transition(BreakerClosed, now)
 			}
 		}
@@ -241,42 +214,9 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// BreakerStats is a point-in-time snapshot for metrics and the cluster
-// status document.
-type BreakerStats struct {
-	State     BreakerState
-	Trips     uint64
-	Successes uint64
-	Failures  uint64
-	// ConsecutiveFailures is the current closed-state failure run.
-	ConsecutiveFailures int
-	// WindowFailureRate is failures/total over the live window (0 when the
-	// window is empty).
-	WindowFailureRate float64
-	// InFlightProbes is the current half-open probe count.
-	InFlightProbes int
-}
-
-// Stats snapshots the breaker.
-func (b *Breaker) Stats() BreakerStats {
+// Trips reports how many times the breaker has opened.
+func (b *Breaker) Trips() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BreakerStats{
-		State:               b.state,
-		Trips:               b.trips,
-		Successes:           b.successes,
-		Failures:            b.failures,
-		ConsecutiveFailures: b.consec,
-		InFlightProbes:      b.probes,
-	}
-	if b.winTotal > 0 {
-		st.WindowFailureRate = float64(b.winFails) / float64(b.winTotal)
-	}
-	return st
-}
-
-// String describes the breaker state for logs.
-func (b *Breaker) String() string {
-	st := b.Stats()
-	return fmt.Sprintf("breaker(%s trips=%d fails=%d)", st.State, st.Trips, st.Failures)
+	return b.trips
 }

@@ -20,11 +20,27 @@ func (c *tick) advance(d time.Duration) time.Time {
 func failN(t *testing.T, b *Breaker, c *tick, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		ok, probe, gen := b.Allow(c.now)
-		if !ok {
-			t.Fatalf("failure %d: Allow refused in state %s", i, b.State())
-		}
-		b.Record(c.now, false, probe, gen)
+		recordOne(t, b, c, false)
+	}
+}
+
+// recordOne drives one allowed outcome through the breaker.
+func recordOne(t *testing.T, b *Breaker, c *tick, success bool) {
+	t.Helper()
+	ok, probe, gen := b.Allow(c.now)
+	if !ok {
+		t.Fatalf("Allow refused in state %s", b.State())
+	}
+	b.Record(c.now, success, probe, gen)
+}
+
+// alternate drives rateSamples-1 outcomes, failures and successes in
+// turn starting with a success (4 failures in 9), so the consecutive run
+// never exceeds 1 and the window stays one sample short of judging.
+func alternate(t *testing.T, b *Breaker, c *tick) {
+	t.Helper()
+	for i := 0; i < rateSamples-1; i++ {
+		recordOne(t, b, c, i%2 == 0)
 	}
 }
 
@@ -61,20 +77,12 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 
 func TestBreakerTripsOnFailureRate(t *testing.T) {
 	c := newTick()
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: -1, // disable the consecutive condition
-		FailureRate:         0.5, MinSamples: 10, Window: 10 * time.Second,
-	})
-	// 5 successes, then failures interleaved under MinSamples: no trip yet.
-	for i := 0; i < 5; i++ {
-		_, probe, gen := b.Allow(c.now)
-		b.Record(c.now, true, probe, gen)
-	}
-	failN(t, b, c, 4)
+	b := NewBreaker(BreakerConfig{}) // 5 consecutive failures would trip
+	alternate(t, b, c)
 	if b.State() != BreakerClosed {
-		t.Fatalf("tripped below MinSamples×rate")
+		t.Fatalf("tripped below rateSamples")
 	}
-	// 10th sample makes 5/10 = 50%: trip.
+	// The 10th sample makes 5/10 = 50%: trip, with a consecutive run of 1.
 	failN(t, b, c, 1)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %s at 50%% windowed failure rate, want open", b.State())
@@ -82,67 +90,65 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 }
 
 func TestBreakerWindowExpiryIsClockComparison(t *testing.T) {
+	// Control: inside one window, the 10th outcome judges 5/10 and trips.
 	c := newTick()
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: -1,
-		FailureRate:         0.5, MinSamples: 4, Window: 10 * time.Second,
-	})
-	// 3 failures late in one window...
-	failN(t, b, c, 3)
-	// ...then the next outcome lands past the window edge: counts reset, so
-	// the 4th failure is 1/1 of a fresh window, not 4/4 of a stale one.
-	c.advance(11 * time.Second)
+	b := NewBreaker(BreakerConfig{})
+	alternate(t, b, c)
+	failN(t, b, c, 1)
+	if b.State() != BreakerOpen {
+		t.Fatalf("control: state %s, want open", b.State())
+	}
+	// The same outcomes, but the 10th lands past the window edge: counts
+	// reset, so it is 1/1 of a fresh window below rateSamples, not 5/10 of
+	// a stale one.
+	c = newTick()
+	b = NewBreaker(BreakerConfig{})
+	alternate(t, b, c)
+	c.advance(rateWindow + time.Second)
 	failN(t, b, c, 1)
 	if b.State() != BreakerClosed {
 		t.Fatalf("window did not expire by timestamp comparison (state %s)", b.State())
-	}
-	st := b.Stats()
-	if st.WindowFailureRate != 1 {
-		t.Fatalf("fresh window rate %.2f, want 1.0 (1 failure / 1 sample)", st.WindowFailureRate)
 	}
 }
 
 func TestBreakerHalfOpenProbeCap(t *testing.T) {
 	c := newTick()
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: 2, Cooldown: 5 * time.Second,
-		HalfOpenProbes: 2, ProbeSuccesses: 3,
-	})
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 2, Cooldown: 5 * time.Second})
 	failN(t, b, c, 2)
 	c.advance(6 * time.Second)
 
-	// First Allow half-opens and takes probe slot 1; second takes slot 2;
-	// third must be refused — the cap bounds concurrent probes.
-	ok1, probe1, gen1 := b.Allow(c.now)
-	ok2, probe2, gen2 := b.Allow(c.now)
-	ok3, _, _ := b.Allow(c.now)
-	if !ok1 || !probe1 || !ok2 || !probe2 {
-		t.Fatalf("half-open refused probes under the cap")
+	// The first Allow half-opens; probeCap probes go out, and the next
+	// must be refused — the cap bounds concurrent probes.
+	var gen uint64
+	for i := 0; i < probeCap; i++ {
+		var ok, probe bool
+		if ok, probe, gen = b.Allow(c.now); !ok || !probe {
+			t.Fatalf("half-open refused probe %d under the cap", i)
+		}
 	}
-	if ok3 {
-		t.Fatalf("half-open admitted a 3rd concurrent probe over cap 2")
-	}
-	if got := b.Stats().InFlightProbes; got != 2 {
-		t.Fatalf("in-flight probes %d, want 2", got)
+	if ok, _, _ := b.Allow(c.now); ok {
+		t.Fatalf("half-open admitted a probe over cap %d", probeCap)
 	}
 
-	// Finishing a probe frees its slot.
-	b.Record(c.now, true, probe1, gen1)
+	// Finishing a probe frees its slot; one success is short of closing.
+	b.Record(c.now, true, true, gen)
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state %s after 1 of %d probe successes, want half-open", b.State(), probesToClose)
+	}
 	if ok, probe, _ := b.Allow(c.now); !ok || !probe {
 		t.Fatalf("freed probe slot not reusable")
 	}
-	_ = gen2
 }
 
-func TestBreakerProbeSuccessesClose(t *testing.T) {
+func TestBreakerProbesClose(t *testing.T) {
 	c := newTick()
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: 2, Cooldown: time.Second,
-		HalfOpenProbes: 1, ProbeSuccesses: 2,
-	})
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 2, Cooldown: time.Second})
 	failN(t, b, c, 2)
 	c.advance(2 * time.Second)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < probesToClose; i++ {
+		if b.State() == BreakerClosed {
+			t.Fatalf("closed after %d of %d probe successes", i, probesToClose)
+		}
 		ok, probe, gen := b.Allow(c.now)
 		if !ok || !probe {
 			t.Fatalf("probe %d refused", i)
@@ -150,50 +156,46 @@ func TestBreakerProbeSuccessesClose(t *testing.T) {
 		b.Record(c.now, true, probe, gen)
 	}
 	if b.State() != BreakerClosed {
-		t.Fatalf("state %s after %d probe successes, want closed", b.State(), 2)
+		t.Fatalf("state %s after %d probe successes, want closed", b.State(), probesToClose)
 	}
 }
 
 func TestBreakerTripDuringProbe(t *testing.T) {
 	c := newTick()
-	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: 2, Cooldown: time.Second,
-		HalfOpenProbes: 2, ProbeSuccesses: 2,
-	})
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 2, Cooldown: time.Second})
 	failN(t, b, c, 2)
 	c.advance(2 * time.Second)
 
-	// Two probes go out; the first fails and re-trips the breaker while the
-	// second is still in flight.
-	ok1, probe1, gen1 := b.Allow(c.now)
-	ok2, probe2, gen2 := b.Allow(c.now)
-	if !ok1 || !ok2 {
-		t.Fatal("probes refused")
+	// A probe goes out; while it is in flight a list fan-out failure (which
+	// bypasses Allow and records against the current generation) re-trips
+	// the breaker.
+	ok, probe, gen := b.Allow(c.now)
+	if !ok || !probe {
+		t.Fatal("probe refused")
 	}
-	b.Record(c.now, false, probe1, gen1)
+	b.recordPlain(c.now, false)
 	if b.State() != BreakerOpen {
-		t.Fatalf("probe failure did not re-trip (state %s)", b.State())
+		t.Fatalf("half-open failure did not re-trip (state %s)", b.State())
 	}
-	tripsBefore := b.Stats().Trips
+	tripsBefore := b.Trips()
 
 	// The straggler probe's success belongs to a dead generation: it must
 	// not close (or otherwise disturb) the newly opened breaker.
-	b.Record(c.now, true, probe2, gen2)
+	b.Record(c.now, true, probe, gen)
 	if b.State() != BreakerOpen {
 		t.Fatalf("stale probe outcome changed state to %s", b.State())
 	}
-	if got := b.Stats().Trips; got != tripsBefore {
+	if got := b.Trips(); got != tripsBefore {
 		t.Fatalf("stale probe outcome changed trip count %d -> %d", tripsBefore, got)
-	}
-	if got := b.Stats().InFlightProbes; got != 0 {
-		t.Fatalf("stale probe left %d in-flight slots", got)
 	}
 
 	// After another cooldown the breaker half-opens cleanly with a full
-	// probe budget.
+	// probe budget: the stale probe holds no slot.
 	c.advance(2 * time.Second)
-	if ok, probe, _ := b.Allow(c.now); !ok || !probe {
-		t.Fatalf("breaker did not half-open after re-trip cooldown")
+	for i := 0; i < probeCap; i++ {
+		if ok, probe, _ := b.Allow(c.now); !ok || !probe {
+			t.Fatalf("probe %d refused after the re-trip cooldown", i)
+		}
 	}
 }
 
@@ -221,18 +223,17 @@ func TestBreakerTransitionCallback(t *testing.T) {
 	type hop struct{ from, to BreakerState }
 	var hops []hop
 	b := NewBreaker(BreakerConfig{
-		ConsecutiveFailures: 1, Cooldown: time.Second, ProbeSuccesses: 1,
+		ConsecutiveFailures: 1, Cooldown: time.Second,
 		OnTransition: func(from, to BreakerState, _ time.Time) {
 			hops = append(hops, hop{from, to})
 		},
 	})
 	failN(t, b, c, 1) // closed -> open
 	c.advance(2 * time.Second)
-	ok, probe, gen := b.Allow(c.now) // open -> half-open
-	if !ok {
-		t.Fatal("probe refused")
+	// The first probe half-opens; the last probe success closes.
+	for i := 0; i < probesToClose; i++ {
+		recordOne(t, b, c, true)
 	}
-	b.Record(c.now, true, probe, gen) // half-open -> closed
 	want := []hop{
 		{BreakerClosed, BreakerOpen},
 		{BreakerOpen, BreakerHalfOpen},
@@ -250,22 +251,23 @@ func TestBreakerTransitionCallback(t *testing.T) {
 
 func TestBreakerStaleGenerationDropped(t *testing.T) {
 	c := newTick()
-	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 2})
+	b := NewBreaker(BreakerConfig{ConsecutiveFailures: 2, Cooldown: time.Second})
 	// A request admitted while closed...
 	ok, probe, gen := b.Allow(c.now)
 	if !ok {
 		t.Fatal("Allow refused while closed")
 	}
-	// ...the breaker trips underneath it...
+	// ...the breaker trips underneath it and half-opens after the cooldown...
 	failN(t, b, c, 2)
-	if b.State() != BreakerOpen {
-		t.Fatal("setup: breaker should be open")
+	c.advance(2 * time.Second)
+	if ok, probe, _ := b.Allow(c.now); !ok || !probe {
+		t.Fatal("setup: breaker should be half-open")
 	}
-	// ...and its late failure must not touch the open state's accounting.
+	// ...and its late failure must not re-trip the half-open state, as a
+	// failure of the current generation would.
 	b.Record(c.now, false, probe, gen)
-	st := b.Stats()
-	if st.ConsecutiveFailures != 0 || st.WindowFailureRate != 0 {
-		t.Fatalf("stale outcome leaked into new state: %+v", st)
+	if b.State() != BreakerHalfOpen || b.Trips() != 1 {
+		t.Fatalf("stale outcome leaked into new state: %s after %d trips", b.State(), b.Trips())
 	}
 }
 

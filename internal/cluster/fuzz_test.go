@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+
+	"netags/internal/obs/httpserve"
+	"netags/internal/serve"
 )
 
 // FuzzHashRing drives a random add/remove/lookup script against the ring
@@ -114,6 +120,97 @@ func FuzzHashRing(f *testing.F) {
 					t.Fatalf("OwnerSeq %v not a permutation of %d backends", seq, ring.Len())
 				}
 			}
+		}
+	})
+}
+
+// tripRecorder is a Transport that answers every round trip 200 without
+// a network and records the requests it was handed.
+type tripRecorder struct{ reqs []*http.Request }
+
+func (tr *tripRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	tr.reqs = append(tr.reqs, r)
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: http.NoBody, Request: r}, nil
+}
+
+// FuzzRouterPath drives Handler's job routing with arbitrary path tails
+// under /api/v1/jobs/ and arbitrary queries, through a recording
+// Transport, and checks against the worker's own {id} patterns:
+//
+//  1. No input panics, and each request makes at most one round trip.
+//  2. A path with no id the worker would read (an empty id included)
+//     makes no round trip; it answers the 404 envelope or, for a path
+//     the mux cleans, a redirect.
+//  3. A path with an id goes to Backends()[Owner(id)] for the id the
+//     worker reads — a 64-hex job id, or one holding an escaped slash —
+//     with the escaped path and the query unchanged.
+func FuzzRouterPath(f *testing.F) {
+	hexID := fmt.Sprintf("%064x", 0xfeed)
+	f.Add("a%2Fb/result", "")
+	f.Add(hexID, "")
+	f.Add(hexID+"/stream", "after=3")
+	f.Add(hexID+"%2Fx/result", "")
+	f.Add("", "")
+	f.Add("%2F", "")
+	f.Add("a/../b", "x=%zz")
+
+	f.Fuzz(func(t *testing.T, tail, query string) {
+		target := "http://router" + serve.APIPrefix + "/jobs/" + tail
+		if query != "" {
+			target += "?" + query
+		}
+		req, err := http.NewRequest(http.MethodGet, target, nil)
+		if err != nil {
+			return
+		}
+		workerID, matched := "", false
+		worker := http.NewServeMux()
+		read := func(_ http.ResponseWriter, r *http.Request) { workerID, matched = r.PathValue("id"), true }
+		worker.HandleFunc(serve.APIPrefix+"/jobs/{id}", read)
+		worker.HandleFunc(serve.APIPrefix+"/jobs/{id}/{rest...}", read)
+		worker.ServeHTTP(httptest.NewRecorder(), req)
+
+		tr := &tripRecorder{}
+		rt, err := NewRouter(RouterConfig{
+			Backends:  []string{"10.0.0.1:9080", "10.0.0.2:9080", "10.0.0.3:9080"},
+			Transport: tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		rt.Handler(httpserve.Options{}).ServeHTTP(rec, req)
+
+		if len(tr.reqs) > 1 {
+			t.Fatalf("%s: %d round trips, want at most 1", target, len(tr.reqs))
+		}
+		if !matched {
+			if len(tr.reqs) != 0 {
+				t.Fatalf("%s: no worker id, yet routed to %s", target, tr.reqs[0].URL.Host)
+			}
+			if rec.Code >= 300 && rec.Code < 400 {
+				return
+			}
+			var env struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if rec.Code != http.StatusNotFound || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
+				env.Error.Code != serve.CodeNotFound {
+				t.Fatalf("%s: no worker id, answered %d %q, want the 404 envelope", target, rec.Code, rec.Body)
+			}
+			return
+		}
+		if len(tr.reqs) != 1 {
+			t.Fatalf("%s: worker id %q made %d round trips, want 1", target, workerID, len(tr.reqs))
+		}
+		out := tr.reqs[0].URL
+		if want := rt.Ring().Backends()[rt.Ring().Owner(workerID)]; out.Host != want {
+			t.Fatalf("%s: worker id %q routed to %s, its owner is %s", target, workerID, out.Host, want)
+		}
+		if out.EscapedPath() != req.URL.EscapedPath() || out.RawQuery != req.URL.RawQuery {
+			t.Fatalf("%s: forwarded as %s?%s", target, out.EscapedPath(), out.RawQuery)
 		}
 	})
 }

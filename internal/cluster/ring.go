@@ -43,9 +43,9 @@ const maskBackends = 64
 // membership change moves only the keys the departed/arrived backend
 // owns (~K/N of the keyspace).
 //
-// Membership changes return a new Ring (With/Without); the zero-cost
-// immutability is what lets the router swap rings atomically without
-// locking its hot path.
+// Membership changes return a new Ring (With/Without). The router builds
+// one ring at startup and never replaces it, so its hot path reads the
+// ring without locking.
 type Ring struct {
 	replicas int
 	backends []string // sorted, unique
@@ -131,9 +131,6 @@ func (r *Ring) Backends() []string { return r.backends }
 
 // Len returns the number of backends.
 func (r *Ring) Len() int { return len(r.backends) }
-
-// Replicas returns the virtual-node count per backend.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // VNodes returns the total virtual-node count.
 func (r *Ring) VNodes() int { return len(r.vhash) }

@@ -13,11 +13,12 @@
 //	    and fall through to the next owner
 //
 // Reads (/jobs/{id}, /result, /stream, /trace, DELETE) route by the id in
-// the path — the id IS the shard key — so a job's whole lifecycle lands
-// on the worker that owns (and cached, and checkpointed) it. When that
-// worker trips its breaker the same sequence re-routes reads to the next
-// owner; a resubmission of the spec re-executes there and is
-// byte-identical by construction, so failover needs no state handoff.
+// the path — the id IS the shard key, read with the worker's own {id}
+// patterns — so a job's whole lifecycle lands on the worker that owns
+// (and cached, and checkpointed) it. When that worker trips its breaker
+// the same sequence re-routes reads to the next owner; a resubmission of
+// the spec re-executes there and is byte-identical by construction, so
+// failover needs no state handoff.
 package cluster
 
 import (
@@ -31,7 +32,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,15 +54,12 @@ const (
 const maxBody = 1 << 20
 
 // RouterConfig wires a Router. Backends is required; everything else
-// defaults sanely.
+// defaults sanely. The ring has DefaultReplicas vnodes per backend, and a
+// request may try every ring owner in turn.
 type RouterConfig struct {
 	// Backends is the worker address list ("host:port"). The membership
 	// set (not its order) determines placement.
 	Backends []string
-	// Replicas is the virtual-node count per backend (default 128).
-	Replicas int
-	// MaxAttempts caps distinct backends tried per request (default: all).
-	MaxAttempts int
 	// Admit tunes the admission stage.
 	Admit AdmitConfig
 	// Breaker tunes every backend's circuit breaker. OnTransition is
@@ -84,7 +81,9 @@ type RouterConfig struct {
 type Router struct {
 	ring     *Ring
 	breakers []*Breaker
-	maxTries int
+	// now is the router's clock: admission, breaker Allow and Record all
+	// read it. time.Now outside this package's tests.
+	now func() time.Time
 
 	admit     *Admitter
 	transport http.RoundTripper
@@ -114,16 +113,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: no backends configured")
 	}
-	ring := NewRing(cfg.Backends, cfg.Replicas)
+	ring := NewRing(cfg.Backends, DefaultReplicas)
 	if ring.Len() == 0 {
 		return nil, errors.New("cluster: no usable backend addresses")
 	}
 	if ring.Len() > maskBackends {
 		return nil, fmt.Errorf("cluster: %d backends exceed the supported %d", ring.Len(), maskBackends)
-	}
-	tries := cfg.MaxAttempts
-	if tries <= 0 || tries > ring.Len() {
-		tries = ring.Len()
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -140,7 +135,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{
 		ring:      ring,
 		breakers:  make([]*Breaker, ring.Len()),
-		maxTries:  tries,
+		now:       time.Now,
 		admit:     NewAdmitter(cfg.Admit),
 		transport: transport,
 		log:       log,
@@ -175,37 +170,31 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Ring returns the router's hash ring (immutable).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Breaker returns backend i's circuit breaker (for tests and status).
+// Breaker returns backend i's circuit breaker.
 func (rt *Router) Breaker(i int) *Breaker { return rt.breakers[i] }
-
-// Admitter returns the admission stage.
-func (rt *Router) Admitter() *Admitter { return rt.admit }
 
 type routeScratch struct{ seq []int }
 
 // Handler builds the router's combined mux: the proxied jobs API under
 // /api/v1 plus the introspection endpoints from httpserve (/metrics,
-// /api/v1/timeseries, /api/v1/alerts, /api/v1/cluster, /events, /healthz,
-// /readyz, pprof). Unset obsOpts fields are wired to the router: Registry
-// to the router's registry and Cluster to StatusJSON.
+// /api/v1/timeseries, /api/v1/alerts, /events, /healthz, /readyz,
+// pprof). An unset obsOpts.Registry is wired to the router's registry.
 func (rt *Router) Handler(obsOpts httpserve.Options) http.Handler {
 	if obsOpts.Registry == nil {
 		obsOpts.Registry = rt.reg
 	}
-	if obsOpts.Cluster == nil {
-		obsOpts.Cluster = rt.StatusJSON
-	}
+	jobs := serve.APIPrefix + "/jobs"
 	mux := http.NewServeMux()
 	mux.Handle("/", httpserve.NewHandler(obsOpts))
-	mux.HandleFunc("POST "+serve.APIPrefix+"/jobs", rt.handleSubmit)
-	mux.HandleFunc("GET "+serve.APIPrefix+"/jobs", rt.handleList)
-	mux.HandleFunc(serve.APIPrefix+"/jobs/{rest...}", func(w http.ResponseWriter, r *http.Request) {
-		id, _, _ := strings.Cut(r.PathValue("rest"), "/")
-		if id == "" {
-			serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
-			return
-		}
-		rt.forward(w, r, id, nil)
+	mux.HandleFunc("POST "+jobs, rt.handleSubmit)
+	mux.HandleFunc("GET "+jobs, rt.handleList)
+	// The worker's own {id} patterns, so the shard key is the id the worker
+	// reads: PathValue unescapes, and an escaped slash stays inside it.
+	byID := func(w http.ResponseWriter, r *http.Request) { rt.forward(w, r, r.PathValue("id"), nil) }
+	mux.HandleFunc(jobs+"/{id}", byID)
+	mux.HandleFunc(jobs+"/{id}/{rest...}", byID)
+	mux.HandleFunc(jobs+"/", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteError(w, http.StatusNotFound, serve.CodeNotFound, "missing job id")
 	})
 	return mux
 }
@@ -233,7 +222,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	bulk := req.Priority == serve.PriorityBulk
-	dec := rt.admit.Admit(client, bulk, rt.total.Load(), time.Now())
+	dec := rt.admit.Admit(client, bulk, rt.total.Load(), rt.now())
 	if !dec.OK {
 		code := CodeShedOverload
 		if dec.Reason == ShedRateLimit {
@@ -280,7 +269,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := rt.transport.RoundTrip(req)
 		if err != nil {
-			rt.breakers[i].recordPlain(false)
+			rt.breakers[i].recordPlain(rt.now(), false)
 			continue
 		}
 		var out struct {
@@ -303,8 +292,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 
 // recordPlain feeds a non-probe outcome with the current generation —
 // used by the list fan-out, which bypasses Allow.
-func (b *Breaker) recordPlain(success bool) {
-	now := time.Now()
+func (b *Breaker) recordPlain(now time.Time, success bool) {
 	b.mu.Lock()
 	gen := b.gen
 	b.mu.Unlock()
@@ -324,21 +312,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	sc.seq = rt.ring.OwnerSeq(key, sc.seq)
 
 	backends := rt.ring.Backends()
-	tried := 0
 	for pos, bi := range sc.seq {
-		if tried >= rt.maxTries {
-			break
-		}
-		ok, probe, gen := rt.breakers[bi].Allow(time.Now())
+		ok, probe, gen := rt.breakers[bi].Allow(rt.now())
 		if !ok {
 			continue
 		}
-		tried++
 		rt.inflight[bi].Add(1)
 		rt.total.Add(1)
 		resp, err := rt.do(r, backends[bi], body)
 		failed := err != nil || isGatewayFailure(resp.StatusCode)
-		rt.breakers[bi].Record(time.Now(), !failed, probe, gen)
+		rt.breakers[bi].Record(rt.now(), !failed, probe, gen)
 		if failed {
 			rt.inflight[bi].Add(-1)
 			rt.total.Add(-1)
@@ -427,7 +410,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, backend stri
 	}
 }
 
-// --- status, metrics ----------------------------------------------------
+// --- metrics ------------------------------------------------------------
 
 // register resolves the router's metric handles and adds its
 // state-derived families to a fresh registry.
@@ -457,6 +440,15 @@ func (rt *Router) register() {
 		})
 	reg.GaugeFunc("netags_cluster_admit_clients", "Client token buckets tracked.",
 		func() float64 { return float64(rt.admit.Stats().Clients) })
+	reg.CounterFunc("netags_cluster_admit_overflow_total", "Submissions judged by the shared overflow bucket because the client table was full.",
+		func() int64 { return rt.admit.Stats().OverflowHits })
+	shares := rt.ring.Shares() // the ring never changes
+	reg.VecFunc("netags_cluster_backend_keyspace_share", "Fraction of the hash ring each backend owns.", "gauge",
+		[]string{"backend"}, func(emit func(float64, ...string)) {
+			for i, addr := range backends {
+				emit(shares[i], addr)
+			}
+		})
 	reg.VecFunc("netags_cluster_breaker_state", "Breaker position per backend: 0 closed, 1 half-open, 2 open.", "gauge",
 		[]string{"backend"}, func(emit func(float64, ...string)) {
 			for i, addr := range backends {
@@ -476,7 +468,7 @@ func (rt *Router) register() {
 	reg.VecFunc("netags_cluster_breaker_trips_total", "Breaker trips per backend.", "counter",
 		[]string{"backend"}, func(emit func(float64, ...string)) {
 			for i, addr := range backends {
-				emit(float64(rt.breakers[i].Stats().Trips), addr)
+				emit(float64(rt.breakers[i].Trips()), addr)
 			}
 		})
 }
@@ -495,78 +487,22 @@ func perBackend[T any](vec *obs.Vec[T], backends []string) []*T {
 // and the source the time-series sampler reads.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// BackendStatus is one worker's row in the cluster status document.
-type BackendStatus struct {
-	Addr     string  `json:"addr"`
-	State    string  `json:"state"`
-	Inflight int64   `json:"inflight"`
-	Requests int64   `json:"requests"`
-	Failures int64   `json:"failures"`
-	Trips    uint64  `json:"trips"`
-	Share    float64 `json:"keyspace_share"`
-	Consec   int     `json:"consecutive_failures"`
-	WinRate  float64 `json:"window_failure_rate"`
-	Probes   int     `json:"inflight_probes"`
-}
-
-// ClusterStatus is the GET /api/v1/cluster document.
-type ClusterStatus struct {
-	Backends []BackendStatus `json:"backends"`
-	Ring     struct {
-		Backends int `json:"backends"`
-		Replicas int `json:"replicas"`
-		VNodes   int `json:"vnodes"`
-	} `json:"ring"`
-	Admission AdmitStats `json:"admission"`
-	Inflight  int64      `json:"inflight"`
+// RouterStatus is an in-process snapshot of counters that /metrics also
+// serves, for Go programs that embed a Router.
+type RouterStatus struct {
+	Admission AdmitStats
 	Counters  struct {
-		Requests        int64 `json:"requests"`
-		Submits         int64 `json:"submits"`
-		SubmitsAdmitted int64 `json:"submits_admitted"`
-		Forwarded       int64 `json:"forwarded"`
-		ForwardErrors   int64 `json:"forward_errors"`
-		Failovers       int64 `json:"failovers"`
-		NoBackend       int64 `json:"no_backend"`
-	} `json:"counters"`
+		Failovers, ForwardErrors, NoBackend int64
+	}
 }
 
-// Status snapshots the cluster state.
-func (rt *Router) Status() ClusterStatus {
-	var st ClusterStatus
-	shares := rt.ring.Shares()
-	for i, addr := range rt.ring.Backends() {
-		bs := rt.breakers[i].Stats()
-		st.Backends = append(st.Backends, BackendStatus{
-			Addr:     addr,
-			State:    bs.State.String(),
-			Inflight: rt.inflight[i].Load(),
-			Requests: rt.perBackendOK[i].Load(),
-			Failures: rt.perBackendKO[i].Load(),
-			Trips:    bs.Trips,
-			Share:    shares[i],
-			Consec:   bs.ConsecutiveFailures,
-			WinRate:  bs.WindowFailureRate,
-			Probes:   bs.InFlightProbes,
-		})
-	}
-	st.Ring.Backends = rt.ring.Len()
-	st.Ring.Replicas = rt.ring.Replicas()
-	st.Ring.VNodes = rt.ring.VNodes()
-	st.Admission = rt.admit.Stats()
-	st.Inflight = rt.total.Load()
-	st.Counters.Requests = rt.requests.Load()
-	st.Counters.Submits = rt.submits.Load()
-	st.Counters.SubmitsAdmitted = rt.submitsOK.Load()
-	st.Counters.Forwarded = rt.forwarded.Load()
-	st.Counters.ForwardErrors = rt.forwardErrs.Load()
+// Status snapshots the admission and failover counters.
+func (rt *Router) Status() RouterStatus {
+	st := RouterStatus{Admission: rt.admit.Stats()}
 	st.Counters.Failovers = rt.failovers.Load()
+	st.Counters.ForwardErrors = rt.forwardErrs.Load()
 	st.Counters.NoBackend = rt.noBackend.Load()
 	return st
-}
-
-// StatusJSON renders Status for the /api/v1/cluster endpoint.
-func (rt *Router) StatusJSON() ([]byte, error) {
-	return json.Marshal(rt.Status())
 }
 
 // OpenBreakers returns how many backends are currently tripped (open or

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,12 +215,17 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	b1, b2 := newStubBackend("w1"), newStubBackend("w2")
 	defer b1.Close()
 	defer b2.Close()
-	rt, srv := newTestRouter(t, RouterConfig{
-		Breaker: BreakerConfig{
-			ConsecutiveFailures: 1, Cooldown: time.Millisecond,
-			HalfOpenProbes: 1, ProbeSuccesses: 1,
-		},
-	}, b1, b2)
+	rt, err := NewRouter(RouterConfig{
+		Backends: []string{b1.addr(), b2.addr()},
+		Breaker:  BreakerConfig{ConsecutiveFailures: 1, Cooldown: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newHandClock()
+	rt.now = clk.now
+	srv := httptest.NewServer(rt.Handler(httpserve.Options{}))
+	defer srv.Close()
 
 	var deadIdx int
 	for i, addr := range rt.Ring().Backends() {
@@ -236,24 +242,109 @@ func TestRouterBreakerRecovery(t *testing.T) {
 			break
 		}
 	}
-	resp := postJobs(t, srv.URL, body)
-	resp.Body.Close()
+	post := func() string {
+		t.Helper()
+		resp := postJobs(t, srv.URL, body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit status %d", resp.StatusCode)
+		}
+		return resp.Header.Get(serve.BackendHeader)
+	}
+	post()
 	if rt.Breaker(deadIdx).State() != BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
 
-	// Backend heals; after the cooldown one probe goes through, succeeds,
-	// and closes the breaker.
+	// The backend heals, but until the cooldown has passed its keyspace
+	// stays on the next owner.
 	b1.status.Store(0)
-	time.Sleep(5 * time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.Breaker(deadIdx).State() != BreakerClosed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker stuck %s after heal", rt.Breaker(deadIdx).State())
+	hits := b1.hits.Load()
+	if got := post(); got != b2.addr() || b1.hits.Load() != hits {
+		t.Fatalf("open breaker in cooldown: answered by %s, %d new hits on the healed backend",
+			got, b1.hits.Load()-hits)
+	}
+
+	// Past the cooldown each submission is one probe to the healed
+	// backend, and probesToClose of them close the breaker.
+	clk.advance(time.Minute)
+	for i := 0; i < probesToClose; i++ {
+		if st := rt.Breaker(deadIdx).State(); st == BreakerClosed {
+			t.Fatalf("closed after %d of %d probe successes", i, probesToClose)
 		}
-		resp := postJobs(t, srv.URL, body)
-		resp.Body.Close()
-		time.Sleep(2 * time.Millisecond)
+		if got := post(); got != b1.addr() {
+			t.Fatalf("probe %d answered by %s, want the healed %s", i, got, b1.addr())
+		}
+	}
+	if st := rt.Breaker(deadIdx).State(); st != BreakerClosed {
+		t.Fatalf("breaker %s after %d probe successes, want closed", st, probesToClose)
+	}
+}
+
+// handClock is a hand-advanced clock the router's handler goroutines can
+// read while the test advances it.
+type handClock struct{ ns atomic.Int64 }
+
+func newHandClock() *handClock {
+	c := &handClock{}
+	c.ns.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	return c
+}
+
+func (c *handClock) now() time.Time { return time.Unix(0, c.ns.Load()) }
+
+func (c *handClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// TestRouterMaxInflightCountsStreams pins what -max-inflight bounds: every
+// proxied request in flight, so one NDJSON stream held open fills a
+// MaxInflight of 1 and the next submission sheds as overload.
+func TestRouterMaxInflightCountsStreams(t *testing.T) {
+	arrived, release := make(chan struct{}), make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			close(arrived)
+			<-release
+			return
+		}
+		fmt.Fprint(w, `{}`)
+	}))
+	defer backend.Close()
+	u, _ := url.Parse(backend.URL)
+	rt, err := NewRouter(RouterConfig{Backends: []string{u.Host}, Admit: AdmitConfig{MaxInflight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler(httpserve.Options{}))
+	defer front.Close()
+
+	body, key := submitBody(t, 7)
+	streamed := make(chan struct{})
+	go func() {
+		defer close(streamed)
+		resp, err := http.Get(front.URL + "/api/v1/jobs/" + key + "/stream")
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	// End the stream before front.Close, which waits for its connection.
+	defer func() { close(release); <-streamed }()
+	<-arrived
+
+	resp := postJobs(t, front.URL, body)
+	defer resp.Body.Close()
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests || env.Error.Code != CodeShedOverload {
+		t.Fatalf("submit with one stream open: %d %q, want 429 %q",
+			resp.StatusCode, env.Error.Code, CodeShedOverload)
 	}
 }
 
@@ -370,45 +461,94 @@ func TestRouterBadSubmitBody(t *testing.T) {
 	}
 }
 
+// TestRouterClusterStatusEndpoint: /metrics is the router's one status
+// view, and it carries every per-backend, ring, admission and router
+// number.
 func TestRouterClusterStatusEndpoint(t *testing.T) {
 	b1, b2 := newStubBackend("w1"), newStubBackend("w2")
 	defer b1.Close()
 	defer b2.Close()
-	rt, srv := newTestRouter(t, RouterConfig{}, b1, b2)
+	_, srv := newTestRouter(t, RouterConfig{}, b1, b2)
 
 	body, _ := submitBody(t, 1)
 	resp := postJobs(t, srv.URL, body)
 	resp.Body.Close()
 
-	stResp, err := http.Get(srv.URL + "/api/v1/cluster")
+	series := scrape(t, srv.URL)
+	for name, want := range map[string]float64{
+		"netags_cluster_backends":                       2,
+		"netags_cluster_ring_vnodes":                    2 * DefaultReplicas,
+		"netags_cluster_breakers_open":                  0,
+		"netags_cluster_requests_total":                 1,
+		"netags_cluster_submits_total":                  1,
+		"netags_cluster_submits_admitted_total":         1,
+		"netags_cluster_forwarded_total":                1,
+		"netags_cluster_forward_errors_total":           0,
+		"netags_cluster_failovers_total":                0,
+		"netags_cluster_no_backend_total":               0,
+		`netags_cluster_shed_total{reason="ratelimit"}`: 0,
+		`netags_cluster_shed_total{reason="overload"}`:  0,
+		"netags_cluster_admit_clients":                  0,
+		"netags_cluster_admit_overflow_total":           0,
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	// In-flight counts drop only after the relay returns, which can trail
+	// the client's read: check presence, not value.
+	if _, ok := series["netags_cluster_inflight"]; !ok {
+		t.Error("netags_cluster_inflight missing")
+	}
+	share, requests := 0.0, 0.0
+	for _, sb := range []*stubBackend{b1, b2} {
+		label := `{backend="` + sb.addr() + `"}`
+		for _, family := range []string{
+			"netags_cluster_breaker_state", "netags_cluster_breaker_trips_total",
+			"netags_cluster_backend_failures_total",
+		} {
+			if got, ok := series[family+label]; !ok || got != 0 {
+				t.Errorf("%s%s = %v (present %v), want 0", family, label, got, ok)
+			}
+		}
+		if _, ok := series["netags_cluster_backend_inflight"+label]; !ok {
+			t.Errorf("netags_cluster_backend_inflight%s missing", label)
+		}
+		requests += series["netags_cluster_backend_requests_total"+label]
+		share += series["netags_cluster_backend_keyspace_share"+label]
+	}
+	if requests != 1 {
+		t.Errorf("per-backend requests sum to %v, want 1", requests)
+	}
+	if share < 0.999 || share > 1.001 {
+		t.Errorf("keyspace shares sum to %.4f", share)
+	}
+}
+
+// scrape reads base's /metrics into a map from series (name plus labels,
+// as rendered) to value.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stResp.Body.Close()
-	if stResp.StatusCode != http.StatusOK {
-		t.Fatalf("/api/v1/cluster status %d", stResp.StatusCode)
-	}
-	var st ClusterStatus
-	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Backends) != 2 || st.Ring.Backends != 2 {
-		t.Fatalf("status lists %d backends, want 2", len(st.Backends))
-	}
-	share := 0.0
-	for _, b := range st.Backends {
-		if b.State != "closed" {
-			t.Fatalf("backend %s state %q, want closed", b.Addr, b.State)
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	out := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
 		}
-		share += b.Share
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
 	}
-	if share < 0.999 || share > 1.001 {
-		t.Fatalf("keyspace shares sum to %.4f", share)
-	}
-	if st.Counters.Submits != 1 || st.Counters.Forwarded != 1 {
-		t.Fatalf("counters %+v", st.Counters)
-	}
-	_ = rt
+	return out
 }
 
 func TestRouterMetricsExposition(t *testing.T) {

@@ -135,23 +135,29 @@ func TestResultRoundInvariants(t *testing.T) {
 	}
 }
 
-// TestResultMetrics checks the Result-to-Metrics bridge against the same
-// invariants.
+// TestResultMetrics: the Collector, obs.Metrics' one builder, fed a real
+// session's events agrees with that session's Result.
 func TestResultMetrics(t *testing.T) {
 	nw := diskNetwork(t, 300, 6, 9)
-	res, err := RunSession(nw, Config{FrameSize: 128, Seed: 2})
+	coll := obs.NewCollector()
+	res, err := RunSession(nw, Config{FrameSize: 128, Seed: 2, Tracer: coll})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Metrics()
+	m := coll.Snapshot()
 	if m.Sessions != 1 || m.Rounds != int64(res.Rounds) {
 		t.Fatalf("metrics sessions/rounds = %d/%d, want 1/%d", m.Sessions, m.Rounds, res.Rounds)
 	}
 	if m.BusySlots != int64(res.Bitmap.Count()) {
 		t.Fatalf("metrics busy slots = %d, want %d", m.BusySlots, res.Bitmap.Count())
 	}
-	if m.Waves.Sum != int64(res.Bitmap.Count()) {
-		t.Fatalf("waves histogram sums to %d, want %d", m.Waves.Sum, res.Bitmap.Count())
+	waves := 0
+	for _, w := range res.NewBusyPerRound {
+		waves += w
+	}
+	if m.Waves.N != int64(len(res.NewBusyPerRound)) || m.Waves.Sum != int64(waves) {
+		t.Fatalf("waves histogram n/sum = %d/%d, want %d/%d",
+			m.Waves.N, m.Waves.Sum, len(res.NewBusyPerRound), waves)
 	}
 	if m.TotalSlots() != res.Clock.Total() {
 		t.Fatalf("metrics slots = %d, want %d", m.TotalSlots(), res.Clock.Total())

@@ -6,6 +6,9 @@
 //	/metrics             Prometheus text exposition of the obs.Registry: the
 //	                     live obs.Collector snapshot, histogram buckets
 //	                     included, plus every co-mounted subsystem's families
+//	                     (a worker's queue and cache, a router's ring,
+//	                     breakers and admission — its one status view)
+//	/healthz, /readyz    liveness, and readiness (503 while draining)
 //	/progress            the running sweep's latest experiment.Progress event
 //	                     (completed/total work items, elapsed time, ETA)
 //	/events?n=K          the most recent K events retained by an obs.Ring
@@ -61,10 +64,6 @@ type Options struct {
 	// Alerts backs /api/v1/alerts and the netags_alert_active family on
 	// /metrics: the SLO burn-rate evaluator running on the sampler's ticks.
 	Alerts *timeseries.Evaluator
-	// Cluster backs /api/v1/cluster: the router's ring/breaker/admission
-	// status document (cluster.(*Router).StatusJSON is the canonical
-	// source). Nil answers 404.
-	Cluster func() ([]byte, error)
 }
 
 // NewHandler builds the introspection mux for the options. It is exported
@@ -93,7 +92,7 @@ func NewHandler(o Options) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, "netags introspection\n\n/metrics\n/progress\n/events?n=K\n/api/v1/timeseries\n/api/v1/alerts\n/api/v1/cluster\n/healthz\n/readyz\n/debug/dash\n/debug/pprof/\n")
+		fmt.Fprint(w, "netags introspection\n\n/metrics\n/progress\n/events?n=K\n/api/v1/timeseries\n/api/v1/alerts\n/healthz\n/readyz\n/debug/dash\n/debug/pprof/\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if reg.Len() == 0 {
@@ -182,19 +181,6 @@ func NewHandler(o Options) http.Handler {
 			"firing": firing,
 			"alerts": states,
 		})
-	})
-	mux.HandleFunc("/api/v1/cluster", func(w http.ResponseWriter, r *http.Request) {
-		if o.Cluster == nil {
-			http.NotFound(w, r)
-			return
-		}
-		b, err := o.Cluster()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(append(b, '\n'))
 	})
 	mux.HandleFunc("/debug/dash", func(w http.ResponseWriter, r *http.Request) {
 		if o.Timeseries == nil {

@@ -3,7 +3,6 @@ package httpserve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,8 +13,6 @@ import (
 	"netags/internal/experiment"
 	"netags/internal/obs"
 )
-
-var errAlways = errors.New("cluster source down")
 
 func get(t *testing.T, url string) (int, []byte) {
 	t.Helper()
@@ -132,30 +129,43 @@ func TestServerDisabledEndpoints(t *testing.T) {
 	}
 }
 
-// TestClusterEndpoint: /api/v1/cluster proxies the configured source and
-// 404s without one.
+// TestClusterEndpoint: a router's status lives on /metrics, its one
+// status view: backend-labeled families render through the co-mounted
+// registry.
 func TestClusterEndpoint(t *testing.T) {
-	ts := httptest.NewServer(NewHandler(Options{
-		Cluster: func() ([]byte, error) { return []byte(`{"backends":[]}`), nil },
-	}))
+	reg := obs.NewRegistry()
+	backends := []string{"10.0.0.1:9080", "10.0.0.2:9080"}
+	perBackend := func(vals ...float64) func(emit func(float64, ...string)) {
+		return func(emit func(float64, ...string)) {
+			for i, b := range backends {
+				emit(vals[i], b)
+			}
+		}
+	}
+	reg.VecFunc("netags_cluster_breaker_state", "Breaker position per backend.", "gauge",
+		[]string{"backend"}, perBackend(0, 2))
+	reg.VecFunc("netags_cluster_backend_keyspace_share", "Ring share per backend.", "gauge",
+		[]string{"backend"}, perBackend(0.25, 0.75))
+	reg.CounterFunc("netags_cluster_admit_overflow_total", "Overflow-bucket admissions.",
+		func() int64 { return 3 })
+	ts := httptest.NewServer(NewHandler(Options{Registry: reg}))
 	defer ts.Close()
-	code, body := get(t, ts.URL+"/api/v1/cluster")
-	if code != http.StatusOK || string(body) != `{"backends":[]}`+"\n" {
-		t.Errorf("/api/v1/cluster = %d %q", code, body)
-	}
 
-	bare := httptest.NewServer(NewHandler(Options{}))
-	defer bare.Close()
-	if code, _ := get(t, bare.URL+"/api/v1/cluster"); code != http.StatusNotFound {
-		t.Errorf("/api/v1/cluster without a source: %d, want 404", code)
+	code, body := get(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics status %d", code)
 	}
-
-	broken := httptest.NewServer(NewHandler(Options{
-		Cluster: func() ([]byte, error) { return nil, errAlways },
-	}))
-	defer broken.Close()
-	if code, _ := get(t, broken.URL+"/api/v1/cluster"); code != http.StatusInternalServerError {
-		t.Errorf("failing cluster source: %d, want 500", code)
+	samples := checkExposition(t, string(body))
+	for series, want := range map[string]float64{
+		`netags_cluster_breaker_state{backend="10.0.0.1:9080"}`:          0,
+		`netags_cluster_breaker_state{backend="10.0.0.2:9080"}`:          2,
+		`netags_cluster_backend_keyspace_share{backend="10.0.0.1:9080"}`: 0.25,
+		`netags_cluster_backend_keyspace_share{backend="10.0.0.2:9080"}`: 0.75,
+		"netags_cluster_admit_overflow_total":                            3,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
 }
 

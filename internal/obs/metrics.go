@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"netags/internal/energy"
 	"netags/internal/stats"
 )
 
@@ -16,8 +15,8 @@ const histBuckets = 24
 
 // Hist is a fixed-size power-of-two histogram: bucket 0 counts zeros,
 // bucket b ≥ 1 counts values in [2^(b−1), 2^b). It is a flat value type
-// (mergeable, comparable-by-field, no allocations), which keeps Metrics
-// cheap enough to build on every run.
+// (comparable-by-field, no allocations), which keeps Metrics cheap enough
+// to copy on every snapshot.
 type Hist struct {
 	// Counts are the per-bucket observation counts.
 	Counts [histBuckets]int64
@@ -41,18 +40,6 @@ func (h *Hist) Observe(v int64) {
 	h.Sum += v
 	if v > h.Max {
 		h.Max = v
-	}
-}
-
-// Merge folds another histogram into h.
-func (h *Hist) Merge(o Hist) {
-	for i := range h.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
 	}
 }
 
@@ -113,16 +100,12 @@ func (h *Hist) appendJSON(b []byte) []byte {
 	return append(b, '}', '}')
 }
 
-// Metrics is a mergeable snapshot of what one or more protocol runs cost
-// and how they converged: counters for sessions/rounds/slots, histograms
-// for the per-round busy-slot waves and checking frames, and per-tag
-// bits-sent/received distributions built on energy.Meter and stats.Sample.
-//
-// Two builders share this type with slightly different granularity:
-// core.Result.MetricsFor fills the bit distributions per tag from the
-// session's Meter, while the event-driven Collector (which never sees a
-// Meter) fills SentBits/RecvBits with per-session averages and
-// SentHist/RecvHist with per-session maxima from session_end events.
+// Metrics is a snapshot of what one or more protocol runs cost and how
+// they converged: counters for sessions/rounds/slots, histograms for the
+// per-round busy-slot waves and checking frames, and bits-sent/received
+// distributions. Its one builder is the event-driven Collector, which
+// fills SentBits/RecvBits with per-session averages and SentHist/RecvHist
+// with per-session maxima from session_end events.
 type Metrics struct {
 	// Sessions, Rounds, TruncatedSessions count completed protocol
 	// sessions, their total rounds, and how many ended truncated.
@@ -139,45 +122,14 @@ type Metrics struct {
 	Waves Hist
 	// CheckSlots is the distribution of checking-frame lengths executed.
 	CheckSlots Hist
-	// SentBits / RecvBits are bits-sent/received distributions (per tag or
-	// per session; see the type comment).
+	// SentBits / RecvBits are the distributions of each session's average
+	// bits sent/received per tag.
 	SentBits stats.Sample
 	RecvBits stats.Sample
-	// SentHist / RecvHist are the same measurements as power-of-two
-	// histograms, for tail inspection.
+	// SentHist / RecvHist are power-of-two histograms of each session's
+	// maximum bits sent/received by one tag, for tail inspection.
 	SentHist Hist
 	RecvHist Hist
-}
-
-// AddMeter folds a meter's per-tag bit counts into the distributions,
-// restricted to tags for which include returns true (nil means all).
-func (m *Metrics) AddMeter(mt *energy.Meter, include func(i int) bool) {
-	for i := 0; i < mt.N(); i++ {
-		if include != nil && !include(i) {
-			continue
-		}
-		sent, recv := mt.Sent(i), mt.Received(i)
-		m.SentBits.Add(float64(sent))
-		m.RecvBits.Add(float64(recv))
-		m.SentHist.Observe(sent)
-		m.RecvHist.Observe(recv)
-	}
-}
-
-// Merge folds another snapshot into m.
-func (m *Metrics) Merge(o *Metrics) {
-	m.Sessions += o.Sessions
-	m.Rounds += o.Rounds
-	m.TruncatedSessions += o.TruncatedSessions
-	m.ShortSlots += o.ShortSlots
-	m.LongSlots += o.LongSlots
-	m.BusySlots += o.BusySlots
-	m.Waves.Merge(o.Waves)
-	m.CheckSlots.Merge(o.CheckSlots)
-	m.SentBits.Merge(o.SentBits)
-	m.RecvBits.Merge(o.RecvBits)
-	m.SentHist.Merge(o.SentHist)
-	m.RecvHist.Merge(o.RecvHist)
 }
 
 // TotalSlots returns the total air time in slots.

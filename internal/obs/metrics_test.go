@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"netags/internal/energy"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -30,45 +28,17 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
-func TestHistMergeAndString(t *testing.T) {
-	var a, b Hist
+func TestHistString(t *testing.T) {
+	var a Hist
 	a.Observe(1)
 	a.Observe(10)
-	b.Observe(100)
-	a.Merge(b)
-	if a.N != 3 || a.Sum != 111 || a.Max != 100 {
-		t.Fatalf("merged %+v", a)
-	}
-	if s := a.String(); !strings.Contains(s, "[1,2):1") {
+	a.Observe(100)
+	if s := a.String(); !strings.Contains(s, "[1,2):1") || !strings.Contains(s, "[64,128):1") {
 		t.Errorf("String() = %q", s)
 	}
 	var empty Hist
 	if empty.String() != "(empty)" || empty.Mean() != 0 {
 		t.Error("empty hist rendering")
-	}
-}
-
-func TestMetricsAddMeterAndMerge(t *testing.T) {
-	m := energy.NewMeter(4)
-	m.AddSent(0, 10)
-	m.AddReceived(0, 100)
-	m.AddSent(1, 30)
-	m.AddReceived(1, 300)
-	m.AddSent(3, 999) // excluded below
-
-	var a Metrics
-	a.AddMeter(m, func(i int) bool { return i < 2 })
-	if a.SentBits.N() != 2 || a.SentBits.Mean() != 20 {
-		t.Fatalf("sent sample %v", a.SentBits)
-	}
-	if a.RecvBits.Mean() != 200 || a.SentHist.Max != 30 {
-		t.Fatalf("distributions wrong: %v %v", a.RecvBits, a.SentHist)
-	}
-
-	b := Metrics{Sessions: 2, Rounds: 7, ShortSlots: 100, LongSlots: 10, BusySlots: 5, TruncatedSessions: 1}
-	a.Merge(&b)
-	if a.Sessions != 2 || a.Rounds != 7 || a.TotalSlots() != 110 || a.TruncatedSessions != 1 {
-		t.Fatalf("merge wrong: %+v", a)
 	}
 }
 

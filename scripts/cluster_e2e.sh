@@ -3,7 +3,7 @@
 #
 #  Phase 0  single-node reference: run every spec on one worker and keep
 #           the result payloads as ground truth.
-#  Phase A  start workers + router, check /api/v1/cluster topology, and
+#  Phase A  start workers + router, check every breaker closed on /metrics, and
 #           gate a gentle ccmload run through the router on its own
 #           verdicts (p99 bound, no alerts, cluster series non-empty,
 #           -report-json carries the shed accounting).
@@ -120,9 +120,11 @@ grep -q 'listening on' "$WORK/router.log" \
     || die "router never reported its address (log: $(cat "$WORK/router.log"))"
 echo "cluster_e2e: router on $ROUTER fronting $W1 $W2 $W3"
 
-CLUSTER=$(curl -s "http://$ROUTER/api/v1/cluster")
-CLOSED=$(grep -o '"state":"closed"' <<<"$CLUSTER" | wc -l)
-[ "$CLOSED" -eq 3 ] || die "/api/v1/cluster shows $CLOSED closed backends, want 3: $CLUSTER"
+METRICS=$(curl -s "http://$ROUTER/metrics")
+for W in "$W1" "$W2" "$W3"; do
+    grep -q "^netags_cluster_breaker_state{backend=\"$W\"} 0$" <<<"$METRICS" \
+        || die "/metrics does not show $W's breaker closed: $(grep netags_cluster_breaker_state <<<"$METRICS")"
+done
 
 "$WORK/ccmload" -addr "$ROUTER" -rps 2 -duration 5s -drain 30s \
     -large-ratio 0 -max-p99 30s -fail-on-alerts \
