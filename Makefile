@@ -2,6 +2,8 @@
 # it, local runs without it just print a notice), full test suite (property
 # harness and examples included), and the concurrency-bearing packages plus
 # the CCM core and property suites under the race detector (see ROADMAP.md).
+# The deadexport gate fails on an exported identifier under internal/ that
+# only its own package's tests reference (internal/tools/deadexport).
 # The repo benchmark (ccmbench/) is its own module, so `./...` skips it: it
 # is vetted and tested separately, and a change that breaks its build fails
 # here. Metric exposition text (# HELP / # TYPE) may only be written by the
@@ -17,6 +19,7 @@ verify:
 		echo "verify: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 	go test ./...
+	go run ./internal/tools/deadexport
 	go test -race ./internal/core/... ./internal/obs/... ./internal/simtest/... ./internal/experiment/... ./internal/serve/... ./internal/cluster/...
 	cd ccmbench && go vet ./... && go test ./...
 	@if grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build -e '# HELP' -e '# TYPE' . | grep -vx './internal/obs/registry.go'; then \

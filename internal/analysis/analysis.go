@@ -111,9 +111,10 @@ func (m Model) indicatorSegments() float64 {
 	return math.Ceil(float64(m.FrameSize) / energy.IDBits)
 }
 
-// MonitorSlots is N_r (eq. (11)): the expected number of slots a tier-k tag
-// spends receiving — frame monitoring plus indicator-vector segments plus
-// checking frames — over a K-round session.
+// ReceivedBits is N_r (eq. (11)) in bits, charged the way the simulator
+// charges them: the slots a tier-k tag spends receiving over a K-round
+// session — frame monitoring and checking frames at one bit a slot, plus
+// indicator-vector segments at 96 bits each.
 //
 // The per-round monitoring term follows the prose of §IV-C — the tag stays
 // awake for f − χ(p·|Γ_i ∪ Γ'_i|) slots, i.e. f·(1−1/f)^(p·|Γ∪Γ'|) — with
@@ -121,20 +122,6 @@ func (m Model) indicatorSegments() float64 {
 // moves p outside (pf·(1−1/f)^|Γ∪Γ'|), which contradicts the text it
 // summarizes and, for p < 1, the simulation: a tag cannot monitor fewer
 // than f − (slots it knows about) slots. The two forms agree at p = 1.
-func (m Model) MonitorSlots(k int) float64 {
-	f := float64(m.FrameSize)
-	kTiers := m.Tiers()
-	sum := 0.0
-	for i := 0; i < kTiers; i++ {
-		sum += f * math.Pow(1-1/f, m.Sampling*m.GammaUnion(k, i))
-	}
-	lc := float64(m.Ranges.CheckingFrameLen())
-	return sum + float64(kTiers)*m.indicatorSegments() + float64(kTiers)*lc
-}
-
-// ReceivedBits converts N_r to bits the way the simulator charges them:
-// monitored frame slots and checking slots carry one bit, indicator-vector
-// segments carry 96.
 func (m Model) ReceivedBits(k int) float64 {
 	f := float64(m.FrameSize)
 	kTiers := m.Tiers()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"netags/internal/core"
 	"netags/internal/geom"
 	"netags/internal/topology"
 	"netags/internal/trp"
@@ -161,9 +162,6 @@ func TestTierProbabilitySumsToOne(t *testing.T) {
 func TestMonitorAndSentPositive(t *testing.T) {
 	m := paperModel(6)
 	for k := 1; k <= m.Tiers(); k++ {
-		if got := m.MonitorSlots(k); got <= 0 {
-			t.Fatalf("MonitorSlots(%d) = %v", k, got)
-		}
 		if got := m.ReceivedBits(k); got <= 0 {
 			t.Fatalf("ReceivedBits(%d) = %v", k, got)
 		}
@@ -196,7 +194,8 @@ func TestModelTracksSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := trp.PaperSession(nw, 3)
+		// The single §VI-B TRP session: f = 3228 with p = 1.
+		res, err := core.RunSession(nw, core.Config{FrameSize: trp.PaperFrameSize, Seed: 3, Sampling: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

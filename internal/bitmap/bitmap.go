@@ -29,15 +29,6 @@ func New(n int) *Bitmap {
 	return &Bitmap{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// FromIndices returns an n-bit bitmap with the given bits set.
-func FromIndices(n int, idx []int) *Bitmap {
-	b := New(n)
-	for _, i := range idx {
-		b.Set(i)
-	}
-	return b
-}
-
 // Len returns the number of bits.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -7,6 +7,15 @@ import (
 	"netags/internal/prng"
 )
 
+// fromIndices returns an n-bit bitmap with the given bits set.
+func fromIndices(n int, idx []int) *Bitmap {
+	b := New(n)
+	for _, i := range idx {
+		b.Set(i)
+	}
+	return b
+}
+
 func TestNewEmpty(t *testing.T) {
 	b := New(100)
 	if b.Len() != 100 {
@@ -77,10 +86,10 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestOr(t *testing.T) {
-	a := FromIndices(100, []int{1, 50, 99})
-	b := FromIndices(100, []int{1, 2, 64})
+	a := fromIndices(100, []int{1, 50, 99})
+	b := fromIndices(100, []int{1, 2, 64})
 	a.Or(b)
-	want := FromIndices(100, []int{1, 2, 50, 64, 99})
+	want := fromIndices(100, []int{1, 2, 50, 64, 99})
 	if !a.Equal(want) {
 		t.Fatalf("Or = %v, want %v", a, want)
 	}
@@ -96,17 +105,17 @@ func TestOrLengthMismatchPanics(t *testing.T) {
 }
 
 func TestAndNot(t *testing.T) {
-	a := FromIndices(100, []int{1, 2, 3, 64})
-	b := FromIndices(100, []int{2, 64, 99})
+	a := fromIndices(100, []int{1, 2, 3, 64})
+	b := fromIndices(100, []int{2, 64, 99})
 	a.AndNot(b)
-	want := FromIndices(100, []int{1, 3})
+	want := fromIndices(100, []int{1, 3})
 	if !a.Equal(want) {
 		t.Fatalf("AndNot = %v, want %v", a, want)
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := FromIndices(100, []int{5})
+	a := fromIndices(100, []int{5})
 	c := a.Clone()
 	c.Set(6)
 	if a.Get(6) {
@@ -118,7 +127,7 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	a := FromIndices(100, []int{0, 50, 99})
+	a := fromIndices(100, []int{0, 50, 99})
 	a.Reset()
 	if a.Any() {
 		t.Fatal("Reset left bits set")
@@ -127,7 +136,7 @@ func TestReset(t *testing.T) {
 
 func TestForEachAndIndices(t *testing.T) {
 	idx := []int{0, 7, 63, 64, 90}
-	a := FromIndices(91, idx)
+	a := fromIndices(91, idx)
 	got := a.Indices()
 	if len(got) != len(idx) {
 		t.Fatalf("Indices len = %d, want %d", len(got), len(idx))
@@ -140,8 +149,8 @@ func TestForEachAndIndices(t *testing.T) {
 }
 
 func TestContainsAll(t *testing.T) {
-	a := FromIndices(100, []int{1, 2, 3})
-	b := FromIndices(100, []int{1, 3})
+	a := fromIndices(100, []int{1, 2, 3})
+	b := fromIndices(100, []int{1, 3})
 	if !a.ContainsAll(b) {
 		t.Fatal("superset not detected")
 	}
@@ -160,7 +169,7 @@ func TestEqualDifferentLengths(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	a := FromIndices(5, []int{0, 3})
+	a := fromIndices(5, []int{0, 3})
 	if got := a.String(); got != "10010" {
 		t.Fatalf("String = %q, want 10010", got)
 	}

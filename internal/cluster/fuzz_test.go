@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"netags/internal/obs/httpserve"
@@ -51,7 +52,7 @@ func FuzzHashRing(f *testing.F) {
 			before := ring
 			if add && !members[backend] {
 				members[backend] = true
-				ring = before.With(backend)
+				ring = NewRing(append(slices.Clone(before.Backends()), backend), 16)
 				// Minimal movement: every key that moved must now belong to
 				// the arrival.
 				for _, k := range keys {
@@ -67,7 +68,7 @@ func FuzzHashRing(f *testing.F) {
 				}
 			} else if !add && members[backend] {
 				delete(members, backend)
-				ring = before.Without(backend)
+				ring = NewRing(without(before.Backends(), backend), 16)
 				// Minimal movement: only the departure's keys move.
 				for _, k := range keys {
 					bo := before.Owner(k)

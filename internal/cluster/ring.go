@@ -108,24 +108,6 @@ func NewRing(backends []string, replicas int) *Ring {
 	return r
 }
 
-// With returns a new ring with the backend added (no-op copy if already a
-// member).
-func (r *Ring) With(backend string) *Ring {
-	return NewRing(append(append([]string(nil), r.backends...), backend), r.replicas)
-}
-
-// Without returns a new ring with the backend removed (no-op copy if not
-// a member).
-func (r *Ring) Without(backend string) *Ring {
-	keep := make([]string, 0, len(r.backends))
-	for _, b := range r.backends {
-		if b != backend {
-			keep = append(keep, b)
-		}
-	}
-	return NewRing(keep, r.replicas)
-}
-
 // Backends returns the sorted member list. Callers must not mutate it.
 func (r *Ring) Backends() []string { return r.backends }
 

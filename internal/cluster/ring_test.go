@@ -14,6 +14,17 @@ func testKeys(n int) []string {
 	return keys
 }
 
+// without returns backends less b, in a new slice.
+func without(backends []string, b string) []string {
+	keep := make([]string, 0, len(backends))
+	for _, x := range backends {
+		if x != b {
+			keep = append(keep, x)
+		}
+	}
+	return keep
+}
+
 func TestRingDeterministicAcrossOrder(t *testing.T) {
 	a := NewRing([]string{"w1:1", "w2:2", "w3:3"}, 64)
 	b := NewRing([]string{"w3:3", "w1:1", "w2:2", "w2:2"}, 64)
@@ -45,7 +56,7 @@ func TestRingEmpty(t *testing.T) {
 func TestRingMinimalMovementOnRemove(t *testing.T) {
 	backends := []string{"a:1", "b:2", "c:3", "d:4", "e:5"}
 	r := NewRing(backends, DefaultReplicas)
-	smaller := r.Without("c:3")
+	smaller := NewRing(without(backends, "c:3"), DefaultReplicas)
 	keys := testKeys(4000)
 	moved := 0
 	for _, k := range keys {
@@ -67,7 +78,7 @@ func TestRingMinimalMovementOnRemove(t *testing.T) {
 
 func TestRingMinimalMovementOnAdd(t *testing.T) {
 	r := NewRing([]string{"a:1", "b:2", "c:3"}, DefaultReplicas)
-	bigger := r.With("d:4")
+	bigger := NewRing([]string{"a:1", "b:2", "c:3", "d:4"}, DefaultReplicas)
 	for _, k := range testKeys(4000) {
 		before := r.Backends()[r.Owner(k)]
 		after := bigger.Backends()[bigger.Owner(k)]
@@ -107,8 +118,8 @@ func TestRingOwnerSeqFailoverConsistency(t *testing.T) {
 		seq := r.OwnerSeq(k, nil)
 		first := r.Backends()[seq[0]]
 		second := r.Backends()[seq[1]]
-		without := r.Without(first)
-		got := without.Backends()[without.Owner(k)]
+		rest := NewRing(without(r.Backends(), first), DefaultReplicas)
+		got := rest.Backends()[rest.Owner(k)]
 		if got != second {
 			t.Fatalf("key %s: OwnerSeq[1]=%q but ring-without-primary owner is %q",
 				k, second, got)

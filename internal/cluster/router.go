@@ -170,9 +170,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Ring returns the router's hash ring (immutable).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Breaker returns backend i's circuit breaker.
-func (rt *Router) Breaker(i int) *Breaker { return rt.breakers[i] }
-
 type routeScratch struct{ seq []int }
 
 // Handler builds the router's combined mux: the proxied jobs API under

@@ -190,7 +190,7 @@ func TestRouterBreakerTripsAndSkipsDeadBackend(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status %d (should have failed over)", seed, resp.StatusCode)
 		}
-		tripped = rt.Breaker(deadIdx).State() == BreakerOpen
+		tripped = rt.breakers[deadIdx].State() == BreakerOpen
 	}
 	if !tripped {
 		t.Fatal("breaker never tripped")
@@ -252,7 +252,7 @@ func TestRouterBreakerRecovery(t *testing.T) {
 		return resp.Header.Get(serve.BackendHeader)
 	}
 	post()
-	if rt.Breaker(deadIdx).State() != BreakerOpen {
+	if rt.breakers[deadIdx].State() != BreakerOpen {
 		t.Fatal("breaker did not trip")
 	}
 
@@ -269,14 +269,14 @@ func TestRouterBreakerRecovery(t *testing.T) {
 	// backend, and probesToClose of them close the breaker.
 	clk.advance(time.Minute)
 	for i := 0; i < probesToClose; i++ {
-		if st := rt.Breaker(deadIdx).State(); st == BreakerClosed {
+		if st := rt.breakers[deadIdx].State(); st == BreakerClosed {
 			t.Fatalf("closed after %d of %d probe successes", i, probesToClose)
 		}
 		if got := post(); got != b1.addr() {
 			t.Fatalf("probe %d answered by %s, want the healed %s", i, got, b1.addr())
 		}
 	}
-	if st := rt.Breaker(deadIdx).State(); st != BreakerClosed {
+	if st := rt.breakers[deadIdx].State(); st != BreakerClosed {
 		t.Fatalf("breaker %s after %d probe successes, want closed", st, probesToClose)
 	}
 }

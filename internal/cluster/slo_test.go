@@ -38,7 +38,7 @@ func TestClusterSLORulesFireAndResolve(t *testing.T) {
 		states := eval.States()
 		return states[slices.IndexFunc(states, func(s timeseries.AlertState) bool { return s.Rule == name })].Firing
 	}
-	breaker := rt.Breaker(0)
+	breaker := rt.breakers[0]
 
 	stimulus := map[string]func(t *testing.T){
 		"cluster_breaker_open": func(t *testing.T) {

@@ -7,6 +7,36 @@ import (
 	"netags/internal/topology"
 )
 
+// readerNets builds one network per reader of d.
+func readerNets(t *testing.T, d *geom.Deployment, rg topology.Ranges) []*topology.Network {
+	t.Helper()
+	nets := make([]*topology.Network, len(d.Readers))
+	for ri := range d.Readers {
+		nw, err := topology.Build(d, ri, rg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[ri] = nw
+	}
+	return nets
+}
+
+// perReader runs each reader's session on its own, as RunReaders does.
+func perReader(t *testing.T, nets []*topology.Network, cfg Config) []*Result {
+	t.Helper()
+	out := make([]*Result, len(nets))
+	for ri, nw := range nets {
+		rcfg := cfg
+		rcfg.Reader = ri
+		res, err := RunSession(nw, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ri] = res
+	}
+	return out
+}
+
 func TestMultiReaderCombinesBitmaps(t *testing.T) {
 	// Two readers far apart, each with its own chain of tags; neither
 	// reader alone covers both chains.
@@ -18,12 +48,12 @@ func TestMultiReaderCombinesBitmaps(t *testing.T) {
 		Readers: []geom.Point{{X: -60}, {X: 60}},
 		Radius:  70,
 	}
-	rg := topology.Ranges{ReaderToTag: 30, TagToReader: 20, TagToTag: 6}
+	nets := readerNets(t, d, topology.Ranges{ReaderToTag: 30, TagToReader: 20, TagToTag: 6})
 	cfg := Config{
 		FrameSize: 16,
 		Picker:    fixedPicker(map[int][]int{0: {1}, 1: {2}, 2: {3}, 3: {4}}),
 	}
-	mr, err := RunMultiSession(d, rg, cfg)
+	mr, err := RunReaders(nets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +62,14 @@ func TestMultiReaderCombinesBitmaps(t *testing.T) {
 			t.Errorf("slot %d missing from combined bitmap", slot)
 		}
 	}
-	if len(mr.PerReader) != 2 {
-		t.Fatalf("per-reader results = %d, want 2", len(mr.PerReader))
-	}
 	// Each reader alone sees only its side.
-	if mr.PerReader[0].Bitmap.Get(3) || mr.PerReader[1].Bitmap.Get(1) {
+	per := perReader(t, nets, cfg)
+	if per[0].Bitmap.Get(3) || per[1].Bitmap.Get(1) {
 		t.Error("a reader saw bits from the other reader's side")
 	}
 	// Round-robin windows add up.
-	wantClock := mr.PerReader[0].Clock
-	wantClock.Add(mr.PerReader[1].Clock)
+	wantClock := per[0].Clock
+	wantClock.Add(per[1].Clock)
 	if mr.Clock != wantClock {
 		t.Errorf("clock = %+v, want %+v", mr.Clock, wantClock)
 	}
@@ -50,29 +78,26 @@ func TestMultiReaderCombinesBitmaps(t *testing.T) {
 func TestMultiReaderMatchesEquationOne(t *testing.T) {
 	// B must equal B_1 | B_2 (eq. (1)) even when coverages overlap.
 	d := geom.NewUniformDiskMultiReader(800, 30, []geom.Point{{X: -5}, {X: 5}}, 31)
-	rg := topology.PaperRanges(5)
+	nets := readerNets(t, d, topology.PaperRanges(5))
 	cfg := Config{FrameSize: 256, Seed: 2, Sampling: 1}
-	mr, err := RunMultiSession(d, rg, cfg)
+	mr, err := RunReaders(nets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mr.PerReader[0].Bitmap.Clone()
-	want.Or(mr.PerReader[1].Bitmap)
+	per := perReader(t, nets, cfg)
+	want := per[0].Bitmap.Clone()
+	want.Or(per[1].Bitmap)
 	if !mr.Bitmap.Equal(want) {
 		t.Fatal("combined bitmap is not the OR of per-reader bitmaps")
 	}
 }
 
 func TestMultiReaderErrors(t *testing.T) {
-	d := &geom.Deployment{Radius: 30}
-	if _, err := RunMultiSession(d, topology.PaperRanges(6), Config{FrameSize: 8}); err == nil {
-		t.Error("deployment without readers accepted")
+	if _, err := RunReaders(nil, Config{FrameSize: 8}); err == nil {
+		t.Error("no reader networks accepted")
 	}
-	d2 := geom.NewUniformDisk(10, 30, 1)
-	if _, err := RunMultiSession(d2, topology.PaperRanges(6), Config{FrameSize: 0}); err == nil {
+	d := geom.NewUniformDisk(10, 30, 1)
+	if _, err := RunReaders(readerNets(t, d, topology.PaperRanges(6)), Config{FrameSize: 0}); err == nil {
 		t.Error("zero frame size accepted")
-	}
-	if _, err := RunMultiSession(d2, topology.Ranges{}, Config{FrameSize: 8}); err == nil {
-		t.Error("invalid ranges accepted")
 	}
 }

@@ -94,8 +94,7 @@ func (m *Meter) Received(i int) int64 { return m.recv[i] }
 // in the multi-reader extension). The meters must track the same number of
 // tags; merging meters of different sizes is a caller bug, reported as an
 // error naming both sizes rather than a panic so protocol drivers can wrap
-// it with context. (Contrast stats.Sample.Merge, which has no size invariant
-// and cannot fail.)
+// it with context.
 func (m *Meter) Merge(other *Meter) error {
 	if len(m.sent) != len(other.sent) {
 		return fmt.Errorf("energy: cannot merge meter of %d tags into meter of %d tags",
@@ -167,8 +166,7 @@ func (m *Meter) SummarizeByTier(tier []int16, maxTier int) []Summary {
 
 // Clock counts the time slots a protocol consumes, split by slot kind: short
 // slots in which a tag transmits one bit (t_s) and long slots in which the
-// reader transmits a 96-bit message (t_id). Fig. 4 reports the plain total;
-// WeightedTime lets callers apply physical slot lengths.
+// reader transmits a 96-bit message (t_id). Fig. 4 reports the plain total.
 type Clock struct {
 	// ShortSlots counts 1-bit slots (frame slots, checking-frame slots).
 	ShortSlots int64
@@ -180,13 +178,6 @@ type Clock struct {
 // Total returns the total number of slots of either kind — the unit of
 // Fig. 4.
 func (c Clock) Total() int64 { return c.ShortSlots + c.LongSlots }
-
-// WeightedTime returns the execution time when a tag slot lasts ts units and
-// a reader slot lasts tid units (eq. (3) leaves these as parameters because
-// the Gen2 standard does not pin them).
-func (c Clock) WeightedTime(ts, tid float64) float64 {
-	return float64(c.ShortSlots)*ts + float64(c.LongSlots)*tid
-}
 
 // Add accumulates another clock (e.g. per-round or per-reader costs).
 func (c *Clock) Add(other Clock) {

@@ -102,9 +102,6 @@ func TestClock(t *testing.T) {
 	if c.Total() != 105 {
 		t.Fatalf("Total = %d, want 105", c.Total())
 	}
-	if got := c.WeightedTime(1, 10); got != 150 {
-		t.Fatalf("WeightedTime = %v, want 150", got)
-	}
 	c.Add(Clock{ShortSlots: 1, LongSlots: 2})
 	if c.ShortSlots != 101 || c.LongSlots != 7 {
 		t.Fatalf("Add result wrong: %+v", c)

@@ -39,18 +39,6 @@ func SampleDisk(src *prng.Source, radius float64) Point {
 	return Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
 }
 
-// SampleAnnulus returns a point uniformly distributed in the annulus with the
-// given inner and outer radii, centered at the origin.
-func SampleAnnulus(src *prng.Source, inner, outer float64) Point {
-	if inner < 0 || outer < inner {
-		panic("geom: invalid annulus radii")
-	}
-	in2, out2 := inner*inner, outer*outer
-	r := math.Sqrt(in2 + (out2-in2)*src.Float64())
-	theta := 2 * math.Pi * src.Float64()
-	return Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
-}
-
 // DiskArea returns the area of a disk with radius r.
 func DiskArea(r float64) float64 { return math.Pi * r * r }
 
@@ -81,14 +69,6 @@ func LensArea(r1, r2, d float64) float64 {
 		s = 0
 	}
 	return r1*r1*a1 + r2*r2*a2 - 0.5*math.Sqrt(s)
-}
-
-// DiskOutsideArea returns the area of the disk of radius r1 centered at
-// distance d from the origin that lies OUTSIDE the disk of radius r2 centered
-// at the origin. This is the "shadow zone" S_i of Fig. 2(b): the part of a
-// tag's i-hop reach that pokes beyond the reader's coverage.
-func DiskOutsideArea(r1, r2, d float64) float64 {
-	return DiskArea(r1) - LensArea(r1, r2, d)
 }
 
 func clamp(x float64) float64 {

@@ -56,26 +56,6 @@ func TestSampleDiskUniform(t *testing.T) {
 	}
 }
 
-func TestSampleAnnulus(t *testing.T) {
-	src := prng.New(3)
-	for i := 0; i < 10000; i++ {
-		p := SampleAnnulus(src, 10, 20)
-		d := p.Norm()
-		if d < 10 || d > 20 {
-			t.Fatalf("annulus point at distance %v", d)
-		}
-	}
-}
-
-func TestSampleAnnulusPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid annulus did not panic")
-		}
-	}()
-	SampleAnnulus(prng.New(1), 5, 4)
-}
-
 func TestLensAreaDisjoint(t *testing.T) {
 	if got := LensArea(1, 1, 3); got != 0 {
 		t.Fatalf("disjoint lens area = %v, want 0", got)
@@ -144,13 +124,16 @@ func TestLensAreaMonteCarlo(t *testing.T) {
 	}
 }
 
+// TestDiskOutsideArea: the part of a tag's reach disk outside the reader's
+// coverage (the shadow zone S_i of Fig. 2(b)) is DiskArea − LensArea.
 func TestDiskOutsideArea(t *testing.T) {
+	outside := func(r1, r2, d float64) float64 { return DiskArea(r1) - LensArea(r1, r2, d) }
 	// A disk fully inside another has zero outside area.
-	if got := DiskOutsideArea(1, 10, 2); math.Abs(got) > 1e-12 {
+	if got := outside(1, 10, 2); math.Abs(got) > 1e-12 {
 		t.Fatalf("outside area = %v, want 0", got)
 	}
 	// A disjoint disk is fully outside.
-	if got := DiskOutsideArea(1, 1, 5); math.Abs(got-DiskArea(1)) > 1e-12 {
+	if got := outside(1, 1, 5); math.Abs(got-DiskArea(1)) > 1e-12 {
 		t.Fatalf("outside area = %v, want full disk", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"netags/internal/energy"
 	"netags/internal/obs"
 	"netags/internal/prng"
-	"netags/internal/topology"
 )
 
 // Options configures an adaptive estimation run over a networked tag system.
@@ -75,23 +74,15 @@ type Outcome struct {
 	Truncated bool
 }
 
-// SessionRunner executes one CCM session for a config — core.RunSession
-// bound to a network in the single-reader case, or a multi-reader
-// OR-combining wrapper.
+// SessionRunner executes one CCM session for a config: core.RunSession bound
+// to a network for one reader, core.RunReaders for several.
 type SessionRunner func(cfg core.Config) (*core.Result, error)
 
-// Estimate runs the two-phase GMLE procedure of §IV over CCM sessions: a
-// rough phase that halves the sampling probability until the frame
-// desaturates, then accurate frames at the optimal load, re-tuned after
-// every frame, until the confidence requirement (eq. (2)) is met.
-func Estimate(nw *topology.Network, opts Options) (*Outcome, error) {
-	return EstimateWith(nw.N(), func(cfg core.Config) (*core.Result, error) {
-		return core.RunSession(nw, cfg)
-	}, opts)
-}
-
-// EstimateWith is Estimate over an arbitrary session runner; nTags sizes the
-// energy meter (the number of deployed tags).
+// EstimateWith runs the two-phase GMLE procedure of §IV over CCM sessions
+// executed by run: a rough phase that halves the sampling probability until
+// the frame desaturates, then accurate frames at the optimal load, re-tuned
+// after every frame, until the confidence requirement (eq. (2)) is met.
+// nTags sizes the energy meter (the number of deployed tags).
 func EstimateWith(nTags int, run SessionRunner, opts Options) (*Outcome, error) {
 	opts.setDefaults()
 	if opts.Beta <= 0 || opts.Beta >= 1 || opts.Alpha <= 0 || opts.Alpha >= 1 {
@@ -199,17 +190,4 @@ func EstimateWith(nTags int, run SessionRunner, opts Options) (*Outcome, error) 
 	out.RelHalfWidth = est.RelHalfWidth(nHat, opts.Alpha)
 	out.Converged = out.RelHalfWidth <= opts.Beta
 	return out, nil
-}
-
-// PaperSession runs the single §VI-B evaluation session: frame size 1671
-// with p = 1.59·f/n configured from the known population, exactly as the
-// paper does when measuring GMLE-CCM's time and energy. It returns the raw
-// session result.
-func PaperSession(nw *topology.Network, n int, seed uint64) (*core.Result, error) {
-	cfg := core.Config{
-		FrameSize: PaperFrameSize,
-		Seed:      seed,
-		Sampling:  SamplingFor(PaperFrameSize, float64(n)),
-	}
-	return core.RunSession(nw, cfg)
 }

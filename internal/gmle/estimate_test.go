@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"netags/internal/core"
 	"netags/internal/geom"
+	"netags/internal/simtest"
 	"netags/internal/topology"
 )
 
@@ -18,9 +20,14 @@ func diskNetwork(t *testing.T, n int, r float64, seed uint64) *topology.Network 
 	return nw
 }
 
+// estimate runs EstimateWith over sessions on nw.
+func estimate(nw *topology.Network, opts Options) (*Outcome, error) {
+	return EstimateWith(nw.N(), simtest.Sessions(nw), opts)
+}
+
 func TestEstimateConverges(t *testing.T) {
 	nw := diskNetwork(t, 3000, 6, 61)
-	out, err := Estimate(nw, Options{Beta: 0.1, Seed: 1})
+	out, err := estimate(nw, Options{Beta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +63,7 @@ func TestEstimateAccuracyAcrossTrials(t *testing.T) {
 	hits := 0
 	for i := 0; i < trials; i++ {
 		nw := diskNetwork(t, 2000, 6, uint64(200+i))
-		out, err := Estimate(nw, Options{Beta: 0.1, Seed: uint64(i)})
+		out, err := estimate(nw, Options{Beta: 0.1, Seed: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +80,7 @@ func TestEstimateAccuracyAcrossTrials(t *testing.T) {
 func TestEstimateSmallPopulation(t *testing.T) {
 	// 40 tags: the first probe frame (f=64, p=1) is already informative.
 	nw := diskNetwork(t, 40, 10, 67)
-	out, err := Estimate(nw, Options{Beta: 0.2, Seed: 3, MaxFrames: 40})
+	out, err := estimate(nw, Options{Beta: 0.2, Seed: 3, MaxFrames: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestEstimateSmallPopulation(t *testing.T) {
 
 func TestEstimateRespectsMaxFrames(t *testing.T) {
 	nw := diskNetwork(t, 3000, 6, 71)
-	out, err := Estimate(nw, Options{Beta: 0.001, MaxFrames: 3, Seed: 5})
+	out, err := estimate(nw, Options{Beta: 0.001, MaxFrames: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +107,21 @@ func TestEstimateRespectsMaxFrames(t *testing.T) {
 func TestEstimateOptionValidation(t *testing.T) {
 	nw := diskNetwork(t, 100, 6, 73)
 	for _, o := range []Options{{Beta: -0.1}, {Beta: 1.5}, {Alpha: 2}} {
-		if _, err := Estimate(nw, o); err == nil {
+		if _, err := estimate(nw, o); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}
 }
 
+// TestPaperSession runs the single §VI-B evaluation session the experiments
+// configure: frame size 1671 with p = 1.59·f/n from the known population.
 func TestPaperSession(t *testing.T) {
 	nw := diskNetwork(t, 3000, 6, 79)
-	res, err := PaperSession(nw, 3000, 9)
+	res, err := core.RunSession(nw, core.Config{
+		FrameSize: PaperFrameSize,
+		Seed:      9,
+		Sampling:  SamplingFor(PaperFrameSize, 3000),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +138,11 @@ func TestPaperSession(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	nw := diskNetwork(t, 1000, 6, 83)
-	a, err := Estimate(nw, Options{Beta: 0.1, Seed: 11})
+	a, err := estimate(nw, Options{Beta: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Estimate(nw, Options{Beta: 0.1, Seed: 11})
+	b, err := estimate(nw, Options{Beta: 0.1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

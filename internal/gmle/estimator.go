@@ -63,9 +63,6 @@ func (e *Estimator) AddFrame(f int, p float64, zeros int) error {
 	return nil
 }
 
-// Frames returns the number of observations recorded.
-func (e *Estimator) Frames() int { return len(e.frames) }
-
 // scoreAt returns the derivative of the log-likelihood at population size n.
 // For each frame, a slot is idle with probability q(n) = (1 − p/f)^n; the
 // derivative is Σ_j c_j·[z_j − (f_j − z_j)·q_j/(1 − q_j)] with

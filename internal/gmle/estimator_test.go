@@ -40,7 +40,7 @@ func TestAddFrameValidation(t *testing.T) {
 			t.Errorf("case %d: AddFrame(%v) accepted", i, c)
 		}
 	}
-	if e.Frames() != 0 {
+	if len(e.frames) != 0 {
 		t.Fatal("rejected frames were recorded")
 	}
 }
@@ -265,8 +265,10 @@ func TestEstimatorCoverage(t *testing.T) {
 	}
 }
 
+// TestZeroEstimate: on one frame the MLE is the classic zero estimator of
+// Kodialam & Nandagopal [5], n̂ = ln(z/f)/ln(1 − p/f), which GMLE
+// generalizes, and a frame with no idle slot has no finite estimate.
 func TestZeroEstimate(t *testing.T) {
-	// Agrees with the GMLE single-frame solution.
 	var e Estimator
 	const f, p, zeros = 1000, 0.4, 300
 	if err := e.AddFrame(f, p, zeros); err != nil {
@@ -276,23 +278,15 @@ func TestZeroEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ze, err := ZeroEstimate(f, p, zeros)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ze := math.Log(float64(zeros)/f) / math.Log1p(-p/f)
 	if math.Abs(mle-ze) > 1e-2*ze {
 		t.Fatalf("ZE %v disagrees with single-frame MLE %v", ze, mle)
 	}
-	if _, err := ZeroEstimate(f, p, 0); err != ErrSaturated {
-		t.Fatalf("saturated ZE err = %v, want ErrSaturated", err)
+	var saturated Estimator
+	if err := saturated.AddFrame(f, p, 0); err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []struct {
-		f     int
-		p     float64
-		zeros int
-	}{{0, 0.5, 1}, {10, 0, 1}, {10, 2, 1}, {10, 0.5, 11}} {
-		if _, err := ZeroEstimate(bad.f, bad.p, bad.zeros); err == nil {
-			t.Errorf("ZeroEstimate(%+v) accepted", bad)
-		}
+	if _, err := saturated.Estimate(); err != ErrSaturated {
+		t.Fatalf("saturated frame err = %v, want ErrSaturated", err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"netags/internal/energy"
 	"netags/internal/obs"
 	"netags/internal/prng"
-	"netags/internal/topology"
 )
 
 // fmCorrection is the Flajolet–Martin bias constant φ: E[2^Z] ≈ φ·n.
@@ -94,15 +93,8 @@ type Outcome struct {
 // sketch.
 type SessionRunner func(cfg core.Config) (*core.Result, error)
 
-// Estimate runs LoF over CCM sessions on a single-reader network.
-func Estimate(nw *topology.Network, opts Options) (*Outcome, error) {
-	return EstimateWith(nw.N(), func(cfg core.Config) (*core.Result, error) {
-		return core.RunSession(nw, cfg)
-	}, opts)
-}
-
-// EstimateWith is Estimate over an arbitrary session runner; nTags sizes
-// the energy meter.
+// EstimateWith runs LoF over CCM sessions executed by run; nTags sizes the
+// energy meter (the number of deployed tags).
 func EstimateWith(nTags int, run SessionRunner, opts Options) (*Outcome, error) {
 	if opts.Frames == 0 {
 		opts.Frames = 32

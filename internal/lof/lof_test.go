@@ -5,8 +5,14 @@ import (
 	"testing"
 
 	"netags/internal/geom"
+	"netags/internal/simtest"
 	"netags/internal/topology"
 )
+
+// estimate runs EstimateWith over sessions on nw.
+func estimate(nw *topology.Network, opts Options) (*Outcome, error) {
+	return EstimateWith(nw.N(), simtest.Sessions(nw), opts)
+}
 
 func diskNetwork(t *testing.T, n int, r float64, seed uint64) *topology.Network {
 	t.Helper()
@@ -64,7 +70,7 @@ func TestEstimateBallpark(t *testing.T) {
 	// FM sketches are coarse; assert a generous 0.5x–2x band.
 	for _, n := range []int{500, 3000} {
 		nw := diskNetwork(t, n, 6, uint64(400+n))
-		out, err := Estimate(nw, Options{Seed: 9, Frames: 48})
+		out, err := estimate(nw, Options{Seed: 9, Frames: 48})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +89,7 @@ func TestEstimateShortFramesAreCheap(t *testing.T) {
 	// The whole point of LoF: 32-slot frames, so even 48 of them cost far
 	// fewer slots than one GMLE frame (1671 slots).
 	nw := diskNetwork(t, 2000, 6, 401)
-	out, err := Estimate(nw, Options{Seed: 3})
+	out, err := estimate(nw, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +100,18 @@ func TestEstimateShortFramesAreCheap(t *testing.T) {
 
 func TestEstimateValidation(t *testing.T) {
 	nw := diskNetwork(t, 50, 6, 402)
-	if _, err := Estimate(nw, Options{Frames: -1}); err == nil {
+	if _, err := estimate(nw, Options{Frames: -1}); err == nil {
 		t.Error("negative frame count accepted")
 	}
 }
 
 func TestEstimateDeterministic(t *testing.T) {
 	nw := diskNetwork(t, 500, 6, 403)
-	a, err := Estimate(nw, Options{Seed: 5, Frames: 8})
+	a, err := estimate(nw, Options{Seed: 5, Frames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Estimate(nw, Options{Seed: 5, Frames: 8})
+	b, err := estimate(nw, Options{Seed: 5, Frames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,12 +82,6 @@ func StartInstrumentation(traceOut, metricsMode, cpuProfile, memProfile string) 
 // fast path.
 func (in *Instrumentation) Tracer() Tracer { return in.tracer }
 
-// WithTracer returns the combined sink extended with extra tracers (nils
-// skipped), e.g. a Narrator for -trace alongside the -trace-out file.
-func (in *Instrumentation) WithTracer(extra ...Tracer) Tracer {
-	return Multi(append([]Tracer{in.tracer}, extra...)...)
-}
-
 // Close flushes and closes every sink: the trace file is flushed, the
 // metrics summary (if requested) is rendered to w, and the profiles are
 // written. The first error wins, but every sink is still closed. Close is

@@ -24,7 +24,6 @@
 package httpserve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -257,14 +256,4 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-// Shutdown stops accepting new connections and waits for in-flight
-// requests to finish, up to ctx's deadline (then it closes hard). Like
-// every other method it no-ops on a nil receiver.
-func (s *Server) Shutdown(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Shutdown(ctx)
 }

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"netags/internal/experiment"
 	"netags/internal/obs"
@@ -259,26 +258,6 @@ func TestRegistryMetrics(t *testing.T) {
 	}
 	if samples := checkExposition(t, string(body)); samples["netags_extra_total"] != 7 {
 		t.Errorf("registry-only metrics body wrong: %s", body)
-	}
-}
-
-// TestServerShutdown: graceful Shutdown stops the listener; nil-safe.
-func TestServerShutdown(t *testing.T) {
-	s, err := Start("127.0.0.1:0", Options{Collector: obs.NewCollector()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + s.Addr() + "/metrics"); err == nil {
-		t.Error("server still serving after Shutdown")
-	}
-	var nilSrv *Server
-	if err := nilSrv.Shutdown(ctx); err != nil {
-		t.Error(err)
 	}
 }
 

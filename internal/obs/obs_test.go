@@ -73,8 +73,8 @@ func TestMultiSkipsNil(t *testing.T) {
 	}
 	both := Multi(m1, nil, m2)
 	both.Trace(Event{Kind: KindRound})
-	if m1.Len() != 1 || m2.Len() != 1 {
-		t.Errorf("fan-out failed: %d, %d", m1.Len(), m2.Len())
+	if len(m1.Events()) != 1 || len(m2.Events()) != 1 {
+		t.Errorf("fan-out failed: %d, %d", len(m1.Events()), len(m2.Events()))
 	}
 }
 
@@ -111,8 +111,8 @@ func TestMemoryTracer(t *testing.T) {
 	m.Trace(Event{Kind: KindSessionStart})
 	m.Trace(Event{Kind: KindRound})
 	m.Trace(Event{Kind: KindRound})
-	if m.Len() != 3 {
-		t.Fatalf("len %d", m.Len())
+	if n := len(m.Events()); n != 3 {
+		t.Fatalf("len %d", n)
 	}
 	k := m.Kinds()
 	if k[KindRound] != 2 || k[KindSessionStart] != 1 {

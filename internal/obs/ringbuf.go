@@ -41,15 +41,6 @@ func (r *RingBuffer[T]) Total() uint64 { return r.total }
 // Dropped returns how many elements were evicted by overwrite.
 func (r *RingBuffer[T]) Dropped() uint64 { return r.total - uint64(r.Len()) }
 
-// Latest returns the most recently pushed element.
-func (r *RingBuffer[T]) Latest() (T, bool) {
-	if r.total == 0 {
-		var zero T
-		return zero, false
-	}
-	return r.buf[(r.total-1)%uint64(len(r.buf))], true
-}
-
 // AppendTo appends the retained elements to dst, oldest first.
 func (r *RingBuffer[T]) AppendTo(dst []T) []T {
 	if r.total <= uint64(len(r.buf)) {

@@ -68,19 +68,12 @@ func (s *series) snapshot() []Sample {
 	return s.buf.AppendTo(make([]Sample, 0, s.buf.Len()))
 }
 
-func (s *series) latest() (Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buf.Latest()
-}
-
 // DB holds every series. Series are created on first Record and never
 // removed; the sampler records a bounded catalog of names (families labeled
 // from outside the program are obs.Registry.ExposeOnly), so the map stops
 // growing once every label value the program can produce has been seen.
 type DB struct {
 	resolution time.Duration
-	retention  time.Duration
 	capPer     int
 
 	mu     sync.RWMutex
@@ -105,7 +98,6 @@ func New(resolution, retention time.Duration) *DB {
 	}
 	return &DB{
 		resolution: resolution,
-		retention:  retention,
 		capPer:     capPer,
 		series:     make(map[string]*series),
 	}
@@ -113,9 +105,6 @@ func New(resolution, retention time.Duration) *DB {
 
 // Resolution returns the sampling interval the DB was sized for.
 func (db *DB) Resolution() time.Duration { return db.resolution }
-
-// Retention returns the nominal history window.
-func (db *DB) Retention() time.Duration { return db.retention }
 
 // SeriesCap returns the per-series ring capacity.
 func (db *DB) SeriesCap() int { return db.capPer }
@@ -160,17 +149,6 @@ func (db *DB) Samples(name string) ([]Sample, bool) {
 		return nil, false
 	}
 	return s.snapshot(), true
-}
-
-// Latest returns the most recent sample of the named series.
-func (db *DB) Latest(name string) (Sample, bool) {
-	db.mu.RLock()
-	s := db.series[name]
-	db.mu.RUnlock()
-	if s == nil {
-		return Sample{}, false
-	}
-	return s.latest()
 }
 
 // Query returns the named series downsampled to step-aligned windows,

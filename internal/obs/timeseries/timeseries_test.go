@@ -121,8 +121,8 @@ func TestDBRecordQueryRotation(t *testing.T) {
 	if st.Series != 1 || st.Samples != 32 || st.Dropped != 68 {
 		t.Errorf("Stats = %+v, want {1 32 68}", st)
 	}
-	if last, ok := db.Latest("s"); !ok || last.V != 99 {
-		t.Errorf("Latest = %+v ok=%v, want v=99", last, ok)
+	if last, ok := latest(db, "s"); !ok || last.V != 99 {
+		t.Errorf("latest = %+v ok=%v, want v=99", last, ok)
 	}
 
 	// Query with a 4s step folds 4 samples per window.
@@ -139,10 +139,19 @@ func TestDBRecordQueryRotation(t *testing.T) {
 	}
 }
 
+// latest returns the most recent sample of the named series.
+func latest(db *DB, name string) (Sample, bool) {
+	samples, ok := db.Samples(name)
+	if !ok || len(samples) == 0 {
+		return Sample{}, false
+	}
+	return samples[len(samples)-1], true
+}
+
 func TestDBNames(t *testing.T) {
 	db := New(0, 0)
-	if db.Resolution() != DefaultResolution || db.Retention() != DefaultRetention {
-		t.Fatalf("defaults not applied: %v %v", db.Resolution(), db.Retention())
+	if db.Resolution() != DefaultResolution || db.SeriesCap() != int(DefaultRetention/DefaultResolution) {
+		t.Fatalf("defaults not applied: resolution %v, %d samples a series", db.Resolution(), db.SeriesCap())
 	}
 	db.Record("b", ms(1), 1)
 	db.Record("a", ms(1), 1)
@@ -267,7 +276,7 @@ func TestRuntimeSource(t *testing.T) {
 	runtime.GC() // /gc/heap/live and /gc/cycles are zero until a first GC
 	s.SampleOnce(ms(1000))
 	for _, name := range []string{"runtime_heap_live_bytes", "runtime_goroutines", "runtime_gc_cycles_total"} {
-		last, ok := db.Latest(name)
+		last, ok := latest(db, name)
 		if !ok {
 			t.Fatalf("runtime source recorded no %s; have %v", name, db.Names())
 		}

@@ -104,13 +104,6 @@ func (t *Memory) Events() []Event {
 	return append([]Event(nil), t.events...)
 }
 
-// Len returns the number of recorded events.
-func (t *Memory) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // Kinds returns how many events of each kind were recorded.
 func (t *Memory) Kinds() map[Kind]int {
 	t.mu.Lock()

@@ -62,13 +62,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Split returns a new Source whose stream is independent of s for all
-// practical purposes. It is used to give each tag or trial its own stream
-// without correlating draws.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0x5851f42d4c957f2d)
-}
-
 // DeriveSeed derives the seed of an independent stream from a base seed and
 // the position coordinates of a work item — typically (sweep point, trial
 // index, stream index). Unlike drawing seeds from one shared Source in loop

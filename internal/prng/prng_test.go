@@ -89,16 +89,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(5)
-	child := parent.Split()
-	// The child stream must not replay the parent stream.
-	a, b := parent.Uint64(), child.Uint64()
-	if a == b {
-		t.Fatal("split stream replays parent stream")
-	}
-}
-
 func TestHashIDDeterministic(t *testing.T) {
 	if HashID(17, 4) != HashID(17, 4) {
 		t.Fatal("HashID not deterministic")

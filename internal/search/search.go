@@ -18,13 +18,12 @@ import (
 
 	"netags/internal/bitmap"
 	"netags/internal/core"
-	"netags/internal/energy"
 	"netags/internal/obs"
 	"netags/internal/prng"
-	"netags/internal/topology"
 )
 
-// DefaultHashes is the Bloom encoding width used when Options.Hashes is 0.
+// DefaultHashes is the Bloom encoding width k used when a search asks for
+// none (and by Evaluate for a non-positive width).
 const DefaultHashes = 3
 
 // slotOf returns wanted/present tag id's j-th slot for the request seed.
@@ -74,94 +73,6 @@ func FrameSizeFor(n, hashes int, target float64) (int, error) {
 		fi += fi / 16
 	}
 	return fi, nil
-}
-
-// Options configures one search execution.
-type Options struct {
-	// FrameSize is f; 0 derives it from the present population estimate and
-	// TargetFP via FrameSizeFor.
-	FrameSize int
-	// Hashes is the Bloom width k (default DefaultHashes).
-	Hashes int
-	// Seed identifies the request.
-	Seed uint64
-	// TargetFP is the acceptable false-positive rate when FrameSize is
-	// derived (default 0.05).
-	TargetFP float64
-	// LossProb forwards the unreliable-channel extension.
-	LossProb float64
-	// LossSeed seeds the loss process.
-	LossSeed uint64
-	// CheckingFrameLen overrides the session's L_c bound (see core.Config);
-	// deployments with detour paths deeper than the default estimate need
-	// it to avoid truncation.
-	CheckingFrameLen int
-	// Tracer, if non-nil, receives the underlying CCM session's events plus
-	// one search phase event summarizing the bitmap evaluation.
-	Tracer obs.Tracer
-}
-
-// Outcome reports one search execution.
-type Outcome struct {
-	// Found lists wanted IDs whose slots were all busy: present, up to the
-	// false-positive rate.
-	Found []uint64
-	// Absent lists wanted IDs with at least one idle slot: provably not in
-	// the system (under a reliable channel).
-	Absent []uint64
-	// ExpectedFalsePositiveRate is the analytical rate for this execution.
-	ExpectedFalsePositiveRate float64
-	// Rounds, Clock, Meter carry the CCM session costs.
-	Rounds int
-	Clock  energy.Clock
-	Meter  *energy.Meter
-}
-
-// Run executes one tag search: every physically present tag Bloom-encodes
-// itself into the frame via CCM, and the wanted list is tested against the
-// collected bitmap. presentIDs[i] is the ID of deployment tag i.
-func Run(nw *topology.Network, presentIDs, wanted []uint64, opts Options) (*Outcome, error) {
-	if len(presentIDs) != nw.N() {
-		return nil, fmt.Errorf("search: %d present IDs for %d tags", len(presentIDs), nw.N())
-	}
-	if opts.Hashes == 0 {
-		opts.Hashes = DefaultHashes
-	}
-	if opts.Hashes < 0 {
-		return nil, fmt.Errorf("search: negative hash count %d", opts.Hashes)
-	}
-	if opts.TargetFP == 0 {
-		opts.TargetFP = 0.05
-	}
-	f := opts.FrameSize
-	if f == 0 {
-		var err error
-		f, err = FrameSizeFor(nw.Reachable, opts.Hashes, opts.TargetFP)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := core.RunSession(nw, core.Config{
-		FrameSize:        f,
-		Seed:             opts.Seed,
-		Picker:           Picker(opts.Seed, opts.Hashes, f),
-		IDs:              presentIDs,
-		LossProb:         opts.LossProb,
-		LossSeed:         opts.LossSeed,
-		CheckingFrameLen: opts.CheckingFrameLen,
-		Tracer:           opts.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		ExpectedFalsePositiveRate: FalsePositiveRate(nw.Reachable, f, opts.Hashes),
-		Rounds:                    res.Rounds,
-		Clock:                     res.Clock,
-		Meter:                     res.Meter,
-	}
-	out.Found, out.Absent = EvaluateObserved(opts.Tracer, res.Bitmap, wanted, opts.Seed, opts.Hashes)
-	return out, nil
 }
 
 // Evaluate tests each wanted ID against a collected bitmap: all k slots busy

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netags/internal/core"
 	"netags/internal/geom"
 	"netags/internal/topology"
 )
@@ -25,6 +26,40 @@ func ids(n int, base uint64) []uint64 {
 		out[i] = base + uint64(i)
 	}
 	return out
+}
+
+// outcome is one search execution's result.
+type outcome struct {
+	found, absent []uint64
+	f             int // the frame size used
+	res           *core.Result
+}
+
+// runSearch runs one search execution over nw as the facade does: every
+// deployed tag (present[i] is tag i's ID) Bloom-encodes itself into an f-slot
+// frame, f derived from the reachable population at a 5% false-positive
+// target when 0, and the wanted list is tested against the bitmap.
+// checkingLen overrides the session's L_c when positive.
+func runSearch(t *testing.T, nw *topology.Network, present, wanted []uint64, seed uint64, f, hashes, checkingLen int) outcome {
+	t.Helper()
+	if f == 0 {
+		var err error
+		if f, err = FrameSizeFor(nw.Reachable, hashes, 0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := core.RunSession(nw, core.Config{
+		FrameSize:        f,
+		Seed:             seed,
+		Picker:           Picker(seed, hashes, f),
+		IDs:              present,
+		CheckingFrameLen: checkingLen,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, absent := Evaluate(res.Bitmap, wanted, seed, hashes)
+	return outcome{found: found, absent: absent, f: f, res: res}
 }
 
 func TestFalsePositiveRateShape(t *testing.T) {
@@ -76,12 +111,9 @@ func TestSearchNoFalseNegatives(t *testing.T) {
 	wanted = append(wanted, absentIDs...)
 
 	for seed := uint64(0); seed < 3; seed++ {
-		out, err := Run(nw, present, wanted, Options{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := make(map[uint64]bool, len(out.Found))
-		for _, id := range out.Found {
+		out := runSearch(t, nw, present, wanted, seed, 0, DefaultHashes, 0)
+		found := make(map[uint64]bool, len(out.found))
+		for _, id := range out.found {
 			found[id] = true
 		}
 		for _, id := range wantPresent {
@@ -96,12 +128,9 @@ func TestSearchFalsePositiveRateNearAnalytic(t *testing.T) {
 	nw := diskNetwork(t, 1500, 6, 307)
 	present := ids(1500, 5000)
 	absent := ids(800, 2000000)
-	out, err := Run(nw, present, absent, Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := float64(len(out.Found)) / float64(len(absent))
-	want := out.ExpectedFalsePositiveRate
+	out := runSearch(t, nw, present, absent, 11, 0, DefaultHashes, 0)
+	got := float64(len(out.found)) / float64(len(absent))
+	want := FalsePositiveRate(nw.Reachable, out.f, DefaultHashes)
 	if math.Abs(got-want) > 0.05 {
 		t.Fatalf("observed FP rate %v, analytic %v", got, want)
 	}
@@ -115,36 +144,33 @@ func TestSearchAbsentProof(t *testing.T) {
 	nw := diskNetwork(t, 500, 6, 311)
 	present := ids(500, 5000)
 	wanted := ids(100, 7777777)
-	out, err := Run(nw, present, wanted, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Found)+len(out.Absent) != len(wanted) {
-		t.Fatalf("found %d + absent %d != wanted %d", len(out.Found), len(out.Absent), len(wanted))
+	out := runSearch(t, nw, present, wanted, 2, 0, DefaultHashes, 0)
+	if len(out.found)+len(out.absent) != len(wanted) {
+		t.Fatalf("found %d + absent %d != wanted %d", len(out.found), len(out.absent), len(wanted))
 	}
 }
 
 func TestSearchExplicitFrameAndHashes(t *testing.T) {
 	nw := diskNetwork(t, 300, 8, 313)
 	present := ids(300, 100)
-	out, err := Run(nw, present, present[:5], Options{Seed: 3, FrameSize: 4096, Hashes: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Found) == 0 {
+	out := runSearch(t, nw, present, present[:5], 3, 4096, 5, 0)
+	if len(out.found) == 0 {
 		t.Fatal("no present tags found with explicit parameters")
 	}
-	if out.Clock.Total() == 0 || out.Rounds == 0 {
+	if out.res.Clock.Total() == 0 || out.res.Rounds == 0 {
 		t.Fatal("session costs missing")
 	}
 }
 
+// TestSearchValidation: the pieces a search runs refuse what it must not
+// run — a session given the wrong number of present IDs, and a frame sized
+// for a non-positive hash count.
 func TestSearchValidation(t *testing.T) {
 	nw := diskNetwork(t, 50, 6, 317)
-	if _, err := Run(nw, ids(49, 1), nil, Options{}); err == nil {
+	if _, err := core.RunSession(nw, core.Config{FrameSize: 64, Picker: Picker(1, DefaultHashes, 64), IDs: ids(49, 1)}); err == nil {
 		t.Error("present-ID length mismatch accepted")
 	}
-	if _, err := Run(nw, ids(50, 1), nil, Options{Hashes: -1}); err == nil {
+	if _, err := FrameSizeFor(nw.Reachable, -1, 0.05); err == nil {
 		t.Error("negative hash count accepted")
 	}
 }
@@ -166,12 +192,9 @@ func TestSearchNoFalseNegativesProperty(t *testing.T) {
 		}
 		// Sparse random graphs can have detour paths deeper than the
 		// default L_c; the guarantee presumes a complete session.
-		out, err := Run(nw, present, wanted, Options{Seed: seed, Hashes: hashes, CheckingFrameLen: 64})
-		if err != nil {
-			t.Fatalf("search: %v", err)
-		}
-		found := make(map[uint64]bool, len(out.Found))
-		for _, id := range out.Found {
+		out := runSearch(t, nw, present, wanted, seed, 0, hashes, 64)
+		found := make(map[uint64]bool, len(out.found))
+		for _, id := range out.found {
 			found[id] = true
 		}
 		for _, id := range wanted {

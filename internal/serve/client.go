@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"time"
@@ -34,8 +33,8 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Logger receives the client's lifecycle logs: backpressure retries at
-	// Warn, stream reconnects at Warn, terminal awaits at Info. nil discards.
+	// Logger receives the client's lifecycle logs: stream reconnects at
+	// Warn, terminal awaits at Info. nil discards.
 	Logger *slog.Logger
 }
 
@@ -80,8 +79,7 @@ func (e *APIError) Error() string {
 }
 
 // ErrBusy is the typed form of 429 queue backpressure: the server is full
-// and said when to come back. Match with errors.As; SubmitRetry honors it
-// automatically.
+// and said when to come back. Match with errors.As.
 type ErrBusy struct {
 	// RetryAfter is the server's backoff hint (0 when the header was
 	// missing or unparseable — pick your own backoff).
@@ -152,8 +150,8 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any,
 }
 
 // Submit posts a job and returns the server's {id, status} reply. A full
-// queue comes back as *ErrBusy; see SubmitRetry for the loop that waits it
-// out.
+// queue comes back as *ErrBusy carrying the server's Retry-After; waiting
+// it out is the caller's choice (ccmload's is a full-jitter retry loop).
 func (c *Client) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) (SubmitResponse, error) {
 	var out SubmitResponse
 	err := c.do(ctx, http.MethodPost, "/jobs", SubmitRequest{
@@ -162,85 +160,6 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec, opts SubmitOptions) (
 		Priority: opts.Priority,
 		Client:   opts.Client,
 	}, &out, http.StatusOK, http.StatusAccepted)
-	return out, err
-}
-
-// minBackoff floors every jittered backoff so a zero draw cannot busy-spin
-// the submit loop.
-const minBackoff = 50 * time.Millisecond
-
-// jitterBackoff spreads a Retry-After hint with full jitter: for a unit
-// draw u in [0,1) it returns a duration in [minBackoff, max(base,
-// minBackoff)]. Retry-After is the same number for every shed client, so
-// sleeping it verbatim synchronizes the retries into a thundering herd at
-// exactly the moment the server said it would recover; a uniform draw over
-// the whole interval spreads the herd across it.
-func jitterBackoff(base time.Duration, u float64) time.Duration {
-	if base < minBackoff {
-		base = minBackoff
-	}
-	d := time.Duration(u * float64(base))
-	if d < minBackoff {
-		d = minBackoff
-	}
-	if d > base {
-		d = base
-	}
-	return d
-}
-
-// SubmitRetry submits, and on queue backpressure waits out the server's
-// Retry-After hint — spread with full jitter so concurrent shed clients
-// do not stampede the recovering server in lockstep — and tries again,
-// until admission or ctx cancels. The wait between attempts respects ctx:
-// cancellation interrupts the sleep immediately, and the returned error
-// then reports how many submissions were attempted. Errors other than
-// ErrBusy return as-is.
-func (c *Client) SubmitRetry(ctx context.Context, spec JobSpec, opts SubmitOptions) (SubmitResponse, error) {
-	for attempts := 1; ; attempts++ {
-		out, err := c.Submit(ctx, spec, opts)
-		var busy *ErrBusy
-		if !errors.As(err, &busy) {
-			return out, err
-		}
-		hint := busy.RetryAfter
-		if hint <= 0 {
-			hint = time.Second
-		}
-		backoff := jitterBackoff(hint, rand.Float64())
-		c.log().Warn("submit backpressure; retrying",
-			"attempt", attempts, "backoff", backoff.String())
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return SubmitResponse{}, fmt.Errorf("serve client: submit abandoned after %d attempt(s): %w", attempts, ctx.Err())
-		case <-t.C:
-		}
-	}
-}
-
-// Job fetches one job's status.
-func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var out JobStatus
-	err := c.do(ctx, http.MethodGet, "/jobs/"+id, nil, &out, http.StatusOK)
-	return out, err
-}
-
-// Jobs lists the server's retained job records.
-func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	var out struct {
-		Jobs []JobStatus `json:"jobs"`
-	}
-	err := c.do(ctx, http.MethodGet, "/jobs", nil, &out, http.StatusOK)
-	return out.Jobs, err
-}
-
-// Cancel cancels a job. The server keeps its checkpoint: resubmitting the
-// same spec resumes from the completed points.
-func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
-	var out JobStatus
-	err := c.do(ctx, http.MethodDelete, "/jobs/"+id, nil, &out, http.StatusOK)
 	return out, err
 }
 

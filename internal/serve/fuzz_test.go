@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"netags/internal/experiment"
 )
 
 // FuzzJobSpecKey proves the cache-key contract over arbitrary JSON specs:
@@ -219,7 +221,7 @@ func TestJobSpecKeyPinned(t *testing.T) {
 	}{
 		{"range minimal", JobSpec{N: 300, Trials: 2, RValues: []float64{6}},
 			"35ec773329b1a099084c97dddc3ca899b36881faef2ba63dfe75ea958ae00731"},
-		{"range explicit defaults", JobSpec{Sweep: SweepRange, N: 300, Radius: 30, Trials: 2, RValues: []float64{6},
+		{"range explicit defaults", JobSpec{Sweep: experiment.SweepRange, N: 300, Radius: 30, Trials: 2, RValues: []float64{6},
 			Protocols: []string{"SICP", "GMLE-CCM", "TRP-CCM"}, GMLEFrame: 1671, TRPFrame: 3228},
 			"35ec773329b1a099084c97dddc3ca899b36881faef2ba63dfe75ea958ae00731"},
 		{"range ignored fields", JobSpec{N: 300, Trials: 2, RValues: []float64{6},
@@ -233,19 +235,19 @@ func TestJobSpecKeyPinned(t *testing.T) {
 		{"range knobs", JobSpec{N: 500, Radius: 20, Trials: 3, RValues: []float64{2, 4}, GMLEFrame: 64, TRPFrame: 96,
 			ContentionWindow: 8, DisableIndicatorVector: true},
 			"74d1f66ad5840cb9778628e527a438487e9e65361148920252a8e9553d5dd24e"},
-		{"density minimal", JobSpec{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{100, 300}},
+		{"density minimal", JobSpec{Sweep: experiment.SweepDensity, Trials: 2, R: 6, NValues: []int{100, 300}},
 			"bb83157f697c2e3d9e21ab2c9b789be1382d88e141864f41bb685d567fccfb90"},
-		{"density explicit radius", JobSpec{Sweep: SweepDensity, Radius: 30, Trials: 2, R: 6, NValues: []int{100, 300}},
+		{"density explicit radius", JobSpec{Sweep: experiment.SweepDensity, Radius: 30, Trials: 2, R: 6, NValues: []int{100, 300}},
 			"bb83157f697c2e3d9e21ab2c9b789be1382d88e141864f41bb685d567fccfb90"},
-		{"density ignored fields", JobSpec{Sweep: SweepDensity, N: 5000, Trials: 2, R: 6, NValues: []int{300, 100},
+		{"density ignored fields", JobSpec{Sweep: experiment.SweepDensity, N: 5000, Trials: 2, R: 6, NValues: []int{300, 100},
 			RValues: []float64{2}, Protocols: []string{"SICP"}, GMLEFrame: 77, TRPFrame: 5, ContentionWindow: 3,
 			DisableIndicatorVector: true, LossValues: []float64{0.5}, FrameSize: 12, Seed: 9},
 			"96e9f2366760f1b5a18c97d963b163205143557d0ac32189f4c8045ae0fe1895"},
-		{"loss minimal", JobSpec{Sweep: SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0, 0.3}},
+		{"loss minimal", JobSpec{Sweep: experiment.SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0, 0.3}},
 			"30ced39f3a05d53bfdc999e45896ee741ea4a8b010b8bbb36380120f1c4d4540"},
-		{"loss reordered axis", JobSpec{Sweep: SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0.3, 0}},
+		{"loss reordered axis", JobSpec{Sweep: experiment.SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0.3, 0}},
 			"8c466b8df4e216dc49feba03160bee119bbda049222a4a8954b4df3b45d04fd7"},
-		{"loss ignored fields", JobSpec{Sweep: SweepLoss, N: 200, Radius: 30, Trials: 1, R: 6, LossValues: []float64{0, 0.3},
+		{"loss ignored fields", JobSpec{Sweep: experiment.SweepLoss, N: 200, Radius: 30, Trials: 1, R: 6, LossValues: []float64{0, 0.3},
 			FrameSize: 512, RValues: []float64{2}, Protocols: []string{"CICP"}, GMLEFrame: 77, TRPFrame: 5,
 			ContentionWindow: 3, DisableIndicatorVector: true, NValues: []int{100}, Seed: 42},
 			"a7a69cc7d8a258097ab060635d39882a3b2cde1a0fcde0097c126b9f57570311"},

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"netags/internal/experiment"
 	"netags/internal/obs/httpserve"
 )
 
@@ -202,7 +203,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	sub, err := cl.Submit(ctx, JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{50, 100}}, SubmitOptions{Workers: 1})
+	sub, err := cl.Submit(ctx, JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{50, 100}}, SubmitOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +213,11 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if _, err := cl.Await(ctx, sub.ID, nil); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := cl.Jobs(ctx)
-	if err != nil || len(jobs) != 1 || jobs[0].ID != sub.ID {
-		t.Fatalf("Jobs = %+v, %v", jobs, err)
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := cl.do(ctx, http.MethodGet, "/jobs", nil, &list, http.StatusOK); err != nil || len(list.Jobs) != 1 || list.Jobs[0].ID != sub.ID {
+		t.Fatalf("GET /jobs = %+v, %v", list.Jobs, err)
 	}
 	payload, err := cl.Result(ctx, sub.ID)
 	if err != nil || payload == nil {
@@ -324,8 +327,8 @@ func TestHTTPCancelAndResultStates(t *testing.T) {
 		t.Fatalf("pending result = %q, %v, want nil, nil", payload, err)
 	}
 
-	st, err := cl.Cancel(ctx, queued.ID)
-	if err != nil || st.State != StateCanceled {
+	var st JobStatus
+	if err := cl.do(ctx, http.MethodDelete, "/jobs/"+queued.ID, nil, &st, http.StatusOK); err != nil || st.State != StateCanceled {
 		t.Fatalf("cancel = %+v, %v", st, err)
 	}
 	if _, err := cl.Result(ctx, queued.ID); err == nil {

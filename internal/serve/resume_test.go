@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"netags/internal/experiment"
 )
 
 // TestResumeAfterDrainByteIdentical, for every sweep kind: a real
@@ -20,8 +22,8 @@ import (
 func TestResumeAfterDrainByteIdentical(t *testing.T) {
 	for _, spec := range []JobSpec{
 		{N: 130, Trials: 2, RValues: []float64{3, 4, 5, 6}, Seed: 5},
-		{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{60, 90, 120, 150}, Seed: 5},
-		{Sweep: SweepLoss, N: 130, Trials: 2, R: 6, LossValues: []float64{0, 0.2, 0.4, 0.6}, Seed: 5},
+		{Sweep: experiment.SweepDensity, Trials: 2, R: 6, NValues: []int{60, 90, 120, 150}, Seed: 5},
+		{Sweep: experiment.SweepLoss, N: 130, Trials: 2, R: 6, LossValues: []float64{0, 0.2, 0.4, 0.6}, Seed: 5},
 	} {
 		t.Run(spec.Normalized().Sweep, func(t *testing.T) { resumeAfterDrain(t, spec) })
 	}
@@ -295,9 +297,9 @@ func TestRunSpecPayloadPinned(t *testing.T) {
 	}{
 		{JobSpec{N: 120, Trials: 2, RValues: []float64{6, 3}, Seed: 3, Protocols: []string{"TRP-CCM", "SICP", "CICP"}},
 			"7f6108e59989407b996354095c8145f863248a8196c433c3a7a5e4185ef900ca"},
-		{JobSpec{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{80, 40}, Seed: 3},
+		{JobSpec{Sweep: experiment.SweepDensity, Trials: 2, R: 6, NValues: []int{80, 40}, Seed: 3},
 			"28960129838476ea452c84c0efe79562b50e951f291912dc6e1885b8289d8234"},
-		{JobSpec{Sweep: SweepLoss, N: 120, Trials: 2, R: 6, LossValues: []float64{0.5, 0}, Seed: 3},
+		{JobSpec{Sweep: experiment.SweepLoss, N: 120, Trials: 2, R: 6, LossValues: []float64{0.5, 0}, Seed: 3},
 			"c0bc3b2414e60ae7535f3af7660dfd684ec37fe979f6190ff72f0a6b86579924"},
 	} {
 		payload, err := runSpec(context.Background(), tc.spec, 2, nil, nil)

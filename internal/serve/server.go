@@ -25,7 +25,6 @@ import (
 // jobs get the shutdown timeout to finish; then the HTTP server itself
 // drains within the same budget.
 type Server struct {
-	m       *Manager
 	ln      net.Listener
 	srv     *http.Server
 	drain   func(context.Context) error
@@ -65,19 +64,11 @@ func Listen(addr string, h http.Handler, drain func(context.Context) error, shut
 // StartServer listens on addr and serves m's jobs API plus introspection
 // endpoints until Close, which drains m before the HTTP server.
 func StartServer(addr string, m *Manager, obsOpts httpserve.Options, shutdownTimeout time.Duration) (*Server, error) {
-	s, err := Listen(addr, NewHandler(m, obsOpts), m.Shutdown, shutdownTimeout)
-	if err != nil {
-		return nil, err
-	}
-	s.m = m
-	return s, nil
+	return Listen(addr, NewHandler(m, obsOpts), m.Shutdown, shutdownTimeout)
 }
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Manager returns the job manager the server fronts (nil from Listen).
-func (s *Server) Manager() *Manager { return s.m }
 
 // Close drains (bounded by the shutdown timeout) and then shuts the HTTP
 // server down. It is idempotent and safe to call concurrently: every call

@@ -37,9 +37,6 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil || payload == nil {
 		t.Fatalf("result = %v, %v", payload, err)
 	}
-	if srv.Manager() != m {
-		t.Error("Manager() accessor broken")
-	}
 }
 
 // TestServerCloseFreshConns: a drain answers a request written on a

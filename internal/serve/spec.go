@@ -38,13 +38,6 @@ const (
 	MaxPopulation = 1 << 20
 )
 
-// Sweep kinds accepted by JobSpec.Sweep (experiment's kinds table).
-const (
-	SweepRange   = experiment.SweepRange
-	SweepDensity = experiment.SweepDensity
-	SweepLoss    = experiment.SweepLoss
-)
-
 // maxRange bounds every length in a spec — the inter-tag ranges and the
 // deployment radius — in meters.
 const maxRange = 1e6

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netags/internal/experiment"
 )
 
 func mustKey(t *testing.T, s JobSpec) string {
@@ -22,7 +24,7 @@ func mustKey(t *testing.T, s JobSpec) string {
 func TestSpecKeyDefaultsVsExplicit(t *testing.T) {
 	minimal := JobSpec{N: 300, Trials: 2, RValues: []float64{6}}
 	explicit := JobSpec{
-		Sweep:     SweepRange,
+		Sweep:     experiment.SweepRange,
 		N:         300,
 		Radius:    30,
 		Trials:    2,
@@ -71,8 +73,8 @@ func TestSpecKeyRangeAxisOrder(t *testing.T) {
 		t.Error("range axis order changed the key")
 	}
 	// Loss axis order, by contrast, is preserved: rows render in axis order.
-	la := JobSpec{Sweep: SweepLoss, N: 300, Trials: 2, R: 6, LossValues: []float64{0, 0.2}}
-	lb := JobSpec{Sweep: SweepLoss, N: 300, Trials: 2, R: 6, LossValues: []float64{0.2, 0}}
+	la := JobSpec{Sweep: experiment.SweepLoss, N: 300, Trials: 2, R: 6, LossValues: []float64{0, 0.2}}
+	lb := JobSpec{Sweep: experiment.SweepLoss, N: 300, Trials: 2, R: 6, LossValues: []float64{0.2, 0}}
 	if mustKey(t, la) == mustKey(t, lb) {
 		t.Error("loss axis order must be significant (rows render in axis order)")
 	}
@@ -81,7 +83,7 @@ func TestSpecKeyRangeAxisOrder(t *testing.T) {
 // TestSpecKeyIgnoredFields: fields the selected sweep never reads are
 // cleared by normalization and cannot perturb the key.
 func TestSpecKeyIgnoredFields(t *testing.T) {
-	plain := JobSpec{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{100, 200}}
+	plain := JobSpec{Sweep: experiment.SweepDensity, Trials: 2, R: 6, NValues: []int{100, 200}}
 	noisy := plain
 	noisy.N = 5000                     // density ignores N
 	noisy.GMLEFrame = 77               // range-only
@@ -137,8 +139,8 @@ func TestSpecKeyDistinguishes(t *testing.T) {
 func TestSpecKeyRoundTrip(t *testing.T) {
 	for _, s := range []JobSpec{
 		{N: 300, Trials: 2, RValues: []float64{2, 6}},
-		{Sweep: SweepDensity, Trials: 2, R: 6, NValues: []int{100, 300}},
-		{Sweep: SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0, 0.3}, Seed: 42},
+		{Sweep: experiment.SweepDensity, Trials: 2, R: 6, NValues: []int{100, 300}},
+		{Sweep: experiment.SweepLoss, N: 200, Trials: 1, R: 6, LossValues: []float64{0, 0.3}, Seed: 42},
 	} {
 		canon, err := s.CanonicalJSON()
 		if err != nil {
@@ -157,15 +159,15 @@ func TestSpecKeyRoundTrip(t *testing.T) {
 func TestSpecValidate(t *testing.T) {
 	valid := []JobSpec{
 		{N: 300, Trials: 2, RValues: []float64{6}},
-		{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{50}},
-		{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0.5}},
+		{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{50}},
+		{Sweep: experiment.SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0.5}},
 		{N: 300, Trials: 2, RValues: []float64{6}, Protocols: []string{"CICP"}},
 		// The frame cap admits the paper's frames at the population cap.
 		{N: MaxPopulation, Trials: 1, RValues: []float64{6}},
 		{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1 << 20},
 		// Frames derived for the paper's population fit the cap too.
-		{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{10000}},
-		{Sweep: SweepLoss, N: 10000, Trials: 1, R: 6, LossValues: []float64{0}},
+		{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{10000}},
+		{Sweep: experiment.SweepLoss, N: 10000, Trials: 1, R: 6, LossValues: []float64{0}},
 	}
 	for i, s := range valid {
 		if err := s.Validate(); err != nil {
@@ -184,29 +186,29 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown protocol", JobSpec{N: 300, Trials: 2, RValues: []float64{6}, Protocols: []string{"ALOHA"}}},
 		{"negative r", JobSpec{N: 300, Trials: 2, RValues: []float64{-6}}},
 		{"NaN r", JobSpec{N: 300, Trials: 2, RValues: []float64{nan()}}},
-		{"loss of 1", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{1}}},
-		{"density zero pop", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{0}}},
-		{"density pop too small for a TRP frame", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1}}},
+		{"loss of 1", JobSpec{Sweep: experiment.SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{1}}},
+		{"density zero pop", JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{0}}},
+		{"density pop too small for a TRP frame", JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{1}}},
 		{"too many trials", JobSpec{N: 300, Trials: MaxTrials + 1, RValues: []float64{6}}},
 		{"work item cap", JobSpec{N: 300, Trials: MaxTrials, RValues: manyPoints(64)}},
 		{"population cap", JobSpec{N: MaxPopulation + 1, Trials: 1, RValues: []float64{6}}},
-		{"density population cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{MaxPopulation + 1}}},
+		{"density population cap", JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{MaxPopulation + 1}}},
 		{"range cap", JobSpec{N: 300, Trials: 1, RValues: []float64{2e6}}},
-		{"loss range cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 2e6, LossValues: []float64{0}}},
+		{"loss range cap", JobSpec{Sweep: experiment.SweepLoss, N: 100, Trials: 1, R: 2e6, LossValues: []float64{0}}},
 		{"radius cap", JobSpec{N: 300, Trials: 1, Radius: 2e6, RValues: []float64{6}}},
 		{"NaN radius", JobSpec{N: 300, Trials: 1, Radius: nan(), RValues: []float64{6}}},
-		{"NaN loss", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{nan()}}},
+		{"NaN loss", JobSpec{Sweep: experiment.SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{nan()}}},
 		{"gmle frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, GMLEFrame: 1e12}},
 		{"trp frame cap", JobSpec{N: 300, Trials: 1, RValues: []float64{6}, TRPFrame: 1e12}},
 		{"trp frame cap at the population cap", JobSpec{N: MaxPopulation, Trials: 1, RValues: []float64{6}, TRPFrame: 5000}},
-		{"loss frame cap", JobSpec{Sweep: SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0}, FrameSize: 1e12}},
+		{"loss frame cap", JobSpec{Sweep: experiment.SweepLoss, N: 100, Trials: 1, R: 6, LossValues: []float64{0}, FrameSize: 1e12}},
 		// Derived frames: a TRP frame sized for 2^20 tags is 139,717 slots,
 		// a 17 GiB heard bitset.
-		{"density derived frame cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1 << 20}}},
-		{"loss derived frame cap", JobSpec{Sweep: SweepLoss, N: 1 << 20, Trials: 1, R: 6, LossValues: []float64{0}}},
+		{"density derived frame cap", JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{1 << 20}}},
+		{"loss derived frame cap", JobSpec{Sweep: experiment.SweepLoss, N: 1 << 20, Trials: 1, R: 6, LossValues: []float64{0}}},
 		// The caps bound what validation itself computes: past them, the
 		// density kind's TRP frame sizing would run for hours.
-		{"density population far past the cap", JobSpec{Sweep: SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}},
+		{"density population far past the cap", JobSpec{Sweep: experiment.SweepDensity, Trials: 1, R: 6, NValues: []int{1e15}}},
 	}
 	for _, tc := range invalid {
 		done := make(chan error, 1)

@@ -113,7 +113,7 @@ func TestGMLEStatisticalContract(t *testing.T) {
 func TestLoFStatisticalContract(t *testing.T) {
 	for _, n := range []int{60, 400, 1500} {
 		nw, reach := estimatorFixture(t, n)
-		out, err := lof.Estimate(nw, lof.Options{
+		out, err := lof.EstimateWith(nw.N(), Sessions(nw), lof.Options{
 			Frames:    64,
 			FrameSize: 32,
 			Seed:      prng.DeriveSeed(0x10f, uint64(n)),

@@ -6,6 +6,7 @@ import (
 
 	"netags/internal/bitmap"
 	"netags/internal/core"
+	"netags/internal/energy"
 	"netags/internal/geom"
 	"netags/internal/topology"
 )
@@ -123,9 +124,11 @@ func TestMetamorphicUnreachableAddition(t *testing.T) {
 	})
 }
 
-// TestMetamorphicMultiReaderOr: eq. (1)'s composition law. Running one
-// session per reader and OR-combining must equal RunMultiSession's combined
-// bitmap, and on a reliable channel the combination equals the union of the
+// TestMetamorphicMultiReaderOr: eq. (1)'s composition law, on the combiner
+// every multi-reader call runs. core.RunReaders must match one session per
+// reader: Bitmap the OR of theirs, Rounds the max, Truncated the OR, Clock
+// the sum and each tag's Meter the sum. On a reliable channel with every
+// session complete, the combination also equals the union of the
 // per-reader direct bitmaps.
 func TestMetamorphicMultiReaderOr(t *testing.T) {
 	ForEach(t, 0x3e1c, func(t *testing.T, sc *Scenario) {
@@ -144,18 +147,26 @@ func TestMetamorphicMultiReaderOr(t *testing.T) {
 		cfg := sc.NewConfig(src)
 		cfg.CheckingFrameLen = 0 // resolved per reader below
 		cfg.MaxRounds = 0
-		mres, err := core.RunMultiSession(d, sc.Ranges, cfg)
+		nets := make([]*topology.Network, len(d.Readers))
+		for ri := range d.Readers {
+			nw, err := topology.Build(d, ri, sc.Ranges)
+			if err != nil {
+				t.Fatalf("%v seed %#x: reader %d: %v", sc.Shape, sc.Seed, ri, err)
+			}
+			nets[ri] = nw
+		}
+		mres, err := core.RunReaders(nets, cfg)
 		if err != nil {
 			t.Fatalf("%v seed %#x: multi: %v", sc.Shape, sc.Seed, err)
 		}
 
 		want := bitmap.New(cfg.FrameSize)
 		orDirect := bitmap.New(cfg.FrameSize)
-		for ri := range d.Readers {
-			nw, err := topology.Build(d, ri, sc.Ranges)
-			if err != nil {
-				t.Fatalf("%v seed %#x: reader %d: %v", sc.Shape, sc.Seed, ri, err)
-			}
+		var clock energy.Clock
+		sent := make([]int64, d.N())
+		received := make([]int64, d.N())
+		rounds, truncated := 0, false
+		for ri, nw := range nets {
 			rcfg := cfg
 			rcfg.Reader = ri
 			res, err := core.RunSession(nw, rcfg)
@@ -163,21 +174,36 @@ func TestMetamorphicMultiReaderOr(t *testing.T) {
 				t.Fatalf("%v seed %#x: reader %d: %v", sc.Shape, sc.Seed, ri, err)
 			}
 			want.Or(res.Bitmap)
+			clock.Add(res.Clock)
+			for i := range sent {
+				sent[i] += res.Meter.Sent(i)
+				received[i] += res.Meter.Received(i)
+			}
+			rounds = max(rounds, res.Rounds)
+			truncated = truncated || res.Truncated
 			direct, err := core.DirectBitmap(nw, rcfg)
 			if err != nil {
 				t.Fatalf("%v seed %#x: reader %d direct: %v", sc.Shape, sc.Seed, ri, err)
 			}
 			orDirect.Or(direct)
-			if res.Truncated {
-				// Default L_c can undershoot a pathological detour; give the
-				// combination law a pass only when every session completed.
-				return
-			}
 		}
 		if !mres.Bitmap.Equal(want) {
 			t.Errorf("%v seed %#x: multi-reader bitmap != OR of per-reader sessions", sc.Shape, sc.Seed)
 		}
-		if !mres.Bitmap.Equal(orDirect) {
+		if mres.Rounds != rounds || mres.Truncated != truncated || mres.Clock != clock {
+			t.Errorf("%v seed %#x: combined rounds %d truncated %v clock %+v, want %d %v %+v",
+				sc.Shape, sc.Seed, mres.Rounds, mres.Truncated, mres.Clock, rounds, truncated, clock)
+		}
+		for i := range sent {
+			if mres.Meter.Sent(i) != sent[i] || mres.Meter.Received(i) != received[i] {
+				t.Errorf("%v seed %#x: tag %d combined energy %d/%d, want the per-reader sum %d/%d", sc.Shape, sc.Seed,
+					i, mres.Meter.Sent(i), mres.Meter.Received(i), sent[i], received[i])
+				break
+			}
+		}
+		// Default L_c can undershoot a pathological detour; the union law
+		// holds only when every session completed.
+		if !truncated && !mres.Bitmap.Equal(orDirect) {
 			t.Errorf("%v seed %#x: multi-reader bitmap != union of direct bitmaps", sc.Shape, sc.Seed)
 		}
 	})

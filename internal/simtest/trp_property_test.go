@@ -3,9 +3,29 @@ package simtest
 import (
 	"testing"
 
+	"netags/internal/core"
 	"netags/internal/prng"
+	"netags/internal/topology"
 	"netags/internal/trp"
 )
+
+// detectTRP runs one TRP execution the way the facade's DetectMissing does:
+// the reader plans with the inventory, a CCM session with p = 1 collects the
+// bitmap from the deployed tags (presentIDs[i] is tag i's ID), and the plan
+// checks it. cfg supplies the request (FrameSize, Seed), the channel and
+// the session bounds.
+func detectTRP(nw *topology.Network, inventory, presentIDs []uint64, cfg core.Config) (trp.Detection, error) {
+	plan, err := trp.NewPlan(inventory, cfg.FrameSize, cfg.Seed)
+	if err != nil {
+		return trp.Detection{}, err
+	}
+	cfg.Sampling, cfg.IDs = 1, presentIDs
+	res, err := core.RunSession(nw, cfg)
+	if err != nil {
+		return trp.Detection{}, err
+	}
+	return plan.Detect(res.Bitmap)
+}
 
 // suspectSet folds a suspect list into a set, failing on duplicates.
 func suspectSet(t *testing.T, sc *Scenario, ids []uint64) map[uint64]bool {
@@ -49,7 +69,7 @@ func TestTRPAccusationsExact(t *testing.T) {
 		}
 		f := 32 + src.Intn(480)
 		seed := src.Uint64()
-		out, err := trp.Run(pnw, inventory, presentIDs, trp.Options{
+		out, err := detectTRP(pnw, inventory, presentIDs, core.Config{
 			FrameSize:        f,
 			Seed:             seed,
 			CheckingFrameLen: pnw.K + 2,
@@ -104,18 +124,18 @@ func TestTRPLossOnlyAddsAccusations(t *testing.T) {
 		src := sc.Source(31)
 		inventory := RandomIDs(src, n)
 		presentIDs := inventory // nobody actually missing: every accusation is loss- or reach-induced
-		opts := trp.Options{
+		cfg := core.Config{
 			FrameSize:        32 + src.Intn(480),
 			Seed:             src.Uint64(),
 			CheckingFrameLen: sc.Network.K + 2,
 		}
-		reliable, err := trp.Run(sc.Network, inventory, presentIDs, opts)
+		reliable, err := detectTRP(sc.Network, inventory, presentIDs, cfg)
 		if err != nil {
 			t.Fatalf("%v seed %#x: reliable: %v", sc.Shape, sc.Seed, err)
 		}
-		opts.LossProb = 0.1 + 0.8*src.Float64()
-		opts.LossSeed = src.Uint64()
-		lossy, err := trp.Run(sc.Network, inventory, presentIDs, opts)
+		cfg.LossProb = 0.1 + 0.8*src.Float64()
+		cfg.LossSeed = src.Uint64()
+		lossy, err := detectTRP(sc.Network, inventory, presentIDs, cfg)
 		if err != nil {
 			t.Fatalf("%v seed %#x: lossy: %v", sc.Shape, sc.Seed, err)
 		}
@@ -123,7 +143,7 @@ func TestTRPLossOnlyAddsAccusations(t *testing.T) {
 		for _, id := range reliable.Suspects {
 			if !got[id] {
 				t.Errorf("%v seed %#x: loss %.2f masked reliable accusation of %#x",
-					sc.Shape, sc.Seed, opts.LossProb, id)
+					sc.Shape, sc.Seed, cfg.LossProb, id)
 			}
 		}
 	})

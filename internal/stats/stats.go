@@ -36,35 +36,6 @@ func (s *Sample) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// Merge folds another sample into s, as if every observation recorded in o
-// had been Added to s. It uses Chan et al.'s parallel variance combination,
-// so per-worker aggregates can be reduced without replaying observations.
-// Merging in a fixed order is deterministic, but the floating-point result
-// can differ in the last bits from a single sequential Add stream; callers
-// that need bit-identical aggregates should Add per-trial values in a fixed
-// order instead (as the experiment harness does). Unlike energy.Meter.Merge,
-// Merge has no size invariant and cannot fail — any two samples combine.
-func (s *Sample) Merge(o Sample) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += delta * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
 

@@ -99,51 +99,3 @@ func TestString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
-
-// TestMerge: folding two samples must agree with Adding every observation
-// to one sample, up to floating-point reassociation.
-func TestMerge(t *testing.T) {
-	src := prng.New(7)
-	var all, left, right Sample
-	for i := 0; i < 1000; i++ {
-		x := src.Float64()*10 - 5
-		all.Add(x)
-		if i < 400 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	merged := left
-	merged.Merge(right)
-	if merged.N() != all.N() {
-		t.Fatalf("merged n = %d, want %d", merged.N(), all.N())
-	}
-	if math.Abs(merged.Mean()-all.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v, sequential %v", merged.Mean(), all.Mean())
-	}
-	if math.Abs(merged.Variance()-all.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v, sequential %v", merged.Variance(), all.Variance())
-	}
-	if merged.Min() != all.Min() || merged.Max() != all.Max() {
-		t.Errorf("merged extremes (%v, %v), sequential (%v, %v)",
-			merged.Min(), merged.Max(), all.Min(), all.Max())
-	}
-}
-
-// TestMergeEmpty: merging with an empty sample is the identity, in both
-// directions.
-func TestMergeEmpty(t *testing.T) {
-	var empty, s Sample
-	s.Add(2)
-	s.Add(4)
-	before := s
-	s.Merge(empty)
-	if s != before {
-		t.Error("merging an empty sample changed the receiver")
-	}
-	empty.Merge(s)
-	if empty != s {
-		t.Error("merging into an empty sample did not copy")
-	}
-}

@@ -191,16 +191,6 @@ func (nw *Network) PosTier() []int16 { return nw.posTier }
 // N returns the number of tags (including unreachable ones).
 func (nw *Network) N() int { return len(nw.Tier) }
 
-// TierCounts returns a histogram of tags per tier; index 0 counts
-// unreachable tags.
-func (nw *Network) TierCounts() []int {
-	counts := make([]int, nw.K+1)
-	for _, t := range nw.Tier {
-		counts[t]++
-	}
-	return counts
-}
-
 // buildAdjacency fills the mask CSR in one half-stencil pass over a uniform
 // grid whose cells are TagToTag wide (wider only where that grid would
 // exceed max(4n, 2^16) cells), testing each candidate pair exactly once.

@@ -160,13 +160,21 @@ func TestTier1Definition(t *testing.T) {
 	}
 }
 
+// TestTierCounts: the per-tier histogram of Tier covers every tag, with
+// the unreachable tags (tier 0) matching N − Reachable and no tier above K.
 func TestTierCounts(t *testing.T) {
 	d := geom.NewUniformDisk(5000, 30, 23)
 	nw, err := Build(d, 0, PaperRanges(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := nw.TierCounts()
+	counts := make([]int, nw.K+1)
+	for i, k := range nw.Tier {
+		if int(k) > nw.K {
+			t.Fatalf("tag %d at tier %d above K = %d", i, k, nw.K)
+		}
+		counts[k]++
+	}
 	sum := 0
 	for _, c := range counts {
 		sum += c

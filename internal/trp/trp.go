@@ -15,11 +15,7 @@ import (
 	"math"
 
 	"netags/internal/bitmap"
-	"netags/internal/core"
-	"netags/internal/energy"
-	"netags/internal/obs"
 	"netags/internal/prng"
-	"netags/internal/topology"
 )
 
 // PaperFrameSize is the frame size the paper derives from [8] for n = 10,000,
@@ -113,7 +109,9 @@ type Detection struct {
 	// every one of them is provably absent (under a reliable channel).
 	Suspects []uint64
 	// UnexpectedBusy lists slots that were busy without any inventory tag
-	// hashing into them: evidence of unknown tags (or channel noise).
+	// hashing into them. Under CCM's exact delivery (Theorem 1) each one
+	// proves a tag outside the inventory present: unknown-tag detection,
+	// the dual of missing-tag detection (§VII, refs. [12], [13]).
 	UnexpectedBusy []int
 }
 
@@ -141,148 +139,4 @@ func (p *Plan) Detect(actual *bitmap.Bitmap) (Detection, error) {
 	})
 	d.Missing = len(d.EmptySlots) > 0
 	return d, nil
-}
-
-// Outcome reports one full detection execution over a networked tag system.
-type Outcome struct {
-	Detection
-	// Rounds, Clock and Meter carry the CCM session costs.
-	Rounds int
-	Clock  energy.Clock
-	Meter  *energy.Meter
-}
-
-// Options configures Run.
-type Options struct {
-	// FrameSize is f; 0 derives it from the inventory size, Tolerance and
-	// Delta via FrameSizeFor.
-	FrameSize int
-	// Seed is the request seed η.
-	Seed uint64
-	// Tolerance is the m of requirement (14); default max(1, 0.5% of the
-	// inventory), the paper's evaluation setting.
-	Tolerance int
-	// Delta is the required detection probability (default 0.95).
-	Delta float64
-	// LossProb forwards the unreliable-channel extension.
-	LossProb float64
-	// LossSeed seeds the loss process.
-	LossSeed uint64
-	// CheckingFrameLen overrides the session's L_c bound (see core.Config).
-	CheckingFrameLen int
-	// Tracer, if non-nil, receives the underlying CCM session's events plus
-	// one trp phase event per detection (Phase "detect", Count = empty
-	// predicted-busy slots found).
-	Tracer obs.Tracer
-}
-
-// Run executes one TRP detection over the network: the reader plans with the
-// full inventory, CCM collects the actual bitmap from whatever tags are
-// physically present (p = 1), and the plan is checked against it.
-//
-// inventory holds the IDs the reader believes should be present; presentIDs
-// holds the ID of each tag actually deployed in nw (presentIDs[i] belongs to
-// deployment tag i). presentIDs need not be a subset of inventory — IDs
-// outside it show up as UnexpectedBusy slots.
-func Run(nw *topology.Network, inventory, presentIDs []uint64, opts Options) (*Outcome, error) {
-	if len(presentIDs) != nw.N() {
-		return nil, fmt.Errorf("trp: %d present IDs for %d tags", len(presentIDs), nw.N())
-	}
-	if opts.Delta == 0 {
-		opts.Delta = 0.95
-	}
-	if opts.Tolerance == 0 {
-		opts.Tolerance = len(inventory) / 200
-		if opts.Tolerance == 0 {
-			opts.Tolerance = 1
-		}
-	}
-	f := opts.FrameSize
-	if f == 0 {
-		var err error
-		f, err = FrameSizeFor(len(inventory), opts.Tolerance, opts.Delta)
-		if err != nil {
-			return nil, err
-		}
-	}
-	plan, err := NewPlan(inventory, f, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunSession(nw, core.Config{
-		FrameSize:        f,
-		Seed:             opts.Seed,
-		Sampling:         1,
-		IDs:              presentIDs,
-		LossProb:         opts.LossProb,
-		LossSeed:         opts.LossSeed,
-		CheckingFrameLen: opts.CheckingFrameLen,
-		Tracer:           opts.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	det, err := plan.Detect(res.Bitmap)
-	if err != nil {
-		return nil, err
-	}
-	if t := opts.Tracer; t != nil {
-		t.Trace(obs.Event{
-			Kind:      obs.KindPhase,
-			Protocol:  obs.ProtoTRP,
-			Phase:     "detect",
-			FrameSize: f,
-			Count:     len(det.EmptySlots),
-			Pending:   det.Missing,
-			Seed:      opts.Seed,
-		})
-	}
-	return &Outcome{
-		Detection: det,
-		Rounds:    res.Rounds,
-		Clock:     res.Clock,
-		Meter:     res.Meter,
-	}, nil
-}
-
-// RunRepeated executes up to maxExecutions TRP detections with distinct
-// seeds, stopping at the first that reports a missing tag — the paper's
-// "multiple executions of TRP will further increase the detection
-// probability" (§V-A). Costs accumulate over every execution performed.
-// The combined miss probability after k clean executions is (1−P_d)^k.
-func RunRepeated(nw *topology.Network, inventory, presentIDs []uint64, opts Options, maxExecutions int) (*Outcome, int, error) {
-	if maxExecutions <= 0 {
-		return nil, 0, fmt.Errorf("trp: execution count %d must be positive", maxExecutions)
-	}
-	var total Outcome
-	total.Meter = energy.NewMeter(nw.N())
-	seeds := prng.New(opts.Seed)
-	for exec := 1; exec <= maxExecutions; exec++ {
-		opts.Seed = seeds.Uint64()
-		opts.LossSeed = seeds.Uint64()
-		out, err := Run(nw, inventory, presentIDs, opts)
-		if err != nil {
-			return nil, exec, err
-		}
-		total.Rounds += out.Rounds
-		total.Clock.Add(out.Clock)
-		if err := total.Meter.Merge(out.Meter); err != nil {
-			return nil, exec, fmt.Errorf("trp: execution %d: %w", exec, err)
-		}
-		if out.Missing {
-			total.Detection = out.Detection
-			return &total, exec, nil
-		}
-	}
-	return &total, maxExecutions, nil
-}
-
-// PaperSession runs the single §VI-B evaluation session: frame size 3228
-// with p = 1, exactly as the paper measures TRP-CCM's time and energy.
-func PaperSession(nw *topology.Network, seed uint64) (*core.Result, error) {
-	return core.RunSession(nw, core.Config{
-		FrameSize: PaperFrameSize,
-		Seed:      seed,
-		Sampling:  1,
-	})
 }

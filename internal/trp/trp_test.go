@@ -28,6 +28,36 @@ func ids(n int) []uint64 {
 	return out
 }
 
+// detect runs one TRP execution over nw as the facade does: the reader plans
+// with the inventory, a CCM session with p = 1 collects the bitmap from the
+// tags actually deployed (present[i] is tag i's ID), and the plan checks it.
+func detect(t *testing.T, nw *topology.Network, inventory, present []uint64, f int, seed uint64) Detection {
+	t.Helper()
+	plan, err := NewPlan(inventory, f, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunSession(nw, core.Config{FrameSize: f, Seed: seed, Sampling: 1, IDs: present})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := plan.Detect(res.Bitmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// frameFor sizes a frame with FrameSizeFor, failing the test on error.
+func frameFor(t *testing.T, n, m int, delta float64) int {
+	t.Helper()
+	f, err := FrameSizeFor(n, m, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestFrameSizeFor(t *testing.T) {
 	f, err := FrameSizeFor(10000, 50, 0.95)
 	if err != nil {
@@ -192,11 +222,9 @@ func TestRunNoFalsePositives(t *testing.T) {
 			inv = append(inv, present[i])
 		}
 	}
+	f := frameFor(t, len(inv), 8, 0.95)
 	for seed := uint64(0); seed < 5; seed++ {
-		out, err := Run(nw, inv, present, Options{Seed: seed, Tolerance: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := detect(t, nw, inv, present, f, seed)
 		if out.Missing {
 			t.Fatalf("seed %d: false positive with %d empty slots", seed, len(out.EmptySlots))
 		}
@@ -228,15 +256,9 @@ func TestRunDetectsRemovedTags(t *testing.T) {
 
 	detections := 0
 	const trials = 10
+	f := frameFor(t, len(inv), len(inv)/200, 0.95)
 	for seed := uint64(0); seed < trials; seed++ {
-		out, err := Run(depletedNw, inv, depletedIDs, Options{
-			Seed:      seed,
-			Tolerance: len(inv) / 200,
-			Delta:     0.95,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := detect(t, depletedNw, inv, depletedIDs, f, seed)
 		if out.Missing {
 			detections++
 			// Soundness: every suspect must really be absent from the
@@ -261,26 +283,16 @@ func TestRunDetectsRemovedTags(t *testing.T) {
 	}
 }
 
-func TestRunOptionDefaults(t *testing.T) {
-	d := geom.NewUniformDisk(300, 30, 101)
-	nw := diskNetwork(t, d, 8)
-	present := ids(d.N())
-	out, err := Run(nw, present, present, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Clock.Total() == 0 || out.Rounds == 0 {
-		t.Fatal("session costs not reported")
-	}
-}
-
+// TestRunErrors: the pieces a detection runs refuse what it must not run —
+// a session given the wrong number of present IDs, and a frame sized for a
+// detection probability outside (0, 1).
 func TestRunErrors(t *testing.T) {
 	d := geom.NewUniformDisk(10, 30, 103)
 	nw := diskNetwork(t, d, 8)
-	if _, err := Run(nw, ids(10), ids(9), Options{}); err == nil {
+	if _, err := core.RunSession(nw, core.Config{FrameSize: 64, Sampling: 1, IDs: ids(9)}); err == nil {
 		t.Fatal("present-ID length mismatch accepted")
 	}
-	if _, err := Run(nw, ids(10), ids(10), Options{Delta: 1.5}); err == nil {
+	if _, err := FrameSizeFor(10, 1, 1.5); err == nil {
 		t.Fatal("invalid delta accepted")
 	}
 }
@@ -324,77 +336,34 @@ func TestDetectionRateMatchesAnalysis(t *testing.T) {
 	}
 }
 
-func TestRunRepeatedStopsAtDetection(t *testing.T) {
-	full := geom.NewUniformDisk(1000, 30, 131)
-	fullNw := diskNetwork(t, full, 6)
-	present := ids(full.N())
-	var inv []uint64
-	var reachable []int
-	for i := 0; i < full.N(); i++ {
-		if fullNw.Tier[i] > 0 {
-			inv = append(inv, present[i])
-			reachable = append(reachable, i)
-		}
+// unknownDetectionProbability is the analytic rate of unknown-tag detection,
+// the bound TestDetectUnknownEndToEnd holds the simulation to: an unknown tag
+// escapes only by landing in a slot some inventory tag also occupies, so u
+// unknown tags are detected with probability 1 − (1 − q)^u, q = (1−1/f)^n
+// being the chance a given slot is free of the n inventory tags.
+func unknownDetectionProbability(n, unknown, f int) float64 {
+	if unknown <= 0 || f <= 0 {
+		return 0
 	}
-	depleted, orig := full.Remove(reachable[:30])
-	depNw := diskNetwork(t, depleted, 6)
-	depIDs := make([]uint64, depleted.N())
-	for newIdx, oldIdx := range orig {
-		depIDs[newIdx] = present[oldIdx]
-	}
-	out, execs, err := RunRepeated(depNw, inv, depIDs, Options{Seed: 3, Tolerance: 5}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Missing {
-		t.Fatalf("30 missing tags undetected in %d executions", execs)
-	}
-	if execs < 1 || execs > 8 {
-		t.Fatalf("execs = %d", execs)
-	}
-	if out.Clock.Total() == 0 {
-		t.Fatal("costs not accumulated")
-	}
-}
-
-func TestRunRepeatedNothingMissing(t *testing.T) {
-	d := geom.NewUniformDisk(500, 30, 137)
-	nw := diskNetwork(t, d, 6)
-	present := ids(d.N())
-	var inv []uint64
-	for i := 0; i < d.N(); i++ {
-		if nw.Tier[i] > 0 {
-			inv = append(inv, present[i])
-		}
-	}
-	out, execs, err := RunRepeated(nw, inv, present, Options{Seed: 5, Tolerance: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Missing {
-		t.Fatal("false positive across repeated executions")
-	}
-	if execs != 4 {
-		t.Fatalf("execs = %d, want all 4 (nothing to find)", execs)
-	}
-	if _, _, err := RunRepeated(nw, inv, present, Options{}, 0); err == nil {
-		t.Fatal("zero executions accepted")
-	}
+	q := math.Pow(1-1/float64(f), float64(n))
+	return 1 - math.Pow(1-q, float64(unknown))
 }
 
 func TestUnknownDetectionProbability(t *testing.T) {
-	if got := UnknownDetectionProbability(1000, 0, 512); got != 0 {
+	if got := unknownDetectionProbability(1000, 0, 512); got != 0 {
 		t.Errorf("zero unknowns should give 0, got %v", got)
 	}
 	// More unknowns and bigger frames both raise the detection rate.
-	if UnknownDetectionProbability(1000, 10, 2048) <= UnknownDetectionProbability(1000, 1, 2048) {
+	if unknownDetectionProbability(1000, 10, 2048) <= unknownDetectionProbability(1000, 1, 2048) {
 		t.Error("rate not increasing in unknown count")
 	}
-	if UnknownDetectionProbability(1000, 5, 8192) <= UnknownDetectionProbability(1000, 5, 1024) {
+	if unknownDetectionProbability(1000, 5, 8192) <= unknownDetectionProbability(1000, 5, 1024) {
 		t.Error("rate not increasing in frame size")
 	}
 }
 
+// TestDetectUnknownSynthetic: a busy slot no inventory tag maps to is
+// reported in UnexpectedBusy, and only such slots are.
 func TestDetectUnknownSynthetic(t *testing.T) {
 	inv := ids(200)
 	const f = 1024
@@ -403,11 +372,11 @@ func TestDetectUnknownSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expected bitmap alone: nothing unknown.
-	d, err := plan.DetectUnknown(plan.Expected.Clone())
+	d, err := plan.Detect(plan.Expected.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Present {
+	if len(d.UnexpectedBusy) != 0 {
 		t.Fatal("clean bitmap reported unknown tags")
 	}
 	// Set one unpredicted slot: proof of a foreign tag.
@@ -420,15 +389,12 @@ func TestDetectUnknownSynthetic(t *testing.T) {
 		}
 	}
 	actual.Set(extra)
-	d, err = plan.DetectUnknown(actual)
+	d, err = plan.Detect(actual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Present || len(d.Slots) != 1 || d.Slots[0] != extra {
-		t.Fatalf("unknown detection = %+v, want slot %d", d, extra)
-	}
-	if _, err := plan.DetectUnknown(bitmap.New(f + 1)); err == nil {
-		t.Fatal("length mismatch accepted")
+	if len(d.UnexpectedBusy) != 1 || d.UnexpectedBusy[0] != extra {
+		t.Fatalf("unexpected busy = %v, want [%d]", d.UnexpectedBusy, extra)
 	}
 }
 
@@ -454,31 +420,14 @@ func TestDetectUnknownEndToEnd(t *testing.T) {
 	}
 	detections := 0
 	const trials = 8
+	f := frameFor(t, len(inv), len(inv)/200+1, 0.95)
 	for seed := uint64(0); seed < trials; seed++ {
-		f, err := FrameSizeFor(len(inv), len(inv)/200+1, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := NewPlan(inv, f, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.RunSession(nw, core.Config{
-			FrameSize: f, Seed: seed, Sampling: 1, IDs: present,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		det, err := plan.DetectUnknown(res.Bitmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if det.Present {
+		if det := detect(t, nw, inv, present, f, seed); len(det.UnexpectedBusy) > 0 {
 			detections++
 		}
 	}
 	// 40 unknowns in a ~1300-slot frame: analytic detection rate is near 1.
-	if want := UnknownDetectionProbability(len(inv), 40, 1300); want > 0.99 && detections < trials-1 {
+	if want := unknownDetectionProbability(len(inv), 40, 1300); want > 0.99 && detections < trials-1 {
 		t.Fatalf("detected foreign tags in %d/%d trials, analytic rate %v", detections, trials, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"netags/internal/core"
-	"netags/internal/energy"
 	"netags/internal/geom"
 	"netags/internal/obs"
 	"netags/internal/topology"
@@ -304,37 +303,9 @@ func (s *System) runSession(cfg core.Config) (*core.Result, error) {
 	if len(s.networks) == 1 {
 		return core.RunSession(s.networks[0], cfg)
 	}
-	combined := &core.Result{Meter: energy.NewMeter(s.deployment.N())}
-	for ri, nw := range s.networks {
-		rcfg := cfg
-		rcfg.Reader = ri
-		res, err := core.RunSession(nw, rcfg)
-		if err != nil {
-			return nil, fmt.Errorf("netags: reader %d: %w", ri, err)
-		}
-		if combined.Bitmap == nil {
-			combined.Bitmap = res.Bitmap.Clone()
-		} else {
-			combined.Bitmap.Or(res.Bitmap)
-		}
-		combined.Clock.Add(res.Clock)
-		if err := combined.Meter.Merge(res.Meter); err != nil {
-			return nil, fmt.Errorf("netags: reader %d: %w", ri, err)
-		}
-		if res.Rounds > combined.Rounds {
-			combined.Rounds = res.Rounds
-		}
-		combined.Truncated = combined.Truncated || res.Truncated
-		if t := cfg.Tracer; t != nil {
-			t.Trace(obs.Event{
-				Kind:      obs.KindReaderMerge,
-				Protocol:  obs.ProtoCCM,
-				Reader:    ri,
-				Count:     res.Bitmap.Count(),
-				KnownBusy: combined.Bitmap.Count(),
-				Rounds:    res.Rounds,
-			})
-		}
+	res, err := core.RunReaders(s.networks, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("netags: %w", err)
 	}
-	return combined, nil
+	return res, nil
 }

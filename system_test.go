@@ -179,6 +179,9 @@ func TestSearchTags(t *testing.T) {
 	if res.ExpectedFalsePositiveRate > 0.06 {
 		t.Errorf("derived frame gives FP %v > target", res.ExpectedFalsePositiveRate)
 	}
+	if _, err := sys.SearchTags(present, SearchOptions{Hashes: -1}); err == nil {
+		t.Error("negative hash count accepted")
+	}
 }
 
 func TestCollectIDs(t *testing.T) {
@@ -591,6 +594,39 @@ func TestDetectMissingRepeatedExecutions(t *testing.T) {
 	}
 	if _, err := depleted.DetectMissing(inventory, DetectOptions{Executions: -1}); err == nil {
 		t.Fatal("negative executions accepted")
+	}
+}
+
+// TestDetectMissingUnknownTags: deployed tags whose IDs (set through
+// SystemOptions.IDs) are not in the inventory answer in slots no inventory
+// tag maps to, so DetectMissing reports UnknownTags — and only then.
+func TestDetectMissingUnknownTags(t *testing.T) {
+	ids := make([]uint64, 1200)
+	for i := range ids {
+		ids[i] = 7000 + uint64(i)*13
+	}
+	sys, err := NewSystem(SystemOptions{Tags: len(ids), InterTagRange: 6, Seed: 151, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reachable := sys.ReachableIDs()
+	res, err := sys.DetectMissing(reachable, DetectOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnknownTags || res.Missing {
+		t.Fatalf("full inventory: unknown %v missing %v, want neither", res.UnknownTags, res.Missing)
+	}
+	// The reader has never seen the first 40 reachable tags.
+	res, err = sys.DetectMissing(reachable[40:], DetectOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.UnknownTags {
+		t.Fatal("40 tags outside the inventory not reported as unknown")
+	}
+	if res.Missing {
+		t.Fatal("every inventory tag is present, but Missing was reported")
 	}
 }
 
