@@ -127,4 +127,15 @@ PAIRS ?= 10
 bench-ab:
 	./scripts/bench_ab.sh '$(BASE)' '$(subst ',,$(BENCH))' '$(PAIRS)' '$(BENCH_TIME)' $(BENCH_PKGS)
 
-.PHONY: verify test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare bench-ab
+# Report-only A/B of the repository benchmark (ccmbench/): BASE against the
+# working tree, PAIRS interleaved pairs of untraced runs at seed E2E_SEED of
+# every workload BENCHMARK.json lists, each run_seconds long
+# (scripts/ccmbench_ab.sh). Per workload and end-to-end metric it prints the
+# change's wins, in the direction BENCHMARK.json's "better" names, both
+# medians, the base's IQR and a one-sided sign-test p. A pair of 30 s runs
+# takes ~65 s, so 10 pairs of the three workloads take ~35 minutes.
+E2E_SEED ?= 1
+bench-ab-e2e:
+	./scripts/ccmbench_ab.sh '$(BASE)' '$(PAIRS)' '$(E2E_SEED)'
+
+.PHONY: verify test-scale serve-e2e load-smoke cluster-e2e fuzz-smoke bench bench-sweep bench-compare bench-ab bench-ab-e2e

@@ -8,6 +8,12 @@ import (
 	"netags/internal/topology"
 )
 
+// SessionRunner executes one CCM session for a config: RunSession bound to
+// one reader's network, or RunReaders to several. The estimators take one,
+// so that a multi-reader caller OR-combines the readers' sessions before
+// the estimator reads the frame.
+type SessionRunner func(cfg Config) (*Result, error)
+
 // RunReaders executes one CCM session per reader, round-robin (§III-G: the
 // paper's conservative schedule, each reader in its own window, so readers
 // never collide), and combines them into one Result: Bitmap is

@@ -74,16 +74,12 @@ type Outcome struct {
 	Truncated bool
 }
 
-// SessionRunner executes one CCM session for a config: core.RunSession bound
-// to a network for one reader, core.RunReaders for several.
-type SessionRunner func(cfg core.Config) (*core.Result, error)
-
 // EstimateWith runs the two-phase GMLE procedure of §IV over CCM sessions
 // executed by run: a rough phase that halves the sampling probability until
 // the frame desaturates, then accurate frames at the optimal load, re-tuned
 // after every frame, until the confidence requirement (eq. (2)) is met.
 // nTags sizes the energy meter (the number of deployed tags).
-func EstimateWith(nTags int, run SessionRunner, opts Options) (*Outcome, error) {
+func EstimateWith(nTags int, run core.SessionRunner, opts Options) (*Outcome, error) {
 	opts.setDefaults()
 	if opts.Beta <= 0 || opts.Beta >= 1 || opts.Alpha <= 0 || opts.Alpha >= 1 {
 		return nil, fmt.Errorf("gmle: beta %v and alpha %v must lie in (0,1)", opts.Beta, opts.Alpha)

@@ -88,14 +88,9 @@ type Outcome struct {
 	Truncated bool
 }
 
-// SessionRunner executes one CCM session for a config (see gmle's
-// equivalent); it lets multi-reader callers OR-combine before LoF reads the
-// sketch.
-type SessionRunner func(cfg core.Config) (*core.Result, error)
-
 // EstimateWith runs LoF over CCM sessions executed by run; nTags sizes the
 // energy meter (the number of deployed tags).
-func EstimateWith(nTags int, run SessionRunner, opts Options) (*Outcome, error) {
+func EstimateWith(nTags int, run core.SessionRunner, opts Options) (*Outcome, error) {
 	if opts.Frames == 0 {
 		opts.Frames = 32
 	}

@@ -246,6 +246,6 @@ func MultiSlotPicker(seed uint64, frameSize, k int) core.SlotPicker {
 // network fixed — the runner gmle.EstimateWith and lof.EstimateWith take,
 // so tests drive an estimator over one network the way the facade drives
 // it over a system.
-func Sessions(nw *topology.Network) func(core.Config) (*core.Result, error) {
+func Sessions(nw *topology.Network) core.SessionRunner {
 	return func(cfg core.Config) (*core.Result, error) { return core.RunSession(nw, cfg) }
 }

@@ -20,9 +20,11 @@
 // Neither enters the pass/fail verdict.
 //
 // The ab subcommand reads two files of interleaved-pair output, a base
-// revision's and a change's (make bench-ab), and prints per benchmark the
-// change's wins, both medians, the base's interquartile range and a
-// one-sided sign-test p (see runAB).
+// revision's and a change's: go test benchmarks (make bench-ab) or the
+// repository benchmark's JSON result lines (make bench-ab-e2e). It prints
+// per benchmark, or per end-to-end metric, the change's wins, both
+// medians, the base's interquartile range and a one-sided sign-test p
+// (see runAB).
 package main
 
 import (

@@ -515,3 +515,71 @@ func TestSignP(t *testing.T) {
 		}
 	}
 }
+
+// TestABResultLines: with ccmbench result lines, each end-to-end metric of
+// the declaration is paired run by run in the direction its "better"
+// names, a run lacking a metric leaves that pair out, failed operations are
+// totalled per side, and a file of result lines cannot pair with go test
+// output.
+func TestABResultLines(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	decl := write("BENCHMARK.json", `{"end_to_end": [
+		{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+		{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+	]}`)
+	line := func(correct bool, failed int, setup, ops float64) string {
+		return fmt.Sprintf(`{"correct":%v,"attempted":10,"failed":%d,"metrics":{"setup_s":{"value":%g,"unit":"s"},"ops_per_s":{"value":%g,"unit":"1/s"}}}`+"\n",
+			correct, failed, setup, ops)
+	}
+	base := write("base.jsonl", line(true, 0, 0.040, 50)+line(true, 0, 0.044, 60)+line(true, 0, 0.036, 55)+line(true, 0, 0.042, 58))
+	change := write("change.jsonl", "\n"+line(true, 0, 0.030, 56)+line(false, 2, 0.046, 60)+
+		`{"correct":true,"attempted":10,"failed":0,"metrics":{"setup_s":{"value":0.025,"unit":"s"}}}`+"\n"+
+		line(true, 0, 0.028, 57))
+	var data [2][]byte
+	for i, path := range []string{base, change} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[i] = b
+	}
+	var out strings.Builder
+	if err := abResults(data, decl, &out); err != nil {
+		t.Fatal(err)
+	}
+	// setup_s (lower): pairs (.040,.030) win, (.044,.046) loss, (.036,.025)
+	// win, (.042,.028) win: 3 of 4, p = 5/16. Base median .041, IQR
+	// .0425−.039 = .0035; change median .029.
+	for _, want := range []string{"lower", "3/4", "0.041", "0.029", "0.0035", "0.3125"} {
+		if row := rowOf(t, out.String(), "setup_s"); !strings.Contains(row, want) {
+			t.Errorf("row %q lacks %q", row, want)
+		}
+	}
+	// ops_per_s (higher): (50,56) win, (60,60) tie, (55,–) skipped,
+	// (58,57) loss: 1 of 3, the sign test over the 2 untied pairs.
+	for _, want := range []string{"higher", "1/3", "56.5", "57", "0.7500"} {
+		if row := rowOf(t, out.String(), "ops_per_s"); !strings.Contains(row, want) {
+			t.Errorf("row %q lacks %q", row, want)
+		}
+	}
+	for _, want := range []string{"4 runs, 0 not correct; 0 of 40", "4 runs, 1 not correct; 2 of 40"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+	gotest := write("gotest.txt", "BenchmarkHot-2\t10\t100 ns/op\n")
+	if err := runAB([]string{base, gotest}, &out); err == nil {
+		t.Error("result lines paired with go test output")
+	}
+	if err := abResults(data, filepath.Join(dir, "none.json"), &out); err == nil {
+		t.Error("a missing declaration accepted")
+	}
+}

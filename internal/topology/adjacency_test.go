@@ -99,6 +99,49 @@ func TestAdjacencyMatchesTwoPass(t *testing.T) {
 	for seed := uint64(0); seed < 300; seed++ {
 		checkMatchesTwoPass(t, simtest.NewScenario(seed).Network)
 	}
+	// The paper's n = 10^4 at its ranges, where a row's windows run over
+	// many 64-position blocks, and clusters dense enough that one cell
+	// holds more than 128 tags, so a single cell's rows span three blocks
+	// and their hits several tiles.
+	for _, r := range []float64{2, 6, 10} {
+		t.Run(fmt.Sprintf("paper/r=%g", r), func(t *testing.T) {
+			nw, err := topology.Build(geom.NewUniformDisk(10000, 30, 1), 0, topology.PaperRanges(r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMatchesTwoPass(t, nw)
+		})
+	}
+	t.Run("clustered", func(t *testing.T) {
+		const r = 3
+		d := geom.NewClusteredDisk(4000, 30, 4, 2, 3)
+		if most := mostPerCell(d, r); most <= 128 {
+			t.Fatalf("densest cell holds %d tags, want more than 128", most)
+		}
+		nw, err := topology.Build(d, 0, topology.PaperRanges(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesTwoPass(t, nw)
+	})
+}
+
+// mostPerCell is the largest number of d's tags in one cell of the builder's
+// grid at range r: r-wide cells from the tags' lower-left corner (r is well
+// above the size where the builder would widen them).
+func mostPerCell(d *geom.Deployment, r float64) int {
+	minX, minY := math.Inf(1), math.Inf(1)
+	for _, p := range d.Tags {
+		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
+	}
+	count := map[[2]int]int{}
+	most := 0
+	for _, p := range d.Tags {
+		c := [2]int{int((p.X - minX) / r), int((p.Y - minY) / r)}
+		count[c]++
+		most = max(most, count[c])
+	}
+	return most
 }
 
 // BenchmarkBuildPaper times the topology build a paper trial performs:

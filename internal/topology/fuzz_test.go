@@ -195,14 +195,18 @@ func checkNumbering(t *testing.T, nw *topology.Network) {
 // ascend: one mask per word.
 func checkMasks(t *testing.T, nw *topology.Network, ascending bool) {
 	t.Helper()
-	has := func(k, v int) bool {
+	// adj is the rows as one dense bit matrix, so that looking up a bit's
+	// twin costs the same however many masks a row has.
+	words := (nw.N() + 63) / 64
+	adj := make([]uint64, nw.N()*words)
+	for k := 0; k < nw.N(); k++ {
 		for _, m := range nw.Masks(k) {
-			if int(m.Word) == v>>6 && m.Bits&(1<<(uint(v)&63)) != 0 {
-				return true
+			if int(m.Word) < words {
+				adj[k*words+int(m.Word)] |= m.Bits
 			}
 		}
-		return false
 	}
+	has := func(k, v int) bool { return adj[k*words+v>>6]>>(uint(v)&63)&1 != 0 }
 	for k := 0; k < nw.N(); k++ {
 		row := nw.Masks(k)
 		for j, m := range row {

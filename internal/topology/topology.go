@@ -119,21 +119,50 @@ func Build(d *geom.Deployment, readerIdx int, rg Ranges) (*Network, error) {
 // links — the paper's motivating scenario of obstacles carving holes into a
 // reader's direct coverage, which multi-hop relaying then routes around.
 func BuildObstructed(d *geom.Deployment, readerIdx int, rg Ranges, obstacles []geom.Segment) (*Network, error) {
-	if err := rg.Validate(); err != nil {
-		return nil, err
-	}
 	if readerIdx < 0 || readerIdx >= len(d.Readers) {
 		return nil, fmt.Errorf("topology: reader index %d out of range [0,%d)", readerIdx, len(d.Readers))
 	}
-	nw := &Network{
-		Deployment: d,
-		Ranges:     rg,
-		Reader:     d.Readers[readerIdx],
-		Obstacles:  obstacles,
+	shared, err := buildShared(d, rg, obstacles)
+	if err != nil {
+		return nil, err
 	}
+	return shared.withReader(d.Readers[readerIdx]), nil
+}
+
+// BuildReaders computes the network of every reader in d.Readers, in that
+// order, each the network BuildObstructed returns for it. The adjacency
+// (the row masks and the position numbering) depends on the tags, the
+// tag-to-tag range and the walls but not on the reader, so it is built
+// once and the networks share it; each computes its own tiers.
+func BuildReaders(d *geom.Deployment, rg Ranges, obstacles []geom.Segment) ([]*Network, error) {
+	shared, err := buildShared(d, rg, obstacles)
+	if err != nil {
+		return nil, err
+	}
+	nets := make([]*Network, len(d.Readers))
+	for ri, p := range d.Readers {
+		nets[ri] = shared.withReader(p)
+	}
+	return nets, nil
+}
+
+// buildShared validates rg and builds the reader-independent part of a
+// network: its adjacency. Reader and tiers are left unset.
+func buildShared(d *geom.Deployment, rg Ranges, obstacles []geom.Segment) (Network, error) {
+	if err := rg.Validate(); err != nil {
+		return Network{}, err
+	}
+	nw := Network{Deployment: d, Ranges: rg, Obstacles: obstacles}
 	nw.buildAdjacency()
-	nw.computeTiers()
 	return nw, nil
+}
+
+// withReader returns a copy of nw, sharing its adjacency, rooted at the
+// reader at p, with its tiers computed.
+func (nw Network) withReader(p geom.Point) *Network {
+	nw.Reader = p
+	nw.computeTiers()
+	return &nw
 }
 
 // Neighbors returns the indices of tags within TagToTag range of tag i, in
@@ -197,7 +226,7 @@ func (nw *Network) N() int { return len(nw.Tier) }
 //
 // Tags are counting-sorted into cells, row-major by cell id and by tag index
 // within a cell; position k in that order holds tag order[k], with its
-// coordinates at pts[k], and numbers the CSR. Row k is k's neighbours
+// coordinates at xs[k], ys[k], and numbers the CSR. Row k is k's neighbours
 // ascending, so mapped through order a tag's neighbour list comes out
 // sorted by position. The session's lossy draw order and SICP's parent
 // adoption depend on that sequence, so it is part of the contract.
@@ -207,22 +236,25 @@ func (nw *Network) N() int { return len(nw.Tier) }
 // positions only; the backward half of the 3×3 stencil is covered when the
 // earlier tag is visited. Because cells c and c+1 are adjacent in k, as are
 // the three cells of the next row, those candidates form just two contiguous
-// k windows, whose hits are recorded one bit per candidate (the forward
-// list, sized exactly from the cell occupancy before any test). A
-// link needs Dist2 ≤ r² and an unblocked path, both symmetric in their
-// endpoints, so one test per pair decides the link both ways.
+// k windows. A link needs Dist2 ≤ r² and an unblocked path, both symmetric
+// in their endpoints, so one test per pair decides the link both ways.
 //
-// Before the test pass each row gets room for one mask per word that its
-// cell's bands (cells cx−1 … cx+1 of the previous, own and next cell rows)
-// touch, which bounds its masks. The scatter then walks the forward lists
-// in ascending k. A hit
-// (k, b) ORs k's bit into row b's last mask, or opens the next one when k
-// starts a new word; k's own forward hits are shifted into its row a fetched
-// word at a time. Every earlier neighbour of k has ORed itself in by the
-// time k writes its forward hits, so each row is its backward neighbours
-// followed by its forward ones: ascending, one mask per word. Row k is then
-// complete and moves down to close the gap its unused room left; it never
-// reaches row k+1's room, which starts past k's.
+// Before any test each row gets room for one mask per word that its cell's
+// bands (cells cx−1 … cx+1 of the previous, own and next cell rows) touch,
+// which bounds its masks. The rows are then built a block of 64 positions
+// (one mask word) at a time. Each window is cut at word boundaries and each
+// piece tested by hits, which returns the piece's hits as one row mask: k's
+// forward masks, ascending. Every forward mask (w, bits) of row k is also
+// ORed into the block's tile for word w, at row k&63. Once the block's rows
+// are tested, each tile is transposed as a 64×64 bit matrix, so that its
+// row j&63 is row j's backward mask at the block's word, and written to the
+// end of row j's room: one write per tile row, instead of one per hit. Every
+// backward neighbour of a row sits in its block or an earlier one, so after
+// the block's tiles the block's rows are complete: each row's backward
+// masks, in block order, are ascending and end at or below its own word,
+// where its forward masks start. They move down to close the gap the unused
+// room left, followed by the forward masks, merged where both hold the own
+// word. A row never reaches row k+1's room, which starts past k's.
 func (nw *Network) buildAdjacency() {
 	tags := nw.Deployment.Tags
 	n := len(tags)
@@ -271,12 +303,14 @@ func (nw *Network) buildAdjacency() {
 		cellStart[c] += cellStart[c-1]
 	}
 	order := make([]int32, n)
-	pts := make([]geom.Point, n)
+	coords := make([]float64, 2*n)
+	xs, ys := coords[:n], coords[n:]
 	for i := n - 1; i >= 0; i-- {
 		c := cellOf[i]
 		cellStart[c]--
-		order[cellStart[c]] = int32(i)
-		pts[cellStart[c]] = tags[i]
+		k := cellStart[c]
+		order[k] = int32(i)
+		xs[k], ys[k] = tags[i].X, tags[i].Y
 	}
 	nw.order = order
 
@@ -305,12 +339,12 @@ func (nw *Network) buildAdjacency() {
 		}
 		return (hi-1)>>6 - lo>>6 + 1
 	}
-	// Size the forward list, and give each row room for its masks: one per
-	// word that its cell's bands in the previous, own and next cell rows
-	// touch.
+	// Give each row room for its masks: one per word that its cell's bands
+	// in the previous, own and next cell rows touch. maxWords is the most
+	// any row gets, and reach the most words any row's windows run past
+	// its own.
 	moff := nw.moff
-	nbits := 0
-	var room int32
+	var room, maxWords, reach int32
 	for cy := 0; cy < rows; cy++ {
 		for cx := 0; cx < cols; cx++ {
 			c := cy*cols + cx
@@ -320,10 +354,9 @@ func (nw *Network) buildAdjacency() {
 			}
 			rowLo, rowEnd := band(cx, cy)
 			nextLo, nextHi := band(cx, cy+1)
-			m := int(e - s)
-			// Σ over the cell's members k of (rowEnd−k−1) + (nextHi−nextLo).
-			nbits += m*int(rowEnd-s) - m*(m+1)/2 + m*int(nextHi-nextLo)
 			words := spanned(band(cx, cy-1)) + spanned(rowLo, rowEnd) + spanned(nextLo, nextHi)
+			maxWords = max(maxWords, words)
+			reach = max(reach, (max(rowEnd, nextHi)-1)>>6-s>>6)
 			for k := s; k < e; k++ {
 				moff[k] = room
 				room += words
@@ -331,87 +364,102 @@ func (nw *Network) buildAdjacency() {
 		}
 	}
 	moff[n] = room
-	fwd := make([]uint64, (nbits+63)/64)
 
-	// Test pass.
-	bit, word := 0, uint64(0)
-	for cy := 0; cy < rows; cy++ {
-		for cx := 0; cx < cols; cx++ {
-			c := cy*cols + cx
-			_, rowEnd := band(cx, cy)
-			nextLo, nextHi := band(cx, cy+1)
-			for k := cellStart[c]; k < cellStart[c+1]; k++ {
-				p := pts[k]
-				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
-					for j := w[0]; j < w[1]; j++ {
-						// h is 0 or 1 and the word takes it
-						// unconditionally: about a third of candidates
-						// hit, too irregular for a branch to predict.
-						var h uint64
-						if p.Dist2(pts[j]) <= r2 {
-							h = 1
-						}
-						if walled && h == 1 && geom.Blocked(obstacles, p, pts[j]) {
-							h = 0
-						}
-						word |= h << (bit & 63)
-						if bit++; bit&63 == 0 {
-							fwd[bit>>6-1] = word
-							word = 0
-						}
-					}
-				}
-			}
-		}
-	}
-	if bit&63 != 0 {
-		fwd[bit>>6] = word
-	}
-
-	// Scatter pass: last[k] indexes row k's last mask, which is still empty
-	// (all-zero) until the row's first hit. moff[k] is row k's room until
-	// the row moves down to out, then its final offset.
+	// moff[k] is row k's room until the row moves down to out, then its
+	// final offset; next[k] is where row k's next backward mask goes.
 	masks := make([]Mask, room)
-	last := cellOf // dead since the counting sort
-	copy(last, moff[:n])
+	next := cellOf // dead since the counting sort
+	copy(next, moff[:n])
+	// tiles[w-kw] is the block's tile for word w: row k&63 of its bits
+	// holds row k's forward mask at word w, and filled ORs those rows, so
+	// its bits are the rows the transposed tile fills. touched lists the
+	// tiles with any. fwd holds the block's forward masks, row after row,
+	// row k's ending at fend[k&63].
+	type tile struct {
+		bits   [64]uint64
+		filled uint64
+	}
+	tiles := make([]tile, reach+1)
+	touched := make([]int32, 0, reach+1)
+	fwd := make([]Mask, 0, 64*maxWords)
+	var fend [64]int32
 	out := int32(0)
-	bit = 0
-	for cy := 0; cy < rows; cy++ {
-		for cx := 0; cx < cols; cx++ {
-			c := cy*cols + cx
-			_, rowEnd := band(cx, cy)
-			nextLo, nextHi := band(cx, cy+1)
-			for k := cellStart[c]; k < cellStart[c+1]; k++ {
-				kw, kb := k>>6, uint64(1)<<(uint(k)&63)
-				for _, w := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
-					// Walk the window's bits a word at a time.
-					for j := w[0]; j < w[1]; {
-						take := min(int32(64-bit&63), w[1]-j)
-						word := (fwd[bit>>6] >> (bit & 63)) & (1<<take - 1)
-						if word != 0 {
-							sh := uint(j) & 63
-							if lo := word << sh; lo != 0 {
-								orMask(masks, last, k, j>>6, lo)
-							}
-							if hi := word >> (64 - sh); hi != 0 {
-								orMask(masks, last, k, j>>6+1, hi)
-							}
-							for ; word != 0; word &= word - 1 {
-								orMask(masks, last, j+int32(bits.TrailingZeros64(word)), kw, kb)
+	c, cellEnd := -1, int32(0)
+	var rowEnd, nextLo, nextHi int32
+	for b0 := int32(0); b0 < int32(n); b0 += 64 {
+		b1 := min(b0+64, int32(n))
+		kw := b0 >> 6
+		fwd = fwd[:0]
+		for k := b0; k < b1; k++ {
+			if k == cellEnd { // k opens the next occupied cell
+				for c++; cellStart[c+1] == k; c++ {
+				}
+				cellEnd = cellStart[c+1]
+				_, rowEnd = band(c%cols, c/cols)
+				nextLo, nextHi = band(c%cols, c/cols+1)
+			}
+			px, py := xs[k], ys[k]
+			first := len(fwd)
+			for _, win := range [2][2]int32{{k + 1, rowEnd}, {nextLo, nextHi}} {
+				for j, e := win[0], win[1]; j < e; {
+					w := j >> 6
+					end := min(e, w<<6+64)
+					b := hits(px, py, r2, xs[j:end], ys[j:end]) << (uint(j) & 63)
+					j = end
+					if walled {
+						p := geom.Point{X: px, Y: py}
+						for m := b; m != 0; m &= m - 1 {
+							v := w<<6 + int32(bits.TrailingZeros64(m))
+							if geom.Blocked(obstacles, p, geom.Point{X: xs[v], Y: ys[v]}) {
+								b &^= m & -m
 							}
 						}
-						j += take
-						bit += int(take)
 					}
+					if b == 0 {
+						continue
+					}
+					// The two windows can share a word.
+					if l := len(fwd) - 1; l >= first && fwd[l].Word == w {
+						fwd[l].Bits |= b
+					} else {
+						fwd = append(fwd, Mask{w, b})
+					}
+					t := &tiles[w-kw]
+					if t.filled == 0 {
+						touched = append(touched, w-kw)
+					}
+					t.bits[k&63] |= b
+					t.filled |= b
 				}
-				end := last[k]
-				if masks[end].Bits != 0 {
-					end++
-				}
-				lo := moff[k]
-				moff[k] = out
-				out += int32(copy(masks[out:], masks[lo:end]))
 			}
+			fend[k&63] = int32(len(fwd))
+		}
+
+		for _, dw := range touched {
+			t := &tiles[dw]
+			transpose64(&t.bits)
+			for m, base := t.filled, (kw+dw)<<6; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				j := base + int32(i)
+				masks[next[j]] = Mask{kw, t.bits[i]}
+				next[j]++
+			}
+			*t = tile{}
+		}
+		touched = touched[:0]
+
+		f := int32(0)
+		for k := b0; k < b1; k++ {
+			lo, end := moff[k], next[k]
+			moff[k] = out
+			out += int32(copy(masks[out:], masks[lo:end]))
+			row := fwd[f:fend[k&63]]
+			f = fend[k&63]
+			if len(row) > 0 && end > lo && masks[out-1].Word == row[0].Word {
+				masks[out-1].Bits |= row[0].Bits
+				row = row[1:]
+			}
+			out += int32(copy(masks[out:], row))
 		}
 	}
 	moff[n] = out
@@ -420,24 +468,53 @@ func (nw *Network) buildAdjacency() {
 	// network's lifetime.
 	nw.masks = slices.Clone(masks[:out])
 
-	// last is spent; its storage becomes rank.
-	rank := last
+	// next is spent; its storage becomes rank.
+	rank := next
 	for k, i := range order {
 		rank[i] = int32(k)
 	}
 	nw.rank = rank
 }
 
-// orMask ORs b, bits of word w, into row k, whose last mask is masks[last[k]]:
-// into that mask when it is empty or holds word w, else into the next one.
-func orMask(masks []Mask, last []int32, k, w int32, b uint64) {
-	m := &masks[last[k]]
-	if m.Word != w && m.Bits != 0 {
-		last[k]++
-		m = &masks[last[k]]
+// hits returns the candidates xs[i], ys[i] within √r2 of (px, py) as a
+// mask: bit i for candidate i, for up to 64 candidates. Its tests are
+// Dist2's, in Dist2's operand order.
+//
+// hits stays its own function: inlined into buildAdjacency, its accumulator
+// no longer fits a register (go build -gcflags=-S shows it at an SP offset)
+// and every candidate pays a store to the stack and a load back.
+//
+//go:noinline
+func hits(px, py, r2 float64, xs, ys []float64) uint64 {
+	ys = ys[:len(xs)]
+	var acc uint64
+	for i, x := range xs {
+		dx, dy := px-x, py-ys[i]
+		// h is 0 or 1 and the mask takes it unconditionally: about a third
+		// of candidates hit, too irregular for a branch to predict.
+		var h uint64
+		if dx*dx+dy*dy <= r2 {
+			h = 1
+		}
+		acc |= h << (uint(i) & 63)
 	}
-	m.Word = w
-	m.Bits |= b
+	return acc
+}
+
+// transpose64 transposes a as a 64×64 bit matrix: afterwards bit i of a[j]
+// is what bit j of a[i] was. Stage j (32, 16, …, 1) swaps, in each pair of
+// rows k and k+j with bit j of k clear, the bits of k's columns c+j with
+// those of k+j's columns c, for every c with bit j clear: 32 masked swaps.
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := uint(32); j != 0; j, m = j>>1, m^m<<(j>>1) {
+		// The masks only spare the compiler its bounds and shift checks.
+		for k := uint(0); k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>(j&63) ^ a[(k+j)&63]) & m
+			a[(k+j)&63] ^= t
+			a[k] ^= t << (j & 63)
+		}
+	}
 }
 
 // computeTiers runs a BFS from the tier-1 set (tags within TagToReader of

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # A/B of the go test benchmarks: a base revision against the working tree.
-# Builds each package's test binary on both sides, the base's from a
-# detached git worktree of BASE, then runs them as PAIRS interleaved pairs,
-# alternating which side goes first: both sides run in the same minutes,
-# so host drift cancels, and neither always gets the second (slower) slot.
+# Builds each package's test binary on both sides, the base's from a copy
+# of BASE, then runs them as PAIRS interleaved pairs (scripts/ab_common.sh).
 # Prints per benchmark the change's wins, both medians, the base's IQR and
 # a one-sided sign-test p (benchjson ab). Report-only.
 #
@@ -19,13 +17,8 @@ fi
 base=$1 bench=$2 pairs=$3 benchtime=$4
 shift 4
 root=$(pwd)
-work=$(mktemp -d "${TMPDIR:-/tmp}/bench-ab.XXXXXX")
-cleanup() {
-	git -C "$root" worktree remove --force "$work/base" 2>/dev/null || true
-	rm -rf "$work"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$work/base" "$base"
+source "$root/scripts/ab_common.sh"
+ab_checkout "$base" bench-ab
 
 # One binary per side and package, kept only where a top-level benchmark
 # matches (go test splits -bench at slashes, one pattern per level).
@@ -55,8 +48,5 @@ run() {
 			-test.benchmem -test.benchtime "$benchtime" -test.count 1 -test.timeout 30m) >>"$work/$side.txt"
 	done
 }
-for ((i = 1; i <= pairs; i++)); do
-	echo "bench-ab: pair $i/$pairs" >&2
-	if ((i % 2)); then run base; run change; else run change; run base; fi
-done
+ab_pairs "$pairs" bench-ab run
 go run ./internal/tools/benchjson ab "$work/base.txt" "$work/change.txt"

@@ -153,14 +153,11 @@ func NewSystem(opts SystemOptions) (*System, error) {
 }
 
 func newSystem(d *geom.Deployment, rg topology.Ranges, obstacles []geom.Segment, ids []uint64) (*System, error) {
-	s := &System{deployment: d, ranges: rg, obstacles: obstacles}
-	for ri := range d.Readers {
-		nw, err := topology.BuildObstructed(d, ri, rg, obstacles)
-		if err != nil {
-			return nil, fmt.Errorf("netags: reader %d: %w", ri, err)
-		}
-		s.networks = append(s.networks, nw)
+	networks, err := topology.BuildReaders(d, rg, obstacles)
+	if err != nil {
+		return nil, fmt.Errorf("netags: %w", err)
 	}
+	s := &System{deployment: d, ranges: rg, obstacles: obstacles, networks: networks}
 	if ids == nil {
 		ids = make([]uint64, d.N())
 		for i := range ids {

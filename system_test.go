@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netags/internal/energy"
 	"netags/internal/obs"
 	"netags/internal/sicp"
+	"netags/internal/topology"
 )
 
 func testSystem(t *testing.T, n int, r float64, seed uint64) *System {
@@ -666,6 +668,63 @@ func TestOnRoundMatchesRoundEvents(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d readers: OnRound saw %+v, events say %+v", len(readers), got, want)
+		}
+	}
+}
+
+// TestReadersShareAdjacency: NewSystem builds a deployment's adjacency once
+// and gives each reader its own tiers over it. Each reader's network must
+// equal the one built for that reader alone, and every multi-reader
+// operation must return what it returns over separately built networks.
+func TestReadersShareAdjacency(t *testing.T) {
+	sys, err := NewSystem(SystemOptions{
+		Tags: 1500, Radius: 60, InterTagRange: 5,
+		Readers: []Position{{X: -30}, {X: 30}, {Y: 25}},
+		Walls:   []Wall{{From: Position{X: -10, Y: -40}, To: Position{X: -10, Y: 40}}},
+		Seed:    11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	separate := *sys
+	separate.networks = nil
+	for ri := range sys.deployment.Readers {
+		nw, err := topology.BuildObstructed(sys.deployment, ri, sys.ranges, sys.obstacles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sys.networks[ri], nw) {
+			t.Fatalf("reader %d: network differs from one built for that reader alone", ri)
+		}
+		separate.networks = append(separate.networks, nw)
+	}
+	if sys.networks[0].K == sys.networks[1].K && reflect.DeepEqual(sys.networks[0].Tier, sys.networks[1].Tier) {
+		t.Fatal("readers at opposite ends share their tiers: the test cannot tell them apart")
+	}
+	ids := sys.IDs()
+	inventory := append(slices.Clone(ids[:1400]), 1e9, 1e9+1)
+	for _, op := range []struct {
+		name string
+		run  func(*System) (any, error)
+	}{
+		{"estimate", func(s *System) (any, error) { return s.EstimateCardinality(EstimateOptions{Beta: 0.15, Seed: 1}) }},
+		{"detect", func(s *System) (any, error) { return s.DetectMissing(inventory, DetectOptions{Seed: 2}) }},
+		{"search", func(s *System) (any, error) { return s.SearchTags(inventory[1300:], SearchOptions{Seed: 3}) }},
+		{"collect", func(s *System) (any, error) { return s.CollectIDs(CollectOptions{Seed: 4}) }},
+		{"bitmap", func(s *System) (any, error) {
+			return s.CollectBitmap(SessionOptions{FrameSize: 256, Seed: 5, LossProb: 0.2})
+		}},
+	} {
+		got, err := op.run(sys)
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		want, err := op.run(&separate)
+		if err != nil {
+			t.Fatalf("%s over separate networks: %v", op.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %+v, over separately built networks %+v", op.name, got, want)
 		}
 	}
 }
