@@ -84,7 +84,8 @@ bench-sweep:
 	go test -bench=ExperimentQuick -benchtime=1x -run='^$$' .
 
 # The tracked benchmark suite: the deployment draw, the topology build and
-# the SICP collection at the paper's ranges and at scale-1e5's 10^5 tags, tracing overhead (core),
+# the SICP collection at the paper's ranges and at scale-1e5's 10^5 tags,
+# the CICP collection at the paper's ranges, tracing overhead (core),
 # the pooled session kernel at 10^4–10^6 tags plus arena reuse (allocs/op
 # pinned at the small per-session constant — any per-round allocation
 # regression multiplies it and trips the alloc gate), the bitmap OR-merge
@@ -95,7 +96,7 @@ bench-sweep:
 # plus per-benchmark mean/min/max rollups land in BENCH_observability.json
 # (recover a benchstat input with `jq -r '.benchmarks[].raw'`).
 BENCH_PKGS    = ./internal/geom/ ./internal/topology/ ./internal/sicp/ ./internal/core/ ./internal/bitmap/ ./internal/experiment/ ./internal/serve/ ./internal/obs/timeseries/ ./internal/cluster/
-BENCH_PATTERN = 'Deploy|BuildPaper|BuildN1e5|CollectPaper|CollectN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
+BENCH_PATTERN = 'Deploy|BuildPaper|BuildN1e5|CollectPaper|CollectCICPPaper|CollectN1e5|SessionTracer|SessionN|SessionPaper|RunnerReuse|Bitmap|SweepWorkers|ServeSpecKey|ServeSubmitHit|ServePointDone|Timeseries|ClusterRouteAdmit'
 bench:
 	go test -bench=$(BENCH_PATTERN) -benchmem -count=5 -run='^$$' $(BENCH_PKGS) \
 		| tee /dev/stderr | go run ./internal/tools/benchjson > BENCH_observability.json

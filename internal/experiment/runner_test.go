@@ -168,22 +168,27 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 // TestParallelForError: the first body error cancels the remaining work
-// and is the one returned.
+// and is the one returned. Items after 3 wait for the pool's context to be
+// cancelled, so no schedule lets the other workers run past them: each
+// worker starts at most one item after 3, and none once the error is in.
 func TestParallelForError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
 		err := ParallelFor(context.Background(), workers, 1000, func(ctx context.Context, i int) error {
 			ran.Add(1)
-			if i == 3 {
+			switch {
+			case i == 3:
 				return boom
+			case i > 3:
+				<-ctx.Done()
 			}
 			return nil
 		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
 		}
-		if n := ran.Load(); n >= 1000 {
+		if n := ran.Load(); n > int64(3+workers) {
 			t.Errorf("workers=%d: error did not stop the pool (ran %d items)", workers, n)
 		}
 	}

@@ -2,6 +2,7 @@ package sicp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"netags/internal/energy"
 	"netags/internal/obs"
@@ -28,6 +29,7 @@ func CollectCICP(nw *topology.Network, opts Options) (*Result, error) {
 	c.sessionStart()
 	c.buildTree()
 	c.collectContention()
+	c.charge()
 	c.sessionEnd()
 	return c.result(), nil
 }
@@ -40,6 +42,7 @@ func CollectCICP(nw *topology.Network, opts Options) (*Result, error) {
 func (c *collector) collectContention() {
 	c.initLists()
 	n := c.nw.N()
+	c.active = make([]uint64, (n+63)/64)
 	start := c.clock
 	// Iterative post-order over the whole forest. A tag is entered as u and
 	// left as ^u: on entry its slot becomes ^u with its children pushed
@@ -98,7 +101,7 @@ func (c *collector) race(group []int32) {
 			// Collision: every winner burns one full ID message that no
 			// one can decode, then the round repeats with a wider window.
 			for _, ch := range winners {
-				c.transmit(int(ch))
+				c.send(ch)
 			}
 			if w < maxWindow {
 				w *= 2
@@ -126,16 +129,39 @@ func (c *collector) uploadContended(u int32) {
 	p := c.parent[u]
 	for k := int32(0); k < c.size[u]; k++ {
 		c.backoff()
-		c.transmit(int(u))
+		c.send(u)
 		if p == parentReader {
 			// The reader's ack: one long slot, decoded by the uploader.
 			c.clock.LongSlots++
 			c.cumLong++
 			c.meter.AddReceived(int(u), energy.IDBits-1)
 		} else {
-			c.transmit(int(p))
+			c.send(p)
 		}
 	}
 	c.deliver(u, p)
-	c.sleep(u)
+	c.sleep(u, c.live(u))
+}
+
+// send is CICP's transmit: the sender is awake and has now sent more than
+// its flood message, so it joins the active set until it sleeps.
+func (c *collector) send(u int32) {
+	c.transmit(int(u))
+	c.active[u>>6] |= 1 << (uint(u) & 63)
+}
+
+// live takes tag u out of the active set and sums, over its active
+// neighbours, the messages each sent beyond its flood message: the live
+// term of sleep. Unlike SICP's, it has no closed form: the active tags
+// include colliding siblings and uncles that have acked their own
+// children.
+func (c *collector) live(u int32) int64 {
+	c.active[u>>6] &^= 1 << (uint(u) & 63)
+	var live int64
+	for _, m := range c.nw.Masks(int(u)) {
+		for b := m.Bits & c.active[m.Word]; b != 0; b &= b - 1 {
+			live += int64(c.msgs[m.Word<<6+int32(bits.TrailingZeros64(b))] - 1)
+		}
+	}
+	return live
 }

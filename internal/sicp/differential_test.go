@@ -64,8 +64,8 @@ func firstIDs(ids []uint64) []uint64 { return ids[:min(len(ids), 8)] }
 // TestCollectMatchesReference holds Collect and CollectCICP to the reference
 // collector over uniform, clustered and walled disks at ranges from below to
 // above the paper's, with default and custom IDs and several contention
-// windows, and over the simtest generator's scenarios (chains, disconnected
-// satellites, walls).
+// windows, over the simtest generator's scenarios (chains, disconnected
+// satellites, walls), and over 10^4-tag paper deployments.
 func TestCollectMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		for _, r := range []float64{1.5, 2, 4, 6} {
@@ -96,6 +96,19 @@ func TestCollectMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < 100; seed++ {
 		sc := simtest.NewScenario(seed)
 		checkMatchesReference(t, sc.Network, Options{Seed: sc.Seed})
+	}
+	// The paper's deployments: a thousands-strong tier-1 group and trees
+	// many tiers deep, which the 600-tag disks above do not reach.
+	for seed := uint64(1); seed <= 2; seed++ {
+		for _, r := range []float64{2, 6} {
+			t.Run(fmt.Sprintf("paper/seed=%d/r=%g", seed, r), func(t *testing.T) {
+				nw, err := topology.Build(geom.NewUniformDisk(10000, 30, seed), 0, topology.PaperRanges(r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMatchesReference(t, nw, Options{Seed: seed})
+			})
+		}
 	}
 }
 

@@ -29,15 +29,26 @@
 // its drawn number of short slots.
 //
 // Cost: because every in-system tag listens from the request until it
-// sleeps, its reception is charged once, when it sleeps, from its
-// neighbors' send counters; no message walks a neighbor list. The flood
-// is charged per tier, the tree is a CSR child array built by one counting
-// sort, and IDs travel in intrusive linked lists spliced onto the parent's
-// in O(1). One collection is O(messages + edges) with a constant number of
-// allocations. All per-tag state is indexed by the network's positions
-// (topology.Network.Masks), so the neighbour walks read nearby memory; the
-// PRNG draws and the child lists keep tag index order, which is what pins
-// the results.
+// sleeps, it decodes every message a neighbour sends before it sleeps, so
+// its reception is charged after the walk, in one pass over the tags in
+// position order (charge); no message walks a neighbour list. A sleeping
+// tag records only its sleep order, and is charged its idle sensing and
+// its live term: the messages beyond their flood message that its
+// still-awake neighbours have sent so far. Under SICP that term is
+// closed-form, the parent's count less its flood message: an awake tag
+// that has sent more than its flood message has sent a token, so it is on
+// the DFS stack, an ancestor, and of the ancestors only the parent is
+// within range (in-system neighbours' tiers differ by at most 1). SICP's
+// walk therefore reads no neighbour row. CICP's term walks the sleeper's
+// row against a bitset of such tags. The pass then adds, per neighbour,
+// its flood message and, if it slept first, all its later ones.
+// The flood is charged per tier, the tree is a CSR child array built by one
+// counting sort, and IDs travel in intrusive linked lists spliced onto the
+// parent's in O(1). One collection is O(messages + edges) with a constant
+// number of allocations. All per-tag state is indexed by the network's
+// positions (topology.Network.Masks), so the charge pass reads nearby
+// memory; the PRNG draws and the child lists keep tag index order, which is
+// what pins the results.
 package sicp
 
 import (
@@ -98,6 +109,7 @@ func Collect(nw *topology.Network, opts Options) (*Result, error) {
 	c.sessionStart()
 	c.buildTree()
 	c.collect()
+	c.charge()
 	c.sessionEnd()
 	return c.result(), nil
 }
@@ -167,6 +179,16 @@ type collector struct {
 
 	// msgs[u] counts the messages tag u has sent.
 	msgs []int32
+	// slept[u] packs tag u's sleep sequence number (high 32 bits) with the
+	// messages it sent beyond its flood message (low 32 bits), so the
+	// charge pass reads both with one load; seq numbers the next sleeper.
+	slept []int64
+	seq   int64
+	// inSystem marks the tags with a tier, the ones that hear the request.
+	inSystem []uint64
+	// active marks, under CICP, the awake tags that have sent more than
+	// their flood message; nil under SICP, whose walk needs no such set.
+	active []uint64
 
 	collected []uint64
 
@@ -249,35 +271,68 @@ func (c *collector) backoff() {
 	c.cumShort += b
 }
 
-// transmit models one 96-bit message from tag u: one long slot on the air
-// and 96 bits of TX energy for u. The awake neighbors that decode it are
-// charged when they sleep.
+// transmit models one 96-bit message from tag u: one long slot on the air.
+// Its 96 bits of TX energy, and the reception of the awake neighbours that
+// decode it, are charged after the walk (charge).
 func (c *collector) transmit(u int) {
 	c.clock.LongSlots++
 	c.cumLong++
-	c.meter.AddSent(u, energy.IDBits)
 	c.msgs[u]++
 }
 
-// sleep retires tag u. Every in-system tag listens from the request until
-// it sleeps, so it has decoded every message its neighbors sent so far:
-// each is charged 95 bits here, the 96th being the 1-bit carrier-sense
-// charge for the slot. That charge covers every slot u stayed awake, minus
-// the long slots it spent transmitting itself (half duplex: no reception
-// during its own transmissions).
-func (c *collector) sleep(u int32) {
+// sleep retires tag u, whose neighbours that are still awake have sent live
+// messages beyond their flood message so far. Every in-system tag listens
+// from the request until it sleeps, so it decoded those; charge adds the
+// rest of what it heard. Each decoded message costs 95 bits, the 96th being
+// the 1-bit carrier-sense charge for the slot. That charge, made here,
+// covers every slot u stayed awake, minus the long slots it spent
+// transmitting itself (half duplex: no reception during its own
+// transmissions). u sends nothing after it sleeps, so msgs[u] is final.
+func (c *collector) sleep(u int32, live int64) {
+	m := c.msgs[u]
+	idle := c.cumShort + c.cumLong - int64(m)
+	c.meter.AddReceived(int(u), (energy.IDBits-1)*live+max(idle, 0))
+	c.slept[u] = c.seq<<32 | int64(m-1)
+	c.seq++
+}
+
+// charge makes, in one pass over the in-system tags in position order, the
+// reception charge sleep left: each neighbour's flood message, and every
+// later message of each neighbour that slept first (one that slept later
+// was still awake, and counted in the live term, when the tag slept). It
+// also charges every tag 96 bits per message sent. Only the neighbours in
+// the system (inSystem) sent anything; a tag beyond the reader's broadcast
+// range stays out even next to one in it. The per-neighbour step is one
+// load and no branch: the sign of the difference of the sleep sequence
+// numbers, both below n, selects the neighbour's count.
+func (c *collector) charge() {
+	for k, t := range c.tier {
+		if t == 0 {
+			continue
+		}
+		heard := heardRow(c.nw.Masks(k), c.inSystem, c.slept, c.slept[k]&^(1<<32-1))
+		c.meter.AddReceived(k, (energy.IDBits-1)*heard)
+		c.meter.AddSent(k, energy.IDBits*int64(c.msgs[k]))
+	}
+}
+
+// heardRow sums, over the in-system neighbours in masks, one flood message
+// each plus the later messages of each that slept before the tag whose
+// sleep sequence number, shifted into the high half, is atHi: slept[v] −
+// atHi is negative exactly then. slept holds whole 64-position words, so
+// each word's block needs no bounds check per bit.
+func heardRow(masks []topology.Mask, inSystem []uint64, slept []int64, atHi int64) int64 {
 	var heard int64
-	msgs := c.msgs
-	for _, m := range c.nw.Masks(int(u)) {
-		for b := m.Bits; b != 0; b &= b - 1 {
-			heard += int64(msgs[m.Word<<6+int32(bits.TrailingZeros64(b))])
+	for _, m := range masks {
+		blk := slept[m.Word<<6:][:64:64]
+		b := m.Bits & inSystem[m.Word]
+		heard += int64(bits.OnesCount64(b))
+		for ; b != 0; b &= b - 1 {
+			x := blk[bits.TrailingZeros64(b)&63]
+			heard += int64(uint32(x)) & ((x - atHi) >> 63)
 		}
 	}
-	c.meter.AddReceived(int(u), (energy.IDBits-1)*heard)
-	idle := c.cumShort + c.cumLong - int64(msgs[u])
-	if idle > 0 {
-		c.meter.AddReceived(int(u), idle)
-	}
+	return heard
 }
 
 // buildTree floods the collection request tier by tier and establishes
@@ -305,7 +360,6 @@ func (c *collector) buildTree() {
 		tierSize[t]++
 		// The tag's flood message, below.
 		c.msgs[k] = 1
-		c.meter.AddSent(k, energy.IDBits)
 		if t == 1 {
 			c.parent[k] = parentReader
 			c.meter.AddReceived(k, energy.IDBits-1)
@@ -350,11 +404,13 @@ func (c *collector) buildTree() {
 	// layering), which differ mod 3, so its upstream neighbours are its
 	// row's masks ANDed with up[(t−1)%3].
 	words := (n + 63) / 64
-	upBits := make([]uint64, 3*words)
-	up := [3][]uint64{upBits[:words], upBits[words : 2*words], upBits[2*words:]}
+	upBits := make([]uint64, 4*words)
+	up := [3][]uint64{upBits[:words], upBits[words : 2*words], upBits[2*words : 3*words]}
+	c.inSystem = upBits[3*words:]
 	for k, t := range c.tier {
 		if t > 0 {
 			up[t%3][k>>6] |= 1 << (uint(k) & 63)
+			c.inSystem[k>>6] |= 1 << (uint(k) & 63)
 		}
 	}
 	for k, t := range c.tier {
@@ -450,6 +506,7 @@ func (c *collector) initLists() {
 	c.next = make([]int32, n)
 	c.tail = make([]int32, n)
 	c.size = make([]int32, n)
+	c.slept = make([]int64, (n+63)&^63)
 	for i := range c.tail {
 		c.tail[i] = int32(i)
 		c.size[i] = 1
@@ -520,9 +577,14 @@ func (c *collector) upload(u int32) {
 	// Closing ack from the parent tells it the child's subtree is complete.
 	// The reader needs no ack — it is the sink and observes the data
 	// directly — so its children simply sleep after their last message.
-	if p != parentReader {
-		c.backoff()
-		c.transmit(int(p))
+	if p == parentReader {
+		c.sleep(u, 0)
+		return
 	}
-	c.sleep(u)
+	c.backoff()
+	c.transmit(int(p))
+	// The awake tags that have sent more than their flood message are the
+	// ones that sent a token: u's ancestors. Of them only the parent, one
+	// tier up, is u's neighbour.
+	c.sleep(u, int64(c.msgs[p]-1))
 }

@@ -299,6 +299,27 @@ func BenchmarkCollectPaper(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectCICPPaper times the CICP collection of a paper trial's
+// deployment: 10^4 tags in a 30 m disk at PaperRanges(r). Most of it is
+// the sibling groups' contention draws.
+func BenchmarkCollectCICPPaper(b *testing.B) {
+	d := geom.NewUniformDisk(10000, 30, 1)
+	for _, r := range []float64{2, 6} {
+		nw, err := topology.Build(d, 0, topology.PaperRanges(r))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("r=%g", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CollectCICP(nw, Options{Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCollectN1e5 times the SICP collection of a scale-1e5 survey:
 // 10^5 tags at the core scale benchmarks' density (radius 300·√0.1 m,
 // R = radius, r′ = radius − 20, r = 2).
